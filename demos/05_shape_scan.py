@@ -8,18 +8,17 @@ not a proof.
 
 import numpy as np
 
-from diracbox import assemble, build_grid, lambda1_2d
+from diracbox import lambda1_2d
 
 n = 32
-fm = assemble(build_grid(n))
 
 for m in (0.0, 2.0):
     print(f"mass m = {m}")
     print(f"{'a':>10} {'area family':>14} {'perimeter family':>18}")
     for a in np.round(np.geomspace(0.5, 2.0, 9), 6):
-        mu_area = lambda1_2d(a, 1 / a, m, n, fm=fm).mu
+        mu_area = lambda1_2d(a, 1 / a, m, n).mu
         if 0.0 < a < 2.0:
-            mu_per = f"{lambda1_2d(a, 2 - a, m, n, fm=fm).mu:18.8f}"
+            mu_per = f"{lambda1_2d(a, 2 - a, m, n).mu:18.8f}"
         else:
             mu_per = f"{'-':>18}"
         marker = "   <- square" if abs(a - 1.0) < 1e-12 else ""

@@ -13,7 +13,6 @@ from .bounds import (
     bounds_report,
     bracket,
     corollary_conditions,
-    dirichlet_lambda,
     sharp_lower,
     thm_lower,
     thm_upper,
@@ -24,7 +23,6 @@ from .eigsolve import (
     RefineStudy,
     lambda1_2d,
     refine_study,
-    shifted_form,
     smallest_eigenpair,
 )
 from .errors import (
@@ -43,15 +41,14 @@ from .formgrid import (
     assemble_1d,
     build_grid,
     constraint_map,
-    form_matrix,
-    load_form_matrices,
     prolong,
     quotient,
     random_field,
     reconstruct,
     reduce_field,
-    save_form_matrices,
     trial_dirichlet,
+    weighted,
+    weighted_quotient,
 )
 from .jopt import (
     ConjectureEvidence,
@@ -67,6 +64,7 @@ from .symmetry import (
     SymmetryClass,
     classify_symmetry,
     commutation_check,
+    ground_cluster,
     rotate,
     rotation_deviation,
     rotation_map,

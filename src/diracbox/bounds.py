@@ -29,7 +29,6 @@ __all__ = [
     "thm_lower",
     "sharp_lower",
     "thm_upper",
-    "dirichlet_lambda",
     "corollary_conditions",
     "bounds_report",
     "bracket",
@@ -73,11 +72,6 @@ def thm_upper(a: float, b: float, m: float = 0.0) -> float:
     """Upper bound (pi/a)^2 + (pi/b)^2; the mass does not enter."""
     a, b, _ = _check(a, b, m)
     return (math.pi / a) ** 2 + (math.pi / b) ** 2
-
-
-def dirichlet_lambda(a: float, b: float) -> float:
-    """Lowest Dirichlet Laplacian eigenvalue of the (a, b) rectangle."""
-    return thm_upper(a, b)
 
 
 @dataclass(frozen=True)
@@ -176,22 +170,18 @@ def bounds_report(a: float, b: float, m: float) -> BoundsReport:
                         thm_upper=up, dirichlet=up, conditions=conditions)
 
 
-def bracket(a: float, b: float, m: float, n: int, tol: float = 1e-10,
-            *, fm=None, seed: int = 0):
-    """Two-sided interval for lambda_1(a,b)^2.
+def bracket(a: float, b: float, m: float, mu: float):
+    """Two-sided interval ``(lo, hi)`` for lambda_1(a,b)^2.
 
-    Lower end from the closed-form bounds, upper end from the conforming
-    discrete eigenvalue capped by the Dirichlet value.  An empty interval
-    signals a bug and raises.
+    Lower end from the closed-form lower bounds, upper end the conforming
+    discrete eigenvalue ``mu`` capped by the Dirichlet value.  An empty
+    interval signals a bug and raises ConsistencyError.
     """
-    from .eigsolve import lambda1_2d
-
     a, b, m = _check(a, b, m)
-    result = lambda1_2d(a, b, m, n, tol, fm=fm, seed=seed)
     lo = m**2 + max(thm_lower(a, b, m), sharp_lower(a, b, m))
-    hi = min(result.mu, m**2 + thm_upper(a, b, m))
+    hi = min(mu, m**2 + thm_upper(a, b, m))
     if lo > hi:
         raise ConsistencyError(
-            f"empty eigenvalue bracket at (a={a}, b={b}, m={m}, n={n}): "
+            f"empty eigenvalue bracket at (a={a}, b={b}, m={m}): "
             f"[{lo!r}, {hi!r}]")
     return lo, hi

@@ -5,10 +5,11 @@ Subcommands: ``solve``, ``sweep``, ``bounds``, ``symmetry``, ``jopt``,
 optional ``key=value`` config file over built-in defaults.  Numbers are
 serialised with 17 significant digits so every emitted float round-trips;
 solve results are cached as JSON records keyed by a content hash of
-``(a, b, m, n, tol, seed)`` in the directory named by the
-``DIRACBOX_CACHE_DIR`` environment variable (default
+``(a, b, m, n, tol, seed)`` and the solver version, in the directory named
+by the ``DIRACBOX_CACHE_DIR`` environment variable (default
 ``~/.cache/diracbox``), which makes repeated runs byte-identical including
-their wall-time fields.
+their wall-time fields: ``wall_time_ms`` is the time of the original
+compute, replayed on every cache hit.
 
 Exit codes: 0 success, 2 argument error, 3 solver failure, 4 symmetry
 resolution failure, 5 internal consistency violation.
@@ -17,10 +18,13 @@ resolution failure, 5 internal consistency violation.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
+import json
 import math
 import os
 import sys
+import tempfile
 import time
 from concurrent.futures import ProcessPoolExecutor
 
@@ -29,11 +33,10 @@ import numpy as np
 from . import bounds as bounds_mod
 from . import jopt as jopt_mod
 from . import symmetry as symmetry_mod
-from .eigsolve import lambda1_2d, refine_study, shifted_form, smallest_eigenpair
+from .eigsolve import lambda1_2d, refine_study
 from .errors import ClusterResolutionError, ConsistencyError, SolverError
 from .formgrid import (
     FormMatrices,
-    SpinorField,
     assemble,
     build_grid,
     quotient,
@@ -78,8 +81,7 @@ def canonical_json(obj, indent: int = 0) -> str:
     if isinstance(obj, (int, float, np.integer, np.floating)):
         return format_number(obj)
     if isinstance(obj, str):
-        import json as _json
-        return _json.dumps(obj)
+        return json.dumps(obj)
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
@@ -113,40 +115,53 @@ def cache_root() -> str:
         os.path.join(os.path.expanduser("~"), ".cache", "diracbox"))
 
 
+# Part of every cache key, never of a record.  Change it whenever a solver
+# change alters any computed number, even in the last bits, so records
+# computed by older code miss instead of being served.
+SOLVER_VERSION = "2"
+
+
 def _cache_key(params: dict) -> str:
-    return hashlib.sha256(canonical_json(params).encode()).hexdigest()
+    salted = SOLVER_VERSION + "\n" + canonical_json(params)
+    return hashlib.sha256(salted.encode()).hexdigest()
 
 
 def cache_get(params: dict):
+    """The cached record for ``params``; None on a miss or an unreadable entry.
+
+    A truncated or corrupt entry counts as a miss, so the caller recomputes
+    the point and ``cache_put`` overwrites the entry.
+    """
     path = os.path.join(cache_root(), _cache_key(params) + ".json")
-    if not os.path.exists(path):
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except (FileNotFoundError, ValueError):   # ValueError: undecodable entry
         return None
-    import json as _json
-    with open(path, encoding="utf-8") as fh:
-        return _json.load(fh)
 
 
 def cache_put(params: dict, record: dict) -> None:
+    """Store ``record`` atomically: write a unique temp file, then rename."""
     root = cache_root()
     os.makedirs(root, exist_ok=True)
     path = os.path.join(root, _cache_key(params) + ".json")
-    tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(canonical_json(record) + "\n")
-    os.replace(tmp, path)
+    fd, tmp = tempfile.mkstemp(dir=root, suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            fh.write(canonical_json(record) + "\n")
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+        raise
 
 
 # ----------------------------------------------------------------------
 # the single-point solve record shared by `solve` and `sweep`
 # ----------------------------------------------------------------------
 
-_FM_CACHE: dict[int, FormMatrices] = {}
-
-
 def _form_matrices(n: int) -> FormMatrices:
-    if n not in _FM_CACHE:
-        _FM_CACHE[n] = assemble(build_grid(n))
-    return _FM_CACHE[n]
+    return assemble(build_grid(n))
 
 
 def _sandwich_check(record: dict) -> None:
@@ -170,9 +185,10 @@ def solve_record(a: float, b: float, m: float, n: int, tol: float,
             return hit
     t0 = time.perf_counter()
     fm = _form_matrices(n)
-    res = lambda1_2d(a, b, m, n, tol, seed=seed, fm=fm)
+    res = lambda1_2d(a, b, m, n, tol, seed=seed)
     wall_ms = (time.perf_counter() - t0) * 1e3
     trial_q = quotient(fm, a, b, m, trial_dirichlet(build_grid(n)))
+    lo, hi = bounds_mod.bracket(a, b, m, res.mu)
     record = {
         **params,
         "mu": res.mu,
@@ -184,9 +200,8 @@ def solve_record(a: float, b: float, m: float, n: int, tol: float,
         "sharp_lower": bounds_mod.sharp_lower(a, b, m),
         "thm_upper": bounds_mod.thm_upper(a, b, m),
         "trial_quotient": trial_q,
-        "bracket_lo": m**2 + max(bounds_mod.thm_lower(a, b, m),
-                                 bounds_mod.sharp_lower(a, b, m)),
-        "bracket_hi": min(res.mu, m**2 + bounds_mod.thm_upper(a, b, m)),
+        "bracket_lo": lo,
+        "bracket_hi": hi,
         "wall_time_ms": wall_ms,
     }
     _sandwich_check(record)
@@ -316,11 +331,9 @@ def cmd_symmetry(opts) -> int:
     b = opts["b"] if opts["b"] is not None else a
     m, n, k = opts["m"], opts["n"], opts["k"]
     fm = _form_matrices(n)
-    pairs = smallest_eigenpair(shifted_form(fm, a, b, m), fm.M, k=k,
-                               tol=opts["tol"], seed=opts["seed"])
-    mus = [p[0] for p in pairs]
-    cluster = [(mu, SpinorField(v, n)) for mu, v in pairs
-               if (mu - mus[0]) <= 1e-8 * abs(mus[0])]
+    mus, cluster = symmetry_mod.ground_cluster(fm, a, b, m, k=k,
+                                               tol=opts["tol"],
+                                               seed=opts["seed"])
     square = (a == b)
     classes = symmetry_mod.classify_symmetry(fm, cluster, square=square)
     class_reports = []
@@ -361,8 +374,7 @@ def cmd_refine(opts) -> int:
     b = opts["b"] if opts["b"] is not None else opts["a"]
     n_list = [int(x) for x in str(opts["n_list"]).split(",") if x.strip()]
     study = refine_study(opts["a"], b, opts["m"], n_list, opts["tol"],
-                         seed=opts["seed"],
-                         fm_by_n={n: _form_matrices(n) for n in n_list})
+                         seed=opts["seed"])
     report = {
         "a": study.a, "b": study.b, "m": study.m,
         "entries": [[n, mu] for n, mu in study.entries],

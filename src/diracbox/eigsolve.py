@@ -24,7 +24,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import ConsistencyError, SolverError
-from .formgrid import FormMatrices, SpinorField, assemble, build_grid, _check_weights
+from .formgrid import SpinorField, assemble, build_grid, weighted, _check_weights
 
 __all__ = ["EigenResult", "RefineStudy", "smallest_eigenpair", "lambda1_2d",
            "refine_study", "DENSE_LIMIT"]
@@ -106,45 +106,55 @@ def _solve_pencil(q, m, k: int, tol: float, maxit: int, seed: int) -> _PencilSol
             sla.cholesky(md)
         except sla.LinAlgError as exc:
             raise ValueError("M is not positive definite") from exc
-        w, v = sla.eigh(qd, md, subset_by_index=[0, k - 1])
+        _, v = sla.eigh(qd, md, subset_by_index=[0, k - 1])
         iterations = 0
     else:
         qc = sp.csc_matrix(q)
         mc = sp.csc_matrix(m)
         rng = np.random.default_rng(seed)
         v0 = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-        lu = spla.splu(qc)
+        # ARPACK's parameter object and OPinv form a reference cycle; the
+        # closure reads the factor from a slot emptied on return, so the
+        # factor is freed at once instead of at the next full collection.
+        lu = [spla.splu(qc)]
         count = [0]
 
         def apply_inverse(x):
             count[0] += 1
-            return lu.solve(x)
+            return lu[0].solve(x)
 
         opinv = spla.LinearOperator((dim, dim), matvec=apply_inverse, dtype=complex)
         try:
             # ARPACK tolerance 0 converges the transformed problem to
             # machine precision; the residual contract is enforced below.
-            w, v = spla.eigsh(qc, k=k, M=mc, sigma=0.0, which="LM", v0=v0,
+            _, v = spla.eigsh(qc, k=k, M=mc, sigma=0.0, which="LM", v0=v0,
                               maxiter=maxit, tol=0.0, OPinv=opinv)
+            # ARPACK's vectors for an exactly degenerate pair can sit far
+            # above its tolerance (seen at 1e-8 relative under threaded
+            # BLAS); one block inverse-iteration step damps their errors and
+            # the Rayleigh-Ritz step below recovers the eigenpairs.
+            v = lu[0].solve(mc @ v)
+            count[0] += k
         except spla.ArpackNoConvergence as exc:
             best_mu = (float(np.real(exc.eigenvalues[0]))
                        if len(exc.eigenvalues) else None)
             raise SolverError(
                 f"eigensolver did not converge within {maxit} restarts",
                 best_mu=best_mu, iterations=count[0]) from exc
+        finally:
+            lu.clear()
         iterations = count[0]
 
-    order = np.argsort(w)
-    w = np.asarray(w, dtype=float)[order]
-    v = np.asarray(v, dtype=complex)[:, order]
-
-    # Deterministic M-orthonormalisation (Cholesky of the Gram matrix keeps
-    # the ascending ordering and is a no-op up to rounding for converged
-    # eigenvectors).
-    gram = v.conj().T @ (m @ v)
-    chol = sla.cholesky(gram, lower=True)
-    v = sla.solve_triangular(chol, v.conj().T, lower=True).conj().T
-    mus = np.real(np.einsum("ij,ij->j", v.conj(), q @ v))
+    # Rayleigh-Ritz on the span: M-orthonormal, ascending, and a no-op up
+    # to rounding for converged eigenvectors.  Each value is the quotient
+    # of an admissible vector, so it stays a conforming upper bound.
+    v = np.asarray(v, dtype=complex)
+    qv, mv = q @ v, m @ v
+    proj_q, proj_m = v.conj().T @ qv, v.conj().T @ mv
+    _, coeff = sla.eigh((proj_q + proj_q.conj().T) / 2,
+                        (proj_m + proj_m.conj().T) / 2)
+    v, qv, mv = v @ coeff, qv @ coeff, mv @ coeff
+    mus = np.real(np.einsum("ij,ij->j", v.conj(), qv))
 
     if sp.issparse(m):
         mlu = spla.splu(sp.csc_matrix(m))
@@ -154,7 +164,7 @@ def _solve_pencil(q, m, k: int, tol: float, maxit: int, seed: int) -> _PencilSol
         msolve = lambda x: sla.cho_solve(cho, x)
     residuals = np.empty(k)
     for i in range(k):
-        r = q @ v[:, i] - mus[i] * (m @ v[:, i])
+        r = qv[:, i] - mus[i] * mv[:, i]
         residuals[i] = np.sqrt(abs(np.real(np.vdot(r, msolve(r)))))
     bad = residuals > tol * np.maximum(np.abs(mus), 1e-300)
     if np.any(bad):
@@ -180,18 +190,8 @@ def smallest_eigenpair(Q, M, k: int = 1, tol: float = 1e-10,
     return [(float(sol.mus[i]), sol.vectors[:, i]) for i in range(k)]
 
 
-def shifted_form(fm: FormMatrices, a: float, b: float, m: float) -> sp.csr_matrix:
-    """Weighted form matrix without the m^2 mass term."""
-    a, b, m = _check_weights(a, b, m)
-    q = fm.K1 / a**2 + fm.K2 / b**2
-    if m > 0.0:
-        q = q + (m / a) * fm.Tpar + (m / b) * fm.Teq
-    return sp.csr_matrix(q)
-
-
 def lambda1_2d(a: float, b: float, m: float, n: int, tol: float = 1e-10,
-               *, k: int = 4, seed: int = 0, maxit: int = 500,
-               fm: FormMatrices | None = None) -> EigenResult:
+               *, k: int = 4, seed: int = 0, maxit: int = 500) -> EigenResult:
     """Discrete lowest positive Dirac eigenvalue on the (a, b) rectangle.
 
     Conforming, so ``mu`` over-estimates the continuum lambda_1(a,b)^2.
@@ -199,12 +199,9 @@ def lambda1_2d(a: float, b: float, m: float, n: int, tol: float = 1e-10,
     visible to the symmetry analysis.
     """
     a, b, m = _check_weights(a, b, m)
-    if fm is None:
-        fm = assemble(build_grid(n))
-    elif fm.n != n:
-        raise ValueError(f"supplied matrices are for n={fm.n}, requested n={n}")
+    fm = assemble(build_grid(n))
     k = min(k, fm.ndof)
-    qs = shifted_form(fm, a, b, m)
+    qs = weighted(fm, (a**-2, b**-2, 0.0, m / a, m / b))
     sol = _solve_pencil(qs, fm.M, k, tol, maxit, seed)
     mu_shifted = float(sol.mus[0])
     if mu_shifted <= 0.0:
@@ -224,7 +221,7 @@ def lambda1_2d(a: float, b: float, m: float, n: int, tol: float = 1e-10,
 
 
 def refine_study(a: float, b: float, m: float, n_list, tol: float = 1e-10,
-                 *, seed: int = 0, fm_by_n=None) -> RefineStudy:
+                 *, seed: int = 0) -> RefineStudy:
     """Eigenvalue refinement over nested grids with Richardson extrapolation.
 
     ``n_list`` must be strictly increasing with each entry dividing the
@@ -241,9 +238,7 @@ def refine_study(a: float, b: float, m: float, n_list, tol: float = 1e-10,
 
     entries = []
     for n in n_list:
-        fm = fm_by_n.get(n) if fm_by_n else None
-        res = lambda1_2d(a, b, m, n, tol, seed=seed, fm=fm)
-        entries.append((n, res.mu))
+        entries.append((n, lambda1_2d(a, b, m, n, tol, seed=seed).mu))
     for (_, prev), (ncur, cur) in zip(entries, entries[1:]):
         if cur > prev + 1e-12 * max(1.0, abs(prev)):
             raise ConsistencyError(

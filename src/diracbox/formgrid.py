@@ -24,14 +24,14 @@ The five matrices assembled here realise the weighted squared-operator form
                       + (m/a) psi*Tpar psi + (m/b) psi*Teq psi,
 
 with ``Tpar``/``Teq`` the trace mass matrices of the vertical/horizontal
-boundary pieces.  All element integrals are exact closed forms; the scalar
-weights ``(a, b, m)`` enter only at evaluation time, so one assembly serves
-every parameter point.
+boundary pieces.  All element integrals are exact closed forms; the five
+scalar weights enter only at evaluation time, through ``weighted`` for
+matrices and ``weighted_quotient`` for fields, so one assembly (built once
+per n and process) serves every parameter point and every re-weighting.
 """
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -48,16 +48,15 @@ __all__ = [
     "constraint_map",
     "assemble",
     "assemble_1d",
-    "form_matrix",
+    "weighted",
     "quotient",
+    "weighted_quotient",
     "norm_parts",
     "trial_dirichlet",
     "random_field",
     "reconstruct",
     "reduce_field",
     "prolong",
-    "save_form_matrices",
-    "load_form_matrices",
 ]
 
 # Node classes.
@@ -264,8 +263,9 @@ def _reduce(full: sp.spmatrix, cmap: ConstraintMap) -> sp.csr_matrix:
     return _hermitize(red)
 
 
+@lru_cache(maxsize=None)
 def assemble(grid: Grid) -> FormMatrices:
-    """Assemble the five reduced matrices for one grid.
+    """Assemble the five reduced matrices for one grid (cached per n).
 
     Scalar 2D matrices are tensor (Kronecker) products of the exact 1D
     element matrices; the trace matrices pair an endpoint selector along
@@ -336,13 +336,15 @@ def _check_weights(a: float, b: float, m: float):
     return a, b, m
 
 
-def form_matrix(fm: FormMatrices, a: float, b: float, m: float) -> sp.csr_matrix:
-    """Weighted form matrix a^-2 K1 + b^-2 K2 + m^2 M + (m/a) Tpar + (m/b) Teq."""
-    a, b, m = _check_weights(a, b, m)
-    q = fm.K1 / a**2 + fm.K2 / b**2
-    if m > 0.0:
-        q = q + m**2 * fm.M + (m / a) * fm.Tpar + (m / b) * fm.Teq
-    return sp.csr_matrix(q)
+def weighted(fm: FormMatrices, w) -> sp.csr_matrix:
+    """Weighted sum w_K1 K1 + w_K2 K2 + w_M M + w_Tpar Tpar + w_Teq Teq.
+
+    Zero weights are skipped, so a massless form keeps the sparsity of the
+    gradient terms alone.
+    """
+    mats = (fm.K1, fm.K2, fm.M, fm.Tpar, fm.Teq)
+    terms = [wi * mat for wi, mat in zip(w, mats) if wi != 0.0]
+    return sp.csr_matrix(sum(terms[1:], terms[0]))
 
 
 def norm_parts(fm: FormMatrices, psi: SpinorField):
@@ -353,15 +355,19 @@ def norm_parts(fm: FormMatrices, psi: SpinorField):
     return (quad(fm.K1), quad(fm.K2), quad(fm.M), quad(fm.Tpar), quad(fm.Teq))
 
 
+def weighted_quotient(fm: FormMatrices, w, psi: SpinorField) -> float:
+    """Rayleigh quotient of the ``w``-weighted form against the mass matrix."""
+    parts = norm_parts(fm, psi)
+    if parts[2] <= 0.0:
+        raise ValueError("quotient of a zero field is undefined")
+    return float(np.dot(w, parts)) / parts[2]
+
+
 def quotient(fm: FormMatrices, a: float, b: float, m: float,
              psi: SpinorField) -> float:
-    """Rayleigh quotient of the weighted form against the mass matrix."""
+    """Rayleigh quotient of the (a, b, m) squared form against the mass matrix."""
     a, b, m = _check_weights(a, b, m)
-    g1, g2, mass, t1, t2 = norm_parts(fm, psi)
-    if mass <= 0.0:
-        raise ValueError("quotient of a zero field is undefined")
-    num = g1 / a**2 + g2 / b**2 + m**2 * mass + (m / a) * t1 + (m / b) * t2
-    return num / mass
+    return weighted_quotient(fm, (a**-2, b**-2, m**2, m / a, m / b), psi)
 
 
 def trial_dirichlet(grid: Grid) -> SpinorField:
@@ -443,58 +449,3 @@ def prolong(psi: SpinorField, n_to: int) -> SpinorField:
         return fine
 
     return reduce_field(up(u1), up(u2), constraint_map(n_to))
-
-
-# ----------------------------------------------------------------------
-# On-disk cache of assembled matrices: a documented binary triplet format.
-#
-#   header : 8 magic bytes b"DBXFMC1\n", uint32 n, uint64 reduced dimension
-#   body   : for each of K1, K2, M, Tpar, Teq in that order:
-#              uint64 nnz, then nnz records of
-#              (uint32 row, uint32 col, float64 real, float64 imag)
-#   all fields little-endian
-# ----------------------------------------------------------------------
-
-_MAGIC = b"DBXFMC1\n"
-_TRIPLET = np.dtype([("row", "<u4"), ("col", "<u4"),
-                     ("re", "<f8"), ("im", "<f8")])
-
-
-def save_form_matrices(path, fm: FormMatrices) -> None:
-    """Write an assembled FormMatrices to the binary triplet format."""
-    with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(struct.pack("<IQ", fm.n, fm.ndof))
-        for mat in (fm.K1, fm.K2, fm.M, fm.Tpar, fm.Teq):
-            coo = mat.tocoo()
-            rec = np.empty(coo.nnz, dtype=_TRIPLET)
-            rec["row"] = coo.row
-            rec["col"] = coo.col
-            rec["re"] = coo.data.real
-            rec["im"] = coo.data.imag
-            fh.write(struct.pack("<Q", coo.nnz))
-            fh.write(rec.tobytes())
-
-
-def load_form_matrices(path) -> FormMatrices:
-    """Read matrices written by :func:`save_form_matrices`."""
-    with open(path, "rb") as fh:
-        magic = fh.read(len(_MAGIC))
-        if magic != _MAGIC:
-            raise ValueError(f"{path}: not a form-matrix cache file")
-        n, dim = struct.unpack("<IQ", fh.read(12))
-        cmap = constraint_map(int(n))
-        if dim != cmap.ndof:
-            raise ValueError(
-                f"{path}: dimension {dim} inconsistent with n={n}")
-        mats = []
-        for _ in range(5):
-            (nnz,) = struct.unpack("<Q", fh.read(8))
-            rec = np.frombuffer(fh.read(nnz * _TRIPLET.itemsize), dtype=_TRIPLET)
-            if rec.size != nnz:
-                raise ValueError(f"{path}: truncated matrix section")
-            data = rec["re"] + 1j * rec["im"]
-            mats.append(sp.csr_matrix(
-                (data, (rec["row"], rec["col"])), shape=(dim, dim)))
-    return FormMatrices(n=int(n), K1=mats[0], K2=mats[1], M=mats[2],
-                        Tpar=mats[3], Teq=mats[4])

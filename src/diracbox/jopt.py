@@ -32,17 +32,22 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConsistencyError, DegenerateRatioError
-from .eigsolve import _solve_pencil
+from .eigsolve import _solve_pencil, lambda1_2d
 from .formgrid import (
     FormMatrices,
     SpinorField,
+    assemble,
     build_grid,
     norm_parts,
     random_field,
     trial_dirichlet,
+    weighted,
+    weighted_quotient,
 )
 from .symmetry import (
     FOURTH_ROOTS,
+    classify_symmetry,
+    ground_cluster,
     rotation_deviation,
     symmetrize,
     verify_norm_identities,
@@ -76,9 +81,9 @@ def j_value(psi: SpinorField, fm: FormMatrices, m: float) -> float:
     return val / mass
 
 
-def _euler_matrix(fm: FormMatrices, A: float, B: float, m: float):
-    return (fm.K1 / A**2 + A**2 * fm.K2
-            + ((m / B) * fm.Tpar + (m * B) * fm.Teq if m > 0.0 else 0.0))
+def _euler_weights(A: float, B: float, m: float):
+    """Form weights of the ratio-weighted problem (no mass term)."""
+    return (A**-2, A**2, 0.0, m / B, m * B)
 
 
 def euler_solve(fm: FormMatrices, A: float, B: float, m: float,
@@ -87,9 +92,9 @@ def euler_solve(fm: FormMatrices, A: float, B: float, m: float,
     A, B, m = float(A), float(B), float(m)
     if not (math.isfinite(A) and A > 0.0 and math.isfinite(B) and B > 0.0):
         raise ValueError(f"weights must be finite and > 0, got A={A!r}, B={B!r}")
-    import scipy.sparse as sp
-
-    q = sp.csr_matrix(_euler_matrix(fm, A, B, m))
+    if not (math.isfinite(m) and m >= 0.0):
+        raise ValueError(f"mass must be finite and >= 0, got {m!r}")
+    q = weighted(fm, _euler_weights(A, B, m))
     sol = _solve_pencil(q, fm.M, 1, tol, maxit, seed)
     return float(sol.mus[0]), SpinorField(sol.vectors[:, 0], fm.n)
 
@@ -180,9 +185,7 @@ def fixed_point_minimize(fm: FormMatrices, m: float,
         mu, psi = euler_solve(fm, A, B, m, solver_tol, seed=seed)
         if symmetric_track:
             psi = _project_dominant_symmetry(fm, psi)
-            g1, g2, mass, t1, t2 = norm_parts(fm, psi)
-            mu = (g1 / A**2 + A**2 * g2
-                  + (m / B) * t1 + (m * B) * t2) / mass
+            mu = weighted_quotient(fm, _euler_weights(A, B, m), psi)
         jv = j_value(psi, fm, m)
         history.append((mu, A, B, jv))
         slack = 1e-12 * max(1.0, abs(mu_prev if mu_prev is not None else mu))
@@ -300,7 +303,6 @@ def probe_conjecture_symmetry(fm: FormMatrices, m: float, restarts: int = 5,
 
 def verify_theorem_idea_chain(m: float, a_grid, n: int, *,
                               tol: float = 1e-10, seed: int = 0,
-                              fm: FormMatrices | None = None,
                               restarts: int = 4) -> dict:
     """Numerical witness of the square-minimality reduction chain.
 
@@ -311,30 +313,21 @@ def verify_theorem_idea_chain(m: float, a_grid, n: int, *,
     rectangle dominates the fixed-area rectangle of the same first side.
     Produces a report; nothing here asserts the open conjectures.
     """
-    from .eigsolve import lambda1_2d, smallest_eigenpair, shifted_form
-    from .symmetry import classify_symmetry
-
-    if fm is None:
-        from .formgrid import assemble
-        fm = assemble(build_grid(n))
+    fm = assemble(build_grid(n))
     evidence = probe_conjecture_symmetry(fm, m, restarts=max(3, restarts),
                                          seed=seed, solver_tol=tol)
 
     area = []
     chain_ok = True
     for a in a_grid:
-        res = lambda1_2d(a, 1.0 / a, m, n, tol, fm=fm, seed=seed)
+        res = lambda1_2d(a, 1.0 / a, m, n, tol, seed=seed)
         gap = res.mu - m**2 - evidence.best_mu
         ok = gap >= -1e-8 * max(1.0, abs(res.mu))
         chain_ok &= ok
         area.append({"a": float(a), "mu_shifted": res.mu - m**2,
                      "gap_vs_best": gap, "ok": ok})
 
-    pairs = smallest_eigenpair(shifted_form(fm, 1.0, 1.0, m), fm.M, k=4,
-                               tol=tol, seed=seed)
-    mus = [p[0] for p in pairs]
-    cluster = [(mu, SpinorField(v, n)) for mu, v in pairs
-               if (mu - mus[0]) <= 1e-8 * abs(mus[0])]
+    mus, cluster = ground_cluster(fm, 1.0, 1.0, m, tol=tol, seed=seed)
     classes = classify_symmetry(fm, cluster, square=True)
     rep = classes[0].field
     jq = j_value(rep, fm, m)
@@ -354,8 +347,8 @@ def verify_theorem_idea_chain(m: float, a_grid, n: int, *,
     for a in a_grid:
         if not 0.0 < a < 2.0:
             continue
-        mu_p = lambda1_2d(a, 2.0 - a, m, n, tol, fm=fm, seed=seed).mu
-        mu_a = lambda1_2d(a, 1.0 / a, m, n, tol, fm=fm, seed=seed).mu
+        mu_p = lambda1_2d(a, 2.0 - a, m, n, tol, seed=seed).mu
+        mu_a = lambda1_2d(a, 1.0 / a, m, n, tol, seed=seed).mu
         ok = mu_p >= mu_a - 1e-9 * max(1.0, mu_a)
         perimeter.append({"a": float(a), "mu_perimeter": mu_p,
                           "mu_area": mu_a, "ok": ok})

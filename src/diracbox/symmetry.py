@@ -20,14 +20,15 @@ axis gradient norms and equal boundary trace norms, which is what
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 import scipy.sparse as sp
 
+from .eigsolve import smallest_eigenpair
 from .errors import ClusterResolutionError
 from .formgrid import (
     CORNER,
-    ConstraintMap,
     FormMatrices,
     SpinorField,
     build_grid,
@@ -36,6 +37,8 @@ from .formgrid import (
     quotient,
     random_field,
     reconstruct,
+    weighted,
+    _check_weights,
 )
 
 __all__ = [
@@ -46,6 +49,7 @@ __all__ = [
     "symmetrize",
     "rotation_deviation",
     "commutation_check",
+    "ground_cluster",
     "classify_symmetry",
     "verify_norm_identities",
     "separability_residual",
@@ -66,11 +70,10 @@ class RotationMap:
         return self.matrix @ values
 
 
-_ROTATIONS: dict[int, RotationMap] = {}
-
-
-def _build_rotation(cmap: ConstraintMap) -> RotationMap:
-    n = cmap.n
+@lru_cache(maxsize=None)
+def rotation_map(n: int) -> RotationMap:
+    """Quarter-turn action for grid size n (cached per n)."""
+    cmap = constraint_map(n)
     rows, cols, data = [], [], []
     for i in range(n + 1):
         for j in range(n + 1):
@@ -93,13 +96,6 @@ def _build_rotation(cmap: ConstraintMap) -> RotationMap:
     if dev.nnz and abs(dev).max() != 0.0:
         raise AssertionError("quarter-turn action is not of order four")
     return RotationMap(n=n, matrix=mat, half_turn=(mat @ mat).tocsr())
-
-
-def rotation_map(n: int) -> RotationMap:
-    """Cached quarter-turn action for grid size n."""
-    if n not in _ROTATIONS:
-        _ROTATIONS[n] = _build_rotation(constraint_map(n))
-    return _ROTATIONS[n]
 
 
 def rotate(psi: SpinorField) -> SpinorField:
@@ -162,6 +158,24 @@ class SymmetryClass:
     alpha: complex
     field: SpinorField
     deviation: float
+
+
+def ground_cluster(fm: FormMatrices, a: float, b: float, m: float,
+                   k: int = 4, tol: float = 1e-10, seed: int = 0):
+    """The ``k`` lowest shifted eigenvalues and the ground cluster among them.
+
+    Solves the (a, b, m) pencil without its ``m^2`` mass term and returns
+    ``(mus, cluster)``: all ``k`` eigenvalues, ascending, and the
+    ``(mu, psi)`` pairs within relative 1e-8 of the lowest, ready for
+    :func:`classify_symmetry`.
+    """
+    a, b, m = _check_weights(a, b, m)
+    q = weighted(fm, (a**-2, b**-2, 0.0, m / a, m / b))
+    pairs = smallest_eigenpair(q, fm.M, k=k, tol=tol, seed=seed)
+    mus = [mu for mu, _ in pairs]
+    cluster = [(mu, SpinorField(v, fm.n)) for mu, v in pairs
+               if (mu - mus[0]) <= 1e-8 * abs(mus[0])]
+    return mus, cluster
 
 
 def classify_symmetry(fm: FormMatrices, pairs, square: bool = True):

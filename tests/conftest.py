@@ -16,27 +16,19 @@ def golden():
 
 @pytest.fixture(scope="session")
 def fm_cache():
-    """One assembly per grid size for the whole session."""
-    cache = {}
-
-    def get(n):
-        if n not in cache:
-            cache[n] = assemble(build_grid(n))
-        return cache[n]
-
-    return get
+    """The form matrices of an n-cell grid (assembled once per process)."""
+    return lambda n: assemble(build_grid(n))
 
 
 @pytest.fixture(scope="session")
-def solve_memo(fm_cache):
+def solve_memo():
     """Memoized single-point solves shared across test modules."""
     memo = {}
 
     def solve(a, b, m, n, k=1, tol=1e-10, seed=0):
         key = (a, b, m, n, k, tol, seed)
         if key not in memo:
-            memo[key] = lambda1_2d(a, b, m, n, tol, k=k, seed=seed,
-                                   fm=fm_cache(n))
+            memo[key] = lambda1_2d(a, b, m, n, tol, k=k, seed=seed)
         return memo[key]
 
     return solve

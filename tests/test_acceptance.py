@@ -21,6 +21,7 @@ from diracbox import (
     classify_symmetry,
     cli,
     commutation_check,
+    ground_cluster,
     lambda1_1d,
     nu1,
     nu1_lower,
@@ -29,11 +30,12 @@ from diracbox import (
     random_field,
     rotate,
     separability_residual,
-    shifted_form,
     smallest_eigenpair,
     trial_dirichlet,
     verify_norm_identities,
+    weighted,
 )
+from diracbox.eigsolve import _richardson
 
 TWO_PI_SQ = 2 * math.pi**2
 
@@ -98,13 +100,6 @@ def test_criterion_03_sandwich(fm_cache, solve_memo):
             assert trial_q - m**2 <= 1.01 * up
     _report(3, f"lower bounds <= mu - m^2 <= trial quotient <= 1.01 * Dirichlet "
                f"on the {len(A_GRID_SANDWICH)}x{len(MASSES)} grid at n=96")
-
-
-def _richardson(triple):
-    (n1, mu1), (n2, mu2), (n3, mu3) = triple
-    r = n2 / n1
-    order = math.log((mu1 - mu2) / (mu2 - mu3)) / math.log(r)
-    return mu3 - (mu2 - mu3) / (r**order - 1.0), order
 
 
 def test_criterion_04_monotone_refinement(solve_memo, golden):
@@ -181,13 +176,6 @@ def test_criterion_07_nonrelativistic_trend(solve_memo):
                "of the Dirichlet value at m=100")
 
 
-def _ground_cluster(fm, a, b, m, k=4, tol=1e-10):
-    pairs = smallest_eigenpair(shifted_form(fm, a, b, m), fm.M, k=k, tol=tol)
-    mus = [p[0] for p in pairs]
-    return [(mu, SpinorField(v, fm.n)) for mu, v in pairs
-            if (mu - mus[0]) <= 1e-8 * abs(mus[0])]
-
-
 def test_criterion_08_symmetry_suite(fm_cache):
     fm = fm_cache(48)
     grid = build_grid(48)
@@ -202,7 +190,7 @@ def test_criterion_08_symmetry_suite(fm_cache):
     assert commutation_check(fm, 1.0, 0.0) <= 1e-12
     assert commutation_check(fm, 1.0, 3.0) <= 1e-12
 
-    square_classes = classify_symmetry(fm, _ground_cluster(fm, 1, 1, 0.0),
+    square_classes = classify_symmetry(fm, ground_cluster(fm, 1, 1, 0.0)[1],
                                        square=True)
     alphas = []
     for cls in square_classes:
@@ -213,7 +201,7 @@ def test_criterion_08_symmetry_suite(fm_cache):
         alphas.append(cls.alpha)
 
     rect_classes = classify_symmetry(
-        fm, _ground_cluster(fm, 1.5, 1 / 1.5, 0.0), square=False)
+        fm, ground_cluster(fm, 1.5, 1 / 1.5, 0.0)[1], square=False)
     betas = []
     for cls in rect_classes:
         assert min(abs(cls.alpha - 1), abs(cls.alpha + 1)) <= 1e-6
@@ -226,7 +214,7 @@ def test_criterion_08_symmetry_suite(fm_cache):
 def test_criterion_09_separability_witness(fm_cache, golden):
     # dense oracle at n=32 calibrates the threshold recorded in golden.json
     fm32 = fm_cache(32)
-    q = shifted_form(fm32, 1.0, 1.0, 0.0).toarray()
+    q = weighted(fm32, (1.0, 1.0, 0.0, 0.0, 0.0)).toarray()
     w, v = sla.eigh(q, fm32.M.toarray(), subset_by_index=[0, 3])
     cluster = [(float(w[i]), SpinorField(v[:, i], 32)) for i in range(4)
                if (w[i] - w[0]) <= 1e-8 * abs(w[0])]
@@ -241,7 +229,7 @@ def test_criterion_09_separability_witness(fm_cache, golden):
     ratios = {}
     for n in (64, 128):
         fm = fm_cache(n)
-        rep = classify_symmetry(fm, _ground_cluster(fm, 1, 1, 0.0),
+        rep = classify_symmetry(fm, ground_cluster(fm, 1, 1, 0.0)[1],
                                 square=True)[0].field
         ratios[n] = min(separability_residual(rep))
         assert ratios[n] > threshold

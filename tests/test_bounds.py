@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from diracbox import bounds, dirac1d
+from diracbox import ConsistencyError, bounds, dirac1d
 
 PI_SQ = math.pi**2
 
@@ -35,7 +35,6 @@ def test_thm_upper_values():
     assert bounds.thm_upper(1, 1) == pytest.approx(2 * PI_SQ, rel=1e-15)
     assert bounds.thm_upper(2, 0.5) == pytest.approx(17 * PI_SQ / 4, rel=1e-15)
     assert bounds.thm_upper(1.3, 0.6, 0.0) == bounds.thm_upper(1.3, 0.6, 100.0)
-    assert bounds.dirichlet_lambda(1, 1) == bounds.thm_upper(1, 1)
 
 
 def test_corollary_eccentricity_area():
@@ -99,24 +98,29 @@ def test_square_satisfies_no_region():
     assert not any(c.holds for c in rep.conditions.values())
 
 
-def test_bracket_contains_and_orders(fm_cache, solve_memo):
-    lo, hi = bounds.bracket(1.0, 1.0, 0.0, 16, fm=fm_cache(16))
+def test_bracket_contains_and_orders(solve_memo):
+    res = solve_memo(1.0, 1.0, 0.0, 16)
+    lo, hi = bounds.bracket(1.0, 1.0, 0.0, res.mu)
     assert lo == pytest.approx(PI_SQ / 2, rel=1e-14)
     assert lo <= hi <= 2 * PI_SQ
-    res = solve_memo(1.0, 1.0, 0.0, 16)
     assert hi <= res.mu * (1 + 1e-14)
+    # capped by the Dirichlet value, empty when mu falls below the lower end
+    assert bounds.bracket(1.0, 1.0, 0.0, 1e3) == (lo, 2 * PI_SQ)
+    with pytest.raises(ConsistencyError):
+        bounds.bracket(1.0, 1.0, 0.0, 0.9 * lo)
 
 
-def test_bracket_above_square_value_for_eccentric(fm_cache):
+def test_bracket_above_square_value_for_eccentric(solve_memo):
     # strongly eccentric fixed-area rectangle sits entirely above 2 pi^2
-    lo, hi = bounds.bracket(3.0, 1 / 3.0, 0.0, 32, fm=fm_cache(32))
+    lo, hi = bounds.bracket(3.0, 1 / 3.0, 0.0,
+                            solve_memo(3.0, 1 / 3.0, 0.0, 32).mu)
     assert lo > 2 * PI_SQ
     assert hi >= lo
 
 
-def test_bracket_width_shrinks(fm_cache):
-    lo1, hi1 = bounds.bracket(1.0, 1.0, 0.0, 16, fm=fm_cache(16))
-    lo2, hi2 = bounds.bracket(1.0, 1.0, 0.0, 32, fm=fm_cache(32))
+def test_bracket_width_shrinks(solve_memo):
+    lo1, hi1 = bounds.bracket(1.0, 1.0, 0.0, solve_memo(1.0, 1.0, 0.0, 16).mu)
+    lo2, hi2 = bounds.bracket(1.0, 1.0, 0.0, solve_memo(1.0, 1.0, 0.0, 32).mu)
     assert hi2 - lo2 <= hi1 - lo1 + 1e-12
 
 

@@ -201,3 +201,69 @@ def test_config_file_precedence(tmp_path, capsys):
     bad = tmp_path / "bad.cfg"
     bad.write_text("nonsense = 3\n")
     assert run(["solve", "--config", str(bad)]) == 2
+
+
+PARAMS = {"a": 1.0, "b": 1.0, "m": 0.0, "n": 12, "tol": 1e-10, "seed": 0}
+
+
+def test_cache_misses_records_of_another_solver_version(tmp_path,
+                                                        monkeypatch):
+    # A record stored by older solver code is not served.
+    current = cli.SOLVER_VERSION
+    monkeypatch.setattr(cli, "SOLVER_VERSION", current + "-old")
+    cli.cache_put(PARAMS, {**PARAMS, "mu": -1.0})
+    assert cli.cache_get(PARAMS)["mu"] == -1.0
+    monkeypatch.setattr(cli, "SOLVER_VERSION", current)
+    assert cli.cache_get(PARAMS) is None
+    out = tmp_path / "solve.json"
+    assert run(["solve", "--n", "12", "--out", str(out)]) == 0
+    record = json.loads(out.read_text())
+    assert record["mu"] > 0.0
+    # the salt goes into the key only, never into the record
+    assert cli.cache_get(PARAMS) == record
+
+
+def test_corrupt_cache_entry_is_recomputed(tmp_path):
+    argv = ["solve", "--n", "12"]
+    first, second = tmp_path / "r1.json", tmp_path / "r2.json"
+    assert run(argv + ["--out", str(first)]) == 0
+    cache_dir = os.environ["DIRACBOX_CACHE_DIR"]
+    [entry] = os.listdir(cache_dir)
+    path = os.path.join(cache_dir, entry)
+    with open(path, "rb") as fh:
+        data = fh.read()
+    with open(path, "wb") as fh:
+        fh.write(data[: len(data) // 2])
+    assert cli.cache_get(PARAMS) is None
+    assert run(argv + ["--out", str(second)]) == 0
+    rec1, rec2 = json.loads(first.read_text()), json.loads(second.read_text())
+    rec1.pop("wall_time_ms"), rec2.pop("wall_time_ms")
+    assert rec1 == rec2
+    assert cli.cache_get(PARAMS)["mu"] == rec2["mu"]     # overwritten
+
+
+def test_cache_put_writes_through_unique_temp_file(monkeypatch):
+    moves = []
+    real_replace = os.replace
+
+    def replace(src, dst):
+        moves.append((src, dst))
+        real_replace(src, dst)
+
+    monkeypatch.setattr(cli.os, "replace", replace)
+    cli.cache_put(PARAMS, {"mu": 1.0})
+    cli.cache_put(PARAMS, {"mu": 2.0})
+    (tmp1, dst1), (tmp2, dst2) = moves
+    assert dst1 == dst2 and tmp1 != tmp2
+    assert os.path.dirname(tmp1) == os.path.dirname(dst1)
+    assert cli.cache_get(PARAMS) == {"mu": 2.0}
+
+    # a failed write keeps the old entry and leaves no temp file behind
+    def fail(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(cli.os, "replace", fail)
+    with pytest.raises(OSError):
+        cli.cache_put(PARAMS, {"mu": 3.0})
+    assert cli.cache_get(PARAMS) == {"mu": 2.0}
+    assert os.listdir(os.path.dirname(dst1)) == [os.path.basename(dst1)]

@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -10,8 +12,8 @@ from diracbox import (
     bounds,
     lambda1_2d,
     refine_study,
-    shifted_form,
     smallest_eigenpair,
+    weighted,
 )
 from diracbox import eigsolve
 
@@ -48,7 +50,7 @@ def test_rejects_bad_k():
 
 def test_sparse_deterministic_bitwise(fm_cache):
     fm = fm_cache(48)   # above the dense limit
-    q = shifted_form(fm, 1.0, 1.0, 0.0)
+    q = weighted(fm, (1.0, 1.0, 0.0, 0.0, 0.0))
     first = smallest_eigenpair(q, fm.M, k=2, seed=42)
     second = smallest_eigenpair(q, fm.M, k=2, seed=42)
     for (mu1, v1), (mu2, v2) in zip(first, second):
@@ -58,7 +60,7 @@ def test_sparse_deterministic_bitwise(fm_cache):
 
 def test_sparse_matches_dense(fm_cache, monkeypatch):
     fm = fm_cache(16)
-    q = shifted_form(fm, 1.3, 0.9, 0.5)
+    q = weighted(fm, (1.3**-2, 0.9**-2, 0.0, 0.5 / 1.3, 0.5 / 0.9))
     dense = smallest_eigenpair(q, fm.M, k=3)
     monkeypatch.setattr(eigsolve, "DENSE_LIMIT", 10)
     sparse = smallest_eigenpair(q, fm.M, k=3)
@@ -68,7 +70,7 @@ def test_sparse_matches_dense(fm_cache, monkeypatch):
 
 def test_eigenvectors_mass_orthonormal(fm_cache):
     fm = fm_cache(16)
-    pairs = smallest_eigenpair(shifted_form(fm, 1, 1, 0.0), fm.M, k=4)
+    pairs = smallest_eigenpair(weighted(fm, (1, 1, 0, 0, 0)), fm.M, k=4)
     v = np.column_stack([vec for _, vec in pairs])
     gram = v.conj().T @ (fm.M @ v)
     assert np.abs(gram - np.eye(4)).max() <= 1e-12
@@ -84,7 +86,7 @@ def test_1d_pencil_against_root_equation():
 
 def test_nonconvergence_carries_best_iterate(fm_cache):
     fm = fm_cache(48)
-    q = shifted_form(fm, 1.0, 1.0, 0.0)
+    q = weighted(fm, (1.0, 1.0, 0.0, 0.0, 0.0))
     with pytest.raises(SolverError) as err:
         smallest_eigenpair(q, fm.M, k=4, maxit=1)
     assert err.value.iterations > 0
@@ -93,9 +95,58 @@ def test_nonconvergence_carries_best_iterate(fm_cache):
 
 def test_residual_contract_enforced(fm_cache):
     fm = fm_cache(16)
-    q = shifted_form(fm, 1.0, 1.0, 0.0)
+    q = weighted(fm, (1.0, 1.0, 0.0, 0.0, 0.0))
     with pytest.raises(SolverError):
         smallest_eigenpair(q, fm.M, k=1, tol=1e-30)
+
+
+def test_sparse_solve_releases_its_factors(fm_cache, monkeypatch):
+    # The factors must go when the solve returns, not at the next full
+    # collection: ARPACK keeps OPinv in a reference cycle.
+    fm = fm_cache(48)   # above the dense limit
+    q = weighted(fm, (1.0, 1.0, 0.0, 0.0, 0.0))
+    splu = eigsolve.spla.splu
+    factors = []
+
+    class Factor:
+        def __init__(self, lu):
+            self.solve = lu.solve
+
+    def tracked_splu(*args, **kwargs):
+        factor = Factor(splu(*args, **kwargs))
+        factors.append(weakref.ref(factor))
+        return factor
+
+    monkeypatch.setattr(eigsolve.spla, "splu", tracked_splu)
+    gc.collect()
+    gc.disable()
+    try:
+        smallest_eigenpair(q, fm.M, k=1)
+        assert len(factors) == 2          # Q for ARPACK, M for the residual
+        assert all(ref() is None for ref in factors)
+    finally:
+        gc.enable()
+
+
+def test_sparse_path_repairs_inaccurate_arpack_vectors(fm_cache, monkeypatch):
+    # ARPACK can return the vectors of a degenerate pair far above its
+    # tolerance; the inverse-iteration and Rayleigh-Ritz steps repair them.
+    fm = fm_cache(48)   # above the dense limit
+    q = weighted(fm, (1.0, 1.0, 0.0, 0.0, 0.0))
+    clean = smallest_eigenpair(q, fm.M, k=4)
+    eigsh = eigsolve.spla.eigsh
+
+    def noisy(*args, **kwargs):
+        w, v = eigsh(*args, **kwargs)
+        rng = np.random.default_rng(1)
+        noise = rng.standard_normal(v.shape) + 1j * rng.standard_normal(v.shape)
+        scale = 1e-11 * np.linalg.norm(v, axis=0) / np.sqrt(v.shape[0])
+        return w, v + scale * noise
+
+    monkeypatch.setattr(eigsolve.spla, "eigsh", noisy)
+    repaired = smallest_eigenpair(q, fm.M, k=4)
+    for (mu_c, _), (mu_r, _) in zip(clean, repaired):
+        assert mu_r == pytest.approx(mu_c, rel=1e-12)
 
 
 def test_lambda1_2d_bracket_and_gap(solve_memo, fm_cache):
@@ -137,18 +188,17 @@ def test_lower_bounds_never_exceed_discrete(solve_memo):
         assert res.mu - m**2 >= bounds.sharp_lower(a, b, m) * (1 - 1e-12)
 
 
-def test_lambda1_2d_validates_inputs(fm_cache):
+def test_lambda1_2d_validates_inputs():
     with pytest.raises(ValueError):
         lambda1_2d(-1.0, 1.0, 0.0, 16)
     with pytest.raises(ValueError):
         lambda1_2d(1.0, 1.0, -0.5, 16)
     with pytest.raises(ValueError):
-        lambda1_2d(1.0, 1.0, 0.0, 16, fm=fm_cache(8))
+        lambda1_2d(1.0, 1.0, 0.0, 7)
 
 
-def test_refine_study_monotone_and_bracketed(fm_cache):
-    study = refine_study(1.0, 1.0, 0.0, [8, 16, 32],
-                         fm_by_n={n: fm_cache(n) for n in (8, 16, 32)})
+def test_refine_study_monotone_and_bracketed():
+    study = refine_study(1.0, 1.0, 0.0, [8, 16, 32])
     mus = [mu for _, mu in study.entries]
     assert mus[0] >= mus[1] >= mus[2]
     assert math.pi**2 / 2 <= study.extrapolated <= 2 * math.pi**2

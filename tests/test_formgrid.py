@@ -10,16 +10,15 @@ from diracbox import (
     build_grid,
     constraint_map,
     dirac1d,
-    form_matrix,
-    load_form_matrices,
     prolong,
     quotient,
     random_field,
     reconstruct,
     reduce_field,
-    save_form_matrices,
     smallest_eigenpair,
     trial_dirichlet,
+    weighted,
+    weighted_quotient,
 )
 from diracbox.formgrid import CORNER, INTERIOR, OMEGA, _matrices_1d
 
@@ -163,28 +162,41 @@ def test_quotient_homogeneity_and_errors(fm_cache):
     with pytest.raises(ValueError):
         quotient(fm, 1, 1, 0.0, zero)
     with pytest.raises(ValueError):
-        form_matrix(fm, -1.0, 1.0, 0.0)
+        quotient(fm, -1.0, 1.0, 0.0, psi)
 
 
-def test_form_matrix_zero_mass_reduction(fm_cache):
+def test_weighted_zero_mass_reduction(fm_cache):
     fm = fm_cache(8)
-    q = form_matrix(fm, 2.0, 0.5, 0.0)
+    q = weighted(fm, (0.25, 4.0, 0.0, 0.0, 0.0))
     ref = fm.K1 / 4.0 + fm.K2 * 4.0
     dev = abs(q - ref)
     assert (dev.max() if dev.nnz else 0.0) == 0.0
+    assert q.nnz == (fm.K1 + fm.K2).nnz
 
 
-def test_form_matrix_weights(fm_cache):
+def test_weighted_form_weights(fm_cache):
     fm = fm_cache(8)
     a, b, m = 1.7, 0.4, 2.5
-    q = form_matrix(fm, a, b, m)
-    v = random_field(build_grid(8), seed=9).values
+    w = (a**-2, b**-2, m**2, m / a, m / b)
+    q = weighted(fm, w)
+    psi = random_field(build_grid(8), seed=9)
+    v = psi.values
     direct = np.vdot(v, q @ v)
     parts = (np.vdot(v, fm.K1 @ v) / a**2 + np.vdot(v, fm.K2 @ v) / b**2
              + m**2 * np.vdot(v, fm.M @ v)
              + (m / a) * np.vdot(v, fm.Tpar @ v)
              + (m / b) * np.vdot(v, fm.Teq @ v))
     assert direct == pytest.approx(parts, rel=1e-13)
+    mass = np.vdot(v, fm.M @ v).real
+    assert weighted_quotient(fm, w, psi) == pytest.approx(
+        direct.real / mass, rel=1e-13)
+    assert quotient(fm, a, b, m, psi) == pytest.approx(
+        direct.real / mass, rel=1e-13)
+
+
+def test_assemble_built_once_per_n():
+    assert assemble(build_grid(8)) is assemble(build_grid(8))
+    assert assemble(build_grid(8)) is not assemble(build_grid(10))
 
 
 def test_nested_refinement_preserves_quotient(fm_cache):
@@ -214,31 +226,3 @@ def test_assemble_1d_matches_closed_form():
     exact = (math.pi / 2) ** 2
     assert pairs[0][0] >= exact
     assert pairs[0][0] == pytest.approx(exact, rel=1e-4)
-
-
-def test_matrix_file_roundtrip(tmp_path, fm_cache):
-    fm = fm_cache(8)
-    path = tmp_path / "fm8.bin"
-    save_form_matrices(path, fm)
-    back = load_form_matrices(path)
-    assert back.n == fm.n and back.ndof == fm.ndof
-    for name in ("K1", "K2", "M", "Tpar", "Teq"):
-        dev = abs(getattr(fm, name) - getattr(back, name))
-        assert (dev.max() if dev.nnz else 0.0) == 0.0
-
-
-def test_matrix_file_rejects_garbage(tmp_path):
-    path = tmp_path / "bad.bin"
-    path.write_bytes(b"NOTMINE!" + b"\x00" * 64)
-    with pytest.raises(ValueError):
-        load_form_matrices(path)
-
-
-def test_matrix_file_rejects_truncation(tmp_path, fm_cache):
-    fm = fm_cache(8)
-    path = tmp_path / "fm8.bin"
-    save_form_matrices(path, fm)
-    data = path.read_bytes()
-    path.write_bytes(data[: len(data) // 2])
-    with pytest.raises(ValueError):
-        load_form_matrices(path)

@@ -80,6 +80,8 @@ def test_euler_solve_validates_weights(fm_cache):
         euler_solve(fm_cache(8), -1.0, 1.0, 0.0)
     with pytest.raises(ValueError):
         euler_solve(fm_cache(8), 1.0, 0.0, 1.0)
+    with pytest.raises(ValueError):
+        euler_solve(fm_cache(8), 1.0, 1.0, -1.0)   # would flip the trace weights
 
 
 def test_fixed_point_descends_from_trial(fm_cache):
@@ -166,9 +168,8 @@ def test_probe_collects_evidence(fm_cache):
             "all_restarts_agree"} <= set(d)
 
 
-def test_theorem_idea_chain_report(fm_cache):
-    report = verify_theorem_idea_chain(0.0, [0.5, 1.0, 1.5], 16,
-                                       fm=fm_cache(16), restarts=3)
+def test_theorem_idea_chain_report():
+    report = verify_theorem_idea_chain(0.0, [0.5, 1.0, 1.5], 16, restarts=3)
     assert report["fixed_area_dominates_best"]
     assert report["representative_attains"]
     assert report["symmetric_random_never_beats"]

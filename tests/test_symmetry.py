@@ -7,6 +7,7 @@ from diracbox import (
     build_grid,
     classify_symmetry,
     commutation_check,
+    ground_cluster,
     quotient,
     random_field,
     reconstruct,
@@ -14,11 +15,11 @@ from diracbox import (
     rotation_deviation,
     rotation_map,
     separability_residual,
-    shifted_form,
     smallest_eigenpair,
     symmetrize,
     trial_dirichlet,
     verify_norm_identities,
+    weighted,
 )
 
 FOURTH_ROOTS = (1, 1j, -1, -1j)
@@ -26,13 +27,6 @@ FOURTH_ROOTS = (1, 1j, -1, -1j)
 
 def _m_norm(fm, v):
     return np.sqrt(np.real(np.vdot(v, fm.M @ v)))
-
-
-def _ground_cluster(fm, a, b, m, k=4):
-    pairs = smallest_eigenpair(shifted_form(fm, a, b, m), fm.M, k=k)
-    mus = [p[0] for p in pairs]
-    return [(mu, SpinorField(v, fm.n)) for mu, v in pairs
-            if (mu - mus[0]) <= 1e-8 * abs(mus[0])]
 
 
 def test_fourth_power_is_identity_bitwise():
@@ -119,7 +113,7 @@ def test_symmetrize_partitions_the_field(fm_cache):
 
 def test_classify_square_ground_cluster(fm_cache):
     fm = fm_cache(16)
-    cluster = _ground_cluster(fm, 1.0, 1.0, 0.0)
+    _, cluster = ground_cluster(fm, 1.0, 1.0, 0.0)
     classes = classify_symmetry(fm, cluster, square=True)
     assert len(classes) == len(cluster)
     for cls in classes:
@@ -142,15 +136,15 @@ def test_classify_single_member_cluster(fm_cache):
 def test_classify_rejects_truncated_degenerate_cluster(fm_cache):
     # one member of the doubly degenerate ground space is not R-invariant
     fm = fm_cache(16)
-    cluster = _ground_cluster(fm, 1.0, 1.0, 0.0)[:1]
-    if len(_ground_cluster(fm, 1.0, 1.0, 0.0)) > 1:
+    _, cluster = ground_cluster(fm, 1.0, 1.0, 0.0)
+    if len(cluster) > 1:
         with pytest.raises(ClusterResolutionError):
-            classify_symmetry(fm, cluster, square=True)
+            classify_symmetry(fm, cluster[:1], square=True)
 
 
 def test_classify_rectangle_half_turn(fm_cache):
     fm = fm_cache(16)
-    cluster = _ground_cluster(fm, 1.5, 1 / 1.5, 0.5)
+    _, cluster = ground_cluster(fm, 1.5, 1 / 1.5, 0.5)
     classes = classify_symmetry(fm, cluster, square=False)
     for cls in classes:
         assert abs(cls.alpha**2 - 1) <= 1e-6
@@ -166,7 +160,7 @@ def test_classify_rejects_non_invariant_span(fm_cache):
 
 def test_classify_rejects_spread_cluster(fm_cache):
     fm = fm_cache(16)
-    pairs = smallest_eigenpair(shifted_form(fm, 1, 1, 0.0), fm.M, k=4)
+    pairs = smallest_eigenpair(weighted(fm, (1, 1, 0, 0, 0)), fm.M, k=4)
     fake = [(mu, SpinorField(v, 16)) for mu, v in pairs]  # two clusters mixed
     with pytest.raises(ClusterResolutionError):
         classify_symmetry(fm, fake, square=True)
@@ -191,7 +185,7 @@ def test_separability_of_product_field():
 
 def test_separability_of_ground_state(fm_cache):
     fm = fm_cache(16)
-    cluster = _ground_cluster(fm, 1.0, 1.0, 0.0)
+    _, cluster = ground_cluster(fm, 1.0, 1.0, 0.0)
     classes = classify_symmetry(fm, cluster, square=True)
     s1, s2 = separability_residual(classes[0].field)
     assert min(s1, s2) > 1e-3
