@@ -33,7 +33,7 @@ import numpy as np
 from . import bounds as bounds_mod
 from . import jopt as jopt_mod
 from . import symmetry as symmetry_mod
-from .eigsolve import lambda1_2d, refine_study
+from .eigsolve import lambda1_2d, mass_factor, refine_study
 from .errors import ClusterResolutionError, ConsistencyError, SolverError
 from .formgrid import (
     FormMatrices,
@@ -118,7 +118,7 @@ def cache_root() -> str:
 # Part of every cache key, never of a record.  Change it whenever a solver
 # change alters any computed number, even in the last bits, so records
 # computed by older code miss instead of being served.
-SOLVER_VERSION = "2"
+SOLVER_VERSION = "3"
 
 
 def _cache_key(params: dict) -> str:
@@ -289,7 +289,9 @@ def cmd_sweep(opts) -> int:
             pending[(a, b)] = params
 
     if pending and opts["jobs"] > 1:
-        _form_matrices(n)   # assembled before fork so workers inherit it
+        # assembled and M factored before fork, so workers inherit both
+        _form_matrices(n)
+        mass_factor(n)
         with ProcessPoolExecutor(max_workers=opts["jobs"]) as pool:
             futures = {key: pool.submit(_point_task,
                                         (key[0], key[1], m, n, tol, seed))

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConsistencyError, DegenerateRatioError
-from .eigsolve import _solve_pencil, lambda1_2d
+from .eigsolve import _solve_pencil, lambda1_2d, mass_factor
 from .formgrid import (
     FormMatrices,
     SpinorField,
@@ -95,7 +95,7 @@ def euler_solve(fm: FormMatrices, A: float, B: float, m: float,
     if not (math.isfinite(m) and m >= 0.0):
         raise ValueError(f"mass must be finite and >= 0, got {m!r}")
     q = weighted(fm, _euler_weights(A, B, m))
-    sol = _solve_pencil(q, fm.M, 1, tol, maxit, seed)
+    sol = _solve_pencil(q, fm.M, 1, tol, maxit, seed, mass_factor(fm.n))
     return float(sol.mus[0]), SpinorField(sol.vectors[:, 0], fm.n)
 
 

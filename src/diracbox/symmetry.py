@@ -25,7 +25,7 @@ from functools import lru_cache
 import numpy as np
 import scipy.sparse as sp
 
-from .eigsolve import smallest_eigenpair
+from .eigsolve import mass_factor, smallest_eigenpair
 from .errors import ClusterResolutionError
 from .formgrid import (
     CORNER,
@@ -171,7 +171,8 @@ def ground_cluster(fm: FormMatrices, a: float, b: float, m: float,
     """
     a, b, m = _check_weights(a, b, m)
     q = weighted(fm, (a**-2, b**-2, 0.0, m / a, m / b))
-    pairs = smallest_eigenpair(q, fm.M, k=k, tol=tol, seed=seed)
+    pairs = smallest_eigenpair(q, fm.M, k=k, tol=tol, seed=seed,
+                               mass_lu=mass_factor(fm.n))
     mus = [mu for mu, _ in pairs]
     cluster = [(mu, SpinorField(v, fm.n)) for mu, v in pairs
                if (mu - mus[0]) <= 1e-8 * abs(mus[0])]

@@ -15,7 +15,7 @@ from diracbox import (
     smallest_eigenpair,
     weighted,
 )
-from diracbox import eigsolve
+from diracbox import cli, eigsolve, jopt, symmetry
 
 
 def test_dense_diagonal_case():
@@ -101,8 +101,9 @@ def test_residual_contract_enforced(fm_cache):
 
 
 def test_sparse_solve_releases_its_factors(fm_cache, monkeypatch):
-    # The factors must go when the solve returns, not at the next full
-    # collection: ARPACK keeps OPinv in a reference cycle.
+    # The factors of a solve must go when it returns, not at the next full
+    # collection: ARPACK keeps OPinv in a reference cycle.  On the grid path
+    # the memoised M factor is the only one that stays.
     fm = fm_cache(48)   # above the dense limit
     q = weighted(fm, (1.0, 1.0, 0.0, 0.0, 0.0))
     splu = eigsolve.spla.splu
@@ -111,6 +112,7 @@ def test_sparse_solve_releases_its_factors(fm_cache, monkeypatch):
     class Factor:
         def __init__(self, lu):
             self.solve = lu.solve
+            self.shape = lu.shape
 
     def tracked_splu(*args, **kwargs):
         factor = Factor(splu(*args, **kwargs))
@@ -118,14 +120,46 @@ def test_sparse_solve_releases_its_factors(fm_cache, monkeypatch):
         return factor
 
     monkeypatch.setattr(eigsolve.spla, "splu", tracked_splu)
+    eigsolve.mass_factor.cache_clear()
     gc.collect()
     gc.disable()
     try:
         smallest_eigenpair(q, fm.M, k=1)
         assert len(factors) == 2          # Q for ARPACK, M for the residual
         assert all(ref() is None for ref in factors)
+
+        factors.clear()
+        lambda1_2d(1.0, 1.0, 0.0, 48, k=1)
+        mass, q_factor = factors          # the M factor is built first
+        assert q_factor() is None
+        assert mass() is eigsolve.mass_factor(48)
     finally:
         gc.enable()
+        eigsolve.mass_factor.cache_clear()   # drop the tracked wrapper
+
+
+def test_mass_factor_built_once_per_n(fm_cache, monkeypatch):
+    fm = fm_cache(48)   # above the dense limit
+    splu = eigsolve.spla.splu
+    factored = []       # True for each factor of M, False for one of Q
+
+    def counting_splu(mat, **kwargs):
+        assert kwargs["permc_spec"] == "MMD_AT_PLUS_A"
+        factored.append(mat.shape == fm.M.shape and abs(mat - fm.M).max() == 0)
+        return splu(mat, **kwargs)
+
+    monkeypatch.setattr(eigsolve.spla, "splu", counting_splu)
+    eigsolve.mass_factor.cache_clear()
+    cli._form_matrices(48)        # set-up builds no factor
+    assert factored == []
+    solves = 0
+    for a, m in ((1.0, 0.0), (1.4, 2.0)):
+        lambda1_2d(a, 1.0 / a, m, 48, k=1)
+        jopt.euler_solve(fm, a, 1.0 / a, m)
+        symmetry.ground_cluster(fm, a, 1.0 / a, m, k=2)
+        solves += 3
+    assert factored.count(True) == 1
+    assert factored.count(False) == solves
 
 
 def test_sparse_path_repairs_inaccurate_arpack_vectors(fm_cache, monkeypatch):
@@ -203,6 +237,19 @@ def test_refine_study_monotone_and_bracketed():
     assert mus[0] >= mus[1] >= mus[2]
     assert math.pi**2 / 2 <= study.extrapolated <= 2 * math.pi**2
     assert study.observed_order is not None
+
+
+def test_richardson_reports_out_of_range_orders():
+    exact, c = 2.5, 7.0
+    entries = [(n, exact + c * n**-2.0) for n in (8, 16, 32)]
+    extrapolated, order = eigsolve._richardson(entries)
+    assert order == pytest.approx(2.0, rel=1e-9)
+    assert extrapolated == pytest.approx(exact, rel=1e-12)
+    for p in (0.5, 3.5):
+        entries = [(n, exact + c * n**-p) for n in (8, 16, 32)]
+        extrapolated, order = eigsolve._richardson(entries)
+        assert order == pytest.approx(p, rel=1e-9)
+        assert extrapolated == entries[-1][1]
 
 
 def test_refine_study_rejects_unnested():

@@ -1,0 +1,57 @@
+"""Differential gate: the sparse solver path against the dense full pencil.
+
+With ``DENSE_LIMIT`` lowered, ``lambda1_2d`` and ``jopt.euler_solve`` take
+the sparse path (MMD-ordered LU of Q, the memoised factor of M) on grids
+small enough for dense ``scipy.linalg.eigh`` on the full weighted pencil,
+mass term included, to serve as the oracle.
+"""
+
+import math
+
+import numpy as np
+import pytest
+import scipy.linalg as sla
+from hypothesis import HealthCheck, example, given, settings, strategies as st
+
+from diracbox import assemble, build_grid, eigsolve, jopt, lambda1_2d, weighted
+
+TOL = 1e-10
+
+
+def _dense_lowest(q, m):
+    return sla.eigh(q.toarray(), m.toarray(), eigvals_only=True,
+                    subset_by_index=[0, 0])[0]
+
+
+def _residual(q, m, mu, v):
+    """M^-1 norm of Q v - mu M v, through a dense solve."""
+    r = q @ v - mu * (m @ v)
+    return math.sqrt(abs(np.vdot(r, sla.solve(m.toarray(), r,
+                                              assume_a="her"))))
+
+
+@settings(max_examples=12, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(n=st.integers(4, 15).map(lambda h: 2 * h),
+       log_aspect=st.floats(-math.log(20.0), math.log(20.0)),
+       m=st.one_of(st.just(0.0), st.floats(-2.0, 3.0).map(lambda e: 10.0**e)))
+@example(n=30, log_aspect=math.log(20.0), m=0.0)
+@example(n=30, log_aspect=-math.log(20.0), m=1e3)
+def test_sparse_path_matches_dense_full_pencil(n, log_aspect, m):
+    a, b = math.exp(log_aspect / 2), math.exp(-log_aspect / 2)
+    fm = assemble(build_grid(n))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(eigsolve, "DENSE_LIMIT", 2)
+        res = lambda1_2d(a, b, m, n, TOL, k=1)
+        mu_j, psi_j = jopt.euler_solve(fm, a, b, m, TOL)
+
+    full = weighted(fm, (a**-2, b**-2, m**2, m / a, m / b))
+    assert res.mu == pytest.approx(_dense_lowest(full, fm.M), rel=1e-10)
+    shifted = res.mu - m**2
+    q = weighted(fm, (a**-2, b**-2, 0.0, m / a, m / b))
+    assert res.residual <= TOL * shifted
+    assert _residual(q, fm.M, shifted, res.psi.values) <= TOL * shifted
+
+    q_j = weighted(fm, jopt._euler_weights(a, b, m))
+    assert mu_j == pytest.approx(_dense_lowest(q_j, fm.M), rel=1e-10)
+    assert _residual(q_j, fm.M, mu_j, psi_j.values) <= TOL * mu_j
