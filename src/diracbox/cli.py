@@ -118,7 +118,7 @@ def cache_root() -> str:
 # Part of every cache key, never of a record.  Change it whenever a solver
 # change alters any computed number, even in the last bits, so records
 # computed by older code miss instead of being served.
-SOLVER_VERSION = "3"
+SOLVER_VERSION = "4"
 
 
 def _cache_key(params: dict) -> str:
@@ -265,11 +265,6 @@ def _sweep_grid(constraint: str, a_min: float, a_max: float, steps: int):
     raise ValueError(f"unknown constraint {constraint!r}")
 
 
-def _point_task(args):
-    a, b, m, n, tol, seed = args
-    return solve_record(a, b, m, n, tol, seed, use_cache=False)
-
-
 def cmd_sweep(opts) -> int:
     if not opts["out"]:
         raise ValueError("sweep requires --out for the CSV file")
@@ -277,44 +272,31 @@ def cmd_sweep(opts) -> int:
                          opts["steps"])
     m, n, tol, seed = opts["m"], opts["n"], opts["tol"], opts["seed"]
     use_cache = not opts["no_cache"]
-
-    pending = {}
-    records = {}
-    for a, b in points:
-        params = {"a": a, "b": b, "m": m, "n": n, "tol": tol, "seed": seed}
-        hit = cache_get(params) if use_cache else None
-        if hit is not None:
-            records[(a, b)] = hit
-        else:
-            pending[(a, b)] = params
-
-    if pending and opts["jobs"] > 1:
+    # each point is cached as soon as it is solved, so an interrupted sweep
+    # resumes from the points it finished
+    tasks = [(a, b, m, n, tol, seed, use_cache) for a, b in points]
+    # a pool and its warm-up only when some point still needs solving
+    if opts["jobs"] > 1 and (not use_cache or any(
+            cache_get({"a": a, "b": b, "m": m, "n": n, "tol": tol,
+                       "seed": seed}) is None for a, b in points)):
         # assembled and M factored before fork, so workers inherit both
         _form_matrices(n)
         mass_factor(n)
         with ProcessPoolExecutor(max_workers=opts["jobs"]) as pool:
-            futures = {key: pool.submit(_point_task,
-                                        (key[0], key[1], m, n, tol, seed))
-                       for key in pending}
-            for key, fut in futures.items():
-                records[key] = fut.result()
+            records = list(pool.map(solve_record, *zip(*tasks)))
     else:
-        for key, params in pending.items():
-            records[key] = _point_task((key[0], key[1], m, n, tol, seed))
-    for key, params in pending.items():
-        if use_cache:
-            cache_put(params, records[key])
+        records = [solve_record(*task) for task in tasks]
 
     with open(opts["out"], "w", encoding="utf-8") as fh:
         fh.write(CSV_HEADER + "\n")
         fh.flush()
-        for a, b in points:
-            _sandwich_check(records[(a, b)])
-            fh.write(_csv_row(records[(a, b)]) + "\n")
+        for record in records:
+            _sandwich_check(record)
+            fh.write(_csv_row(record) + "\n")
             fh.flush()
 
-    best_a, best_b = min(points, key=lambda p: records[p]["mu"])
-    best = records[(best_a, best_b)]
+    (best_a, best_b), best = min(zip(points, records),
+                                 key=lambda pr: pr[1]["mu"])
     print(f"argmin over {len(points)} {opts['constraint']} points: "
           f"a={format_number(best_a)}, b={format_number(best_b)}, "
           f"lambda1={format_number(best['lambda1'])}")

@@ -2,17 +2,18 @@
 
 The generalized problem ``Q psi = mu M psi`` with Hermitian positive-definite
 ``Q`` and ``M`` is solved by shift-invert Lanczos (ARPACK) around zero, with
-a deterministic seeded start vector; problems of reduced dimension at most
-``DENSE_LIMIT`` go through the dense LAPACK path instead, which doubles as a
-cross-check oracle in the tests.
+a deterministic seeded start vector.  LAPACK solves only the pencils too
+small for ARPACK (``k >= dim - 1``).
 
-Both sparse LU factorizations use the minimum-degree ordering of
+Both sparse LU factorizations are symmetric: the minimum-degree ordering of
 ``A^T + A`` (``MMD_AT_PLUS_A``), which suits the symmetric sparsity pattern
-of the pencil far better than SuperLU's default COLAMD: less fill, faster
-factorization and faster triangular solves.  ``M`` depends only on the
-grid, so ``mass_factor`` factors it once per n and process, on the first
-grid solve, and every grid solve uses that factor for its M^-1-norm
-residual check; only ``Q`` is factored per solve.
+of the pencil far better than SuperLU's default COLAMD, and no row
+pivoting, so the factor of a Hermitian matrix is its LDL^H factorization
+with ``D`` on the diagonal of ``U``.  A factor of ``M`` is therefore its
+positive-definiteness test, and the same factorization solves the
+M^-1-norm residual check.  ``M`` depends only on the grid, so
+``mass_factor`` checks and factors it once per n and process, on the first
+grid solve; only ``Q`` is factored per solve.
 
 ``lambda1_2d`` evaluates the rectangle eigenvalue through the mass-shifted
 pencil: the ``m^2 M`` term of the squared form is an exact spectral shift of
@@ -36,9 +37,7 @@ from .errors import ConsistencyError, SolverError
 from .formgrid import SpinorField, assemble, build_grid, weighted, _check_weights
 
 __all__ = ["EigenResult", "RefineStudy", "smallest_eigenpair", "lambda1_2d",
-           "refine_study", "mass_factor", "DENSE_LIMIT"]
-
-DENSE_LIMIT = 2000
+           "refine_study", "mass_factor"]
 
 
 @dataclass(frozen=True)
@@ -47,7 +46,7 @@ class EigenResult:
 
     ``mu`` is the discrete lambda_1^2, ``residual`` the M^-1-norm of
     ``Q psi - mu M psi`` and ``iterations`` the number of shifted-operator
-    applications (0 on the dense path).
+    applications (0 for a pencil too small for ARPACK, solved by LAPACK).
     """
 
     mu: float
@@ -94,26 +93,37 @@ def _check_hermitian(name, mat):
         raise ValueError(f"{name} is not Hermitian (deviation {dev:.3e})")
 
 
-def _check_mass(m):
-    _check_hermitian("M", m)
-    if np.any(m.diagonal().real <= 0.0):
-        raise ValueError("M is not positive definite (non-positive diagonal)")
-
-
-def _check_pencil(q, m, mass_lu):
-    if q.shape != m.shape or q.shape[0] != q.shape[1]:
-        raise ValueError("matrices must be square and of equal shape")
-    _check_hermitian("Q", q)
-    if mass_lu is None:
-        _check_mass(m)
-    elif mass_lu.shape != m.shape:
-        raise ValueError(f"mass factor of shape {mass_lu.shape} does not "
-                         f"match M of shape {m.shape}")
-
-
 def _factor(mat):
-    """SuperLU factor, minimum-degree ordered for a symmetric pattern."""
-    return spla.splu(sp.csc_matrix(mat), permc_spec="MMD_AT_PLUS_A")
+    """Complex SuperLU factor in symmetric mode: minimum-degree ordered for
+    the symmetric pattern, diagonal pivots, so ``perm_r == perm_c`` unless a
+    zero pivot forced a row swap."""
+    return spla.splu(sp.csc_matrix(mat, dtype=complex),
+                     permc_spec="MMD_AT_PLUS_A",
+                     diag_pivot_thresh=0.0, options={"SymmetricMode": True})
+
+
+def _mass_lu(m):
+    """Factor of a Hermitian ``m`` that is also its positive-definiteness test.
+
+    With symmetric pivoting the factor is LDL^H, ``D`` the diagonal of U, so
+    ``m`` is positive definite exactly when every pivot is real and positive.
+    """
+    _check_hermitian("M", m)
+    try:
+        lu = _factor(m)
+    except RuntimeError as exc:         # SuperLU: exactly singular
+        raise ValueError("M is not positive definite") from exc
+    d = lu.U.diagonal()
+    # every pivot real to rounding and positive (fails for Re d <= 0)
+    if not (np.array_equal(lu.perm_r, lu.perm_c)
+            and np.all(np.abs(d.imag) < 1e-8 * d.real)):
+        raise ValueError("M is not positive definite")
+    # Reading U made scipy build csc copies of L and U, as large as the
+    # factor, and keep them on it for its life; solves need neither.
+    for csc in (lu.L, lu.U):
+        csc.data, csc.indices = csc.data[:0].copy(), csc.indices[:0].copy()
+        csc.indptr = np.zeros_like(csc.indptr)
+    return lu
 
 
 @lru_cache(maxsize=None)
@@ -123,30 +133,31 @@ def mass_factor(n: int):
     Built on the first grid solve of that n, never during assembly, and
     shared by every later solve on the grid.
     """
-    m = assemble(build_grid(n)).M
-    _check_mass(m)
-    return _factor(m)
+    return _mass_lu(assemble(build_grid(n)).M)
 
 
 def _solve_pencil(q, m, k: int, tol: float, maxit: int, seed: int,
                   mass_lu=None) -> _PencilSolution:
     """k lowest eigenpairs of (q, m).  ``mass_lu``, a factor of an already
     checked ``m`` (``mass_factor``), spares checking and factoring ``m``."""
-    _check_pencil(q, m, mass_lu)
+    if q.shape != m.shape or q.shape[0] != q.shape[1]:
+        raise ValueError("matrices must be square and of equal shape")
+    _check_hermitian("Q", q)
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     dim = q.shape[0]
     if k > dim:
         raise ValueError(f"k={k} exceeds dimension {dim}")
+    if mass_lu is None:
+        mass_lu = _mass_lu(m)
+    elif mass_lu.shape != m.shape:
+        raise ValueError(f"mass factor of shape {mass_lu.shape} does not "
+                         f"match M of shape {m.shape}")
 
-    if dim <= DENSE_LIMIT or k >= dim - 1:
+    if k >= dim - 1:
+        # too small for ARPACK, which needs k < dim - 1
         qd = q.toarray() if sp.issparse(q) else np.asarray(q, dtype=complex)
         md = m.toarray() if sp.issparse(m) else np.asarray(m, dtype=complex)
-        if mass_lu is None:
-            try:
-                sla.cholesky(md)
-            except sla.LinAlgError as exc:
-                raise ValueError("M is not positive definite") from exc
         _, v = sla.eigh(qd, md, subset_by_index=[0, k - 1])
         iterations = 0
     else:
@@ -195,17 +206,10 @@ def _solve_pencil(q, m, k: int, tol: float, maxit: int, seed: int,
     v, qv, mv = v @ coeff, qv @ coeff, mv @ coeff
     mus = np.real(np.einsum("ij,ij->j", v.conj(), qv))
 
-    if mass_lu is not None:
-        msolve = mass_lu.solve
-    elif sp.issparse(m):
-        msolve = _factor(m).solve
-    else:
-        cho = sla.cho_factor(np.asarray(m, dtype=complex))
-        msolve = lambda x: sla.cho_solve(cho, x)
     residuals = np.empty(k)
     for i in range(k):
         r = qv[:, i] - mus[i] * mv[:, i]
-        residuals[i] = np.sqrt(abs(np.real(np.vdot(r, msolve(r)))))
+        residuals[i] = np.sqrt(abs(np.real(np.vdot(r, mass_lu.solve(r)))))
     bad = residuals > tol * np.maximum(np.abs(mus), 1e-300)
     if np.any(bad):
         i = int(np.argmax(residuals / np.maximum(np.abs(mus), 1e-300)))

@@ -5,7 +5,7 @@ import os
 import pytest
 
 from diracbox import cli
-from diracbox.errors import ClusterResolutionError
+from diracbox.errors import ClusterResolutionError, SolverError
 
 
 def run(argv):
@@ -121,6 +121,47 @@ def test_sweep_jobs_independent_of_scheduling(tmp_path):
         return [r[:11] + r[12:] for r in rows]   # drop wall_time_ms
 
     assert strip_timing(serial) == strip_timing(parallel)
+
+
+def test_interrupted_sweep_resumes_from_cache(tmp_path, monkeypatch):
+    # Each point is cached when it is solved, so a sweep whose 4th solve
+    # fails leaves 3 records, and a rerun solves only the last 2 points.
+    argv = ["sweep", "--constraint", "area", "--m", "0", "--a-min", "0.5",
+            "--a-max", "2", "--steps", "5", "--n", "12",
+            "--out", str(tmp_path / "sweep.csv")]
+    points = cli._sweep_grid("area", 0.5, 2.0, 5)
+    solve = cli.lambda1_2d
+    solved = []
+
+    def fourth_solve_fails(a, b, *args, **kwargs):
+        solved.append((a, b))
+        if len(solved) == 4:
+            raise SolverError("forced")
+        return solve(a, b, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "lambda1_2d", fourth_solve_fails)
+    assert run(argv) == 3
+    assert solved == points[:4]
+    assert len(os.listdir(os.environ["DIRACBOX_CACHE_DIR"])) == 3
+
+    solved.clear()
+    assert run(argv) == 0
+    assert solved == points[3:]
+
+
+def test_cached_parallel_sweep_starts_no_pool(tmp_path, monkeypatch):
+    argv = ["sweep", "--constraint", "area", "--m", "0", "--a-min", "0.5",
+            "--a-max", "2", "--steps", "4", "--n", "12", "--jobs", "2",
+            "--out", str(tmp_path / "sweep.csv")]
+    assert run(argv) == 0
+
+    def fails(*args, **kwargs):
+        raise AssertionError("every point is cached")
+
+    monkeypatch.setattr(cli, "mass_factor", fails)
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", fails)
+    monkeypatch.setattr(cli, "lambda1_2d", fails)
+    assert run(argv) == 0
 
 
 def test_sweep_validates_range(tmp_path):

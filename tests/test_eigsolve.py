@@ -4,6 +4,7 @@ import weakref
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 import scipy.sparse as sp
 
 from diracbox import (
@@ -38,6 +39,25 @@ def test_rejects_indefinite_mass():
     m = np.diag([1.0, -1.0]).astype(complex)
     with pytest.raises(ValueError):
         smallest_eigenpair(q, m, k=1)
+    # singular positive semidefinite: SuperLU finds an exactly zero pivot
+    with pytest.raises(ValueError, match="not positive definite"):
+        smallest_eigenpair(np.eye(3), np.diag([1.0, 1.0, 0.0]), k=1)
+
+
+def test_rejects_indefinite_mass_with_positive_diagonal(monkeypatch):
+    # Blocks [[1, 2], [2, 1]] have eigenvalues 3 and -1: the diagonal is
+    # positive, the matrix is not.  The factor of M must reject it before
+    # ARPACK runs.
+    block = np.array([[1.0, 2.0], [2.0, 1.0]])
+    m = sp.block_diag([block] * 1100, format="csr").astype(complex)
+    q = sp.identity(m.shape[0], dtype=complex, format="csr")
+
+    def eigsh(*args, **kwargs):
+        raise AssertionError("ARPACK ran on an indefinite M")
+
+    monkeypatch.setattr(eigsolve.spla, "eigsh", eigsh)
+    with pytest.raises(ValueError, match="not positive definite"):
+        smallest_eigenpair(q, m, k=2)
 
 
 def test_rejects_bad_k():
@@ -49,7 +69,7 @@ def test_rejects_bad_k():
 
 
 def test_sparse_deterministic_bitwise(fm_cache):
-    fm = fm_cache(48)   # above the dense limit
+    fm = fm_cache(48)
     q = weighted(fm, (1.0, 1.0, 0.0, 0.0, 0.0))
     first = smallest_eigenpair(q, fm.M, k=2, seed=42)
     second = smallest_eigenpair(q, fm.M, k=2, seed=42)
@@ -58,13 +78,13 @@ def test_sparse_deterministic_bitwise(fm_cache):
         assert np.array_equal(v1, v2)
 
 
-def test_sparse_matches_dense(fm_cache, monkeypatch):
+def test_sparse_matches_dense(fm_cache):
     fm = fm_cache(16)
     q = weighted(fm, (1.3**-2, 0.9**-2, 0.0, 0.5 / 1.3, 0.5 / 0.9))
-    dense = smallest_eigenpair(q, fm.M, k=3)
-    monkeypatch.setattr(eigsolve, "DENSE_LIMIT", 10)
+    dense = sla.eigh(q.toarray(), fm.M.toarray(), eigvals_only=True,
+                     subset_by_index=[0, 2])
     sparse = smallest_eigenpair(q, fm.M, k=3)
-    for (mu_d, _), (mu_s, _) in zip(dense, sparse):
+    for mu_d, (mu_s, _) in zip(dense, sparse):
         assert mu_s == pytest.approx(mu_d, rel=1e-11)
 
 
@@ -104,15 +124,17 @@ def test_sparse_solve_releases_its_factors(fm_cache, monkeypatch):
     # The factors of a solve must go when it returns, not at the next full
     # collection: ARPACK keeps OPinv in a reference cycle.  On the grid path
     # the memoised M factor is the only one that stays.
-    fm = fm_cache(48)   # above the dense limit
+    fm = fm_cache(48)
     q = weighted(fm, (1.0, 1.0, 0.0, 0.0, 0.0))
     splu = eigsolve.spla.splu
     factors = []
 
-    class Factor:
+    class Factor:                       # a SuperLU that takes a weakref
         def __init__(self, lu):
-            self.solve = lu.solve
-            self.shape = lu.shape
+            self.lu = lu
+
+        def __getattr__(self, name):
+            return getattr(self.lu, name)
 
     def tracked_splu(*args, **kwargs):
         factor = Factor(splu(*args, **kwargs))
@@ -125,7 +147,7 @@ def test_sparse_solve_releases_its_factors(fm_cache, monkeypatch):
     gc.disable()
     try:
         smallest_eigenpair(q, fm.M, k=1)
-        assert len(factors) == 2          # Q for ARPACK, M for the residual
+        assert len(factors) == 2          # M for its check, Q for ARPACK
         assert all(ref() is None for ref in factors)
 
         factors.clear()
@@ -139,7 +161,7 @@ def test_sparse_solve_releases_its_factors(fm_cache, monkeypatch):
 
 
 def test_mass_factor_built_once_per_n(fm_cache, monkeypatch):
-    fm = fm_cache(48)   # above the dense limit
+    # Every grid solve, small grids included, factors Q for ARPACK.
     splu = eigsolve.spla.splu
     factored = []       # True for each factor of M, False for one of Q
 
@@ -149,23 +171,30 @@ def test_mass_factor_built_once_per_n(fm_cache, monkeypatch):
         return splu(mat, **kwargs)
 
     monkeypatch.setattr(eigsolve.spla, "splu", counting_splu)
-    eigsolve.mass_factor.cache_clear()
-    cli._form_matrices(48)        # set-up builds no factor
-    assert factored == []
-    solves = 0
-    for a, m in ((1.0, 0.0), (1.4, 2.0)):
-        lambda1_2d(a, 1.0 / a, m, 48, k=1)
-        jopt.euler_solve(fm, a, 1.0 / a, m)
-        symmetry.ground_cluster(fm, a, 1.0 / a, m, k=2)
-        solves += 3
-    assert factored.count(True) == 1
-    assert factored.count(False) == solves
+    for n in (12, 48):
+        fm = fm_cache(n)
+        factored.clear()
+        eigsolve.mass_factor.cache_clear()
+        cli._form_matrices(n)         # set-up builds no factor
+        assert factored == []
+        solves = 0
+        for a, m in ((1.0, 0.0), (1.4, 2.0)):
+            lambda1_2d(a, 1.0 / a, m, n, k=1)
+            jopt.euler_solve(fm, a, 1.0 / a, m)
+            symmetry.ground_cluster(fm, a, 1.0 / a, m, k=2)
+            solves += 3
+        assert factored.count(True) == 1
+        assert factored.count(False) == solves
+        # the check read U, after which scipy held csc copies of L and U, as
+        # large as the factor, for the factor's life; they must be emptied
+        lu = eigsolve.mass_factor(n)
+        assert lu.L.nnz == lu.U.nnz == 0
 
 
 def test_sparse_path_repairs_inaccurate_arpack_vectors(fm_cache, monkeypatch):
     # ARPACK can return the vectors of a degenerate pair far above its
     # tolerance; the inverse-iteration and Rayleigh-Ritz steps repair them.
-    fm = fm_cache(48)   # above the dense limit
+    fm = fm_cache(48)
     q = weighted(fm, (1.0, 1.0, 0.0, 0.0, 0.0))
     clean = smallest_eigenpair(q, fm.M, k=4)
     eigsh = eigsolve.spla.eigsh

@@ -1,9 +1,9 @@
-"""Differential gate: the sparse solver path against the dense full pencil.
+"""Differential gate: the solver path against the dense full pencil.
 
-With ``DENSE_LIMIT`` lowered, ``lambda1_2d`` and ``jopt.euler_solve`` take
-the sparse path (MMD-ordered LU of Q, the memoised factor of M) on grids
-small enough for dense ``scipy.linalg.eigh`` on the full weighted pencil,
-mass term included, to serve as the oracle.
+``lambda1_2d`` and ``jopt.euler_solve`` (shift-invert ARPACK on the
+symmetric-mode LU of Q, with the memoised factor of M) run on grids small
+enough for dense ``scipy.linalg.eigh`` on the full weighted pencil, mass
+term included, to serve as the oracle.
 """
 
 import math
@@ -13,7 +13,7 @@ import pytest
 import scipy.linalg as sla
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from diracbox import assemble, build_grid, eigsolve, jopt, lambda1_2d, weighted
+from diracbox import assemble, build_grid, jopt, lambda1_2d, weighted
 
 TOL = 1e-10
 
@@ -40,10 +40,8 @@ def _residual(q, m, mu, v):
 def test_sparse_path_matches_dense_full_pencil(n, log_aspect, m):
     a, b = math.exp(log_aspect / 2), math.exp(-log_aspect / 2)
     fm = assemble(build_grid(n))
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(eigsolve, "DENSE_LIMIT", 2)
-        res = lambda1_2d(a, b, m, n, TOL, k=1)
-        mu_j, psi_j = jopt.euler_solve(fm, a, b, m, TOL)
+    res = lambda1_2d(a, b, m, n, TOL, k=1)
+    mu_j, psi_j = jopt.euler_solve(fm, a, b, m, TOL)
 
     full = weighted(fm, (a**-2, b**-2, m**2, m / a, m / b))
     assert res.mu == pytest.approx(_dense_lowest(full, fm.M), rel=1e-10)
