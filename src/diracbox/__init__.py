@@ -41,11 +41,9 @@ from .formgrid import (
     assemble_1d,
     build_grid,
     constraint_map,
-    prolong,
     quotient,
     random_field,
     reconstruct,
-    reduce_field,
     trial_dirichlet,
     weighted,
     weighted_quotient,

@@ -15,6 +15,13 @@ M^-1-norm residual check.  ``M`` depends only on the grid, so
 ``mass_factor`` checks and factors it once per n and process, on the first
 grid solve; only ``Q`` is factored per solve.
 
+Every grid solve (``lambda1_2d``, ``jopt.euler_solve`` and
+``symmetry.ground_cluster``) goes through ``_solve_pencil(fm, w, ...)``,
+which builds the weighted form ``weighted(fm, w)`` and solves it against
+``fm.M`` with the grid's ``mass_factor``.  ``smallest_eigenpair(Q, M)``
+serves any other Hermitian pencil (1D pencils, tests) and checks and
+factors its own ``M`` on every call.
+
 ``lambda1_2d`` evaluates the rectangle eigenvalue through the mass-shifted
 pencil: the ``m^2 M`` term of the squared form is an exact spectral shift of
 the same pencil, so it is dropped before the solve and ``m^2`` is added back
@@ -136,10 +143,20 @@ def mass_factor(n: int):
     return _mass_lu(assemble(build_grid(n)).M)
 
 
-def _solve_pencil(q, m, k: int, tol: float, maxit: int, seed: int,
-                  mass_lu=None) -> _PencilSolution:
-    """k lowest eigenpairs of (q, m).  ``mass_lu``, a factor of an already
-    checked ``m`` (``mass_factor``), spares checking and factoring ``m``."""
+def _solve_pencil(fm, w, k: int, tol: float, maxit: int,
+                  seed: int) -> _PencilSolution:
+    """k lowest eigenpairs of the grid pencil (``weighted(fm, w)``, ``fm.M``).
+
+    The one entry point of every grid solve: it builds the weighted form and
+    solves against the mass matrix with its memoised factor.
+    """
+    return _eigenpairs(weighted(fm, w), fm.M, mass_factor(fm.n),
+                       k, tol, maxit, seed)
+
+
+def _eigenpairs(q, m, mass_lu, k: int, tol: float, maxit: int,
+                seed: int) -> _PencilSolution:
+    """k lowest eigenpairs of (q, m); ``mass_lu`` is a checked factor of m."""
     if q.shape != m.shape or q.shape[0] != q.shape[1]:
         raise ValueError("matrices must be square and of equal shape")
     _check_hermitian("Q", q)
@@ -148,11 +165,6 @@ def _solve_pencil(q, m, k: int, tol: float, maxit: int, seed: int,
     dim = q.shape[0]
     if k > dim:
         raise ValueError(f"k={k} exceeds dimension {dim}")
-    if mass_lu is None:
-        mass_lu = _mass_lu(m)
-    elif mass_lu.shape != m.shape:
-        raise ValueError(f"mass factor of shape {mass_lu.shape} does not "
-                         f"match M of shape {m.shape}")
 
     if k >= dim - 1:
         # too small for ARPACK, which needs k < dim - 1
@@ -223,15 +235,15 @@ def _solve_pencil(q, m, k: int, tol: float, maxit: int, seed: int,
 
 
 def smallest_eigenpair(Q, M, k: int = 1, tol: float = 1e-10,
-                       maxit: int = 500, seed: int = 0, *, mass_lu=None):
+                       maxit: int = 500, seed: int = 0):
     """k smallest eigenpairs of the Hermitian pencil (Q, M), ascending.
 
     Eigenvectors are M-orthonormal; each pair satisfies the residual
     contract ``|Q v - mu M v|_{M^-1} <= tol * mu``.  Deterministic for a
-    fixed seed.  Grid callers pass ``mass_lu=mass_factor(n)``, so that M is
-    neither checked nor factored again.
+    fixed seed.  M is checked and factored on every call; grid solves go
+    through ``_solve_pencil``, which reuses the factor of their grid.
     """
-    sol = _solve_pencil(Q, M, k, tol, maxit, seed, mass_lu)
+    sol = _eigenpairs(Q, M, _mass_lu(M), k, tol, maxit, seed)
     return [(float(sol.mus[i]), sol.vectors[:, i]) for i in range(k)]
 
 
@@ -246,8 +258,8 @@ def lambda1_2d(a: float, b: float, m: float, n: int, tol: float = 1e-10,
     a, b, m = _check_weights(a, b, m)
     fm = assemble(build_grid(n))
     k = min(k, fm.ndof)
-    qs = weighted(fm, (a**-2, b**-2, 0.0, m / a, m / b))
-    sol = _solve_pencil(qs, fm.M, k, tol, maxit, seed, mass_factor(fm.n))
+    sol = _solve_pencil(fm, (a**-2, b**-2, 0.0, m / a, m / b),
+                        k, tol, maxit, seed)
     mu_shifted = float(sol.mus[0])
     if mu_shifted <= 0.0:
         raise ConsistencyError(

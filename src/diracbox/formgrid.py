@@ -55,8 +55,6 @@ __all__ = [
     "trial_dirichlet",
     "random_field",
     "reconstruct",
-    "reduce_field",
-    "prolong",
 ]
 
 # Node classes.
@@ -185,9 +183,6 @@ class SpinorField:
     values: np.ndarray
     n: int
 
-    def copy(self) -> "SpinorField":
-        return SpinorField(self.values.copy(), self.n)
-
 
 @dataclass(frozen=True)
 class FormMatrices:
@@ -203,10 +198,6 @@ class FormMatrices:
     @property
     def ndof(self) -> int:
         return self.M.shape[0]
-
-    @property
-    def cmap(self) -> ConstraintMap:
-        return constraint_map(self.n)
 
 
 @dataclass(frozen=True)
@@ -400,52 +391,3 @@ def reconstruct(psi: SpinorField, cmap: ConstraintMap | None = None):
     u1 = np.asarray((cmap.basis1 @ psi.values)).reshape(npts, npts)
     u2 = np.asarray((cmap.basis2 @ psi.values)).reshape(npts, npts)
     return u1, u2
-
-
-def reduce_field(u1: np.ndarray, u2: np.ndarray, cmap: ConstraintMap,
-                 check: bool = True, rtol: float = 1e-10) -> SpinorField:
-    """Reduced vector from full nodal values.
-
-    With ``check`` on, verifies that the data satisfies the boundary
-    constraint and vanishes at corners, up to ``rtol`` times the field scale.
-    """
-    vals = np.zeros(cmap.ndof, dtype=complex)
-    mask1 = cmap.free1 >= 0
-    mask2 = cmap.free2 >= 0
-    vals[cmap.free1[mask1]] = u1[mask1]
-    vals[cmap.free2[mask2]] = u2[mask2]
-    if check:
-        scale = max(np.abs(u1).max(), np.abs(u2).max(), 1e-300)
-        edge = mask1 & ~mask2
-        dev = np.abs(u2[edge] - cmap.omega[edge] * u1[edge]).max(initial=0.0)
-        corner = cmap.node_class == CORNER
-        dev = max(dev, np.abs(u1[corner]).max(initial=0.0),
-                  np.abs(u2[corner]).max(initial=0.0))
-        if dev > rtol * scale:
-            raise ValueError(
-                f"nodal data violates the boundary constraint: "
-                f"deviation {dev:.3e} vs scale {scale:.3e}")
-    return SpinorField(vals, cmap.n)
-
-
-def prolong(psi: SpinorField, n_to: int) -> SpinorField:
-    """Bilinear injection onto a dyadically finer grid (n_to = 2 * n).
-
-    The interpolant is the same function, so every quadratic form value is
-    preserved up to rounding.
-    """
-    n = psi.n
-    if n_to != 2 * n:
-        raise ValueError(f"prolongation requires n_to == 2n, got {n} -> {n_to}")
-    u1, u2 = reconstruct(psi)
-
-    def up(u):
-        fine = np.zeros((2 * n + 1, 2 * n + 1), dtype=complex)
-        fine[::2, ::2] = u
-        fine[1::2, ::2] = 0.5 * (u[:-1, :] + u[1:, :])
-        fine[::2, 1::2] = 0.5 * (u[:, :-1] + u[:, 1:])
-        fine[1::2, 1::2] = 0.25 * (u[:-1, :-1] + u[1:, :-1]
-                                   + u[:-1, 1:] + u[1:, 1:])
-        return fine
-
-    return reduce_field(up(u1), up(u2), constraint_map(n_to))

@@ -25,7 +25,7 @@ from functools import lru_cache
 import numpy as np
 import scipy.sparse as sp
 
-from .eigsolve import mass_factor, smallest_eigenpair
+from .eigsolve import _solve_pencil
 from .errors import ClusterResolutionError
 from .formgrid import (
     CORNER,
@@ -37,7 +37,6 @@ from .formgrid import (
     quotient,
     random_field,
     reconstruct,
-    weighted,
     _check_weights,
 )
 
@@ -170,11 +169,11 @@ def ground_cluster(fm: FormMatrices, a: float, b: float, m: float,
     :func:`classify_symmetry`.
     """
     a, b, m = _check_weights(a, b, m)
-    q = weighted(fm, (a**-2, b**-2, 0.0, m / a, m / b))
-    pairs = smallest_eigenpair(q, fm.M, k=k, tol=tol, seed=seed,
-                               mass_lu=mass_factor(fm.n))
-    mus = [mu for mu, _ in pairs]
-    cluster = [(mu, SpinorField(v, fm.n)) for mu, v in pairs
+    sol = _solve_pencil(fm, (a**-2, b**-2, 0.0, m / a, m / b), k, tol, 500,
+                        seed)
+    mus = sol.mus.tolist()
+    cluster = [(mu, SpinorField(sol.vectors[:, i], fm.n))
+               for i, mu in enumerate(mus)
                if (mu - mus[0]) <= 1e-8 * abs(mus[0])]
     return mus, cluster
 
@@ -183,9 +182,10 @@ def classify_symmetry(fm: FormMatrices, pairs, square: bool = True):
     """Classify an eigenvalue cluster by the (half-) quarter-turn action.
 
     ``pairs`` is a list of ``(mu, psi)`` forming one numerically resolved
-    cluster with M-orthonormal eigenvectors.  Builds the matrix of ``R``
-    (or ``R^2`` when ``square`` is false) on the span, diagonalises it and
-    returns one certified representative per symmetry eigenvalue, sorted
+    cluster with M-orthonormal eigenvectors on the grid of ``fm``; each
+    ``psi`` is a SpinorField or a raw reduced vector.  Builds the matrix of
+    ``R`` (or ``R^2`` when ``square`` is false) on the span, diagonalises it
+    and returns one certified representative per symmetry eigenvalue, sorted
     by complex angle.  Raises ClusterResolutionError when the span is not
     invariant to tolerance, or the spectrum strays from the allowed roots
     of unity.
@@ -198,11 +198,8 @@ def classify_symmetry(fm: FormMatrices, pairs, square: bool = True):
         raise ClusterResolutionError(
             f"eigenvalues do not form a cluster: relative spread {spread:.3e}")
 
-    n = pairs[0][1].n if isinstance(pairs[0][1], SpinorField) else None
-    vecs = [p.values if isinstance(p, SpinorField) else np.asarray(p)
-            for _, p in pairs]
-    v = np.column_stack(vecs)
-    rot = rotation_map(n)
+    v = np.column_stack([getattr(p, "values", p) for _, p in pairs])
+    rot = rotation_map(fm.n)
     op = rot.matrix if square else rot.half_turn
     allowed = FOURTH_ROOTS if square else (1.0 + 0.0j, -1.0 + 0.0j)
 
@@ -231,7 +228,7 @@ def classify_symmetry(fm: FormMatrices, pairs, square: bool = True):
         if dev > 1e-6:
             raise ClusterResolutionError(
                 f"representative for alpha={alpha!r} deviates by {dev:.3e}")
-        out.append(SymmetryClass(alpha=alpha, field=SpinorField(rep, n),
+        out.append(SymmetryClass(alpha=alpha, field=SpinorField(rep, fm.n),
                                  deviation=float(dev)))
     return out
 

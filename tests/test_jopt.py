@@ -10,6 +10,8 @@ from diracbox import (
     euler_solve,
     fixed_point_minimize,
     j_value,
+    jopt,
+    lambda1_2d,
     probe_conjecture_symmetry,
     quotient,
     random_field,
@@ -178,3 +180,24 @@ def test_theorem_idea_chain_report():
     assert len(report["perimeter_family"]) == 3
     a_half = report["perimeter_family"][0]
     assert a_half["mu_perimeter"] >= a_half["mu_area"] - 1e-9
+
+
+def test_theorem_idea_chain_solves_each_rectangle_once(monkeypatch):
+    # the perimeter comparison reuses the area family's eigenvalues
+    calls = []
+    solve = jopt.lambda1_2d
+
+    def counting(a, b, *args, **kwargs):
+        calls.append((a, b))
+        return solve(a, b, *args, **kwargs)
+
+    monkeypatch.setattr(jopt, "lambda1_2d", counting)
+    a_grid = [0.5, 1.5, 2.5]
+    report = verify_theorem_idea_chain(0.5, a_grid, 8, restarts=3)
+    # 3 area points and the 2 perimeter points with 0 < a < 2
+    assert len(calls) == len(set(calls)) == 5
+    assert [p["a"] for p in report["perimeter_family"]] == [0.5, 1.5]
+    for p in report["perimeter_family"]:
+        a = p["a"]
+        assert p["mu_area"] == lambda1_2d(a, 1.0 / a, 0.5, 8).mu
+        assert p["mu_perimeter"] == lambda1_2d(a, 2.0 - a, 0.5, 8).mu

@@ -133,6 +133,21 @@ def test_classify_single_member_cluster(fm_cache):
     assert classes[0].alpha == pytest.approx(-1j, abs=1e-10)
 
 
+def test_classify_accepts_raw_vector_pairs(fm_cache):
+    # the (mu, vector) pairs of smallest_eigenpair classify exactly like the
+    # same pairs wrapped as SpinorFields
+    fm = fm_cache(12)
+    pairs = smallest_eigenpair(weighted(fm, (1, 1, 0, 0, 0)), fm.M, k=2)
+    raw = classify_symmetry(fm, pairs, square=True)
+    wrapped = classify_symmetry(
+        fm, [(mu, SpinorField(v, 12)) for mu, v in pairs], square=True)
+    assert len(raw) == len(wrapped) == 2
+    assert [c.alpha for c in raw] == [c.alpha for c in wrapped]
+    for r, w in zip(raw, wrapped):
+        assert r.field.n == 12
+        assert np.array_equal(r.field.values, w.field.values)
+
+
 def test_classify_rejects_truncated_degenerate_cluster(fm_cache):
     # one member of the doubly degenerate ground space is not R-invariant
     fm = fm_cache(16)
