@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .dirac1d import nu1
+from .dirac1d import nu1, nu1_lower
 from .errors import ConsistencyError
 
 __all__ = [
@@ -49,17 +49,10 @@ def _check(a, b, m):
     return a, b, m
 
 
-def _mass_factor(m: float, side: float) -> float:
-    # 1/(1 + 1/(m*side)), read as 0 at m = 0
-    ms = m * side
-    return max(ms / (1.0 + ms), 0.5)
-
-
 def thm_lower(a: float, b: float, m: float) -> float:
     """Crude closed-form lower bound for lambda_1(a,b)^2 - m^2."""
     a, b, m = _check(a, b, m)
-    return ((math.pi / a) ** 2 * _mass_factor(m, a) ** 2
-            + (math.pi / b) ** 2 * _mass_factor(m, b) ** 2)
+    return (nu1_lower(m * a) / a) ** 2 + (nu1_lower(m * b) / b) ** 2
 
 
 def sharp_lower(a: float, b: float, m: float) -> float:

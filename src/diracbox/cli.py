@@ -118,7 +118,7 @@ def cache_root() -> str:
 # Part of every cache key, never of a record.  Change it whenever a solver
 # change alters any computed number, even in the last bits, so records
 # computed by older code miss instead of being served.
-SOLVER_VERSION = "4"
+SOLVER_VERSION = "5"
 
 
 def _cache_key(params: dict) -> str:
@@ -170,10 +170,21 @@ def _sandwich_check(record: dict) -> None:
     tiny = 1e-9 * max(1.0, abs(record["mu"]))
     ok = (record["thm_lower"] <= record["sharp_lower"] + tiny
           and record["sharp_lower"] <= shifted + tiny
-          and record["mu"] <= record["trial_quotient"] + tiny)
+          and record["mu"] <= record["trial_quotient"] + tiny
+          and record["bracket_lo"] <= record["bracket_hi"])
     if not ok:
         raise ConsistencyError(
             f"bounds sandwich violated for record {record!r}")
+
+
+def _servable(hit, params: dict) -> bool:
+    """True for a record that passes the sandwich check and echoes
+    ``params``; any other cache entry is recomputed and overwritten."""
+    try:
+        _sandwich_check(hit)
+    except (ConsistencyError, KeyError, TypeError):    # not such a record
+        return False
+    return all(hit.get(key) == val for key, val in params.items())
 
 
 def solve_record(a: float, b: float, m: float, n: int, tol: float,
@@ -181,7 +192,7 @@ def solve_record(a: float, b: float, m: float, n: int, tol: float,
     params = {"a": a, "b": b, "m": m, "n": n, "tol": tol, "seed": seed}
     if use_cache:
         hit = cache_get(params)
-        if hit is not None:
+        if _servable(hit, params):
             return hit
     t0 = time.perf_counter()
     fm = _form_matrices(n)
@@ -280,7 +291,6 @@ def cmd_sweep(opts) -> int:
             cache_get({"a": a, "b": b, "m": m, "n": n, "tol": tol,
                        "seed": seed}) is None for a, b in points)):
         # assembled and M factored before fork, so workers inherit both
-        _form_matrices(n)
         mass_factor(n)
         with ProcessPoolExecutor(max_workers=opts["jobs"]) as pool:
             records = list(pool.map(solve_record, *zip(*tasks)))
@@ -291,7 +301,6 @@ def cmd_sweep(opts) -> int:
         fh.write(CSV_HEADER + "\n")
         fh.flush()
         for record in records:
-            _sandwich_check(record)
             fh.write(_csv_row(record) + "\n")
             fh.flush()
 

@@ -1,8 +1,10 @@
 """Smallest-eigenpair solver for the Hermitian pencil and the lambda_1 driver.
 
 The generalized problem ``Q psi = mu M psi`` with Hermitian positive-definite
-``Q`` and ``M`` is solved by shift-invert Lanczos (ARPACK) around zero, with
-a deterministic seeded start vector.  LAPACK solves only the pencils too
+``Q`` and ``M`` is solved by shift-invert around zero: ARPACK iterates the
+plain operator ``Q^-1 M`` in standard mode for its largest eigenvalues
+``1/mu``, from a deterministic seeded start vector, and a Rayleigh-Ritz step
+on its vectors makes them M-orthonormal.  LAPACK solves only the pencils too
 small for ARPACK (``k >= dim - 1``).
 
 Both sparse LU factorizations are symmetric: the minimum-degree ordering of
@@ -166,46 +168,40 @@ def _eigenpairs(q, m, mass_lu, k: int, tol: float, maxit: int,
     if k > dim:
         raise ValueError(f"k={k} exceeds dimension {dim}")
 
+    iterations = 0
     if k >= dim - 1:
         # too small for ARPACK, which needs k < dim - 1
         qd = q.toarray() if sp.issparse(q) else np.asarray(q, dtype=complex)
         md = m.toarray() if sp.issparse(m) else np.asarray(m, dtype=complex)
         _, v = sla.eigh(qd, md, subset_by_index=[0, k - 1])
-        iterations = 0
     else:
         rng = np.random.default_rng(seed)
         v0 = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-        # ARPACK's parameter object and OPinv form a reference cycle; the
-        # closure reads the factor from a slot emptied on return, so the
-        # factor is freed at once instead of at the next full collection.
-        lu = [_factor(q)]
-        count = [0]
+        lu = _factor(q)
 
-        def apply_inverse(x):
-            count[0] += 1
-            return lu[0].solve(x)
+        def apply_op(x):
+            nonlocal iterations
+            iterations += 1
+            return lu.solve(m @ x)
 
-        opinv = spla.LinearOperator((dim, dim), matvec=apply_inverse, dtype=complex)
+        op = spla.LinearOperator((dim, dim), matvec=apply_op, dtype=complex)
         try:
-            # ARPACK tolerance 0 converges the transformed problem to
-            # machine precision; the residual contract is enforced below.
-            _, v = spla.eigsh(q, k=k, M=m, sigma=0.0, which="LM", v0=v0,
-                              maxiter=maxit, tol=0.0, OPinv=opinv)
+            # the largest eigenvalues 1/mu of Q^-1 M to machine precision
+            # (tolerance 0); the residual contract is enforced below
+            _, v = spla.eigsh(op, k=k, which="LM", v0=v0, maxiter=maxit,
+                              tol=0.0)
             # ARPACK's vectors for an exactly degenerate pair can sit far
             # above its tolerance (seen at 1e-8 relative under threaded
             # BLAS); one block inverse-iteration step damps their errors and
             # the Rayleigh-Ritz step below recovers the eigenpairs.
-            v = lu[0].solve(m @ v)
-            count[0] += k
+            v = lu.solve(m @ v)
+            iterations += k
         except spla.ArpackNoConvergence as exc:
-            best_mu = (float(np.real(exc.eigenvalues[0]))
-                       if len(exc.eigenvalues) else None)
+            nus = np.real(exc.eigenvalues)
+            best_mu = 1.0 / float(nus.max()) if len(nus) else None
             raise SolverError(
                 f"eigensolver did not converge within {maxit} restarts",
-                best_mu=best_mu, iterations=count[0]) from exc
-        finally:
-            lu.clear()
-        iterations = count[0]
+                best_mu=best_mu, iterations=iterations) from exc
 
     # Rayleigh-Ritz on the span: M-orthonormal, ascending, and a no-op up
     # to rounding for converged eigenvectors.  Each value is the quotient

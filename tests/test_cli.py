@@ -283,6 +283,21 @@ def test_corrupt_cache_entry_is_recomputed(tmp_path):
     assert cli.cache_get(PARAMS)["mu"] == rec2["mu"]     # overwritten
 
 
+def test_invalid_cache_records_are_recomputed(tmp_path):
+    # An entry that parses but is no valid record for its parameters is
+    # recomputed and overwritten, never served.
+    out = tmp_path / "solve.json"
+    assert run(["solve", "--n", "12", "--no-cache", "--out", str(out)]) == 0
+    good = json.loads(out.read_text())
+    for bad in ({}, {**good, "mu": -5.0, "bracket_lo": 1.0, "bracket_hi": 0.0},
+                {**good, "n": 16}):
+        cli.cache_put(PARAMS, bad)
+        assert run(["solve", "--n", "12", "--out", str(out)]) == 0
+        record = json.loads(out.read_text())
+        assert record["mu"] == good["mu"]
+        assert cli.cache_get(PARAMS) == record          # overwritten
+
+
 def test_cache_put_writes_through_unique_temp_file(monkeypatch):
     moves = []
     real_replace = os.replace
