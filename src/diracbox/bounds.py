@@ -18,10 +18,11 @@ fixed-perimeter family ``b = 2 - a``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from .dirac1d import nu1, nu1_lower
 from .errors import ConsistencyError
+from .formgrid import _check_weights
 
 __all__ = [
     "Condition",
@@ -40,30 +41,21 @@ MASS_THRESHOLD = 56.0
 INITIAL_THRESHOLD = 2.0
 
 
-def _check(a, b, m):
-    a, b, m = float(a), float(b), float(m)
-    if not (math.isfinite(a) and a > 0.0 and math.isfinite(b) and b > 0.0):
-        raise ValueError(f"side lengths must be finite and > 0, got {a!r}, {b!r}")
-    if not math.isfinite(m) or m < 0.0:
-        raise ValueError(f"mass must be finite and >= 0, got {m!r}")
-    return a, b, m
-
-
 def thm_lower(a: float, b: float, m: float) -> float:
     """Crude closed-form lower bound for lambda_1(a,b)^2 - m^2."""
-    a, b, m = _check(a, b, m)
+    a, b, m = _check_weights(a, b, m)
     return (nu1_lower(m * a) / a) ** 2 + (nu1_lower(m * b) / b) ** 2
 
 
 def sharp_lower(a: float, b: float, m: float) -> float:
     """Sharper lower bound (nu_1(ma)/a)^2 + (nu_1(mb)/b)^2."""
-    a, b, m = _check(a, b, m)
+    a, b, m = _check_weights(a, b, m)
     return (nu1(m * a).nu / a) ** 2 + (nu1(m * b).nu / b) ** 2
 
 
 def thm_upper(a: float, b: float, m: float = 0.0) -> float:
     """Upper bound (pi/a)^2 + (pi/b)^2; the mass does not enter."""
-    a, b, _ = _check(a, b, m)
+    a, b, _ = _check_weights(a, b, m)
     return (math.pi / a) ** 2 + (math.pi / b) ** 2
 
 
@@ -132,23 +124,12 @@ class BoundsReport:
     conditions: dict = field(default_factory=dict)
 
     def as_dict(self) -> dict:
-        out = {
-            "a": self.a, "b": self.b, "m": self.m,
-            "thm_lower": self.thm_lower,
-            "sharp_lower": self.sharp_lower,
-            "thm_upper": self.thm_upper,
-            "dirichlet": self.dirichlet,
-            "conditions": {
-                name: {"holds": c.holds, "margin": c.margin}
-                for name, c in self.conditions.items()
-            },
-        }
-        return out
+        return asdict(self)
 
 
 def bounds_report(a: float, b: float, m: float) -> BoundsReport:
     """Evaluate every closed-form bound and condition at one point."""
-    a, b, m = _check(a, b, m)
+    a, b, m = _check_weights(a, b, m)
     lo = thm_lower(a, b, m)
     sh = sharp_lower(a, b, m)
     up = thm_upper(a, b, m)
@@ -170,7 +151,7 @@ def bracket(a: float, b: float, m: float, mu: float):
     discrete eigenvalue ``mu`` capped by the Dirichlet value.  An empty
     interval signals a bug and raises ConsistencyError.
     """
-    a, b, m = _check(a, b, m)
+    a, b, m = _check_weights(a, b, m)
     lo = m**2 + max(thm_lower(a, b, m), sharp_lower(a, b, m))
     hi = min(mu, m**2 + thm_upper(a, b, m))
     if lo > hi:

@@ -1,14 +1,16 @@
 """Command-line frontend: solves, bound reports, sweeps, symmetry, J-runs.
 
 Subcommands: ``solve``, ``sweep``, ``bounds``, ``symmetry``, ``jopt``,
-``refine``.  Configuration precedence is command-line flags over an
-optional ``key=value`` config file over built-in defaults.  Numbers are
-serialised with 17 significant digits so every emitted float round-trips;
-solve results are cached as JSON records keyed by a content hash of
-``(a, b, m, n, tol, seed)`` and the solver version, in the directory named
-by the ``DIRACBOX_CACHE_DIR`` environment variable (default
-``~/.cache/diracbox``), which makes repeated runs byte-identical including
-their wall-time fields: ``wall_time_ms`` is the time of the original
+``refine``.  One table, ``_OPTIONS``, declares every option's type and
+default; the parser's flags, the ``key=value`` config file and the defaults
+all read it, so a config value gets the same type and choice checks as its
+flag.  Precedence is command-line flags over the config file over the
+defaults.  Numbers are serialised with 17 significant digits so every
+emitted float round-trips; solve results are cached as JSON records keyed
+by a content hash of ``(a, b, m, n, tol, seed)`` and the solver version, in
+the directory named by the ``DIRACBOX_CACHE_DIR`` environment variable
+(default ``~/.cache/diracbox``), which makes repeated runs byte-identical
+including their wall-time fields: ``wall_time_ms`` is the time of the original
 compute, replayed on every cache hit.
 
 Exit codes: 0 success, 2 argument error, 3 solver failure, 4 symmetry
@@ -47,14 +49,6 @@ __all__ = ["main"]
 
 CSV_HEADER = ("a,b,m,n,mu,lambda1,thm_lower,sharp_lower,thm_upper,"
               "residual,iterations,wall_time_ms,seed")
-
-_DEFAULTS = {
-    "a": 1.0, "b": None, "m": 0.0, "n": 64, "tol": 1e-10, "seed": 0,
-    "jobs": 1, "steps": 21, "k": 4, "restarts": 5, "format": "json",
-    "a_min": 0.25, "a_max": 4.0, "out": None, "no_cache": False,
-    "n_list": "16,32,64,128", "constraint": "area",
-}
-
 
 # ----------------------------------------------------------------------
 # canonical serialisation: 17 significant digits, sorted keys
@@ -97,12 +91,15 @@ def canonical_json(obj, indent: int = 0) -> str:
     raise TypeError(f"cannot serialise {type(obj)!r}")
 
 
-def emit(record: dict, out_path: str | None) -> None:
-    text = canonical_json(record) + "\n"
+def _write(text: str, out_path: str | None) -> None:
     sys.stdout.write(text)
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(text)
+
+
+def emit(record: dict, out_path: str | None) -> None:
+    _write(canonical_json(record) + "\n", out_path)
 
 
 # ----------------------------------------------------------------------
@@ -221,17 +218,11 @@ def solve_record(a: float, b: float, m: float, n: int, tol: float,
     return record
 
 
-def _csv_row(record: dict) -> str:
-    fields = [
-        format_number(record["a"]), format_number(record["b"]),
-        format_number(record["m"]), str(int(record["n"])),
-        format_number(record["mu"]), format_number(record["lambda1"]),
-        format_number(record["thm_lower"]), format_number(record["sharp_lower"]),
-        format_number(record["thm_upper"]), format_number(record["residual"]),
-        str(int(record["iterations"])), format_number(record["wall_time_ms"]),
-        str(int(record["seed"])),
-    ]
-    return ",".join(fields)
+def _csv(records) -> str:
+    """The CSV text of ``records``: the header, then one row per record."""
+    rows = [",".join(format_number(record[k]) for k in CSV_HEADER.split(","))
+            for record in records]
+    return "\n".join([CSV_HEADER, *rows]) + "\n"
 
 
 # ----------------------------------------------------------------------
@@ -249,11 +240,7 @@ def cmd_solve(opts) -> int:
         f"[{format_number(record['bracket_lo'])}, {format_number(record['bracket_hi'])}]",
         file=sys.stderr)
     if opts["format"] == "csv":
-        text = CSV_HEADER + "\n" + _csv_row(record) + "\n"
-        sys.stdout.write(text)
-        if opts["out"]:
-            with open(opts["out"], "w", encoding="utf-8") as fh:
-                fh.write(text)
+        _write(_csv([record]), opts["out"])
     else:
         emit(record, opts["out"])
     return 0
@@ -298,11 +285,7 @@ def cmd_sweep(opts) -> int:
         records = [solve_record(*task) for task in tasks]
 
     with open(opts["out"], "w", encoding="utf-8") as fh:
-        fh.write(CSV_HEADER + "\n")
-        fh.flush()
-        for record in records:
-            fh.write(_csv_row(record) + "\n")
-            fh.flush()
+        fh.write(_csv(records))
 
     (best_a, best_b), best = min(zip(points, records),
                                  key=lambda pr: pr[1]["mu"])
@@ -383,11 +366,34 @@ def cmd_refine(opts) -> int:
 # argument handling: flags > config file > defaults
 # ----------------------------------------------------------------------
 
-_TYPES = {
-    "a": float, "b": float, "m": float, "n": int, "tol": float, "seed": int,
-    "jobs": int, "steps": int, "k": int, "restarts": int, "a_min": float,
-    "a_max": float, "format": str, "out": str, "no_cache": bool,
-    "n_list": str, "constraint": str,
+# Every option: dest -> (type, default).  Its flag is ``--dest`` with "_"
+# spelled "-"; a bool option is a flag without a value.
+_OPTIONS = {
+    "a": (float, 1.0), "b": (float, None), "m": (float, 0.0), "n": (int, 64),
+    "tol": (float, 1e-10), "seed": (int, 0), "jobs": (int, 1),
+    "out": (str, None), "format": (str, "json"), "no_cache": (bool, False),
+    "constraint": (str, "area"), "a_min": (float, 0.25),
+    "a_max": (float, 4.0), "steps": (int, 21), "k": (int, 4),
+    "restarts": (int, 5), "n_list": (str, "16,32,64,128"),
+}
+_CHOICES = {"format": ("json", "csv"), "constraint": ("area", "perimeter")}
+_BOOLEANS = {"1": True, "true": True, "yes": True, "on": True,
+             "0": False, "false": False, "no": False, "off": False}
+
+# the options every subcommand takes, besides --config
+_COMMON = ("a", "b", "m", "n", "tol", "seed", "jobs", "out", "format",
+           "no_cache")
+
+# subcommand -> (handler, help, options beyond the common ones)
+_COMMANDS = {
+    "solve": (cmd_solve, "one rectangle eigenvalue with bracket", ()),
+    "sweep": (cmd_sweep, "eigenvalue scan along a constraint family",
+              ("constraint", "a_min", "a_max", "steps")),
+    "bounds": (cmd_bounds, "closed-form bounds and region conditions", ()),
+    "symmetry": (cmd_symmetry, "classify the lowest eigenvalue cluster",
+                 ("k",)),
+    "jopt": (cmd_jopt, "non-convex fixed-point experiment", ("restarts",)),
+    "refine": (cmd_refine, "nested-grid refinement study", ("n_list",)),
 }
 
 
@@ -402,29 +408,20 @@ def load_config(path: str) -> dict:
                 raise ValueError(f"{path}:{lineno}: expected key=value")
             key, value = (part.strip() for part in line.split("=", 1))
             key = key.replace("-", "_")
-            if key not in _TYPES:
+            if key not in _OPTIONS:
                 raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
-            typ = _TYPES[key]
+            typ, _ = _OPTIONS[key]
             if typ is bool:
-                out[key] = value.lower() in ("1", "true", "yes", "on")
-            else:
-                out[key] = typ(value)
+                if value.lower() not in _BOOLEANS:
+                    raise ValueError(f"{path}:{lineno}: {key} takes one of "
+                                     f"{', '.join(_BOOLEANS)}, got {value!r}")
+                out[key] = _BOOLEANS[value.lower()]
+                continue
+            out[key] = typ(value)
+            if key in _CHOICES and out[key] not in _CHOICES[key]:
+                raise ValueError(f"{path}:{lineno}: {key} takes one of "
+                                 f"{', '.join(_CHOICES[key])}, got {value!r}")
     return out
-
-
-def _add_common(sub):
-    sub.add_argument("--a", type=float)
-    sub.add_argument("--b", type=float)
-    sub.add_argument("--m", type=float)
-    sub.add_argument("--n", type=int)
-    sub.add_argument("--tol", type=float)
-    sub.add_argument("--seed", type=int)
-    sub.add_argument("--jobs", type=int)
-    sub.add_argument("--out", type=str)
-    sub.add_argument("--format", choices=["json", "csv"])
-    sub.add_argument("--no-cache", action="store_const", const=True,
-                     dest="no_cache")
-    sub.add_argument("--config", type=str)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -432,63 +429,33 @@ def build_parser() -> argparse.ArgumentParser:
         prog="diracbox",
         description="Dirac rectangle spectral laboratory")
     subs = parser.add_subparsers(dest="command", required=True)
-
-    p = subs.add_parser("solve", help="one rectangle eigenvalue with bracket")
-    _add_common(p)
-
-    p = subs.add_parser("sweep", help="eigenvalue scan along a constraint family")
-    _add_common(p)
-    p.add_argument("--constraint", choices=["area", "perimeter"])
-    p.add_argument("--a-min", type=float, dest="a_min")
-    p.add_argument("--a-max", type=float, dest="a_max")
-    p.add_argument("--steps", type=int)
-
-    p = subs.add_parser("bounds", help="closed-form bounds and region conditions")
-    _add_common(p)
-
-    p = subs.add_parser("symmetry", help="classify the lowest eigenvalue cluster")
-    _add_common(p)
-    p.add_argument("--k", type=int)
-
-    p = subs.add_parser("jopt", help="non-convex fixed-point experiment")
-    _add_common(p)
-    p.add_argument("--restarts", type=int)
-
-    p = subs.add_parser("refine", help="nested-grid refinement study")
-    _add_common(p)
-    p.add_argument("--n-list", type=str, dest="n_list")
+    for name, (_, help_text, extra) in _COMMANDS.items():
+        p = subs.add_parser(name, help=help_text)
+        for dest in _COMMON + extra:
+            typ, _ = _OPTIONS[dest]
+            flag = "--" + dest.replace("_", "-")
+            if typ is bool:
+                p.add_argument(flag, action="store_const", const=True)
+            else:
+                p.add_argument(flag, type=typ, choices=_CHOICES.get(dest))
+        p.add_argument("--config", type=str)
     return parser
 
 
 def _merge_options(args: argparse.Namespace) -> dict:
-    config = load_config(args.config) if getattr(args, "config", None) else {}
+    config = load_config(args.config) if args.config else {}
     opts = {}
-    for key, default in _DEFAULTS.items():
+    for key, (_, default) in _OPTIONS.items():
         cli_val = getattr(args, key, None)
-        if cli_val is not None:
-            opts[key] = cli_val
-        elif key in config:
-            opts[key] = config[key]
-        else:
-            opts[key] = default
+        opts[key] = cli_val if cli_val is not None else config.get(key, default)
     return opts
-
-
-_COMMANDS = {
-    "solve": cmd_solve,
-    "sweep": cmd_sweep,
-    "bounds": cmd_bounds,
-    "symmetry": cmd_symmetry,
-    "jopt": cmd_jopt,
-    "refine": cmd_refine,
-}
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         opts = _merge_options(args)
-        return _COMMANDS[args.command](opts)
+        return _COMMANDS[args.command][0](opts)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -4,14 +4,12 @@
 class SolverError(RuntimeError):
     """Eigensolver failed to meet its residual contract.
 
-    Carries the best iterate found so far, if any.
+    Carries the best eigenvalue estimate found so far, if any.
     """
 
-    def __init__(self, message, best_mu=None, best_psi=None, residual=None,
-                 iterations=0):
+    def __init__(self, message, best_mu=None, residual=None, iterations=0):
         super().__init__(message)
         self.best_mu = best_mu
-        self.best_psi = best_psi
         self.residual = residual
         self.iterations = iterations
 

@@ -108,7 +108,6 @@ class ConstraintMap:
 
     n: int
     node_class: np.ndarray      # (n+1, n+1) int
-    omega: np.ndarray           # (n+1, n+1) complex, 0 at corners/interior
     free1: np.ndarray           # (n+1, n+1) int, -1 if eliminated
     free2: np.ndarray           # (n+1, n+1) int, -1 if eliminated
     ndof: int
@@ -171,7 +170,7 @@ def constraint_map(n: int) -> ConstraintMap:
     basis2 = sp.csr_matrix((data2, (rows2, cols2)), shape=(nn, ndof))
 
     return ConstraintMap(
-        n=n, node_class=cls, omega=omega, free1=free1, free2=free2,
+        n=n, node_class=cls, free1=free1, free2=free2,
         ndof=ndof, basis1=basis1, basis2=basis2,
     )
 

@@ -27,7 +27,7 @@ which is the open question this module probes, never asserts.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -36,6 +36,7 @@ from .eigsolve import _solve_pencil, lambda1_2d
 from .formgrid import (
     FormMatrices,
     SpinorField,
+    _check_weights,
     assemble,
     build_grid,
     norm_parts,
@@ -88,11 +89,7 @@ def _euler_weights(A: float, B: float, m: float):
 def euler_solve(fm: FormMatrices, A: float, B: float, m: float,
                 tol: float = 1e-10, *, seed: int = 0, maxit: int = 500):
     """Smallest eigenpair of the ratio-weighted form against the mass matrix."""
-    A, B, m = float(A), float(B), float(m)
-    if not (math.isfinite(A) and A > 0.0 and math.isfinite(B) and B > 0.0):
-        raise ValueError(f"weights must be finite and > 0, got A={A!r}, B={B!r}")
-    if not (math.isfinite(m) and m >= 0.0):
-        raise ValueError(f"mass must be finite and >= 0, got {m!r}")
+    A, B, m = _check_weights(A, B, m)
     sol = _solve_pencil(fm, _euler_weights(A, B, m), 1, tol, maxit, seed)
     return float(sol.mus[0]), SpinorField(sol.vectors[:, 0], fm.n)
 
@@ -145,8 +142,7 @@ class JMinimizerState:
 
 
 def fixed_point_minimize(fm: FormMatrices, m: float,
-                         init: SpinorField | None = None,
-                         damping: float = 1.0, tol: float = 1e-8,
+                         init: SpinorField | None = None, tol: float = 1e-8,
                          maxit: int = 80, *, solver_tol: float = 1e-10,
                          seed: int = 0) -> JMinimizerState:
     """Alternate weighted eigensolves with ratio updates until the weights settle.
@@ -161,8 +157,6 @@ def fixed_point_minimize(fm: FormMatrices, m: float,
     (then symmetric) weighted form.
     """
     m = float(m)
-    if not 0.0 < damping <= 1.0:
-        raise ValueError(f"damping must lie in (0, 1], got {damping!r}")
     if maxit < 1:
         raise ValueError(f"maxit must be >= 1, got {maxit}")
     if init is None:
@@ -196,9 +190,6 @@ def fixed_point_minimize(fm: FormMatrices, m: float,
         mu_prev = mu
 
         a_new, b_new = _ratios(fm, psi, m)
-        if damping < 1.0:
-            a_new = A ** (1.0 - damping) * a_new ** damping
-            b_new = B ** (1.0 - damping) * b_new ** damping
         delta = abs(a_new - A) + abs(b_new - B)
         A, B = a_new, b_new
         if delta <= tol:
@@ -227,23 +218,12 @@ class ConjectureEvidence:
     restarts: tuple    # per-restart summary dicts
 
     def as_dict(self) -> dict:
-        return {
-            "best_mu": self.best_mu,
-            "best_A": self.best_A,
-            "best_B": self.best_B,
-            "best_init": self.best_init,
-            "d1": self.d1,
-            "d2": self.d2,
-            "rotation_deviation": self.rotation_deviation,
-            "all_restarts_agree": self.all_restarts_agree,
-            "degenerate_restarts": self.degenerate_restarts,
-            "restarts": list(self.restarts),
-        }
+        return asdict(self)
 
 
 def probe_conjecture_symmetry(fm: FormMatrices, m: float, restarts: int = 5,
-                              seed: int = 0, *, damping: float = 1.0,
-                              tol: float = 1e-8, maxit: int = 80,
+                              seed: int = 0, *, tol: float = 1e-8,
+                              maxit: int = 80,
                               solver_tol: float = 1e-10) -> ConjectureEvidence:
     """Run the fixed point from diverse starts and report what the best found.
 
@@ -267,7 +247,7 @@ def probe_conjecture_symmetry(fm: FormMatrices, m: float, restarts: int = 5,
     for idx, (kind, init) in enumerate(inits):
         try:
             state = fixed_point_minimize(
-                fm, m, init=init, damping=damping, tol=tol, maxit=maxit,
+                fm, m, init=init, tol=tol, maxit=maxit,
                 solver_tol=solver_tol, seed=seed + idx)
         except DegenerateRatioError as exc:
             outcomes.append({"init": kind, "status": "degenerate",

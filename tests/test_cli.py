@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 
 import pytest
 
@@ -239,9 +240,32 @@ def test_config_file_precedence(tmp_path, capsys):
     record = json.loads(capsys.readouterr().out)
     assert record["n"] == 12      # flag wins
     assert record["seed"] == 5    # config beats default
+    # config values get the flags' type and choice checks
     bad = tmp_path / "bad.cfg"
-    bad.write_text("nonsense = 3\n")
-    assert run(["solve", "--config", str(bad)]) == 2
+    for line in ("nonsense = 3", "n = 8.5", "format = xml",
+                 "no_cache = maybe", "constraint = diagonal"):
+        bad.write_text(line + "\n")
+        assert run(["solve", "--config", str(bad), "--n", "8"]) == 2, line
+
+
+COMMON_FLAGS = {"--a", "--b", "--m", "--n", "--tol", "--seed", "--jobs",
+                "--out", "--format", "--no-cache", "--config", "--help"}
+
+
+@pytest.mark.parametrize("command, extra", [
+    ("solve", set()),
+    ("sweep", {"--constraint", "--a-min", "--a-max", "--steps"}),
+    ("bounds", set()),
+    ("symmetry", {"--k"}),
+    ("jopt", {"--restarts"}),
+    ("refine", {"--n-list"}),
+])
+def test_subcommand_flag_sets(command, extra, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run([command, "--help"])
+    assert exc.value.code == 0
+    flags = set(re.findall(r"--[a-z][a-z-]*", capsys.readouterr().out))
+    assert flags == COMMON_FLAGS | extra
 
 
 PARAMS = {"a": 1.0, "b": 1.0, "m": 0.0, "n": 12, "tol": 1e-10, "seed": 0}

@@ -132,17 +132,6 @@ def test_fixed_point_symmetric_init_stays_symmetric(fm_cache):
     assert state.B == pytest.approx(1.0, abs=1e-8)
 
 
-def test_fixed_point_damped_reaches_same_value(fm_cache):
-    fm = fm_cache(16)
-    undamped = fixed_point_minimize(fm, 0.0,
-                                    init=random_field(build_grid(16), seed=4))
-    damped = fixed_point_minimize(fm, 0.0, damping=0.5, maxit=200,
-                                  init=random_field(build_grid(16), seed=4))
-    assert damped.mu == pytest.approx(undamped.mu, rel=1e-8)
-    with pytest.raises(ValueError):
-        fixed_point_minimize(fm, 0.0, damping=0.0)
-
-
 def test_fixed_point_degenerate_trace_guard(fm_cache):
     fm = fm_cache(16)
     with pytest.raises(DegenerateRatioError):
