@@ -35,7 +35,7 @@ import numpy as np
 from . import bounds as bounds_mod
 from . import jopt as jopt_mod
 from . import symmetry as symmetry_mod
-from .eigsolve import lambda1_2d, mass_factor, refine_study
+from .eigsolve import lambda1_2d, mass_inverse, refine_study
 from .errors import ClusterResolutionError, ConsistencyError, SolverError
 from .formgrid import (
     FormMatrices,
@@ -115,7 +115,7 @@ def cache_root() -> str:
 # Part of every cache key, never of a record.  Change it whenever a solver
 # change alters any computed number, even in the last bits, so records
 # computed by older code miss instead of being served.
-SOLVER_VERSION = "5"
+SOLVER_VERSION = "6"
 
 
 def _cache_key(params: dict) -> str:
@@ -277,8 +277,9 @@ def cmd_sweep(opts) -> int:
     if opts["jobs"] > 1 and (not use_cache or any(
             cache_get({"a": a, "b": b, "m": m, "n": n, "tol": tol,
                        "seed": seed}) is None for a, b in points)):
-        # assembled and M factored before fork, so workers inherit both
-        mass_factor(n)
+        # assembled, the grid's tensor basis and M's inverse built before
+        # fork, so workers inherit all three
+        mass_inverse(n)
         with ProcessPoolExecutor(max_workers=opts["jobs"]) as pool:
             records = list(pool.map(solve_record, *zip(*tasks)))
     else:

@@ -7,22 +7,28 @@ plain operator ``Q^-1 M`` in standard mode for its largest eigenvalues
 on its vectors makes them M-orthonormal.  LAPACK solves only the pencils too
 small for ARPACK (``k >= dim - 1``).
 
-Both sparse LU factorizations are symmetric: the minimum-degree ordering of
-``A^T + A`` (``MMD_AT_PLUS_A``), which suits the symmetric sparsity pattern
-of the pencil far better than SuperLU's default COLAMD, and no row
-pivoting, so the factor of a Hermitian matrix is its LDL^H factorization
-with ``D`` on the diagonal of ``U``.  A factor of ``M`` is therefore its
-positive-definiteness test, and the same factorization solves the
-M^-1-norm residual check.  ``M`` depends only on the grid, so
-``mass_factor`` checks and factors it once per n and process, on the first
-grid solve; only ``Q`` is factored per solve.
-
 Every grid solve (``lambda1_2d``, ``jopt.euler_solve`` and
 ``symmetry.ground_cluster``) goes through ``_solve_pencil(fm, w, ...)``,
 which builds the weighted form ``weighted(fm, w)`` and solves it against
-``fm.M`` with the grid's ``mass_factor``.  ``smallest_eigenpair(Q, M)``
-serves any other Hermitian pencil (1D pencils, tests) and checks and
-factors its own ``M`` on every call.
+``fm.M`` with exact tensor-product inverses instead of sparse factors.  The
+interior u1 and u2 blocks of every grid form are one separable Kronecker
+sum, inverted by fast diagonalisation in the 1D eigenbasis (Lynch, Rice &
+Thomas 1964); the interior meets the 4(n-1) edge dofs only through the
+ring of lines next to the edges, and a dense Cholesky factor of the
+boundary Schur complement closes the system (the capacitance matrix of
+Buzbee, Dorr, George & Golub 1971).  ``_tensor_basis`` holds the per-n
+eigenbasis and ring layout and ``mass_inverse`` the inverse of ``M``, each
+built once per n and process on the first grid solve; Q's inverse lives for
+one solve.  The Schur factor exists only for a positive-definite matrix, so
+``mass_inverse`` is also M's positive-definiteness check, and it solves the
+M^-1-norm residual check.
+
+``smallest_eigenpair(Q, M)`` serves any other Hermitian pencil (1D pencils,
+tests) with symmetric-mode SuperLU factors of both matrices: the
+minimum-degree ordering of ``A^T + A`` (``MMD_AT_PLUS_A``) and no row
+pivoting, so the factor of a Hermitian matrix is its LDL^H factorization,
+and the factor of ``M``, built on every call, is its positive-definiteness
+test.
 
 ``lambda1_2d`` evaluates the rectangle eigenvalue through the mass-shifted
 pencil: the ``m^2 M`` term of the squared form is an exact spectral shift of
@@ -43,10 +49,12 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import ConsistencyError, SolverError
-from .formgrid import SpinorField, assemble, build_grid, weighted, _check_weights
+from .formgrid import (BOTTOM, LEFT, OMEGA, RIGHT, TOP, SpinorField,
+                       assemble, build_grid, constraint_map, weighted,
+                       _check_weights, _matrices_1d)
 
 __all__ = ["EigenResult", "RefineStudy", "smallest_eigenpair", "lambda1_2d",
-           "refine_study", "mass_factor"]
+           "refine_study", "mass_inverse"]
 
 
 @dataclass(frozen=True)
@@ -135,14 +143,174 @@ def _mass_lu(m):
     return lu
 
 
-@lru_cache(maxsize=None)
-def mass_factor(n: int):
-    """SuperLU factor of the n-grid mass matrix (checked and built once per n).
+@dataclass(frozen=True)
+class _TensorBasis:
+    """Per-n data of the tensor-product inverse of the grid pencils.
 
-    Built on the first grid solve of that n, never during assembly, and
-    shared by every later solve on the grid.
+    Interior nodes (``N = n - 1`` per axis) carry both components, and the
+    interior block of every weighted form is the Kronecker sum
+    ``D = w1 K_D (x) M_D + w2 M_D (x) K_D + w3 M_D (x) M_D`` of the 1D
+    Dirichlet matrices.  ``vecs`` solves ``K_D V = M_D V diag(lam)`` with
+    ``V^T M_D V = I``, so ``D`` is diagonal in ``V (x) V``.  Interior dofs
+    meet the edge dofs only through the ring of interior lines next to the
+    edges; the edges are ordered left, right, bottom, top (``x1 = -1/2``,
+    ``x1 = 1/2``, ``x2 = -1/2``, ``x2 = 1/2``).
     """
-    return _mass_lu(assemble(build_grid(n)).M)
+
+    n: int
+    vecs: np.ndarray        # (N, N) V
+    lam: np.ndarray         # (N,)
+    vinv: np.ndarray        # (N, N) V^-1 = V^T M_D
+    ring: np.ndarray        # (4, N) row of V at each edge's ring line
+    couple: np.ndarray      # (2, 4) 1D stiffness, mass entry ring-to-edge
+    interior: np.ndarray    # (N, 2, N) reduced index of u1, u2 at node (i, j)
+    boundary: np.ndarray    # (4N,) reduced index of the edge dofs
+    omega: np.ndarray       # (4N,) u2 = omega u1 on each edge dof
+
+
+@lru_cache(maxsize=None)
+def _tensor_basis(n: int) -> _TensorBasis:
+    """Fast-diagonalisation basis and ring layout of the n-grid (once per n).
+
+    Built on the first grid solve of that n, never during assembly.
+    """
+    cmap = constraint_map(n)
+    k1d, m1d, _ = (mat.toarray() for mat in _matrices_1d(n))
+    lam, vecs = sla.eigh(k1d[1:n, 1:n], m1d[1:n, 1:n])
+    inner = slice(1, n)
+    edges = (cmap.free1[0, inner], cmap.free1[n, inner],
+             cmap.free1[inner, 0], cmap.free1[inner, n])
+    return _TensorBasis(
+        n=n, vecs=vecs, lam=lam, vinv=vecs.T @ m1d[1:n, 1:n],
+        ring=vecs[[0, -1, 0, -1]],
+        couple=np.array([[k1d[1, 0], k1d[n - 1, n]] * 2,
+                         [m1d[1, 0], m1d[n - 1, n]] * 2]),
+        interior=np.stack([cmap.free1[inner, inner],
+                           cmap.free2[inner, inner]], axis=1),
+        boundary=np.concatenate(edges),
+        omega=np.repeat([OMEGA[c] for c in (LEFT, RIGHT, BOTTOM, TOP)], n - 1),
+    )
+
+
+class _TensorInverse:
+    """Exact inverse of one grid form ``q = weighted(fm, w)``.
+
+    Fast diagonalisation inverts the interior blocks ``D``; a dense
+    Cholesky factor of the Hermitian boundary Schur complement
+    ``S = Q_BB - C^T D^-1 C - Omega^H C^T D^-1 C Omega`` closes the
+    system, where ``C`` couples the u1 interior to the edge dofs and
+    ``C Omega`` the u2 interior.  ``C`` is separable edge by edge, so each
+    of the 16 edge-pair blocks of ``C^T D^-1 C`` is a product of N-square
+    matrices.  The factor exists only when ``q`` is positive definite, so
+    building the inverse is also that check.
+    """
+
+    def __init__(self, basis: _TensorBasis, w, q, name: str = "Q"):
+        w1, w2, w3 = (float(x) for x in w[:3])
+        lam = basis.lam
+        self.basis = basis
+        self.delta = w1 * lam[:, None] + w2 * lam[None, :] + w3
+        if not self.delta.min() > 0.0:
+            raise ValueError(f"{name} is not positive definite: its interior "
+                             "block has a non-positive eigenvalue")
+        # the u1 coupling C of each edge in the V basis: diag(alpha) V^-1
+        kc, mc = basis.couple
+        normal = np.array([w1, w1, w2, w2])
+        self.alpha = ((normal * kc + w3 * mc)[:, None]
+                      + (w1 + w2 - normal)[:, None] * mc[:, None] * lam)
+
+        inv_delta = 1.0 / self.delta
+        x = np.empty((4, basis.n - 1, 4, basis.n - 1))
+        for c in range(4):
+            for d in range(c, 4):
+                rr = basis.ring[c] * basis.ring[d]
+                if d < 2:           # two lines of fixed first index
+                    blk = np.diag(rr @ inv_delta)
+                elif c >= 2:        # two lines of fixed second index
+                    blk = np.diag(inv_delta @ rr)
+                else:               # one of each
+                    blk = (np.outer(basis.ring[c], basis.ring[d])
+                           * inv_delta).T
+                blk = self.alpha[c][:, None] * blk * self.alpha[d]
+                x[c, :, d, :] = _gemm(_gemm(basis.vinv.T, blk), basis.vinv)
+                x[d, :, c, :] = x[c, :, d, :].T
+        x = x.reshape(4 * (basis.n - 1), -1)
+        omega = basis.omega
+        idx = basis.boundary
+        schur = (q[idx][:, idx].toarray()
+                 - x * (1.0 + omega.conj()[:, None] * omega[None, :]))
+        try:
+            self.chol = sla.cho_factor(schur, lower=True)
+        except sla.LinAlgError as exc:
+            raise ValueError(f"{name} is not positive definite") from exc
+
+    def solve(self, f):
+        """``q^-1 f`` for a vector or the columns of a matrix."""
+        b = self.basis
+        f = np.asarray(f)
+        cols = f.reshape(f.shape[0], -1)                 # (dim, k)
+        k, nn = cols.shape[1], b.n - 1
+        at = (b.interior[:, :, None, :], np.arange(k)[:, None])
+        # Interior fields laid out (i, [re/im, component, column], j): each
+        # transform is two real matrix products over all of them at once.
+        g = cols[at]
+        g = np.stack([g.real, g.imag], axis=1).reshape(nn, -1)
+        ghat = _gemm(_gemm(b.vecs.T, g).reshape(-1, nn),
+                     b.vecs).reshape(nn, -1, nn)
+        delta = self.delta[:, None, :]
+
+        # the edge equation S xb = fb - C^T D^-1 f1 - Omega^H C^T D^-1 f2
+        y = ghat / delta
+        lines = np.concatenate([
+            _gemm(b.ring[:2], y.reshape(nn, -1)).reshape(2, -1, nn),
+            _gemm(y.reshape(-1, nn), b.ring[2:].T).reshape(nn, -1, 2).T])
+        t = _gemm((self.alpha[:, None, :] * lines).reshape(-1, nn), b.vinv)
+        t = t.reshape(4, 2, 2, k, nn).transpose(1, 2, 0, 4, 3)
+        t = (t[0] + 1j * t[1]).reshape(2, -1, k)         # (component, 4N, k)
+        rhs = cols[b.boundary] - t[0] - b.omega.conj()[:, None] * t[1]
+        xb = sla.cho_solve(self.chol, rhs, check_finite=False)
+
+        # lift C xb (u1) and C Omega xb (u2) into the V basis: edge modes
+        # h[mode, edge, re/im, component, column]
+        g = np.stack([xb, b.omega[:, None] * xb]).reshape(2, 4, nn, k)
+        g = g.transpose(2, 1, 0, 3)[:, :, None]
+        h = _gemm(b.vinv, np.concatenate([g.real, g.imag], axis=2)
+                  .reshape(nn, -1)).reshape(nn, 4, -1)
+        h *= self.alpha.T[:, :, None]
+        lift = (_gemm(b.ring[:2].T, h[:, :2].transpose(1, 2, 0)
+                      .reshape(2, -1)).reshape(nn, -1, nn)
+                + _gemm(h[:, 2:].transpose(0, 2, 1).reshape(-1, 2),
+                        b.ring[2:]).reshape(nn, -1, nn))
+        xi = _gemm(_gemm(b.vecs, ((ghat - lift) / delta).reshape(nn, -1))
+                   .reshape(-1, nn), b.vecs.T).reshape(nn, 2, 2, k, nn)
+        x = np.empty(cols.shape, dtype=complex)
+        x[at] = xi[:, 0] + 1j * xi[:, 1]
+        x[b.boundary] = xb
+        return x.reshape(f.shape)
+
+
+def _gemm(a, b):
+    """``a @ b`` of real matrices through scipy's BLAS.
+
+    numpy and scipy wheels each bundle an OpenBLAS with its own thread
+    pool.  ARPACK and the Cholesky solves run on scipy's, so the transforms
+    do too: switching pools on every operator application made grid
+    solves two to three times slower under two BLAS threads.
+    """
+    return sla.blas.dgemm(1.0, b.T, a.T).T
+
+
+@lru_cache(maxsize=None)
+def mass_inverse(n: int) -> _TensorInverse:
+    """Tensor-product inverse of the n-grid mass matrix (built once per n).
+
+    Its Schur factor is M's positive-definiteness check.  Built on the first
+    grid solve of that n, never during assembly, and shared by every later
+    solve on the grid.
+    """
+    m = assemble(build_grid(n)).M
+    _check_hermitian("M", m)
+    return _TensorInverse(_tensor_basis(n), (0.0, 0.0, 1.0), m, "M")
 
 
 def _solve_pencil(fm, w, k: int, tol: float, maxit: int,
@@ -150,15 +318,21 @@ def _solve_pencil(fm, w, k: int, tol: float, maxit: int,
     """k lowest eigenpairs of the grid pencil (``weighted(fm, w)``, ``fm.M``).
 
     The one entry point of every grid solve: it builds the weighted form and
-    solves against the mass matrix with its memoised factor.
+    solves against the mass matrix, both through tensor-product inverses.
     """
-    return _eigenpairs(weighted(fm, w), fm.M, mass_factor(fm.n),
-                       k, tol, maxit, seed)
+    basis = _tensor_basis(fm.n)
+    return _eigenpairs(weighted(fm, w), fm.M,
+                       lambda q: _TensorInverse(basis, w, q).solve,
+                       mass_inverse(fm.n).solve, k, tol, maxit, seed)
 
 
-def _eigenpairs(q, m, mass_lu, k: int, tol: float, maxit: int,
+def _eigenpairs(q, m, invert_q, m_solve, k: int, tol: float, maxit: int,
                 seed: int) -> _PencilSolution:
-    """k lowest eigenpairs of (q, m); ``mass_lu`` is a checked factor of m."""
+    """k lowest eigenpairs of (q, m).
+
+    ``invert_q(q)`` returns a solve with q, built only when ARPACK runs;
+    ``m_solve`` is a solve with a checked positive-definite m.
+    """
     if q.shape != m.shape or q.shape[0] != q.shape[1]:
         raise ValueError("matrices must be square and of equal shape")
     _check_hermitian("Q", q)
@@ -177,12 +351,12 @@ def _eigenpairs(q, m, mass_lu, k: int, tol: float, maxit: int,
     else:
         rng = np.random.default_rng(seed)
         v0 = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-        lu = _factor(q)
+        q_solve = invert_q(q)
 
         def apply_op(x):
             nonlocal iterations
             iterations += 1
-            return lu.solve(m @ x)
+            return q_solve(m @ x)
 
         op = spla.LinearOperator((dim, dim), matvec=apply_op, dtype=complex)
         try:
@@ -193,8 +367,12 @@ def _eigenpairs(q, m, mass_lu, k: int, tol: float, maxit: int,
             # ARPACK's vectors for an exactly degenerate pair can sit far
             # above its tolerance (seen at 1e-8 relative under threaded
             # BLAS); one block inverse-iteration step damps their errors and
-            # the Rayleigh-Ritz step below recovers the eigenpairs.
-            v = lu.solve(m @ v)
+            # the Rayleigh-Ritz step below recovers the eigenpairs.  One
+            # step of iterative refinement makes that solve exact to
+            # rounding whatever the conditioning of the inverse.
+            rhs = m @ v
+            v = q_solve(rhs)
+            v += q_solve(rhs - q @ v)
             iterations += k
         except spla.ArpackNoConvergence as exc:
             nus = np.real(exc.eigenvalues)
@@ -214,10 +392,9 @@ def _eigenpairs(q, m, mass_lu, k: int, tol: float, maxit: int,
     v, qv, mv = v @ coeff, qv @ coeff, mv @ coeff
     mus = np.real(np.einsum("ij,ij->j", v.conj(), qv))
 
-    residuals = np.empty(k)
-    for i in range(k):
-        r = qv[:, i] - mus[i] * mv[:, i]
-        residuals[i] = np.sqrt(abs(np.real(np.vdot(r, mass_lu.solve(r)))))
+    r = qv - mus * mv
+    residuals = np.sqrt(np.abs(np.real(np.einsum("ij,ij->j", r.conj(),
+                                                  m_solve(r)))))
     bad = residuals > tol * np.maximum(np.abs(mus), 1e-300)
     if np.any(bad):
         i = int(np.argmax(residuals / np.maximum(np.abs(mus), 1e-300)))
@@ -236,10 +413,12 @@ def smallest_eigenpair(Q, M, k: int = 1, tol: float = 1e-10,
 
     Eigenvectors are M-orthonormal; each pair satisfies the residual
     contract ``|Q v - mu M v|_{M^-1} <= tol * mu``.  Deterministic for a
-    fixed seed.  M is checked and factored on every call; grid solves go
-    through ``_solve_pencil``, which reuses the factor of their grid.
+    fixed seed.  M is checked and factored by SuperLU on every call, and Q
+    is factored for ARPACK; grid solves go through ``_solve_pencil``, which
+    needs no sparse factor.
     """
-    sol = _eigenpairs(Q, M, _mass_lu(M), k, tol, maxit, seed)
+    sol = _eigenpairs(Q, M, lambda q: _factor(q).solve, _mass_lu(M).solve,
+                      k, tol, maxit, seed)
     return [(float(sol.mus[i]), sol.vectors[:, i]) for i in range(k)]
 
 

@@ -159,7 +159,7 @@ def test_cached_parallel_sweep_starts_no_pool(tmp_path, monkeypatch):
     def fails(*args, **kwargs):
         raise AssertionError("every point is cached")
 
-    monkeypatch.setattr(cli, "mass_factor", fails)
+    monkeypatch.setattr(cli, "mass_inverse", fails)
     monkeypatch.setattr(cli, "ProcessPoolExecutor", fails)
     monkeypatch.setattr(cli, "lambda1_2d", fails)
     assert run(argv) == 0

@@ -1,5 +1,8 @@
 import gc
 import math
+import os
+import subprocess
+import sys
 import weakref
 
 import numpy as np
@@ -122,10 +125,10 @@ def test_residual_contract_enforced(fm_cache):
         smallest_eigenpair(q, fm.M, k=1, tol=1e-30)
 
 
-def test_sparse_solve_releases_its_factors(fm_cache, monkeypatch):
-    # The factors of a solve must go when it returns, with GC paused: no
-    # reference cycle may hold them until the next full collection.  On the
-    # grid path the memoised M factor is the only one that stays.
+def test_smallest_eigenpair_releases_its_factors(fm_cache, monkeypatch):
+    # The SuperLU factors of a matrix-pencil solve, M for its check and Q for
+    # ARPACK, must go when it returns, with GC paused: no reference cycle may
+    # hold them until the next full collection.
     fm = fm_cache(48)
     q = weighted(fm, (1.0, 1.0, 0.0, 0.0, 0.0))
     splu = eigsolve.spla.splu
@@ -138,28 +141,23 @@ def test_sparse_solve_releases_its_factors(fm_cache, monkeypatch):
         def __getattr__(self, name):
             return getattr(self.lu, name)
 
+        def solve(self, rhs):       # a bound method holds the wrapper
+            return self.lu.solve(rhs)
+
     def tracked_splu(*args, **kwargs):
         factor = Factor(splu(*args, **kwargs))
         factors.append(weakref.ref(factor))
         return factor
 
     monkeypatch.setattr(eigsolve.spla, "splu", tracked_splu)
-    eigsolve.mass_factor.cache_clear()
     gc.collect()
     gc.disable()
     try:
         smallest_eigenpair(q, fm.M, k=1)
         assert len(factors) == 2          # M for its check, Q for ARPACK
         assert all(ref() is None for ref in factors)
-
-        factors.clear()
-        lambda1_2d(1.0, 1.0, 0.0, 48, k=1)
-        mass, q_factor = factors          # the M factor is built first
-        assert q_factor() is None
-        assert mass() is eigsolve.mass_factor(48)
     finally:
         gc.enable()
-        eigsolve.mass_factor.cache_clear()   # drop the tracked wrapper
 
 
 def test_grid_solves_leave_no_reference_cycles(fm_cache):
@@ -178,35 +176,92 @@ def test_grid_solves_leave_no_reference_cycles(fm_cache):
         gc.enable()
 
 
-def test_mass_factor_built_once_per_n(fm_cache, monkeypatch):
-    # Every grid solve, small grids included, factors Q for ARPACK.
-    splu = eigsolve.spla.splu
-    factored = []       # True for each factor of M, False for one of Q
+def test_grid_solves_factor_nothing(fm_cache, monkeypatch):
+    # Grid solves use tensor-product inverses: no SuperLU factor at all.
+    def splu(*args, **kwargs):
+        raise AssertionError("a grid solve called splu")
 
-    def counting_splu(mat, **kwargs):
-        assert kwargs["permc_spec"] == "MMD_AT_PLUS_A"
-        factored.append(mat.shape == fm.M.shape and abs(mat - fm.M).max() == 0)
-        return splu(mat, **kwargs)
+    monkeypatch.setattr(eigsolve.spla, "splu", splu)
+    fm = fm_cache(12)
+    lambda1_2d(1.3, 0.8, 1.0, 12)
+    jopt.euler_solve(fm, 1.3, 0.8, 1.0)
+    symmetry.ground_cluster(fm, 1.3, 0.8, 1.0, k=2)
 
-    monkeypatch.setattr(eigsolve.spla, "splu", counting_splu)
+
+def test_grid_inverse_state_built_once_per_n(fm_cache):
+    # The per-n basis and M's inverse are built on the first grid solve of
+    # that n, once, and never during set-up.
+    builders = (eigsolve._tensor_basis, eigsolve.mass_inverse)
     for n in (12, 48):
         fm = fm_cache(n)
-        factored.clear()
-        eigsolve.mass_factor.cache_clear()
-        cli._form_matrices(n)         # set-up builds no factor
-        assert factored == []
-        solves = 0
+        for builder in builders:
+            builder.cache_clear()
+        cli._form_matrices(n)
+        assert all(b.cache_info().currsize == 0 for b in builders)
         for a, m in ((1.0, 0.0), (1.4, 2.0)):
             lambda1_2d(a, 1.0 / a, m, n, k=1)
             jopt.euler_solve(fm, a, 1.0 / a, m)
             symmetry.ground_cluster(fm, a, 1.0 / a, m, k=2)
-            solves += 3
-        assert factored.count(True) == 1
-        assert factored.count(False) == solves
-        # the check read U, after which scipy held csc copies of L and U, as
-        # large as the factor, for the factor's life; they must be emptied
-        lu = eigsolve.mass_factor(n)
-        assert lu.L.nnz == lu.U.nnz == 0
+        assert all(b.cache_info().misses == 1 for b in builders)
+        assert eigsolve.mass_inverse(n).basis is eigsolve._tensor_basis(n)
+
+
+def _weight_shapes(a, b, m):
+    return ((a**-2, b**-2, 0.0, m / a, m / b), jopt._euler_weights(a, b, m),
+            (0.0, 0.0, 1.0, 0.0, 0.0))
+
+
+@pytest.mark.parametrize("n", [4, 6, 12, 30])
+def test_tensor_inverse_is_exact(fm_cache, n):
+    fm = fm_cache(n)
+    basis = eigsolve._tensor_basis(n)
+    rng = np.random.default_rng(n)
+    worst = 0.0
+    for log_aspect in np.linspace(-math.log(20.0), math.log(20.0), 5):
+        a, b = math.exp(log_aspect / 2), math.exp(-log_aspect / 2)
+        for m in (0.0, 1e-2, 1.0, 1e3):
+            for w in _weight_shapes(a, b, m):
+                q = weighted(fm, w)
+                solve = eigsolve._TensorInverse(basis, w, q).solve
+                x0 = (rng.standard_normal((fm.ndof, 2))
+                      + 1j * rng.standard_normal((fm.ndof, 2)))
+                for x, want in ((solve(q @ x0), x0),
+                                (solve(q @ x0[:, 0]), x0[:, 0])):
+                    assert x.shape == want.shape
+                    worst = max(worst, np.linalg.norm(x - want)
+                                / np.linalg.norm(want))
+    assert worst <= 1e-12
+
+
+def test_tensor_inverse_rejects_indefinite_forms(fm_cache):
+    fm = fm_cache(12)
+    # a negative interior spectrum, and an indefinite boundary block over a
+    # positive interior: both are errors, never a number
+    for w in ((1.0, 1.0, -1e3, 0.0, 0.0), (1.0, 1.0, 0.0, -1e3, -1e3)):
+        with pytest.raises(ValueError, match="not positive definite"):
+            eigsolve._solve_pencil(fm, w, 1, 1e-10, 500, 0)
+
+
+def test_grid_solve_meets_contract_at_n256():
+    # Without the refinement step in the inverse-iteration repair, the second
+    # pair of this solve read residual/mu = 1.08e-10, above the contract.
+    res = lambda1_2d(1.0, 1.0, 0.0, 256)
+    assert res.residual <= 1e-10 * res.mu
+
+
+def test_degenerate_point_reproducible_under_threaded_blas():
+    # An exactly degenerate ground pair; with SuperLU solves its mu varied in
+    # the last bits from process to process under two BLAS threads.
+    code = ("from diracbox import lambda1_2d; a = 1.189207; "
+            "print(repr(lambda1_2d(a, 1.0 / a, 0.0, 32).mu))")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="2", OMP_NUM_THREADS="2",
+               PYTHONPATH=os.pathsep.join(
+                   [os.path.join(os.path.dirname(__file__), "..", "src"),
+                    os.environ.get("PYTHONPATH", "")]))
+    mus = {subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          capture_output=True, text=True).stdout.strip()
+           for _ in range(3)}
+    assert len(mus) == 1, mus
 
 
 def test_sparse_path_repairs_inaccurate_arpack_vectors(fm_cache, monkeypatch):

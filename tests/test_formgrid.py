@@ -124,6 +124,34 @@ def test_definiteness_and_trace_support(fm_cache):
     assert np.real(np.vdot(ones, (fm.Tpar + fm.Teq) @ ones)) > 0.1
 
 
+@pytest.mark.parametrize("n", [4, 8])
+def test_interior_blocks_are_one_kronecker_sum(fm_cache, n):
+    # The structure the tensor-product inverse of the grid pencils rests on:
+    # the interior u1 and u2 dofs are uncoupled, both interior blocks equal
+    # the Kronecker sum of the 1D Dirichlet matrices, and the trace matrices
+    # touch only the edge dofs.
+    fm = fm_cache(n)
+    cmap = constraint_map(n)
+    inner = slice(1, n)
+    u1 = cmap.free1[inner, inner].ravel()
+    u2 = cmap.free2[inner, inner].ravel()
+    edge = np.setdiff1d(np.arange(fm.ndof), np.concatenate([u1, u2]))
+    assert edge.size == 4 * (n - 1)
+    k1d, m1d, _ = _matrices_1d(n)
+    kd, md = k1d[inner, inner], m1d[inner, inner]
+    kron = {"K1": sp.kron(kd, md), "K2": sp.kron(md, kd),
+            "M": sp.kron(md, md)}
+    for name, want in kron.items():
+        mat = getattr(fm, name)
+        for rows in (u1, u2):
+            assert abs(mat[rows][:, rows] - want).max() <= 1e-13 * abs(
+                want).max()
+        assert abs(mat[u1][:, u2]).max() == 0.0
+    for mat in (fm.Tpar, fm.Teq):
+        coo = mat.tocoo()
+        assert np.isin(coo.row, edge).all() and np.isin(coo.col, edge).all()
+
+
 def test_constraint_reconstruction_exact(fm_cache):
     n = 8
     cmap = constraint_map(n)

@@ -1,9 +1,10 @@
 """Differential gate: the solver path against the dense full pencil.
 
-``lambda1_2d`` and ``jopt.euler_solve`` (shift-invert ARPACK on the
-symmetric-mode LU of Q, with the memoised factor of M) run on grids small
-enough for dense ``scipy.linalg.eigh`` on the full weighted pencil, mass
-term included, to serve as the oracle.
+``lambda1_2d``, ``jopt.euler_solve`` and ``symmetry.ground_cluster``
+(shift-invert ARPACK on the tensor-product inverse of Q, with the memoised
+tensor-product inverse of M for the residual) run on grids small enough for
+dense ``scipy.linalg.eigh`` on the full weighted pencil, mass term
+included, to serve as the oracle.
 """
 
 import math
@@ -13,14 +14,15 @@ import pytest
 import scipy.linalg as sla
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from diracbox import assemble, build_grid, jopt, lambda1_2d, weighted
+from diracbox import assemble, build_grid, jopt, lambda1_2d, symmetry, weighted
 
 TOL = 1e-10
 
 
-def _dense_lowest(q, m):
-    return sla.eigh(q.toarray(), m.toarray(), eigvals_only=True,
-                    subset_by_index=[0, 0])[0]
+def _dense_lowest(q, m, k=1):
+    mus = sla.eigh(q.toarray(), m.toarray(), eigvals_only=True,
+                   subset_by_index=[0, k - 1])
+    return mus[0] if k == 1 else mus
 
 
 def _residual(q, m, mu, v):
@@ -53,3 +55,9 @@ def test_sparse_path_matches_dense_full_pencil(n, log_aspect, m):
     q_j = weighted(fm, jopt._euler_weights(a, b, m))
     assert mu_j == pytest.approx(_dense_lowest(q_j, fm.M), rel=1e-10)
     assert _residual(q_j, fm.M, mu_j, psi_j.values) <= TOL * mu_j
+
+    # every eigenvalue is double: the ground pair, both against the oracle
+    pair, _ = symmetry.ground_cluster(fm, a, b, m, k=2, tol=TOL)
+    dense_pair = _dense_lowest(q, fm.M, k=2)
+    assert pair == pytest.approx(dense_pair, rel=1e-10)
+    assert pair[1] == pytest.approx(pair[0], rel=1e-10)
