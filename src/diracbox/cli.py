@@ -115,7 +115,7 @@ def cache_root() -> str:
 # Part of every cache key, never of a record.  Change it whenever a solver
 # change alters any computed number, even in the last bits, so records
 # computed by older code miss instead of being served.
-SOLVER_VERSION = "6"
+SOLVER_VERSION = "7"
 
 
 def _cache_key(params: dict) -> str:
@@ -277,9 +277,11 @@ def cmd_sweep(opts) -> int:
     if opts["jobs"] > 1 and (not use_cache or any(
             cache_get({"a": a, "b": b, "m": m, "n": n, "tol": tol,
                        "seed": seed}) is None for a, b in points)):
-        # assembled, the grid's tensor basis and M's inverse built before
-        # fork, so workers inherit all three
+        # assembled, the grid's tensor basis, M's inverse and the rotation
+        # map (the class projector) built before fork, so workers inherit
+        # all four
         mass_inverse(n)
+        symmetry_mod.rotation_map(n)
         with ProcessPoolExecutor(max_workers=opts["jobs"]) as pool:
             records = list(pool.map(solve_record, *zip(*tasks)))
     else:

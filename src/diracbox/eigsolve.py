@@ -1,34 +1,45 @@
 """Smallest-eigenpair solver for the Hermitian pencil and the lambda_1 driver.
 
 The generalized problem ``Q psi = mu M psi`` with Hermitian positive-definite
-``Q`` and ``M`` is solved by shift-invert around zero: ARPACK iterates the
-plain operator ``Q^-1 M`` in standard mode for its largest eigenvalues
-``1/mu``, from a deterministic seeded start vector, and a Rayleigh-Ritz step
-on its vectors makes them M-orthonormal.  LAPACK solves only the pencils too
-small for ARPACK (``k >= dim - 1``).
+``Q`` and ``M`` is solved by shift-invert: ARPACK iterates the plain operator
+``(Q - sigma M)^-1 M`` in standard mode for its largest eigenvalues
+``1/(mu - sigma)``, from a deterministic seeded start vector, and a
+Rayleigh-Ritz step on the unshifted pencil makes its vectors M-orthonormal.
 
 Every grid solve (``lambda1_2d``, ``jopt.euler_solve`` and
-``symmetry.ground_cluster``) goes through ``_solve_pencil(fm, w, ...)``,
-which builds the weighted form ``weighted(fm, w)`` and solves it against
-``fm.M`` with exact tensor-product inverses instead of sparse factors.  The
-interior u1 and u2 blocks of every grid form are one separable Kronecker
-sum, inverted by fast diagonalisation in the 1D eigenbasis (Lynch, Rice &
-Thomas 1964); the interior meets the 4(n-1) edge dofs only through the
-ring of lines next to the edges, and a dense Cholesky factor of the
-boundary Schur complement closes the system (the capacitance matrix of
+``symmetry.ground_cluster``) goes through ``_solve_pencil(fm, w, sigma,
+classes, ...)``.  Every eigenvalue of a grid pencil is double, one of each
+pair in each class ``beta = +1, -1`` of the half turn ``R^2``
+(``symmetry.rotation_map``), which commutes with every grid form.  The
+projector ``P = (I + beta R^2)/2`` keeps ARPACK inside one class, where the
+ground eigenvalue is simple, so each class needs only k = 1 and a Krylov
+space of ``NCV`` vectors (Ericsson & Ruhe 1980 for the spectral
+transformation, Bossavit 1986 for the symmetry classes).  The shift is the
+closed-form lower bound ``bounds.sharp_lower`` of the point, so it depends
+on nothing but the point; one inverse of ``Q - sigma M`` serves both
+classes.  The inverse exists only for a shift below the lowest eigenvalue,
+so a shift that contradicts its lower bound raises ConsistencyError, never
+a number.
+
+The inverses are exact tensor-product inverses instead of sparse factors.
+The interior u1 and u2 blocks of every grid form are one separable
+Kronecker sum, inverted by fast diagonalisation in the 1D eigenbasis
+(Lynch, Rice & Thomas 1964); the interior meets the 4(n-1) edge dofs only
+through the ring of lines next to the edges, and a dense Cholesky factor of
+the boundary Schur complement closes the system (the capacitance matrix of
 Buzbee, Dorr, George & Golub 1971).  ``_tensor_basis`` holds the per-n
 eigenbasis and ring layout and ``mass_inverse`` the inverse of ``M``, each
-built once per n and process on the first grid solve; Q's inverse lives for
-one solve.  The Schur factor exists only for a positive-definite matrix, so
-``mass_inverse`` is also M's positive-definiteness check, and it solves the
-M^-1-norm residual check.
+built once per n and process on the first grid solve; the shifted inverse
+lives for one solve.  The Schur factor exists only for a positive-definite
+matrix, so ``mass_inverse`` is also M's positive-definiteness check, and it
+solves the M^-1-norm residual check.
 
 ``smallest_eigenpair(Q, M)`` serves any other Hermitian pencil (1D pencils,
-tests) with symmetric-mode SuperLU factors of both matrices: the
-minimum-degree ordering of ``A^T + A`` (``MMD_AT_PLUS_A``) and no row
+tests) at shift zero with symmetric-mode SuperLU factors of both matrices:
+the minimum-degree ordering of ``A^T + A`` (``MMD_AT_PLUS_A``) and no row
 pivoting, so the factor of a Hermitian matrix is its LDL^H factorization,
 and the factor of ``M``, built on every call, is its positive-definiteness
-test.
+test.  LAPACK solves the pencils too small for ARPACK (``k >= dim - 1``).
 
 ``lambda1_2d`` evaluates the rectangle eigenvalue through the mass-shifted
 pencil: the ``m^2 M`` term of the squared form is an exact spectral shift of
@@ -40,6 +51,7 @@ clusters around ``m^2`` and shift-invert iteration stalls.
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -48,6 +60,7 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+from .bounds import sharp_lower
 from .errors import ConsistencyError, SolverError
 from .formgrid import (BOTTOM, LEFT, OMEGA, RIGHT, TOP, SpinorField,
                        assemble, build_grid, constraint_map, weighted,
@@ -63,7 +76,7 @@ class EigenResult:
 
     ``mu`` is the discrete lambda_1^2, ``residual`` the M^-1-norm of
     ``Q psi - mu M psi`` and ``iterations`` the number of shifted-operator
-    applications (0 for a pencil too small for ARPACK, solved by LAPACK).
+    applications, summed over the two half-turn classes.
     """
 
     mu: float
@@ -73,7 +86,7 @@ class EigenResult:
     iterations: int
     n: int
     seed: int
-    eigenvalues: tuple    # k lowest, for multiplicity evidence
+    eigenvalues: tuple    # the ground value of each half-turn class
 
 
 @dataclass(frozen=True)
@@ -95,6 +108,7 @@ class _PencilSolution:
     mus: np.ndarray
     vectors: np.ndarray       # columns, M-orthonormal
     residuals: np.ndarray     # M^-1 norms
+    classes: np.ndarray       # half-turn class (+1 or -1) of each column
     iterations: int
 
 
@@ -313,77 +327,123 @@ def mass_inverse(n: int) -> _TensorInverse:
     return _TensorInverse(_tensor_basis(n), (0.0, 0.0, 1.0), m, "M")
 
 
-def _solve_pencil(fm, w, k: int, tol: float, maxit: int,
-                  seed: int) -> _PencilSolution:
-    """k lowest eigenpairs of the grid pencil (``weighted(fm, w)``, ``fm.M``).
+# ARPACK's Krylov dimension in a class solve.  The closed-form shift puts
+# the wanted 1/(mu - sigma) far above the rest of the spectrum of the
+# shifted inverse, so a small space converges in a handful of applications.
+# Measured against 4: equal or fewer applications on every benchmark
+# workload (88 against 92 on solve_n128, 242 against 264 on an 11-point
+# area sweep at n = 64) and the faster wall time in 5 of 6 pairs.
+NCV = 6
 
-    The one entry point of every grid solve: it builds the weighted form and
-    solves against the mass matrix, both through tensor-product inverses.
+
+def _solve_pencil(fm, w, sigma: float, classes, k: int, tol: float,
+                  maxit: int, seed: int) -> _PencilSolution:
+    """k lowest eigenpairs of each half-turn class of the grid pencil
+    (``weighted(fm, w)``, ``fm.M``), merged in ascending order.
+
+    The one entry point of every grid solve.  ``sigma`` must lie below the
+    lowest eigenvalue; one tensor-product inverse of ``Q - sigma M`` serves
+    every class.  For the class ``beta`` in ``classes`` ARPACK iterates
+    ``P (Q - sigma M)^-1 M`` with the projector ``P = (I + beta R^2)/2`` of
+    the half turn, whose largest eigenvalues are the ``1/(mu - sigma)`` of
+    that class.  Rayleigh-Ritz and the residual contract run on the
+    unshifted pencil.  A shift the inverse rejects lies above the lowest
+    eigenvalue, which contradicts the lower bound it came from.
     """
-    basis = _tensor_basis(fm.n)
-    return _eigenpairs(weighted(fm, w), fm.M,
-                       lambda q: _TensorInverse(basis, w, q).solve,
-                       mass_inverse(fm.n).solve, k, tol, maxit, seed)
+    from .symmetry import rotation_map      # symmetry imports this module
 
-
-def _eigenpairs(q, m, invert_q, m_solve, k: int, tol: float, maxit: int,
-                seed: int) -> _PencilSolution:
-    """k lowest eigenpairs of (q, m).
-
-    ``invert_q(q)`` returns a solve with q, built only when ARPACK runs;
-    ``m_solve`` is a solve with a checked positive-definite m.
-    """
-    if q.shape != m.shape or q.shape[0] != q.shape[1]:
-        raise ValueError("matrices must be square and of equal shape")
+    m_solve = mass_inverse(fm.n).solve      # M's check comes first
+    q = weighted(fm, w)
     _check_hermitian("Q", q)
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    dim = q.shape[0]
-    if k > dim:
-        raise ValueError(f"k={k} exceeds dimension {dim}")
+    ncv = max(NCV, 2 * k + 1)
+    if ncv > fm.ndof // 2:
+        raise ValueError(f"k={k} per class is too many for the n={fm.n} grid")
+    w_shift = (w[0], w[1], w[2] - sigma, *w[3:])
+    q_shift = weighted(fm, w_shift)
+    try:
+        shift_solve = _TensorInverse(_tensor_basis(fm.n), w_shift, q_shift,
+                                     "Q - sigma M").solve
+    except ValueError as exc:
+        raise ConsistencyError(
+            f"shift sigma={sigma!r} is not below the lowest eigenvalue "
+            f"({exc}); it must be a lower bound") from exc
+    half_turn = rotation_map(fm.n).half_turn
 
+    parts, iterations = [], 0
+    for beta in classes:
+        def project(x, beta=beta):
+            return (x + beta * (half_turn @ x)) / 2
+
+        v, count = _krylov(q_shift, fm.M, shift_solve, k, maxit, seed,
+                           sigma=sigma, project=project, ncv=ncv)
+        parts.append(_ritz(q, fm.M, v, m_solve, tol, count))
+        iterations += count
+    mus, vectors, residuals = (np.concatenate(x, axis=-1) for x in zip(*parts))
+    order = np.argsort(mus, kind="stable")
+    return _PencilSolution(mus=mus[order], vectors=vectors[:, order],
+                           residuals=residuals[order],
+                           classes=np.repeat(classes, k)[order],
+                           iterations=iterations)
+
+
+def _krylov(a, m, a_solve, k: int, maxit: int, seed: int, *,
+            sigma: float = 0.0, project=lambda x: x, ncv=None):
+    """Vectors of the k largest eigenvalues ``1/(mu - sigma)`` of
+    ``project a^-1 m``, where ``a = q - sigma m``, and the count of
+    operator applications.
+
+    ARPACK runs from a seeded start vector inside the range of ``project``.
+    """
+    rng = np.random.default_rng(seed)
+    dim = a.shape[0]
+    v0 = project(rng.standard_normal(dim) + 1j * rng.standard_normal(dim))
     iterations = 0
-    if k >= dim - 1:
-        # too small for ARPACK, which needs k < dim - 1
-        qd = q.toarray() if sp.issparse(q) else np.asarray(q, dtype=complex)
-        md = m.toarray() if sp.issparse(m) else np.asarray(m, dtype=complex)
-        _, v = sla.eigh(qd, md, subset_by_index=[0, k - 1])
-    else:
-        rng = np.random.default_rng(seed)
-        v0 = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-        q_solve = invert_q(q)
 
-        def apply_op(x):
-            nonlocal iterations
-            iterations += 1
-            return q_solve(m @ x)
+    def apply_op(x):
+        nonlocal iterations
+        iterations += 1
+        return project(a_solve(m @ x))
 
-        op = spla.LinearOperator((dim, dim), matvec=apply_op, dtype=complex)
-        try:
-            # the largest eigenvalues 1/mu of Q^-1 M to machine precision
-            # (tolerance 0); the residual contract is enforced below
-            _, v = spla.eigsh(op, k=k, which="LM", v0=v0, maxiter=maxit,
-                              tol=0.0)
-            # ARPACK's vectors for an exactly degenerate pair can sit far
-            # above its tolerance (seen at 1e-8 relative under threaded
-            # BLAS); one block inverse-iteration step damps their errors and
-            # the Rayleigh-Ritz step below recovers the eigenpairs.  One
-            # step of iterative refinement makes that solve exact to
-            # rounding whatever the conditioning of the inverse.
-            rhs = m @ v
-            v = q_solve(rhs)
-            v += q_solve(rhs - q @ v)
-            iterations += k
-        except spla.ArpackNoConvergence as exc:
-            nus = np.real(exc.eigenvalues)
-            best_mu = 1.0 / float(nus.max()) if len(nus) else None
-            raise SolverError(
-                f"eigensolver did not converge within {maxit} restarts",
-                best_mu=best_mu, iterations=iterations) from exc
+    op = spla.LinearOperator((dim, dim), matvec=apply_op, dtype=complex)
+    try:
+        # the largest eigenvalues to machine precision (tolerance 0); the
+        # residual contract is enforced by the Rayleigh-Ritz step
+        _, v = spla.eigsh(op, k=k, which="LM", v0=v0, maxiter=maxit,
+                          tol=0.0, ncv=ncv)
+    except spla.ArpackNoConvergence as exc:
+        nus = np.real(exc.eigenvalues)
+        if not len(nus):
+            # ARPACK hands back its converged values only, so a k = 1 run
+            # has none; the same start at a loose tolerance gives the value
+            with contextlib.suppress(spla.ArpackNoConvergence):
+                nus = np.real(spla.eigsh(op, k=k, which="LM", v0=v0,
+                                         maxiter=maxit, tol=1e-8, ncv=ncv,
+                                         return_eigenvectors=False))
+        best_mu = sigma + 1.0 / float(nus.max()) if len(nus) else None
+        raise SolverError(
+            f"eigensolver did not converge within {maxit} restarts",
+            best_mu=best_mu, iterations=iterations) from exc
+    # ARPACK's vectors can sit far above its tolerance: 1e-8 relative for an
+    # exactly degenerate pair under threaded BLAS, and class solves without
+    # this step read residual/mu up to 8e-11 at n = 256 against the 1e-10
+    # contract.  One block inverse-iteration step damps their errors and the
+    # Rayleigh-Ritz step recovers the eigenpairs.  One step of iterative
+    # refinement makes that solve exact to rounding whatever the
+    # conditioning of the inverse.
+    rhs = m @ v
+    v = a_solve(rhs)
+    v += a_solve(rhs - a @ v)
+    return project(v), iterations + k
 
-    # Rayleigh-Ritz on the span: M-orthonormal, ascending, and a no-op up
-    # to rounding for converged eigenvectors.  Each value is the quotient
-    # of an admissible vector, so it stays a conforming upper bound.
+
+def _ritz(q, m, v, m_solve, tol: float, iterations: int):
+    """Rayleigh-Ritz of (q, m) on the span of ``v``, under the residual
+    contract: ascending values, M-orthonormal vectors and their M^-1-norm
+    residuals."""
+    # A no-op up to rounding for converged eigenvectors.  Each value is the
+    # quotient of an admissible vector, so it stays a conforming upper bound.
     v = np.asarray(v, dtype=complex)
     qv, mv = q @ v, m @ v
     proj_q, proj_m = v.conj().T @ qv, v.conj().T @ mv
@@ -403,8 +463,7 @@ def _eigenpairs(q, m, invert_q, m_solve, k: int, tol: float, maxit: int,
             f"{residuals[i]:.3e} > tol*mu = {tol * abs(mus[i]):.3e}",
             best_mu=float(mus[0]), residual=float(residuals[i]),
             iterations=iterations)
-    return _PencilSolution(mus=mus, vectors=v, residuals=residuals,
-                           iterations=iterations)
+    return mus, v, residuals
 
 
 def smallest_eigenpair(Q, M, k: int = 1, tol: float = 1e-10,
@@ -414,32 +473,50 @@ def smallest_eigenpair(Q, M, k: int = 1, tol: float = 1e-10,
     Eigenvectors are M-orthonormal; each pair satisfies the residual
     contract ``|Q v - mu M v|_{M^-1} <= tol * mu``.  Deterministic for a
     fixed seed.  M is checked and factored by SuperLU on every call, and Q
-    is factored for ARPACK; grid solves go through ``_solve_pencil``, which
+    is factored for ARPACK; LAPACK solves the pencils too small for ARPACK
+    (``k >= dim - 1``).  Grid solves go through ``_solve_pencil``, which
     needs no sparse factor.
     """
-    sol = _eigenpairs(Q, M, lambda q: _factor(q).solve, _mass_lu(M).solve,
-                      k, tol, maxit, seed)
-    return [(float(sol.mus[i]), sol.vectors[:, i]) for i in range(k)]
+    m_solve = _mass_lu(M).solve
+    if Q.shape != M.shape or Q.shape[0] != Q.shape[1]:
+        raise ValueError("matrices must be square and of equal shape")
+    _check_hermitian("Q", Q)
+    dim = Q.shape[0]
+    if not 1 <= k <= dim:
+        raise ValueError(f"k={k} must lie in [1, {dim}]")
+    if k >= dim - 1:
+        # too small for ARPACK, which needs k < dim - 1
+        qd = Q.toarray() if sp.issparse(Q) else np.asarray(Q, dtype=complex)
+        md = M.toarray() if sp.issparse(M) else np.asarray(M, dtype=complex)
+        _, v = sla.eigh(qd, md, subset_by_index=[0, k - 1])
+        iterations = 0
+    else:
+        v, iterations = _krylov(Q, M, _factor(Q).solve, k, maxit, seed)
+    mus, v, _ = _ritz(Q, M, v, m_solve, tol, iterations)
+    return [(float(mus[i]), v[:, i]) for i in range(k)]
 
 
 def lambda1_2d(a: float, b: float, m: float, n: int, tol: float = 1e-10,
-               *, k: int = 4, seed: int = 0, maxit: int = 500) -> EigenResult:
+               *, seed: int = 0, maxit: int = 500) -> EigenResult:
     """Discrete lowest positive Dirac eigenvalue on the (a, b) rectangle.
 
     Conforming, so ``mu`` over-estimates the continuum lambda_1(a,b)^2.
-    ``k`` defaults to 4 so a possibly degenerate lowest eigenspace is
-    visible to the symmetry analysis.
+    Every eigenvalue is double, one of each pair in each half-turn class:
+    both classes are solved for their ground value at the shift
+    ``sharp_lower(a, b, m)``, the closed-form lower bound, and the two
+    values must agree.
     """
     a, b, m = _check_weights(a, b, m)
     fm = assemble(build_grid(n))
-    k = min(k, fm.ndof)
     sol = _solve_pencil(fm, (a**-2, b**-2, 0.0, m / a, m / b),
-                        k, tol, maxit, seed)
-    mu_shifted = float(sol.mus[0])
-    if mu_shifted <= 0.0:
+                        sharp_lower(a, b, m), (1, -1), 1, tol, maxit, seed)
+    # the shifted inverse exists, so both values lie above sigma > 0
+    low, high = (float(x) for x in sol.mus)
+    if high - low > 1e-8 * low:
         raise ConsistencyError(
-            f"shifted eigenvalue must be positive, got {mu_shifted!r}")
-    mu = mu_shifted + m**2
+            f"the half-turn classes disagree on the ground eigenvalue: "
+            f"{low!r} and {high!r}")
+    mu = low + m**2
     return EigenResult(
         mu=mu,
         lambda1=float(np.sqrt(mu)),

@@ -31,6 +31,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from .bounds import sharp_lower
 from .errors import ConsistencyError, DegenerateRatioError
 from .eigsolve import _solve_pencil, lambda1_2d
 from .formgrid import (
@@ -88,9 +89,17 @@ def _euler_weights(A: float, B: float, m: float):
 
 def euler_solve(fm: FormMatrices, A: float, B: float, m: float,
                 tol: float = 1e-10, *, seed: int = 0, maxit: int = 500):
-    """Smallest eigenpair of the ratio-weighted form against the mass matrix."""
+    """Smallest eigenpair of the ratio-weighted form against the mass matrix.
+
+    Solved in the half-turn class +1, which holds one of each double
+    eigenvalue, at the shift ``sharp_lower(A, 1/A, 0)``: the gradient
+    weights are those of the (A, 1/A) rectangle and the trace terms are
+    non-negative.
+    """
     A, B, m = _check_weights(A, B, m)
-    sol = _solve_pencil(fm, _euler_weights(A, B, m), 1, tol, maxit, seed)
+    sol = _solve_pencil(fm, _euler_weights(A, B, m),
+                        sharp_lower(A, 1.0 / A, 0.0), (1,), 1, tol, maxit,
+                        seed)
     return float(sol.mus[0]), SpinorField(sol.vectors[:, 0], fm.n)
 
 

@@ -25,6 +25,7 @@ from functools import lru_cache
 import numpy as np
 import scipy.sparse as sp
 
+from .bounds import sharp_lower
 from .eigsolve import _solve_pencil
 from .errors import ClusterResolutionError
 from .formgrid import (
@@ -163,15 +164,17 @@ def ground_cluster(fm: FormMatrices, a: float, b: float, m: float,
                    k: int = 4, tol: float = 1e-10, seed: int = 0):
     """The ``k`` lowest shifted eigenvalues and the ground cluster among them.
 
-    Solves the (a, b, m) pencil without its ``m^2`` mass term and returns
-    ``(mus, cluster)``: all ``k`` eigenvalues, ascending, and the
-    ``(mu, psi)`` pairs within relative 1e-8 of the lowest, ready for
-    :func:`classify_symmetry`.
+    Solves the (a, b, m) pencil without its ``m^2`` mass term, ``ceil(k/2)``
+    eigenpairs in each half-turn class at the shift ``sharp_lower(a, b, m)``,
+    and returns ``(mus, cluster)``: the ``k`` lowest eigenvalues, ascending,
+    and the ``(mu, psi)`` pairs among them within relative 1e-8 of the
+    lowest, ready for :func:`classify_symmetry`.
     """
     a, b, m = _check_weights(a, b, m)
-    sol = _solve_pencil(fm, (a**-2, b**-2, 0.0, m / a, m / b), k, tol, 500,
+    sol = _solve_pencil(fm, (a**-2, b**-2, 0.0, m / a, m / b),
+                        sharp_lower(a, b, m), (1, -1), -(-k // 2), tol, 500,
                         seed)
-    mus = sol.mus.tolist()
+    mus = sol.mus[:k].tolist()
     cluster = [(mu, SpinorField(sol.vectors[:, i], fm.n))
                for i, mu in enumerate(mus)
                if (mu - mus[0]) <= 1e-8 * abs(mus[0])]

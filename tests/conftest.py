@@ -25,10 +25,10 @@ def solve_memo():
     """Memoized single-point solves shared across test modules."""
     memo = {}
 
-    def solve(a, b, m, n, k=1, tol=1e-10, seed=0):
-        key = (a, b, m, n, k, tol, seed)
+    def solve(a, b, m, n, tol=1e-10, seed=0):
+        key = (a, b, m, n, tol, seed)
         if key not in memo:
-            memo[key] = lambda1_2d(a, b, m, n, tol, k=k, seed=seed)
+            memo[key] = lambda1_2d(a, b, m, n, tol, seed=seed)
         return memo[key]
 
     return solve

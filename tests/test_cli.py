@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -5,8 +6,8 @@ import re
 
 import pytest
 
-from diracbox import cli
-from diracbox.errors import ClusterResolutionError, SolverError
+from diracbox import assemble, bounds, build_grid, cli, eigsolve, jopt, symmetry
+from diracbox.errors import ClusterResolutionError, ConsistencyError, SolverError
 
 
 def run(argv):
@@ -91,6 +92,32 @@ def test_consistency_violation_exit_code(monkeypatch):
     assert run(["solve", "--n", "12", "--no-cache"]) == 5
 
 
+def test_shift_above_the_ground_eigenvalue_exit_code(monkeypatch, fm_cache):
+    # Grid solves shift by the closed-form lower bound.  A shift that the
+    # inverse rejects contradicts that bound: exit 5, not an argument error.
+    def too_high(a, b, m):
+        return 3.0 * bounds.sharp_lower(a, b, m)
+
+    monkeypatch.setattr(eigsolve, "sharp_lower", too_high)
+    monkeypatch.setattr(jopt, "sharp_lower", too_high)
+    assert run(["solve", "--n", "16", "--no-cache"]) == 5
+    with pytest.raises(ConsistencyError):
+        jopt.euler_solve(fm_cache(16), 1.0, 1.0, 0.0)
+
+
+def test_indefinite_mass_exit_code(monkeypatch, capsys):
+    # M's own check comes first and stays an argument error.
+    fm = assemble(build_grid(14))
+    monkeypatch.setattr(eigsolve, "assemble",
+                        lambda grid: dataclasses.replace(fm, M=-fm.M))
+    eigsolve.mass_inverse.cache_clear()
+    try:
+        assert run(["solve", "--n", "14", "--no-cache"]) == 2
+        assert "M is not positive definite" in capsys.readouterr().err
+    finally:
+        eigsolve.mass_inverse.cache_clear()
+
+
 def test_sweep_csv_contract(tmp_path, capsys):
     out = tmp_path / "sweep.csv"
     argv = ["sweep", "--constraint", "area", "--m", "0", "--a-min", "0.5",
@@ -160,6 +187,7 @@ def test_cached_parallel_sweep_starts_no_pool(tmp_path, monkeypatch):
         raise AssertionError("every point is cached")
 
     monkeypatch.setattr(cli, "mass_inverse", fails)
+    monkeypatch.setattr(symmetry, "rotation_map", fails)
     monkeypatch.setattr(cli, "ProcessPoolExecutor", fails)
     monkeypatch.setattr(cli, "lambda1_2d", fails)
     assert run(argv) == 0

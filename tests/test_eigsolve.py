@@ -118,6 +118,19 @@ def test_nonconvergence_carries_best_iterate(fm_cache):
     assert err.value.best_mu == pytest.approx(mu, rel=1e-6)
 
 
+def test_grid_nonconvergence_carries_shifted_best_iterate():
+    # ARPACK iterates the shifted operator, whose eigenvalues are
+    # 1/(mu - sigma): best_mu adds the shift back.
+    sigma = bounds.sharp_lower(1.0, 1.0, 0.0)
+    with pytest.raises(SolverError) as err:
+        lambda1_2d(1.0, 1.0, 0.0, 48, maxit=1)
+    assert err.value.iterations > 0
+    mu = lambda1_2d(1.0, 1.0, 0.0, 48).mu
+    assert err.value.best_mu is not None
+    assert err.value.best_mu >= sigma
+    assert err.value.best_mu == pytest.approx(mu, rel=1e-6)
+
+
 def test_residual_contract_enforced(fm_cache):
     fm = fm_cache(16)
     q = weighted(fm, (1.0, 1.0, 0.0, 0.0, 0.0))
@@ -164,7 +177,7 @@ def test_grid_solves_leave_no_reference_cycles(fm_cache):
     # A cycle through ARPACK's workspace would hold about 20 MB per n=128
     # solve until the cyclic GC ran.
     fm = fm_cache(48)
-    lambda1_2d(1.3, 0.8, 1.0, 48, k=1)          # warm-up: per-grid state
+    lambda1_2d(1.3, 0.8, 1.0, 48)     # warm-up: per-grid state
     jopt.euler_solve(fm, 1.3, 0.8, 1.0)
     gc.collect()
     gc.disable()
@@ -199,7 +212,7 @@ def test_grid_inverse_state_built_once_per_n(fm_cache):
         cli._form_matrices(n)
         assert all(b.cache_info().currsize == 0 for b in builders)
         for a, m in ((1.0, 0.0), (1.4, 2.0)):
-            lambda1_2d(a, 1.0 / a, m, n, k=1)
+            lambda1_2d(a, 1.0 / a, m, n)
             jopt.euler_solve(fm, a, 1.0 / a, m)
             symmetry.ground_cluster(fm, a, 1.0 / a, m, k=2)
         assert all(b.cache_info().misses == 1 for b in builders)
@@ -235,11 +248,12 @@ def test_tensor_inverse_is_exact(fm_cache, n):
 
 def test_tensor_inverse_rejects_indefinite_forms(fm_cache):
     fm = fm_cache(12)
+    basis = eigsolve._tensor_basis(12)
     # a negative interior spectrum, and an indefinite boundary block over a
     # positive interior: both are errors, never a number
     for w in ((1.0, 1.0, -1e3, 0.0, 0.0), (1.0, 1.0, 0.0, -1e3, -1e3)):
         with pytest.raises(ValueError, match="not positive definite"):
-            eigsolve._solve_pencil(fm, w, 1, 1e-10, 500, 0)
+            eigsolve._TensorInverse(basis, w, weighted(fm, w))
 
 
 def test_grid_solve_meets_contract_at_n256():

@@ -1,10 +1,11 @@
 """Differential gate: the solver path against the dense full pencil.
 
-``lambda1_2d``, ``jopt.euler_solve`` and ``symmetry.ground_cluster``
-(shift-invert ARPACK on the tensor-product inverse of Q, with the memoised
-tensor-product inverse of M for the residual) run on grids small enough for
-dense ``scipy.linalg.eigh`` on the full weighted pencil, mass term
-included, to serve as the oracle.
+``lambda1_2d``, ``jopt.euler_solve``, ``symmetry.ground_cluster`` and the
+class solve under them (shift-invert ARPACK inside one half-turn class, on
+the tensor-product inverse of ``Q - sigma M`` at the closed-form shift,
+with the memoised tensor-product inverse of M for the residual) run on
+grids small enough for dense ``scipy.linalg.eigh`` on the full weighted
+pencil, mass term included, to serve as the oracle.
 """
 
 import math
@@ -14,7 +15,8 @@ import pytest
 import scipy.linalg as sla
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from diracbox import assemble, build_grid, jopt, lambda1_2d, symmetry, weighted
+from diracbox import (assemble, bounds, build_grid, eigsolve, jopt,
+                      lambda1_2d, symmetry, weighted)
 
 TOL = 1e-10
 
@@ -23,6 +25,10 @@ def _dense_lowest(q, m, k=1):
     mus = sla.eigh(q.toarray(), m.toarray(), eigvals_only=True,
                    subset_by_index=[0, k - 1])
     return mus[0] if k == 1 else mus
+
+
+def _m_norm(m, v):
+    return math.sqrt(abs(np.vdot(v, m @ v)))
 
 
 def _residual(q, m, mu, v):
@@ -42,7 +48,7 @@ def _residual(q, m, mu, v):
 def test_sparse_path_matches_dense_full_pencil(n, log_aspect, m):
     a, b = math.exp(log_aspect / 2), math.exp(-log_aspect / 2)
     fm = assemble(build_grid(n))
-    res = lambda1_2d(a, b, m, n, TOL, k=1)
+    res = lambda1_2d(a, b, m, n, TOL)
     mu_j, psi_j = jopt.euler_solve(fm, a, b, m, TOL)
 
     full = weighted(fm, (a**-2, b**-2, m**2, m / a, m / b))
@@ -61,3 +67,17 @@ def test_sparse_path_matches_dense_full_pencil(n, log_aspect, m):
     dense_pair = _dense_lowest(q, fm.M, k=2)
     assert pair == pytest.approx(dense_pair, rel=1e-10)
     assert pair[1] == pytest.approx(pair[0], rel=1e-10)
+
+    # two pairs per half-turn class at the closed-form shift: the four
+    # lowest values, every vector inside its class, the classes isospectral
+    sigma = bounds.sharp_lower(a, b, m)
+    assert sigma > 0.0
+    sol = eigsolve._solve_pencil(fm, (a**-2, b**-2, 0.0, m / a, m / b),
+                                 sigma, (1, -1), 2, TOL, 500, 0)
+    assert sol.mus == pytest.approx(_dense_lowest(q, fm.M, k=4), rel=1e-10)
+    half_turn = symmetry.rotation_map(n).half_turn
+    for beta, v in zip(sol.classes, sol.vectors.T):
+        assert (_m_norm(fm.M, half_turn @ v - beta * v)
+                <= 1e-12 * _m_norm(fm.M, v))
+    plus, minus = (sol.mus[sol.classes == beta] for beta in (1, -1))
+    assert plus == pytest.approx(minus, rel=1e-10)

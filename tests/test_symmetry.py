@@ -149,12 +149,16 @@ def test_classify_accepts_raw_vector_pairs(fm_cache):
 
 
 def test_classify_rejects_truncated_degenerate_cluster(fm_cache):
-    # one member of the doubly degenerate ground space is not R-invariant
+    # The class solve returns one member of the doubly degenerate ground
+    # space per half-turn class, each R-invariant alone; a generic member,
+    # here their normalised sum, is not.
     fm = fm_cache(16)
     _, cluster = ground_cluster(fm, 1.0, 1.0, 0.0)
-    if len(cluster) > 1:
-        with pytest.raises(ClusterResolutionError):
-            classify_symmetry(fm, cluster[:1], square=True)
+    assert len(cluster) == 2
+    (mu, first), (_, second) = cluster
+    mixed = SpinorField((first.values + second.values) / np.sqrt(2.0), 16)
+    with pytest.raises(ClusterResolutionError):
+        classify_symmetry(fm, [(mu, mixed)], square=True)
 
 
 def test_classify_rectangle_half_turn(fm_cache):
