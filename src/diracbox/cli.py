@@ -115,7 +115,7 @@ def cache_root() -> str:
 # Part of every cache key, never of a record.  Change it whenever a solver
 # change alters any computed number, even in the last bits, so records
 # computed by older code miss instead of being served.
-SOLVER_VERSION = "7"
+SOLVER_VERSION = "8"
 
 
 def _cache_key(params: dict) -> str:
@@ -278,8 +278,8 @@ def cmd_sweep(opts) -> int:
             cache_get({"a": a, "b": b, "m": m, "n": n, "tol": tol,
                        "seed": seed}) is None for a, b in points)):
         # assembled, the grid's tensor basis, M's inverse and the rotation
-        # map (the class projector) built before fork, so workers inherit
-        # all four
+        # map (the class projector and the charge conjugation) built before
+        # fork, so workers inherit all four
         mass_inverse(n)
         symmetry_mod.rotation_map(n)
         with ProcessPoolExecutor(max_workers=opts["jobs"]) as pool:

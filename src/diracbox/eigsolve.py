@@ -11,15 +11,19 @@ Every grid solve (``lambda1_2d``, ``jopt.euler_solve`` and
 classes, ...)``.  Every eigenvalue of a grid pencil is double, one of each
 pair in each class ``beta = +1, -1`` of the half turn ``R^2``
 (``symmetry.rotation_map``), which commutes with every grid form.  The
-projector ``P = (I + beta R^2)/2`` keeps ARPACK inside one class, where the
-ground eigenvalue is simple, so each class needs only k = 1 and a Krylov
-space of ``NCV`` vectors (Ericsson & Ruhe 1980 for the spectral
-transformation, Bossavit 1986 for the symmetry classes).  The shift is the
-closed-form lower bound ``bounds.sharp_lower`` of the point, so it depends
-on nothing but the point; one inverse of ``Q - sigma M`` serves both
-classes.  The inverse exists only for a shift below the lowest eigenvalue,
-so a shift that contradicts its lower bound raises ConsistencyError, never
-a number.
+projector ``P = (I + R^2)/2`` keeps ARPACK inside class +1, where the
+ground eigenvalue is simple, so one run with k = 1 and a Krylov space of
+``NCV`` vectors serves the whole solve (Ericsson & Ruhe 1980 for the
+spectral transformation, Bossavit 1986 for the symmetry classes).  The
+other class needs no run: the charge conjugation ``C(u1, u2) = (conj u2,
+conj u1)``, the discrete form of the lambda -> -lambda symmetry of the
+Dirac operator, commutes with the pencil and anticommutes with ``R^2``, so
+``C`` of the class +1 eigenvectors are the class -1 eigenvectors, and they
+pass the same residual contract or the pencil lacks the symmetry.  The
+shift is the closed-form lower bound ``bounds.sharp_lower`` of the point,
+so it depends on nothing but the point.  The inverse of ``Q - sigma M``
+exists only for a shift below the lowest eigenvalue, so a shift that
+contradicts its lower bound raises ConsistencyError, never a number.
 
 The inverses are exact tensor-product inverses instead of sparse factors.
 The interior u1 and u2 blocks of every grid form are one separable
@@ -30,9 +34,10 @@ the boundary Schur complement closes the system (the capacitance matrix of
 Buzbee, Dorr, George & Golub 1971).  ``_tensor_basis`` holds the per-n
 eigenbasis and ring layout and ``mass_inverse`` the inverse of ``M``, each
 built once per n and process on the first grid solve; the shifted inverse
-lives for one solve.  The Schur factor exists only for a positive-definite
-matrix, so ``mass_inverse`` is also M's positive-definiteness check, and it
-solves the M^-1-norm residual check.
+lives for one solve, its boundary block ``Q_BB - sigma M_BB`` taken from
+``Q`` and the mass inverse's ``M_BB``.  The Schur factor exists only for a
+positive-definite matrix, so ``mass_inverse`` is also M's
+positive-definiteness check, and it solves the M^-1-norm residual check.
 
 ``smallest_eigenpair(Q, M)`` serves any other Hermitian pencil (1D pencils,
 tests) at shift zero with symmetric-mode SuperLU factors of both matrices:
@@ -76,7 +81,9 @@ class EigenResult:
 
     ``mu`` is the discrete lambda_1^2, ``residual`` the M^-1-norm of
     ``Q psi - mu M psi`` and ``iterations`` the number of shifted-operator
-    applications, summed over the two half-turn classes.
+    applications of the one class +1 solve.  ``eigenvalues`` holds, in
+    ascending order, the class +1 ground value and the value of its charge
+    conjugate in class -1.
     """
 
     mu: float
@@ -86,7 +93,7 @@ class EigenResult:
     iterations: int
     n: int
     seed: int
-    eigenvalues: tuple    # the ground value of each half-turn class
+    eigenvalues: tuple    # class +1 ground value and its conjugate's
 
 
 @dataclass(frozen=True)
@@ -207,7 +214,8 @@ def _tensor_basis(n: int) -> _TensorBasis:
 
 
 class _TensorInverse:
-    """Exact inverse of one grid form ``q = weighted(fm, w)``.
+    """Exact inverse of one grid form ``q = weighted(fm, w)``, built from
+    the weights ``w`` and the dense boundary block ``q_bb = Q_BB`` alone.
 
     Fast diagonalisation inverts the interior blocks ``D``; a dense
     Cholesky factor of the Hermitian boundary Schur complement
@@ -216,13 +224,16 @@ class _TensorInverse:
     ``C Omega`` the u2 interior.  ``C`` is separable edge by edge, so each
     of the 16 edge-pair blocks of ``C^T D^-1 C`` is a product of N-square
     matrices.  The factor exists only when ``q`` is positive definite, so
-    building the inverse is also that check.
+    building the inverse is also that check.  ``boundary_block`` keeps
+    ``Q_BB``: the mass inverse's ``M_BB`` gives every shifted boundary
+    block ``Q_BB - sigma M_BB`` without a shifted matrix.
     """
 
-    def __init__(self, basis: _TensorBasis, w, q, name: str = "Q"):
+    def __init__(self, basis: _TensorBasis, w, q_bb, name: str = "Q"):
         w1, w2, w3 = (float(x) for x in w[:3])
         lam = basis.lam
         self.basis = basis
+        self.boundary_block = q_bb
         self.delta = w1 * lam[:, None] + w2 * lam[None, :] + w3
         if not self.delta.min() > 0.0:
             raise ValueError(f"{name} is not positive definite: its interior "
@@ -250,9 +261,7 @@ class _TensorInverse:
                 x[d, :, c, :] = x[c, :, d, :].T
         x = x.reshape(4 * (basis.n - 1), -1)
         omega = basis.omega
-        idx = basis.boundary
-        schur = (q[idx][:, idx].toarray()
-                 - x * (1.0 + omega.conj()[:, None] * omega[None, :]))
+        schur = q_bb - x * (1.0 + omega.conj()[:, None] * omega[None, :])
         try:
             self.chol = sla.cho_factor(schur, lower=True)
         except sla.LinAlgError as exc:
@@ -303,6 +312,12 @@ class _TensorInverse:
         return x.reshape(f.shape)
 
 
+def _boundary_block(basis: _TensorBasis, q) -> np.ndarray:
+    """Dense block of the sparse grid form ``q`` on the edge dofs."""
+    idx = basis.boundary
+    return q[idx][:, idx].toarray()
+
+
 def _gemm(a, b):
     """``a @ b`` of real matrices through scipy's BLAS.
 
@@ -324,7 +339,9 @@ def mass_inverse(n: int) -> _TensorInverse:
     """
     m = assemble(build_grid(n)).M
     _check_hermitian("M", m)
-    return _TensorInverse(_tensor_basis(n), (0.0, 0.0, 1.0), m, "M")
+    basis = _tensor_basis(n)
+    return _TensorInverse(basis, (0.0, 0.0, 1.0), _boundary_block(basis, m),
+                          "M")
 
 
 # ARPACK's Krylov dimension in a class solve.  The closed-form shift puts
@@ -341,18 +358,25 @@ def _solve_pencil(fm, w, sigma: float, classes, k: int, tol: float,
     """k lowest eigenpairs of each half-turn class of the grid pencil
     (``weighted(fm, w)``, ``fm.M``), merged in ascending order.
 
-    The one entry point of every grid solve.  ``sigma`` must lie below the
-    lowest eigenvalue; one tensor-product inverse of ``Q - sigma M`` serves
-    every class.  For the class ``beta`` in ``classes`` ARPACK iterates
-    ``P (Q - sigma M)^-1 M`` with the projector ``P = (I + beta R^2)/2`` of
-    the half turn, whose largest eigenvalues are the ``1/(mu - sigma)`` of
-    that class.  Rayleigh-Ritz and the residual contract run on the
-    unshifted pencil.  A shift the inverse rejects lies above the lowest
-    eigenvalue, which contradicts the lower bound it came from.
+    The one entry point of every grid solve.  ``classes`` is ``(1,)`` or
+    ``(1, -1)``.  ``sigma`` must lie below the lowest eigenvalue.  ARPACK
+    iterates ``P (Q - sigma M)^-1 M`` with the projector ``P = (I + R^2)/2``
+    of the half turn, on one tensor-product inverse of ``Q - sigma M``,
+    for the largest ``1/(mu - sigma)`` of class +1.  Class -1 needs no
+    second run: the charge conjugation ``C`` of ``symmetry.rotation_map``
+    commutes with the pencil and anticommutes with ``R^2``, so ``C`` of the
+    class +1 eigenvectors are the class -1 eigenvectors with the same
+    values.  Rayleigh-Ritz and the residual contract run on the unshifted
+    pencil for both classes; a conjugate that fails the contract means the
+    pencil lacks the symmetry.  A shift the inverse rejects lies above the
+    lowest eigenvalue, which contradicts the lower bound it came from.
+    Either raises ConsistencyError.
     """
     from .symmetry import rotation_map      # symmetry imports this module
 
-    m_solve = mass_inverse(fm.n).solve      # M's check comes first
+    if tuple(classes) not in ((1,), (1, -1)):
+        raise ValueError(f"classes must be (1,) or (1, -1), got {classes!r}")
+    mass = mass_inverse(fm.n)               # M's check comes first
     q = weighted(fm, w)
     _check_hermitian("Q", q)
     if k < 1:
@@ -360,26 +384,33 @@ def _solve_pencil(fm, w, sigma: float, classes, k: int, tol: float,
     ncv = max(NCV, 2 * k + 1)
     if ncv > fm.ndof // 2:
         raise ValueError(f"k={k} per class is too many for the n={fm.n} grid")
-    w_shift = (w[0], w[1], w[2] - sigma, *w[3:])
-    q_shift = weighted(fm, w_shift)
+    basis = mass.basis
     try:
-        shift_solve = _TensorInverse(_tensor_basis(fm.n), w_shift, q_shift,
-                                     "Q - sigma M").solve
+        shift_solve = _TensorInverse(
+            basis, (w[0], w[1], w[2] - sigma),
+            _boundary_block(basis, q) - sigma * mass.boundary_block,
+            "Q - sigma M").solve
     except ValueError as exc:
         raise ConsistencyError(
             f"shift sigma={sigma!r} is not below the lowest eigenvalue "
             f"({exc}); it must be a lower bound") from exc
-    half_turn = rotation_map(fm.n).half_turn
+    rot = rotation_map(fm.n)
 
-    parts, iterations = [], 0
-    for beta in classes:
-        def project(x, beta=beta):
-            return (x + beta * (half_turn @ x)) / 2
+    def project(x):
+        return (x + rot.half_turn @ x) / 2
 
-        v, count = _krylov(q_shift, fm.M, shift_solve, k, maxit, seed,
-                           sigma=sigma, project=project, ncv=ncv)
-        parts.append(_ritz(q, fm.M, v, m_solve, tol, count))
-        iterations += count
+    v, iterations = _krylov(q, fm.M, shift_solve, k, maxit, seed,
+                            sigma=sigma, project=project, ncv=ncv)
+    parts = [_ritz(q, fm.M, v, mass.solve, tol, iterations)]
+    if len(classes) > 1:
+        try:
+            parts.append(_ritz(q, fm.M, rot.conjugate(parts[0][1]),
+                               mass.solve, tol, iterations))
+        except SolverError as exc:
+            raise ConsistencyError(
+                "the charge conjugates of the class +1 eigenvectors fail "
+                f"the residual contract ({exc}); the pencil lacks the "
+                "symmetry") from exc
     mus, vectors, residuals = (np.concatenate(x, axis=-1) for x in zip(*parts))
     order = np.argsort(mus, kind="stable")
     return _PencilSolution(mus=mus[order], vectors=vectors[:, order],
@@ -388,16 +419,16 @@ def _solve_pencil(fm, w, sigma: float, classes, k: int, tol: float,
                            iterations=iterations)
 
 
-def _krylov(a, m, a_solve, k: int, maxit: int, seed: int, *,
+def _krylov(q, m, a_solve, k: int, maxit: int, seed: int, *,
             sigma: float = 0.0, project=lambda x: x, ncv=None):
     """Vectors of the k largest eigenvalues ``1/(mu - sigma)`` of
-    ``project a^-1 m``, where ``a = q - sigma m``, and the count of
-    operator applications.
+    ``project a^-1 m``, where ``a_solve`` applies ``a^-1`` of
+    ``a = q - sigma m``, and the count of operator applications.
 
     ARPACK runs from a seeded start vector inside the range of ``project``.
     """
     rng = np.random.default_rng(seed)
-    dim = a.shape[0]
+    dim = q.shape[0]
     v0 = project(rng.standard_normal(dim) + 1j * rng.standard_normal(dim))
     iterations = 0
 
@@ -434,7 +465,7 @@ def _krylov(a, m, a_solve, k: int, maxit: int, seed: int, *,
     # conditioning of the inverse.
     rhs = m @ v
     v = a_solve(rhs)
-    v += a_solve(rhs - a @ v)
+    v += a_solve(rhs - (q @ v - sigma * (m @ v)))
     return project(v), iterations + k
 
 
@@ -502,9 +533,10 @@ def lambda1_2d(a: float, b: float, m: float, n: int, tol: float = 1e-10,
 
     Conforming, so ``mu`` over-estimates the continuum lambda_1(a,b)^2.
     Every eigenvalue is double, one of each pair in each half-turn class:
-    both classes are solved for their ground value at the shift
-    ``sharp_lower(a, b, m)``, the closed-form lower bound, and the two
-    values must agree.
+    class +1 is solved for its ground value at the shift
+    ``sharp_lower(a, b, m)``, the closed-form lower bound, class -1 is its
+    charge conjugate, and the two values must agree, which tests the
+    symmetry on every solve.
     """
     a, b, m = _check_weights(a, b, m)
     fm = assemble(build_grid(n))

@@ -15,6 +15,13 @@ eigenspaces of the square classifiable by an eigenvalue of ``R`` in
 ``{1, -1}``.  Any field with ``R psi = omega psi``, |omega| = 1, has equal
 axis gradient norms and equal boundary trace norms, which is what
 ``verify_norm_identities`` measures.
+
+The antilinear charge conjugation ``C(u1, u2) = (conj u2, conj u1)``, the
+discrete form of the lambda -> -lambda symmetry of the Dirac operator, also
+preserves the constraint and commutes with every grid form.  It satisfies
+``C R = -i R C``, so it swaps the half-turn classes; this is why every grid
+eigenvalue is double, and the eigensolver takes the class -1 eigenvectors
+as ``C`` of the class +1 ones.
 """
 
 from __future__ import annotations
@@ -30,6 +37,7 @@ from .eigsolve import _solve_pencil
 from .errors import ClusterResolutionError
 from .formgrid import (
     CORNER,
+    OMEGA,
     FormMatrices,
     SpinorField,
     build_grid,
@@ -60,42 +68,71 @@ FOURTH_ROOTS = (1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j)
 
 @dataclass(frozen=True)
 class RotationMap:
-    """Reduced-coordinate action of the quarter turn on an even grid."""
+    """Reduced-coordinate action of the quarter turn on an even grid, and
+    of the charge conjugation that anticommutes with its half turn."""
 
     n: int
     matrix: sp.csr_matrix
     half_turn: sp.csr_matrix   # matrix @ matrix, cached
+    # (C x)[k] = conj_phase[k] * conj(x[conj_perm[k]])
+    conj_perm: np.ndarray
+    conj_phase: np.ndarray
 
     def apply(self, values: np.ndarray) -> np.ndarray:
         return self.matrix @ values
 
+    def conjugate(self, values: np.ndarray) -> np.ndarray:
+        """Charge conjugation of a reduced vector or of a matrix's columns."""
+        phase = self.conj_phase.reshape((-1,) + (1,) * (values.ndim - 1))
+        return phase * np.conj(values[self.conj_perm])
+
+
+def _is_zero(mat: sp.spmatrix) -> bool:
+    return not mat.nnz or abs(mat).max() == 0.0
+
 
 @lru_cache(maxsize=None)
 def rotation_map(n: int) -> RotationMap:
-    """Quarter-turn action for grid size n (cached per n)."""
+    """Quarter-turn and conjugation actions for grid size n (cached per n).
+
+    The charge conjugation ``C(u1, u2) = (conj u2, conj u1)`` keeps the
+    boundary constraint: it swaps the two dofs of each interior node and
+    maps an edge dof ``x`` to ``conj(omega) conj(x)``.  It commutes with
+    every grid form, ``C^2 = I`` and ``C R = -i R C``, so ``C`` maps each
+    half-turn class onto the other with the same eigenvalues.
+    """
     cmap = constraint_map(n)
-    rows, cols, data = [], [], []
-    for i in range(n + 1):
-        for j in range(n + 1):
-            if cmap.node_class[i, j] == CORNER:
-                continue
-            si, sj = n - j, i   # value at (i, j) comes from this source node
-            k1, s1 = cmap.free1[i, j], cmap.free1[si, sj]
-            rows.append(k1); cols.append(s1); data.append(1.0j)
-            k2, s2 = cmap.free2[i, j], cmap.free2[si, sj]
-            if k2 >= 0:
-                rows.append(k2); cols.append(s2); data.append(1.0 + 0.0j)
-    mat = sp.csr_matrix((np.asarray(data), (rows, cols)),
-                        shape=(cmap.ndof, cmap.ndof))
+    i, j = np.nonzero(cmap.node_class != CORNER)
+    si, sj = n - j, i   # value at (i, j) comes from this source node
+    inner = cmap.free2[i, j] >= 0
+    rows = np.concatenate([cmap.free1[i, j], cmap.free2[i, j][inner]])
+    cols = np.concatenate([cmap.free1[si, sj], cmap.free2[si, sj][inner]])
+    data = np.repeat([1.0j, 1.0 + 0.0j], [i.size, inner.sum()])
+    mat = sp.csr_matrix((data, (rows, cols)), shape=(cmap.ndof, cmap.ndof))
+    half = (mat @ mat).tocsr()
+
+    perm = np.arange(cmap.ndof)
+    u1, u2 = cmap.free1[i, j][inner], cmap.free2[i, j][inner]
+    perm[u1], perm[u2] = u2, u1
+    edge = cmap.free1[i, j][~inner]
+    omega = np.array([OMEGA.get(c, 0.0) for c in range(CORNER)])  # by class
+    phase = np.ones(cmap.ndof, dtype=complex)
+    phase[edge] = np.conj(omega[cmap.node_class[i, j][~inner]])
 
     # One-time self-test: the boundary classes must map onto one another so
-    # that the permutation-with-phase action is a bijection with R^4 = I.
+    # that the permutation-with-phase action is a bijection with R^4 = I,
+    # and C = conj_mat conj(.) must satisfy C^2 = I and C R = -i R C.
     ident = sp.identity(cmap.ndof, dtype=complex, format="csr")
-    fourth = mat @ mat @ mat @ mat
-    dev = fourth - ident
-    if dev.nnz and abs(dev).max() != 0.0:
+    if not _is_zero(half @ half - ident):
         raise AssertionError("quarter-turn action is not of order four")
-    return RotationMap(n=n, matrix=mat, half_turn=(mat @ mat).tocsr())
+    conj_mat = sp.csr_matrix((phase, (np.arange(cmap.ndof), perm)),
+                             shape=(cmap.ndof, cmap.ndof))
+    if not (_is_zero(conj_mat @ conj_mat.conj() - ident)
+            and _is_zero(conj_mat @ mat.conj() + 1j * (mat @ conj_mat))):
+        raise AssertionError("charge conjugation is not an involution "
+                             "anticommuting with the half turn")
+    return RotationMap(n=n, matrix=mat, half_turn=half, conj_perm=perm,
+                       conj_phase=phase)
 
 
 def rotate(psi: SpinorField) -> SpinorField:
@@ -164,11 +201,12 @@ def ground_cluster(fm: FormMatrices, a: float, b: float, m: float,
                    k: int = 4, tol: float = 1e-10, seed: int = 0):
     """The ``k`` lowest shifted eigenvalues and the ground cluster among them.
 
-    Solves the (a, b, m) pencil without its ``m^2`` mass term, ``ceil(k/2)``
-    eigenpairs in each half-turn class at the shift ``sharp_lower(a, b, m)``,
-    and returns ``(mus, cluster)``: the ``k`` lowest eigenvalues, ascending,
-    and the ``(mu, psi)`` pairs among them within relative 1e-8 of the
-    lowest, ready for :func:`classify_symmetry`.
+    Solves the (a, b, m) pencil without its ``m^2`` mass term for
+    ``ceil(k/2)`` class +1 eigenpairs at the shift ``sharp_lower(a, b, m)``,
+    takes their charge conjugates as the class -1 pairs, and returns
+    ``(mus, cluster)``: the ``k`` lowest eigenvalues, ascending, and the
+    ``(mu, psi)`` pairs among them within relative 1e-8 of the lowest,
+    ready for :func:`classify_symmetry`.
     """
     a, b, m = _check_weights(a, b, m)
     sol = _solve_pencil(fm, (a**-2, b**-2, 0.0, m / a, m / b),

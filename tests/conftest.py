@@ -1,9 +1,16 @@
 import json
 import os
 
-import pytest
+# One BLAS thread for the suite, set before anything loads numpy: the
+# benchmark runs the same way, and threaded BLAS oversubscribes cores that
+# other work already keeps busy.  Tests that need threads set them for
+# their own subprocesses.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
 
-from diracbox import assemble, build_grid, lambda1_2d
+import pytest  # noqa: E402
+
+from diracbox import assemble, build_grid, lambda1_2d  # noqa: E402
 
 GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "golden.json")
 

@@ -4,10 +4,13 @@ import math
 import os
 import re
 
+import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from diracbox import assemble, bounds, build_grid, cli, eigsolve, jopt, symmetry
 from diracbox.errors import ClusterResolutionError, ConsistencyError, SolverError
+from diracbox.formgrid import constraint_map
 
 
 def run(argv):
@@ -114,6 +117,30 @@ def test_indefinite_mass_exit_code(monkeypatch, capsys):
     try:
         assert run(["solve", "--n", "14", "--no-cache"]) == 2
         assert "M is not positive definite" in capsys.readouterr().err
+    finally:
+        eigsolve.mass_inverse.cache_clear()
+
+
+def test_pencil_without_charge_conjugation_exit_code(monkeypatch, capsys):
+    # Class -1 is the charge conjugate of the class +1 solve.  A Hermitian,
+    # half-turn-invariant K1 that breaks the conjugation: the u1 diagonal
+    # entry of the centre node, its own half-turn image, doubled.  Class +1
+    # vectors vanish there, so class +1 solves cleanly and only the
+    # conjugate fails its contract: exit 5, never a value.
+    n = 14
+    fm = assemble(build_grid(n))
+    k = constraint_map(n).free1[n // 2, n // 2]
+    assert symmetry.rotation_map(n).half_turn[k, k] == -1.0
+    bump = np.zeros(fm.ndof)
+    bump[k] = fm.K1[k, k].real
+    broken = dataclasses.replace(fm, K1=(fm.K1 + sp.diags(bump)).tocsr())
+    monkeypatch.setattr(eigsolve, "assemble", lambda grid: broken)
+    eigsolve.mass_inverse.cache_clear()
+    try:
+        with pytest.raises(ConsistencyError, match="lacks the symmetry"):
+            eigsolve.lambda1_2d(1.0, 1.0, 0.0, n)
+        assert run(["solve", "--n", str(n), "--no-cache"]) == 5
+        assert "lacks the symmetry" in capsys.readouterr().err
     finally:
         eigsolve.mass_inverse.cache_clear()
 

@@ -235,7 +235,8 @@ def test_tensor_inverse_is_exact(fm_cache, n):
         for m in (0.0, 1e-2, 1.0, 1e3):
             for w in _weight_shapes(a, b, m):
                 q = weighted(fm, w)
-                solve = eigsolve._TensorInverse(basis, w, q).solve
+                solve = eigsolve._TensorInverse(
+                    basis, w, eigsolve._boundary_block(basis, q)).solve
                 x0 = (rng.standard_normal((fm.ndof, 2))
                       + 1j * rng.standard_normal((fm.ndof, 2)))
                 for x, want in ((solve(q @ x0), x0),
@@ -253,7 +254,8 @@ def test_tensor_inverse_rejects_indefinite_forms(fm_cache):
     # positive interior: both are errors, never a number
     for w in ((1.0, 1.0, -1e3, 0.0, 0.0), (1.0, 1.0, 0.0, -1e3, -1e3)):
         with pytest.raises(ValueError, match="not positive definite"):
-            eigsolve._TensorInverse(basis, w, weighted(fm, w))
+            eigsolve._TensorInverse(
+                basis, w, eigsolve._boundary_block(basis, weighted(fm, w)))
 
 
 def test_grid_solve_meets_contract_at_n256():

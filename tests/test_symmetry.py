@@ -81,6 +81,24 @@ def test_rectangle_quotient_swaps_axes(fm_cache):
     assert q_rotated == pytest.approx(q_direct, rel=1e-13)
 
 
+@pytest.mark.parametrize("n", [4, 12, 30])
+def test_charge_conjugation_commutes_with_every_form(fm_cache, n):
+    # C is antilinear: C x = phase * conj(x[perm]).  It commutes with the
+    # five assembled matrices, and C R = -i R C holds bit for bit.
+    fm = fm_cache(n)
+    rot = rotation_map(n)
+    rng = np.random.default_rng(n)
+    x = (rng.standard_normal((fm.ndof, 3))
+         + 1j * rng.standard_normal((fm.ndof, 3)))
+    for mat in (fm.K1, fm.K2, fm.M, fm.Tpar, fm.Teq):
+        image = mat @ x
+        dev = np.abs(mat @ rot.conjugate(x) - rot.conjugate(image)).max()
+        assert dev <= 1e-14 * np.abs(image).max()
+    assert np.array_equal(rot.conjugate(rot.apply(x)),
+                          -1j * rot.apply(rot.conjugate(x)))
+    assert np.array_equal(rot.conjugate(rot.conjugate(x)), x)
+
+
 def test_half_turn_invariance_rectangle(fm_cache):
     fm = fm_cache(12)
     rot = rotation_map(12)
