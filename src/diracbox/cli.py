@@ -35,7 +35,8 @@ import numpy as np
 from . import bounds as bounds_mod
 from . import jopt as jopt_mod
 from . import symmetry as symmetry_mod
-from .eigsolve import lambda1_2d, mass_inverse, refine_study
+from .eigsolve import (_half_turn_modes, lambda1_2d, mass_inverse,
+                       refine_study)
 from .errors import ClusterResolutionError, ConsistencyError, SolverError
 from .formgrid import (
     FormMatrices,
@@ -115,7 +116,7 @@ def cache_root() -> str:
 # Part of every cache key, never of a record.  Change it whenever a solver
 # change alters any computed number, even in the last bits, so records
 # computed by older code miss instead of being served.
-SOLVER_VERSION = "8"
+SOLVER_VERSION = "9"
 
 
 def _cache_key(params: dict) -> str:
@@ -277,11 +278,12 @@ def cmd_sweep(opts) -> int:
     if opts["jobs"] > 1 and (not use_cache or any(
             cache_get({"a": a, "b": b, "m": m, "n": n, "tol": tol,
                        "seed": seed}) is None for a, b in points)):
-        # assembled, the grid's tensor basis, M's inverse and the rotation
-        # map (the class projector and the charge conjugation) built before
-        # fork, so workers inherit all four
+        # assembled, the grid's tensor basis, M's inverse, the rotation map
+        # (the class projector and the charge conjugation) and the class +1
+        # modal coordinates built before fork, so workers inherit all five
         mass_inverse(n)
         symmetry_mod.rotation_map(n)
+        _half_turn_modes(n)
         with ProcessPoolExecutor(max_workers=opts["jobs"]) as pool:
             records = list(pool.map(solve_record, *zip(*tasks)))
     else:

@@ -39,6 +39,20 @@ lives for one solve, its boundary block ``Q_BB - sigma M_BB`` taken from
 positive-definite matrix, so ``mass_inverse`` is also M's
 positive-definiteness check, and it solves the M^-1-norm residual check.
 
+ARPACK iterates in the modal coordinates of the tensor inverse, restricted
+to class +1 (``_ClassOperator``): the class +1 coefficients of the interior
+fields in the eigenbasis ``V (x) V`` (``_half_turn_modes``) and the nodal
+values of half the edge dofs.  There the interior block of ``M`` is the
+identity and that of ``Q - sigma M`` is diagonal, both meet the edges only
+through the ring coupling, and the projector is implicit, so an operator
+application costs O(N^2) and one boundary Cholesky solve instead of four
+O(N^3) transforms.  ARPACK's vectors take one back transform to nodal
+coordinates; the inverse-iteration step, Rayleigh-Ritz and the residual
+contract run on the assembled pencil.  The modal iteration never reads the
+assembled interior, so when the class +1 contract fails, the interior
+blocks of ``K1``, ``K2`` and ``M`` are compared with the Kronecker sums
+the inverse assumes, and a mismatch raises ConsistencyError.
+
 ``smallest_eigenpair(Q, M)`` serves any other Hermitian pencil (1D pencils,
 tests) at shift zero with symmetric-mode SuperLU factors of both matrices:
 the minimum-degree ordering of ``A^T + A`` (``MMD_AT_PLUS_A``) and no row
@@ -188,6 +202,62 @@ class _TensorBasis:
     boundary: np.ndarray    # (4N,) reduced index of the edge dofs
     omega: np.ndarray       # (4N,) u2 = omega u1 on each edge dof
 
+    # Modal coordinates: an interior field X of one component and column is
+    # ``V zhat V^T``.  Modal interior arrays are real, laid out
+    # (mode, [re/im, component, column], mode), so that every transform is a
+    # real matrix product over all fields at once; edge values stay nodal,
+    # one complex column each.
+
+    def forward(self, cols):
+        """Modal right-hand sides of the nodal right-hand sides ``cols``
+        (dim, k): ``V^T F V`` of each interior field ``F``, and the edge
+        entries."""
+        nn, k = self.n - 1, cols.shape[1]
+        g = cols[self.interior[:, :, None, :], np.arange(k)[:, None]]
+        g = np.stack([g.real, g.imag], axis=1).reshape(nn, -1)
+        ghat = _gemm(_gemm(self.vecs.T, g).reshape(-1, nn), self.vecs)
+        return ghat.reshape(nn, -1, nn), cols[self.boundary]
+
+    def back(self, zhat, xb):
+        """Nodal vectors (dim, k) of the modal interior ``zhat`` and the
+        edge values ``xb`` (4N, k)."""
+        nn, k = self.n - 1, xb.shape[1]
+        xi = _gemm(_gemm(self.vecs, zhat.reshape(nn, -1)).reshape(-1, nn),
+                   self.vecs.T).reshape(nn, 2, 2, k, nn)
+        x = np.empty((2 * nn * nn + xb.shape[0], k), dtype=complex)
+        x[self.interior[:, :, None, :], np.arange(k)[:, None]] = (
+            xi[:, 0] + 1j * xi[:, 1])
+        x[self.boundary] = xb
+        return x
+
+    def edge_trace(self, alpha, y):
+        """``C^T Y1 + Omega^H C^T Y2`` (4N, k) of the modal interior ``y``,
+        where ``C`` is the ring coupling of a form with coefficients
+        ``alpha`` (see ``_TensorInverse``)."""
+        nn, k = self.n - 1, y.shape[1] // 4
+        lines = np.concatenate([
+            _gemm(self.ring[:2], y.reshape(nn, -1)).reshape(2, -1, nn),
+            _gemm(y.reshape(-1, nn), self.ring[2:].T).reshape(nn, -1, 2).T])
+        t = _gemm((alpha[:, None, :] * lines).reshape(-1, nn), self.vinv)
+        t = t.reshape(4, 2, 2, k, nn).transpose(1, 2, 0, 4, 3)
+        t = (t[0] + 1j * t[1]).reshape(2, -1, k)         # (component, 4N, k)
+        return t[0] + self.omega.conj()[:, None] * t[1]
+
+    def lift(self, alpha, xb):
+        """The modal interior of ``C xb`` (u1) and ``C Omega xb`` (u2): the
+        adjoint of ``edge_trace``."""
+        nn, k = self.n - 1, xb.shape[1]
+        # edge modes h[mode, edge, re/im, component, column]
+        g = np.stack([xb, self.omega[:, None] * xb]).reshape(2, 4, nn, k)
+        g = g.transpose(2, 1, 0, 3)[:, :, None]
+        h = _gemm(self.vinv, np.concatenate([g.real, g.imag], axis=2)
+                  .reshape(nn, -1)).reshape(nn, 4, -1)
+        h *= alpha.T[:, :, None]
+        return (_gemm(self.ring[:2].T, h[:, :2].transpose(1, 2, 0)
+                      .reshape(2, -1)).reshape(nn, -1, nn)
+                + _gemm(h[:, 2:].transpose(0, 2, 1).reshape(-1, 2),
+                        self.ring[2:]).reshape(nn, -1, nn))
+
 
 @lru_cache(maxsize=None)
 def _tensor_basis(n: int) -> _TensorBasis:
@@ -215,7 +285,7 @@ def _tensor_basis(n: int) -> _TensorBasis:
 
 class _TensorInverse:
     """Exact inverse of one grid form ``q = weighted(fm, w)``, built from
-    the weights ``w`` and the dense boundary block ``q_bb = Q_BB`` alone.
+    the weights ``w`` and the sparse boundary block ``q_bb = Q_BB`` alone.
 
     Fast diagonalisation inverts the interior blocks ``D``; a dense
     Cholesky factor of the Hermitian boundary Schur complement
@@ -227,6 +297,13 @@ class _TensorInverse:
     building the inverse is also that check.  ``boundary_block`` keeps
     ``Q_BB``: the mass inverse's ``M_BB`` gives every shifted boundary
     block ``Q_BB - sigma M_BB`` without a shifted matrix.
+
+    One implementation serves every use: ``modal_solve`` is the inverse in
+    the modal coordinates of ``_TensorBasis`` (the Schur steps, O(N^2) per
+    column and the Cholesky solve), and the nodal ``solve`` wraps it in the
+    basis's forward and back transforms, two O(N^3) products each.  The
+    repair step and the residual check use ``solve``; ARPACK's class
+    operator (``_ClassOperator``) iterates on ``modal_solve`` alone.
     """
 
     def __init__(self, basis: _TensorBasis, w, q_bb, name: str = "Q"):
@@ -261,61 +338,38 @@ class _TensorInverse:
                 x[d, :, c, :] = x[c, :, d, :].T
         x = x.reshape(4 * (basis.n - 1), -1)
         omega = basis.omega
-        schur = q_bb - x * (1.0 + omega.conj()[:, None] * omega[None, :])
+        schur = (q_bb.toarray()
+                 - x * (1.0 + omega.conj()[:, None] * omega[None, :]))
         try:
             self.chol = sla.cho_factor(schur, lower=True)
         except sla.LinAlgError as exc:
             raise ValueError(f"{name} is not positive definite") from exc
 
     def solve(self, f):
-        """``q^-1 f`` for a vector or the columns of a matrix."""
-        b = self.basis
+        """``q^-1 f`` for a vector or the columns of a matrix: the forward
+        transform, the modal solve and the back transform."""
         f = np.asarray(f)
         cols = f.reshape(f.shape[0], -1)                 # (dim, k)
-        k, nn = cols.shape[1], b.n - 1
-        at = (b.interior[:, :, None, :], np.arange(k)[:, None])
-        # Interior fields laid out (i, [re/im, component, column], j): each
-        # transform is two real matrix products over all of them at once.
-        g = cols[at]
-        g = np.stack([g.real, g.imag], axis=1).reshape(nn, -1)
-        ghat = _gemm(_gemm(b.vecs.T, g).reshape(-1, nn),
-                     b.vecs).reshape(nn, -1, nn)
-        delta = self.delta[:, None, :]
-
-        # the edge equation S xb = fb - C^T D^-1 f1 - Omega^H C^T D^-1 f2
-        y = ghat / delta
-        lines = np.concatenate([
-            _gemm(b.ring[:2], y.reshape(nn, -1)).reshape(2, -1, nn),
-            _gemm(y.reshape(-1, nn), b.ring[2:].T).reshape(nn, -1, 2).T])
-        t = _gemm((self.alpha[:, None, :] * lines).reshape(-1, nn), b.vinv)
-        t = t.reshape(4, 2, 2, k, nn).transpose(1, 2, 0, 4, 3)
-        t = (t[0] + 1j * t[1]).reshape(2, -1, k)         # (component, 4N, k)
-        rhs = cols[b.boundary] - t[0] - b.omega.conj()[:, None] * t[1]
-        xb = sla.cho_solve(self.chol, rhs, check_finite=False)
-
-        # lift C xb (u1) and C Omega xb (u2) into the V basis: edge modes
-        # h[mode, edge, re/im, component, column]
-        g = np.stack([xb, b.omega[:, None] * xb]).reshape(2, 4, nn, k)
-        g = g.transpose(2, 1, 0, 3)[:, :, None]
-        h = _gemm(b.vinv, np.concatenate([g.real, g.imag], axis=2)
-                  .reshape(nn, -1)).reshape(nn, 4, -1)
-        h *= self.alpha.T[:, :, None]
-        lift = (_gemm(b.ring[:2].T, h[:, :2].transpose(1, 2, 0)
-                      .reshape(2, -1)).reshape(nn, -1, nn)
-                + _gemm(h[:, 2:].transpose(0, 2, 1).reshape(-1, 2),
-                        b.ring[2:]).reshape(nn, -1, nn))
-        xi = _gemm(_gemm(b.vecs, ((ghat - lift) / delta).reshape(nn, -1))
-                   .reshape(-1, nn), b.vecs.T).reshape(nn, 2, 2, k, nn)
-        x = np.empty(cols.shape, dtype=complex)
-        x[at] = xi[:, 0] + 1j * xi[:, 1]
-        x[b.boundary] = xb
+        x = self.basis.back(*self.modal_solve(*self.basis.forward(cols)))
         return x.reshape(f.shape)
 
+    def modal_solve(self, ghat, fb):
+        """``q^-1`` in modal coordinates: the modal interior and edge values
+        of the solution from the modal right-hand side ``(ghat, fb)``.
 
-def _boundary_block(basis: _TensorBasis, q) -> np.ndarray:
-    """Dense block of the sparse grid form ``q`` on the edge dofs."""
+        Every step costs O(N^2) per column, plus the Cholesky solve.
+        """
+        b, delta = self.basis, self.delta[:, None, :]
+        # the edge equation S xb = fb - C^T D^-1 f1 - Omega^H C^T D^-1 f2
+        rhs = fb - b.edge_trace(self.alpha, ghat / delta)
+        xb = sla.cho_solve(self.chol, rhs, check_finite=False)
+        return (ghat - b.lift(self.alpha, xb)) / delta, xb
+
+
+def _boundary_block(basis: _TensorBasis, q) -> sp.csr_matrix:
+    """Block of the sparse grid form ``q`` on the edge dofs."""
     idx = basis.boundary
-    return q[idx][:, idx].toarray()
+    return q[idx][:, idx]
 
 
 def _gemm(a, b):
@@ -344,6 +398,128 @@ def mass_inverse(n: int) -> _TensorInverse:
                           "M")
 
 
+@lru_cache(maxsize=None)
+def _half_turn_modes(n: int):
+    """Coordinates of the half-turn class +1 in the modal basis (once per
+    n, on the first grid solve).
+
+    ``R^2`` maps ``(u1, u2)(x)`` to ``(-u1(-x), u2(-x))``.  Column k of V has
+    the reflection parity ``p_k = (-1)^k``, ``V[::-1] = V diag(p)``, so the
+    modal interior coefficient ``(c, k, l)`` is in class +1 when
+    ``p_k p_l`` is -1 for u1 and +1 for u2: a checkerboard per component.
+    On the edges ``R^2`` is minus the permutation that swaps opposite edges
+    end to end, so class +1 edge values are ``x`` on the left and bottom
+    edges and ``-x`` at their images on the right and top.  Returns the
+    positions of the class +1 coefficients in the real modal layout of one
+    column (real parts, then imaginary parts), the left and bottom edge
+    dofs and their images.  Both maps are checked here, once, against the
+    basis and ``symmetry.rotation_map``.
+    """
+    from .symmetry import rotation_map      # symmetry imports this module
+
+    basis, nn = _tensor_basis(n), n - 1
+    parity = (-1.0) ** np.arange(nn)
+    if not (np.abs(basis.vecs[::-1] - basis.vecs * parity).max()
+            <= 1e-9 * np.abs(basis.vecs).max()):
+        raise AssertionError("the 1D eigenbasis is not reflection-symmetric")
+    partner = np.arange(4 * nn).reshape(4, nn)[[1, 0, 3, 2], ::-1].ravel()
+    # R^2 itself, from the closed forms, against the rotation map
+    rows = np.concatenate([basis.interior.ravel(), basis.boundary])
+    cols = np.concatenate([basis.interior[::-1, :, ::-1].ravel(),
+                           basis.boundary[partner]])
+    sign = np.broadcast_to([[-1.0], [1.0]], (nn, 2, nn)).ravel()
+    half = sp.csr_matrix((np.concatenate([sign, -np.ones(4 * nn)]),
+                          (rows, cols)), shape=(rows.size, rows.size))
+    if (half != rotation_map(n).half_turn).nnz:
+        raise AssertionError("the half turn is not the modal reflection")
+    # (k, [re/im, component], l) of the kept coefficients
+    k, c, l = np.nonzero(parity[:, None, None] * np.array([-1.0, 1.0])[:, None]
+                         * parity > 0)
+    edges = np.r_[0:nn, 2 * nn:3 * nn]
+    return (np.stack([(k * 4 + c) * nn + l, (k * 4 + 2 + c) * nn + l]),
+            edges, partner[edges])
+
+
+class _ClassOperator:
+    """ARPACK's class +1 operator ``P (Q - sigma M)^-1 M`` in the modal
+    coordinates of the tensor inverse, restricted to class +1.
+
+    A vector holds the class +1 coefficients of the interior fields in the
+    eigenbasis (component c is the nodal field ``V zhat_c V^T``) and the
+    nodal values of the left and bottom edge dofs, whose images on the
+    opposite edges follow from the class; it has half the length of a
+    nodal vector, and ``P`` is implicit.  Since ``V^T M_D V = I`` and
+    ``V^T K_D V = diag(lam)``, the interior block of ``M`` is the identity
+    here and that of ``Q - sigma M`` is the diagonal ``delta``; both meet
+    the edges only through the ring coupling.  So ``M z`` is
+    ``(zhat + lift_M(x_B), C_M^T zhat + M_BB x_B)`` and the inverse is the
+    modal solve of the shifted ``_TensorInverse``: every application costs
+    O(N^2) and the one Cholesky solve, and only ARPACK's vectors pay the
+    back transform to nodal coordinates.  The operator is similar to the
+    nodal one on class +1, so it has the same eigenvalues.
+    """
+
+    def __init__(self, shift: _TensorInverse, mass: _TensorInverse):
+        basis = shift.basis
+        self.basis, self.shift, self.mass = basis, shift, mass
+        self.kept, self.edges, self.images = _half_turn_modes(basis.n)
+        self.split = self.kept.shape[1]
+        self.dim = self.split + self.edges.size
+
+    def _expand(self, z):
+        """Modal interior (real layout) and edge values of one class +1
+        vector."""
+        nn = self.basis.n - 1
+        zhat = np.zeros(4 * nn * nn)
+        zhat[self.kept[0]] = z[:self.split].real
+        zhat[self.kept[1]] = z[:self.split].imag
+        zb = np.empty((4 * nn, 1), dtype=complex)
+        zb[self.edges, 0], zb[self.images, 0] = z[self.split:], -z[self.split:]
+        return zhat.reshape(nn, 4, nn), zb
+
+    def apply(self, z):
+        """``(Q - sigma M)^-1 M z`` for one class +1 vector."""
+        b, alpha = self.basis, self.mass.alpha
+        zhat, zb = self._expand(z)
+        xhat, xb = self.shift.modal_solve(
+            zhat + b.lift(alpha, zb),
+            b.edge_trace(alpha, zhat) + self.mass.boundary_block @ zb)
+        # the class +1 parts; the edge class -1 part is rounding, amplified
+        # by the inverse as much as the wanted mode
+        flat, xb = xhat.ravel(), xb[:, 0]
+        return np.concatenate([flat[self.kept[0]] + 1j * flat[self.kept[1]],
+                               (xb[self.edges] - xb[self.images]) / 2])
+
+    def to_nodal(self, z):
+        """Nodal vectors of the class +1 columns ``z``."""
+        nn = self.basis.n - 1
+        zhat, zb = zip(*(self._expand(col) for col in z.T))
+        return self.basis.back(np.stack(zhat, axis=2).reshape(nn, -1, nn),
+                               np.hstack(zb))
+
+
+def _check_kronecker_interior(fm, basis: _TensorBasis):
+    """ConsistencyError unless the interior blocks of K1, K2 and M are the
+    Kronecker sums that the tensor inverse assumes, one per component.
+
+    The inverse and the modal iteration never read the assembled interior,
+    so a form that differs there fails the residual contract; this tells
+    that inconsistency from a solver failure.
+    """
+    n = fm.n
+    k1d, m1d = (mat[1:n, 1:n] for mat in _matrices_1d(n)[:2])
+    idx = basis.interior.transpose(1, 0, 2).ravel()     # u1, then u2
+    for name, mat, kron in (("K1", fm.K1, sp.kron(k1d, m1d)),
+                            ("K2", fm.K2, sp.kron(m1d, k1d)),
+                            ("M", fm.M, sp.kron(m1d, m1d))):
+        want = sp.block_diag([kron, kron])
+        dev = abs(mat[idx][:, idx] - want).max()
+        if dev > 1e-12 * abs(want).max():
+            raise ConsistencyError(
+                f"the interior block of {name} is not the Kronecker sum the "
+                f"tensor inverse assumes (deviation {dev:.3e})")
+
+
 # ARPACK's Krylov dimension in a class solve.  The closed-form shift puts
 # the wanted 1/(mu - sigma) far above the rest of the spectrum of the
 # shifted inverse, so a small space converges in a handful of applications.
@@ -361,16 +537,19 @@ def _solve_pencil(fm, w, sigma: float, classes, k: int, tol: float,
     The one entry point of every grid solve.  ``classes`` is ``(1,)`` or
     ``(1, -1)``.  ``sigma`` must lie below the lowest eigenvalue.  ARPACK
     iterates ``P (Q - sigma M)^-1 M`` with the projector ``P = (I + R^2)/2``
-    of the half turn, on one tensor-product inverse of ``Q - sigma M``,
-    for the largest ``1/(mu - sigma)`` of class +1.  Class -1 needs no
+    of the half turn, in the modal coordinates of one tensor-product inverse
+    of ``Q - sigma M`` restricted to class +1 (``_ClassOperator``), for the
+    largest ``1/(mu - sigma)`` of class +1.  Its vectors go back to nodal
+    coordinates once, and the inverse-iteration step, Rayleigh-Ritz and the
+    residual contract run on the assembled pencil.  Class -1 needs no
     second run: the charge conjugation ``C`` of ``symmetry.rotation_map``
     commutes with the pencil and anticommutes with ``R^2``, so ``C`` of the
     class +1 eigenvectors are the class -1 eigenvectors with the same
-    values.  Rayleigh-Ritz and the residual contract run on the unshifted
-    pencil for both classes; a conjugate that fails the contract means the
-    pencil lacks the symmetry.  A shift the inverse rejects lies above the
-    lowest eigenvalue, which contradicts the lower bound it came from.
-    Either raises ConsistencyError.
+    values; a conjugate that fails the contract means the pencil lacks the
+    symmetry.  A shift the inverse rejects lies above the lowest
+    eigenvalue, which contradicts the lower bound it came from, and a
+    class +1 failure on a form whose interior is not the Kronecker sum the
+    inverse assumes is an inconsistency too.  Each raises ConsistencyError.
     """
     from .symmetry import rotation_map      # symmetry imports this module
 
@@ -386,22 +565,25 @@ def _solve_pencil(fm, w, sigma: float, classes, k: int, tol: float,
         raise ValueError(f"k={k} per class is too many for the n={fm.n} grid")
     basis = mass.basis
     try:
-        shift_solve = _TensorInverse(
+        shift = _TensorInverse(
             basis, (w[0], w[1], w[2] - sigma),
             _boundary_block(basis, q) - sigma * mass.boundary_block,
-            "Q - sigma M").solve
+            "Q - sigma M")
     except ValueError as exc:
         raise ConsistencyError(
             f"shift sigma={sigma!r} is not below the lowest eigenvalue "
             f"({exc}); it must be a lower bound") from exc
+    op = _ClassOperator(shift, mass)
+    z, iterations = _krylov(op.apply, op.dim, k, maxit, seed, sigma=sigma,
+                            ncv=ncv)
+    v = _inverse_step(q, fm.M, shift.solve, op.to_nodal(z), sigma)
     rot = rotation_map(fm.n)
-
-    def project(x):
-        return (x + rot.half_turn @ x) / 2
-
-    v, iterations = _krylov(q, fm.M, shift_solve, k, maxit, seed,
-                            sigma=sigma, project=project, ncv=ncv)
-    parts = [_ritz(q, fm.M, v, mass.solve, tol, iterations)]
+    v, iterations = (v + rot.half_turn @ v) / 2, iterations + k
+    try:
+        parts = [_ritz(q, fm.M, v, mass.solve, tol, iterations)]
+    except SolverError:
+        _check_kronecker_interior(fm, basis)
+        raise
     if len(classes) > 1:
         try:
             parts.append(_ritz(q, fm.M, rot.conjugate(parts[0][1]),
@@ -419,25 +601,22 @@ def _solve_pencil(fm, w, sigma: float, classes, k: int, tol: float,
                            iterations=iterations)
 
 
-def _krylov(q, m, a_solve, k: int, maxit: int, seed: int, *,
-            sigma: float = 0.0, project=lambda x: x, ncv=None):
-    """Vectors of the k largest eigenvalues ``1/(mu - sigma)`` of
-    ``project a^-1 m``, where ``a_solve`` applies ``a^-1`` of
-    ``a = q - sigma m``, and the count of operator applications.
-
-    ARPACK runs from a seeded start vector inside the range of ``project``.
+def _krylov(apply_op, dim: int, k: int, maxit: int, seed: int, *,
+            sigma: float = 0.0, ncv=None):
+    """Vectors of the k largest eigenvalues ``1/(mu - sigma)`` of the
+    operator ``apply_op`` on ``dim``-vectors, and the count of its
+    applications.  ARPACK runs from a seeded start vector.
     """
     rng = np.random.default_rng(seed)
-    dim = q.shape[0]
-    v0 = project(rng.standard_normal(dim) + 1j * rng.standard_normal(dim))
+    v0 = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     iterations = 0
 
-    def apply_op(x):
+    def counted(x):
         nonlocal iterations
         iterations += 1
-        return project(a_solve(m @ x))
+        return apply_op(x)
 
-    op = spla.LinearOperator((dim, dim), matvec=apply_op, dtype=complex)
+    op = spla.LinearOperator((dim, dim), matvec=counted, dtype=complex)
     try:
         # the largest eigenvalues to machine precision (tolerance 0); the
         # residual contract is enforced by the Rayleigh-Ritz step
@@ -456,17 +635,24 @@ def _krylov(q, m, a_solve, k: int, maxit: int, seed: int, *,
         raise SolverError(
             f"eigensolver did not converge within {maxit} restarts",
             best_mu=best_mu, iterations=iterations) from exc
-    # ARPACK's vectors can sit far above its tolerance: 1e-8 relative for an
-    # exactly degenerate pair under threaded BLAS, and class solves without
-    # this step read residual/mu up to 8e-11 at n = 256 against the 1e-10
-    # contract.  One block inverse-iteration step damps their errors and the
-    # Rayleigh-Ritz step recovers the eigenpairs.  One step of iterative
-    # refinement makes that solve exact to rounding whatever the
-    # conditioning of the inverse.
+    return v, iterations
+
+
+def _inverse_step(q, m, a_solve, v, sigma: float = 0.0):
+    """One block inverse-iteration step ``(q - sigma m)^-1 m v``, where
+    ``a_solve`` applies ``(q - sigma m)^-1``.
+
+    ARPACK's vectors can sit far above its tolerance: 1e-8 relative for an
+    exactly degenerate pair under threaded BLAS, and class solves without
+    this step read residual/mu up to 8e-11 at n = 256 against the 1e-10
+    contract.  The step damps their errors and the Rayleigh-Ritz step
+    recovers the eigenpairs.  One step of iterative refinement makes the
+    solve exact to rounding whatever the conditioning of the inverse.
+    """
     rhs = m @ v
     v = a_solve(rhs)
     v += a_solve(rhs - (q @ v - sigma * (m @ v)))
-    return project(v), iterations + k
+    return v
 
 
 def _ritz(q, m, v, m_solve, tol: float, iterations: int):
@@ -522,7 +708,10 @@ def smallest_eigenpair(Q, M, k: int = 1, tol: float = 1e-10,
         _, v = sla.eigh(qd, md, subset_by_index=[0, k - 1])
         iterations = 0
     else:
-        v, iterations = _krylov(Q, M, _factor(Q).solve, k, maxit, seed)
+        a_solve = _factor(Q).solve
+        v, iterations = _krylov(lambda x: a_solve(M @ x), dim, k, maxit,
+                                seed)
+        v, iterations = _inverse_step(Q, M, a_solve, v), iterations + k
     mus, v, _ = _ritz(Q, M, v, m_solve, tol, iterations)
     return [(float(mus[i]), v[:, i]) for i in range(k)]
 

@@ -33,7 +33,7 @@ per n and process) serves every parameter point and every re-weighting.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 import scipy.sparse as sp
@@ -185,7 +185,11 @@ class SpinorField:
 
 @dataclass(frozen=True)
 class FormMatrices:
-    """The five reduced Hermitian matrices of the squared form."""
+    """The five reduced Hermitian matrices of the squared form.
+
+    K1, K2 and M share one sparsity pattern, the 3 x 3 node stencil, and
+    the trace matrices Tpar and Teq lie inside it.
+    """
 
     n: int
     K1: sp.csr_matrix = field(repr=False)
@@ -197,6 +201,36 @@ class FormMatrices:
     @property
     def ndof(self) -> int:
         return self.M.shape[0]
+
+    @cached_property
+    def _trace_positions(self):
+        """Positions of the Tpar and Teq entries in the data of the pattern
+        that K1, K2 and M share (computed once); ValueError unless the
+        three share one canonical pattern that holds both traces."""
+        for name, mat in (("K1", self.K1), ("K2", self.K2)):
+            if not (np.array_equal(mat.indptr, self.M.indptr)
+                    and np.array_equal(mat.indices, self.M.indices)):
+                raise ValueError(f"{name} and M differ in sparsity pattern")
+        keys = _entry_keys(self.M)
+        positions = []
+        for name, mat in (("Tpar", self.Tpar), ("Teq", self.Teq)):
+            want = _entry_keys(mat)
+            at = np.minimum(np.searchsorted(keys, want), keys.size - 1)
+            if not np.array_equal(keys[at], want):
+                raise ValueError(f"{name} lies outside the pattern of K1, "
+                                 "K2 and M")
+            positions.append(at)
+        return tuple(positions)
+
+
+def _entry_keys(mat: sp.csr_matrix) -> np.ndarray:
+    """Row-major key of each stored entry; ValueError unless they strictly
+    increase (sorted indices, no duplicates)."""
+    rows = np.repeat(np.arange(mat.shape[0]), np.diff(mat.indptr))
+    keys = rows * mat.shape[1] + mat.indices
+    if not np.all(keys[1:] > keys[:-1]):
+        raise ValueError("form matrix is not in canonical CSR form")
+    return keys
 
 
 @dataclass(frozen=True)
@@ -329,12 +363,29 @@ def _check_weights(a: float, b: float, m: float):
 def weighted(fm: FormMatrices, w) -> sp.csr_matrix:
     """Weighted sum w_K1 K1 + w_K2 K2 + w_M M + w_Tpar Tpar + w_Teq Teq.
 
-    Zero weights are skipped, so a massless form keeps the sparsity of the
-    gradient terms alone.
+    The data arrays are summed on the pattern K1, K2 and M share, term by
+    term in that order with zero weights skipped, and the trace terms are
+    added at their cached positions: the same arithmetic as the sum of the
+    sparse terms, bit for bit, entries that cancel to zero dropped.
     """
-    mats = (fm.K1, fm.K2, fm.M, fm.Tpar, fm.Teq)
-    terms = [wi * mat for wi, mat in zip(w, mats) if wi != 0.0]
-    return sp.csr_matrix(sum(terms[1:], terms[0]))
+    positions = fm._trace_positions         # checks the shared pattern
+    data = None
+    for wi, mat in zip(w[:3], (fm.K1, fm.K2, fm.M)):
+        if wi != 0.0:
+            if data is None:
+                data = wi * mat.data
+            else:
+                data += wi * mat.data
+    if data is None:
+        data = np.zeros(fm.M.nnz, dtype=complex)
+    for wi, mat, at in zip(w[3:], (fm.Tpar, fm.Teq), positions):
+        if wi != 0.0:
+            data[at] += wi * mat.data
+    q = sp.csr_matrix((data, fm.M.indices.copy(), fm.M.indptr.copy()),
+                      shape=fm.M.shape)
+    if not data.all():
+        q.eliminate_zeros()
+    return q
 
 
 def norm_parts(fm: FormMatrices, psi: SpinorField):

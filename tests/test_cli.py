@@ -145,6 +145,32 @@ def test_pencil_without_charge_conjugation_exit_code(monkeypatch, capsys):
         eigsolve.mass_inverse.cache_clear()
 
 
+def test_interior_not_kronecker_sum_exit_code(monkeypatch, capsys):
+    # The tensor inverse and the modal iteration assume the interior blocks
+    # are the Kronecker sums and never read them.  A Hermitian,
+    # half-turn-invariant bump off the centre (the u1 dof of node (5, 8) and
+    # its half-turn image) makes the class +1 solve fail its contract; the
+    # failure path finds the interior mismatch: exit 5, not a solver
+    # failure (exit 3).
+    n = 14
+    fm = assemble(build_grid(n))
+    cmap = constraint_map(n)
+    k, image = cmap.free1[5, 8], cmap.free1[n - 5, n - 8]
+    assert symmetry.rotation_map(n).half_turn[image, k] == -1.0
+    bump = np.zeros(fm.ndof)
+    bump[[k, image]] = 1e-6 * fm.K1[k, k].real
+    broken = dataclasses.replace(fm, K1=(fm.K1 + sp.diags(bump)).tocsr())
+    monkeypatch.setattr(eigsolve, "assemble", lambda grid: broken)
+    eigsolve.mass_inverse.cache_clear()
+    try:
+        with pytest.raises(ConsistencyError, match="interior block of K1"):
+            eigsolve.lambda1_2d(1.0, 1.0, 0.0, n)
+        assert run(["solve", "--n", str(n), "--no-cache"]) == 5
+        assert "Kronecker sum" in capsys.readouterr().err
+    finally:
+        eigsolve.mass_inverse.cache_clear()
+
+
 def test_sweep_csv_contract(tmp_path, capsys):
     out = tmp_path / "sweep.csv"
     argv = ["sweep", "--constraint", "area", "--m", "0", "--a-min", "0.5",

@@ -204,7 +204,8 @@ def test_grid_solves_factor_nothing(fm_cache, monkeypatch):
 def test_grid_inverse_state_built_once_per_n(fm_cache):
     # The per-n basis and M's inverse are built on the first grid solve of
     # that n, once, and never during set-up.
-    builders = (eigsolve._tensor_basis, eigsolve.mass_inverse)
+    builders = (eigsolve._tensor_basis, eigsolve.mass_inverse,
+                eigsolve._half_turn_modes)
     for n in (12, 48):
         fm = fm_cache(n)
         for builder in builders:
@@ -245,6 +246,45 @@ def test_tensor_inverse_is_exact(fm_cache, n):
                     worst = max(worst, np.linalg.norm(x - want)
                                 / np.linalg.norm(want))
     assert worst <= 1e-12
+
+
+@pytest.mark.parametrize("n", [4, 6, 12, 30])
+def test_class_operator_is_exact_in_modal_coordinates(fm_cache, n):
+    # ARPACK's coordinates are exactly the half-turn class +1: as many as
+    # the class has dofs, each back-transformed vector inside the class.
+    # The operator there is the nodal class +1 operator
+    # P (Q - sigma M)^-1 M seen through the back transform, with the nodal
+    # solve of the same inverse (exact by test_tensor_inverse_is_exact) and
+    # the assembled M.
+    fm = fm_cache(n)
+    mass = eigsolve.mass_inverse(n)
+    basis = mass.basis
+    half_turn = symmetry.rotation_map(n).half_turn
+    rng = np.random.default_rng(n)
+    worst = worst_p = 0.0
+    for log_aspect in np.linspace(-math.log(20.0), math.log(20.0), 5):
+        a, b = math.exp(log_aspect / 2), math.exp(-log_aspect / 2)
+        for m in (0.0, 1e-2, 1.0, 1e3):
+            w = (a**-2, b**-2, 0.0, m / a, m / b)
+            sigma = bounds.sharp_lower(a, b, m)
+            q = weighted(fm, w)
+            shift = eigsolve._TensorInverse(
+                basis, (w[0], w[1], -sigma),
+                eigsolve._boundary_block(basis, q)
+                - sigma * mass.boundary_block)
+            op = eigsolve._ClassOperator(shift, mass)
+            assert 2 * op.dim == fm.ndof
+            z = rng.standard_normal(op.dim) + 1j * rng.standard_normal(op.dim)
+            x = op.to_nodal(z[:, None])[:, 0]
+            worst_p = max(worst_p, np.linalg.norm(half_turn @ x - x)
+                          / np.linalg.norm(x))
+            y = shift.solve(fm.M @ x)
+            want = (y + half_turn @ y) / 2
+            got = op.to_nodal(op.apply(z)[:, None])[:, 0]
+            worst = max(worst, np.linalg.norm(got - want)
+                        / np.linalg.norm(want))
+    assert worst <= 1e-12
+    assert worst_p <= 1e-13
 
 
 def test_tensor_inverse_rejects_indefinite_forms(fm_cache):

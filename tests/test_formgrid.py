@@ -232,6 +232,42 @@ def test_weighted_form_weights(fm_cache):
         direct.real / mass, rel=1e-13)
 
 
+@pytest.mark.parametrize("n", [4, 12, 30])
+def test_weighted_is_the_term_by_term_sum_bit_for_bit(fm_cache, n):
+    # weighted sums data arrays on the pattern K1, K2 and M share; the result
+    # must be the sparse sum of the weighted terms, in the same order, to the
+    # last bit and with the same stored entries.
+    from diracbox import jopt
+    fm = fm_cache(n)
+    mats = (fm.K1, fm.K2, fm.M, fm.Tpar, fm.Teq)
+    for a, b, m in ((1.3, 1 / 1.3, 0.0), (0.05, 20.0, 1e3), (1.7, 0.4, 2.5)):
+        for w in ((a**-2, b**-2, 0.0, m / a, m / b),
+                  jopt._euler_weights(a, b, m), (0.0, 0.0, 1.0, 0.0, 0.0)):
+            terms = [wi * mat for wi, mat in zip(w, mats) if wi != 0.0]
+            want = sp.csr_matrix(sum(terms[1:], terms[0]))
+            got = weighted(fm, w)
+            assert np.array_equal(got.indptr, want.indptr)
+            assert np.array_equal(got.indices, want.indices)
+            assert np.array_equal(got.data.view(float), want.data.view(float))
+            # q owns its index arrays
+            assert not np.shares_memory(got.indices, fm.M.indices)
+            assert not np.shares_memory(got.indptr, fm.M.indptr)
+
+
+def test_weighted_rejects_forms_without_a_shared_pattern(fm_cache):
+    import dataclasses
+    fm = fm_cache(8)
+    k1 = fm.K1.tolil()
+    k1[0, fm.ndof - 1] = k1[fm.ndof - 1, 0] = 1.0    # outside the stencil
+    broken = dataclasses.replace(fm, K1=k1.tocsr())
+    with pytest.raises(ValueError, match="sparsity pattern"):
+        weighted(broken, (1.0, 1.0, 0.0, 0.0, 0.0))
+    far = sp.csr_matrix(([1.0], ([0], [fm.ndof - 1])), shape=fm.M.shape)
+    broken = dataclasses.replace(fm, Tpar=(fm.Tpar + far + far.T).tocsr())
+    with pytest.raises(ValueError, match="Tpar lies outside"):
+        weighted(broken, (1.0, 1.0, 0.0, 1.0, 1.0))
+
+
 def test_assemble_built_once_per_n():
     assert assemble(build_grid(8)) is assemble(build_grid(8))
     assert assemble(build_grid(8)) is not assemble(build_grid(10))
