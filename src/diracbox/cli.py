@@ -29,6 +29,7 @@ import sys
 import tempfile
 import time
 from concurrent.futures import ProcessPoolExecutor
+from functools import lru_cache
 
 import numpy as np
 
@@ -42,7 +43,8 @@ from .formgrid import (
     FormMatrices,
     assemble,
     build_grid,
-    quotient,
+    norm_parts,
+    parts_quotient,
     trial_dirichlet,
 )
 
@@ -116,7 +118,7 @@ def cache_root() -> str:
 # Part of every cache key, never of a record.  Change it whenever a solver
 # change alters any computed number, even in the last bits, so records
 # computed by older code miss instead of being served.
-SOLVER_VERSION = "9"
+SOLVER_VERSION = "10"
 
 
 def _cache_key(params: dict) -> str:
@@ -162,6 +164,14 @@ def _form_matrices(n: int) -> FormMatrices:
     return assemble(build_grid(n))
 
 
+@lru_cache(maxsize=None)
+def _trial_parts(n: int):
+    """``norm_parts`` of the n-grid's ``trial_dirichlet`` field (once per n,
+    on the first record, never during set-up): its quotient at every point
+    is the record's ``trial_quotient``."""
+    return norm_parts(_form_matrices(n), trial_dirichlet(build_grid(n)))
+
+
 def _sandwich_check(record: dict) -> None:
     """Abort if the guaranteed bound relations fail for a record."""
     shifted = record["mu"] - record["m"] ** 2
@@ -193,10 +203,9 @@ def solve_record(a: float, b: float, m: float, n: int, tol: float,
         if _servable(hit, params):
             return hit
     t0 = time.perf_counter()
-    fm = _form_matrices(n)
     res = lambda1_2d(a, b, m, n, tol, seed=seed)
     wall_ms = (time.perf_counter() - t0) * 1e3
-    trial_q = quotient(fm, a, b, m, trial_dirichlet(build_grid(n)))
+    trial_q = parts_quotient(a, b, m, _trial_parts(n))
     lo, hi = bounds_mod.bracket(a, b, m, res.mu)
     record = {
         **params,
@@ -279,11 +288,13 @@ def cmd_sweep(opts) -> int:
             cache_get({"a": a, "b": b, "m": m, "n": n, "tol": tol,
                        "seed": seed}) is None for a, b in points)):
         # assembled, the grid's tensor basis, M's inverse, the rotation map
-        # (the class projector and the charge conjugation) and the class +1
-        # modal coordinates built before fork, so workers inherit all five
+        # (the class projector and the charge conjugation), the half-turn
+        # class coordinates and the trial field's norm parts built before
+        # fork, so workers inherit all six
         mass_inverse(n)
         symmetry_mod.rotation_map(n)
         _half_turn_modes(n)
+        _trial_parts(n)
         with ProcessPoolExecutor(max_workers=opts["jobs"]) as pool:
             records = list(pool.map(solve_record, *zip(*tasks)))
     else:

@@ -50,6 +50,7 @@ __all__ = [
     "assemble_1d",
     "weighted",
     "quotient",
+    "parts_quotient",
     "weighted_quotient",
     "norm_parts",
     "trial_dirichlet",
@@ -221,6 +222,19 @@ class FormMatrices:
                                  "K2 and M")
             positions.append(at)
         return tuple(positions)
+
+    @cached_property
+    def _transpose_positions(self) -> np.ndarray:
+        """Position of each entry's transpose in the data of the pattern
+        that K1, K2 and M share (computed once); ValueError unless that
+        pattern is structurally symmetric."""
+        keys = _entry_keys(self.M)
+        rows, cols = np.divmod(keys, self.M.shape[1])
+        want = cols * self.M.shape[1] + rows
+        at = np.minimum(np.searchsorted(keys, want), keys.size - 1)
+        if not np.array_equal(keys[at], want):
+            raise ValueError("the pattern of K1, K2 and M is not symmetric")
+        return at
 
 
 def _entry_keys(mat: sp.csr_matrix) -> np.ndarray:
@@ -398,7 +412,10 @@ def norm_parts(fm: FormMatrices, psi: SpinorField):
 
 def weighted_quotient(fm: FormMatrices, w, psi: SpinorField) -> float:
     """Rayleigh quotient of the ``w``-weighted form against the mass matrix."""
-    parts = norm_parts(fm, psi)
+    return _weighted_parts_quotient(w, norm_parts(fm, psi))
+
+
+def _weighted_parts_quotient(w, parts) -> float:
     if parts[2] <= 0.0:
         raise ValueError("quotient of a zero field is undefined")
     return float(np.dot(w, parts)) / parts[2]
@@ -407,8 +424,14 @@ def weighted_quotient(fm: FormMatrices, w, psi: SpinorField) -> float:
 def quotient(fm: FormMatrices, a: float, b: float, m: float,
              psi: SpinorField) -> float:
     """Rayleigh quotient of the (a, b, m) squared form against the mass matrix."""
+    return parts_quotient(a, b, m, norm_parts(fm, psi))
+
+
+def parts_quotient(a: float, b: float, m: float, parts) -> float:
+    """``quotient`` of a field from its ``norm_parts``, so that a fixed
+    field's parts serve every parameter point."""
     a, b, m = _check_weights(a, b, m)
-    return weighted_quotient(fm, (a**-2, b**-2, m**2, m / a, m / b), psi)
+    return _weighted_parts_quotient((a**-2, b**-2, m**2, m / a, m / b), parts)
 
 
 def trial_dirichlet(grid: Grid) -> SpinorField:

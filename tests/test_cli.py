@@ -10,7 +10,7 @@ import scipy.sparse as sp
 
 from diracbox import assemble, bounds, build_grid, cli, eigsolve, jopt, symmetry
 from diracbox.errors import ClusterResolutionError, ConsistencyError, SolverError
-from diracbox.formgrid import constraint_map
+from diracbox.formgrid import constraint_map, quotient, trial_dirichlet
 
 
 def run(argv):
@@ -169,6 +169,49 @@ def test_interior_not_kronecker_sum_exit_code(monkeypatch, capsys):
         assert "Kronecker sum" in capsys.readouterr().err
     finally:
         eigsolve.mass_inverse.cache_clear()
+
+
+def test_pencil_without_half_turn_symmetry_exit_code(monkeypatch, capsys):
+    # The shifted inverse reads Q_BB on the left and bottom rows of each
+    # half-turn class and never on the right and top ones.  A Hermitian bump
+    # on the left edge dof of node (0, 5) but not on its half-turn image
+    # breaks the symmetry those class blocks rest on; the check that the
+    # block between the classes vanishes finds it: exit 5, never a value.
+    n = 14
+    fm = assemble(build_grid(n))
+    cmap = constraint_map(n)
+    k, image = cmap.free1[0, 5], cmap.free1[n, n - 5]
+    assert symmetry.rotation_map(n).half_turn[image, k] == -1.0
+    bump = np.zeros(fm.ndof)
+    bump[k] = 1e-6 * fm.K1[k, k].real
+    broken = dataclasses.replace(fm, K1=(fm.K1 + sp.diags(bump)).tocsr())
+    monkeypatch.setattr(eigsolve, "assemble", lambda grid: broken)
+    eigsolve.mass_inverse.cache_clear()
+    try:
+        with pytest.raises(ConsistencyError, match="half turn"):
+            eigsolve.lambda1_2d(1.0, 1.0, 0.0, n)
+        assert run(["solve", "--n", str(n), "--no-cache"]) == 5
+        assert "does not commute with the half turn" in capsys.readouterr().err
+    finally:
+        eigsolve.mass_inverse.cache_clear()
+
+
+def test_trial_quotient_memoised_per_n_outside_setup():
+    # The trial field's norm parts are built once per n on the first record,
+    # never in the set-up the benchmark times (constraint map, assembly,
+    # rotation map), and the memoised quotient is the direct one, bit for
+    # bit.
+    n = 12
+    cli._trial_parts.cache_clear()
+    constraint_map(n)
+    fm = cli._form_matrices(n)
+    symmetry.rotation_map(n)
+    assert cli._trial_parts.cache_info().currsize == 0
+    for a, b, m in ((1.3, 1 / 1.3, 0.5), (0.7, 2.0, 0.0), (1.0, 1.0, 30.0)):
+        record = cli.solve_record(a, b, m, n, 1e-10, 0, use_cache=False)
+        want = quotient(fm, a, b, m, trial_dirichlet(build_grid(n)))
+        assert record["trial_quotient"] == want
+    assert cli._trial_parts.cache_info().misses == 1
 
 
 def test_sweep_csv_contract(tmp_path, capsys):

@@ -298,6 +298,36 @@ def test_tensor_inverse_rejects_indefinite_forms(fm_cache):
                 basis, w, eigsolve._boundary_block(basis, weighted(fm, w)))
 
 
+@pytest.mark.parametrize("n", [4, 12, 30])
+def test_hermitian_check_fast_path_matches_sparse_path(fm_cache, n):
+    # The per-solve check of Q reads its deviation off the data array
+    # through the cached transpose positions of the shared pattern; it must
+    # agree with the sparse difference Q - Q^H to the last bit.
+    fm = fm_cache(n)
+    transpose = fm._transpose_positions
+    shapes = [w for a, b, m in ((1.3, 1 / 1.3, 0.0), (0.05, 20.0, 1e3),
+                                (1.7, 0.4, 2.5))
+              for w in _weight_shapes(a, b, m)]
+    for w in shapes:
+        q = weighted(fm, w)
+        assert q.nnz == transpose.size
+        assert (eigsolve._hermitian_deviation(q, transpose)
+                == eigsolve._hermitian_deviation(q))
+    # K1 - K2 cancels on the diagonal: fewer entries, so the sparse path
+    q = weighted(fm, (1.0, -1.0, 0.0, 0.0, 0.0))
+    assert q.nnz < transpose.size
+    assert (eigsolve._hermitian_deviation(q, transpose)
+            == eigsolve._hermitian_deviation(q))
+    # a planted non-Hermitian entry off the diagonal raises on both paths
+    q = weighted(fm, shapes[0])
+    rows = np.repeat(np.arange(fm.ndof), np.diff(q.indptr))
+    off = np.flatnonzero(rows != q.indices)[len(rows) // 3]
+    q.data[off] += 1e-9 * np.abs(q.data).max()
+    for positions in (transpose, None):
+        with pytest.raises(ValueError, match="not Hermitian"):
+            eigsolve._check_hermitian("Q", q, positions)
+
+
 def test_grid_solve_meets_contract_at_n256():
     # Without the refinement step in the inverse-iteration repair, the second
     # pair of this solve read residual/mu = 1.08e-10, above the contract.

@@ -81,3 +81,16 @@ def test_sparse_path_matches_dense_full_pencil(n, log_aspect, m):
                 <= 1e-12 * _m_norm(fm.M, v))
     plus, minus = (sol.mus[sol.classes == beta] for beta in (1, -1))
     assert plus == pytest.approx(minus, rel=1e-10)
+
+    # the shifted inverse's class factors certify Q - sigma M > 0: they
+    # exist just below the lowest eigenvalue and not just above it
+    mass = eigsolve.mass_inverse(n)
+    q_bb = eigsolve._boundary_block(mass.basis, q)
+
+    def shifted(s):
+        return eigsolve._TensorInverse(mass.basis, (a**-2, b**-2, -s),
+                                       q_bb - s * mass.boundary_block)
+
+    shifted(dense_pair[0] * (1 - 1e-9))
+    with pytest.raises(ValueError, match="not positive definite"):
+        shifted(dense_pair[0] * (1 + 1e-9))
