@@ -36,8 +36,7 @@ import numpy as np
 from . import bounds as bounds_mod
 from . import jopt as jopt_mod
 from . import symmetry as symmetry_mod
-from .eigsolve import (_half_turn_modes, lambda1_2d, mass_inverse,
-                       refine_study)
+from .eigsolve import lambda1_2d, refine_study
 from .errors import ClusterResolutionError, ConsistencyError, SolverError
 from .formgrid import (
     FormMatrices,
@@ -47,6 +46,7 @@ from .formgrid import (
     parts_quotient,
     trial_dirichlet,
 )
+from .tensor import _half_turn_modes, mass_inverse
 
 __all__ = ["main"]
 

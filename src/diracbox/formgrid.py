@@ -464,3 +464,31 @@ def reconstruct(psi: SpinorField, cmap: ConstraintMap | None = None):
     u1 = np.asarray((cmap.basis1 @ psi.values)).reshape(npts, npts)
     u2 = np.asarray((cmap.basis2 @ psi.values)).reshape(npts, npts)
     return u1, u2
+
+
+def _hermitian_deviation(mat, transpose=None):
+    """``(max |mat - mat^H|, max |mat|)``.
+
+    ``transpose`` holds, for a sparse ``mat`` on a structurally symmetric
+    pattern, the data position of each entry's transpose
+    (``FormMatrices._transpose_positions``); the deviation is then read off
+    the data array, the same arithmetic as the sparse difference without
+    building ``mat^H``.  A matrix with fewer entries than ``transpose``
+    lost some to cancellation and takes the sparse path.
+    """
+    if sp.issparse(mat):
+        if transpose is not None and mat.nnz == transpose.size:
+            d = mat.data
+            return np.abs(d - d[transpose].conj()).max(), np.abs(d).max()
+        anti = abs(mat - mat.getH())
+        dev = anti.max() if anti.nnz else 0.0
+    else:
+        mat = np.asarray(mat)
+        dev = np.abs(mat - mat.conj().T).max()
+    return dev, abs(mat).max()
+
+
+def _check_hermitian(name, mat, transpose=None):
+    dev, scale = _hermitian_deviation(mat, transpose)
+    if dev > 1e-12 * max(scale, 1e-300):
+        raise ValueError(f"{name} is not Hermitian (deviation {dev:.3e})")

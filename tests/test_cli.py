@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from diracbox import assemble, bounds, build_grid, cli, eigsolve, jopt, symmetry
+from diracbox import (assemble, bounds, build_grid, cli, eigsolve, jopt, symmetry,
+                      tensor)
 from diracbox.errors import ClusterResolutionError, ConsistencyError, SolverError
 from diracbox.formgrid import constraint_map, quotient, trial_dirichlet
 
@@ -111,14 +112,15 @@ def test_shift_above_the_ground_eigenvalue_exit_code(monkeypatch, fm_cache):
 def test_indefinite_mass_exit_code(monkeypatch, capsys):
     # M's own check comes first and stays an argument error.
     fm = assemble(build_grid(14))
-    monkeypatch.setattr(eigsolve, "assemble",
-                        lambda grid: dataclasses.replace(fm, M=-fm.M))
-    eigsolve.mass_inverse.cache_clear()
+    for module in (eigsolve, tensor):
+        monkeypatch.setattr(module, "assemble",
+                            lambda grid: dataclasses.replace(fm, M=-fm.M))
+    tensor.mass_inverse.cache_clear()
     try:
         assert run(["solve", "--n", "14", "--no-cache"]) == 2
         assert "M is not positive definite" in capsys.readouterr().err
     finally:
-        eigsolve.mass_inverse.cache_clear()
+        tensor.mass_inverse.cache_clear()
 
 
 def test_pencil_without_charge_conjugation_exit_code(monkeypatch, capsys):
@@ -135,14 +137,14 @@ def test_pencil_without_charge_conjugation_exit_code(monkeypatch, capsys):
     bump[k] = fm.K1[k, k].real
     broken = dataclasses.replace(fm, K1=(fm.K1 + sp.diags(bump)).tocsr())
     monkeypatch.setattr(eigsolve, "assemble", lambda grid: broken)
-    eigsolve.mass_inverse.cache_clear()
+    tensor.mass_inverse.cache_clear()
     try:
         with pytest.raises(ConsistencyError, match="lacks the symmetry"):
             eigsolve.lambda1_2d(1.0, 1.0, 0.0, n)
         assert run(["solve", "--n", str(n), "--no-cache"]) == 5
         assert "lacks the symmetry" in capsys.readouterr().err
     finally:
-        eigsolve.mass_inverse.cache_clear()
+        tensor.mass_inverse.cache_clear()
 
 
 def test_interior_not_kronecker_sum_exit_code(monkeypatch, capsys):
@@ -161,14 +163,14 @@ def test_interior_not_kronecker_sum_exit_code(monkeypatch, capsys):
     bump[[k, image]] = 1e-6 * fm.K1[k, k].real
     broken = dataclasses.replace(fm, K1=(fm.K1 + sp.diags(bump)).tocsr())
     monkeypatch.setattr(eigsolve, "assemble", lambda grid: broken)
-    eigsolve.mass_inverse.cache_clear()
+    tensor.mass_inverse.cache_clear()
     try:
         with pytest.raises(ConsistencyError, match="interior block of K1"):
             eigsolve.lambda1_2d(1.0, 1.0, 0.0, n)
         assert run(["solve", "--n", str(n), "--no-cache"]) == 5
         assert "Kronecker sum" in capsys.readouterr().err
     finally:
-        eigsolve.mass_inverse.cache_clear()
+        tensor.mass_inverse.cache_clear()
 
 
 def test_pencil_without_half_turn_symmetry_exit_code(monkeypatch, capsys):
@@ -186,14 +188,14 @@ def test_pencil_without_half_turn_symmetry_exit_code(monkeypatch, capsys):
     bump[k] = 1e-6 * fm.K1[k, k].real
     broken = dataclasses.replace(fm, K1=(fm.K1 + sp.diags(bump)).tocsr())
     monkeypatch.setattr(eigsolve, "assemble", lambda grid: broken)
-    eigsolve.mass_inverse.cache_clear()
+    tensor.mass_inverse.cache_clear()
     try:
         with pytest.raises(ConsistencyError, match="half turn"):
             eigsolve.lambda1_2d(1.0, 1.0, 0.0, n)
         assert run(["solve", "--n", str(n), "--no-cache"]) == 5
         assert "does not commute with the half turn" in capsys.readouterr().err
     finally:
-        eigsolve.mass_inverse.cache_clear()
+        tensor.mass_inverse.cache_clear()
 
 
 def test_trial_quotient_memoised_per_n_outside_setup():

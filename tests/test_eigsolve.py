@@ -19,7 +19,7 @@ from diracbox import (
     smallest_eigenpair,
     weighted,
 )
-from diracbox import cli, eigsolve, jopt, symmetry
+from diracbox import cli, eigsolve, formgrid, jopt, symmetry, tensor
 
 
 def test_dense_diagonal_case():
@@ -204,8 +204,8 @@ def test_grid_solves_factor_nothing(fm_cache, monkeypatch):
 def test_grid_inverse_state_built_once_per_n(fm_cache):
     # The per-n basis and M's inverse are built on the first grid solve of
     # that n, once, and never during set-up.
-    builders = (eigsolve._tensor_basis, eigsolve.mass_inverse,
-                eigsolve._half_turn_modes)
+    builders = (tensor._tensor_basis, tensor.mass_inverse,
+                tensor._half_turn_modes)
     for n in (12, 48):
         fm = fm_cache(n)
         for builder in builders:
@@ -217,7 +217,7 @@ def test_grid_inverse_state_built_once_per_n(fm_cache):
             jopt.euler_solve(fm, a, 1.0 / a, m)
             symmetry.ground_cluster(fm, a, 1.0 / a, m, k=2)
         assert all(b.cache_info().misses == 1 for b in builders)
-        assert eigsolve.mass_inverse(n).basis is eigsolve._tensor_basis(n)
+        assert tensor.mass_inverse(n).basis is tensor._tensor_basis(n)
 
 
 def _weight_shapes(a, b, m):
@@ -228,7 +228,7 @@ def _weight_shapes(a, b, m):
 @pytest.mark.parametrize("n", [4, 6, 12, 30])
 def test_tensor_inverse_is_exact(fm_cache, n):
     fm = fm_cache(n)
-    basis = eigsolve._tensor_basis(n)
+    basis = tensor._tensor_basis(n)
     rng = np.random.default_rng(n)
     worst = 0.0
     for log_aspect in np.linspace(-math.log(20.0), math.log(20.0), 5):
@@ -236,8 +236,8 @@ def test_tensor_inverse_is_exact(fm_cache, n):
         for m in (0.0, 1e-2, 1.0, 1e3):
             for w in _weight_shapes(a, b, m):
                 q = weighted(fm, w)
-                solve = eigsolve._TensorInverse(
-                    basis, w, eigsolve._boundary_block(basis, q)).solve
+                solve = tensor._TensorInverse(
+                    basis, w, tensor._boundary_block(basis, q)).solve
                 x0 = (rng.standard_normal((fm.ndof, 2))
                       + 1j * rng.standard_normal((fm.ndof, 2)))
                 for x, want in ((solve(q @ x0), x0),
@@ -257,7 +257,7 @@ def test_class_operator_is_exact_in_modal_coordinates(fm_cache, n):
     # solve of the same inverse (exact by test_tensor_inverse_is_exact) and
     # the assembled M.
     fm = fm_cache(n)
-    mass = eigsolve.mass_inverse(n)
+    mass = tensor.mass_inverse(n)
     basis = mass.basis
     half_turn = symmetry.rotation_map(n).half_turn
     rng = np.random.default_rng(n)
@@ -268,11 +268,11 @@ def test_class_operator_is_exact_in_modal_coordinates(fm_cache, n):
             w = (a**-2, b**-2, 0.0, m / a, m / b)
             sigma = bounds.sharp_lower(a, b, m)
             q = weighted(fm, w)
-            shift = eigsolve._TensorInverse(
+            shift = tensor._TensorInverse(
                 basis, (w[0], w[1], -sigma),
-                eigsolve._boundary_block(basis, q)
+                tensor._boundary_block(basis, q)
                 - sigma * mass.boundary_block)
-            op = eigsolve._ClassOperator(shift, mass)
+            op = tensor._ClassOperator(shift, mass)
             assert 2 * op.dim == fm.ndof
             z = rng.standard_normal(op.dim) + 1j * rng.standard_normal(op.dim)
             x = op.to_nodal(z[:, None])[:, 0]
@@ -289,13 +289,13 @@ def test_class_operator_is_exact_in_modal_coordinates(fm_cache, n):
 
 def test_tensor_inverse_rejects_indefinite_forms(fm_cache):
     fm = fm_cache(12)
-    basis = eigsolve._tensor_basis(12)
+    basis = tensor._tensor_basis(12)
     # a negative interior spectrum, and an indefinite boundary block over a
     # positive interior: both are errors, never a number
     for w in ((1.0, 1.0, -1e3, 0.0, 0.0), (1.0, 1.0, 0.0, -1e3, -1e3)):
         with pytest.raises(ValueError, match="not positive definite"):
-            eigsolve._TensorInverse(
-                basis, w, eigsolve._boundary_block(basis, weighted(fm, w)))
+            tensor._TensorInverse(
+                basis, w, tensor._boundary_block(basis, weighted(fm, w)))
 
 
 @pytest.mark.parametrize("n", [4, 12, 30])
@@ -311,13 +311,13 @@ def test_hermitian_check_fast_path_matches_sparse_path(fm_cache, n):
     for w in shapes:
         q = weighted(fm, w)
         assert q.nnz == transpose.size
-        assert (eigsolve._hermitian_deviation(q, transpose)
-                == eigsolve._hermitian_deviation(q))
+        assert (formgrid._hermitian_deviation(q, transpose)
+                == formgrid._hermitian_deviation(q))
     # K1 - K2 cancels on the diagonal: fewer entries, so the sparse path
     q = weighted(fm, (1.0, -1.0, 0.0, 0.0, 0.0))
     assert q.nnz < transpose.size
-    assert (eigsolve._hermitian_deviation(q, transpose)
-            == eigsolve._hermitian_deviation(q))
+    assert (formgrid._hermitian_deviation(q, transpose)
+            == formgrid._hermitian_deviation(q))
     # a planted non-Hermitian entry off the diagonal raises on both paths
     q = weighted(fm, shapes[0])
     rows = np.repeat(np.arange(fm.ndof), np.diff(q.indptr))
@@ -325,7 +325,7 @@ def test_hermitian_check_fast_path_matches_sparse_path(fm_cache, n):
     q.data[off] += 1e-9 * np.abs(q.data).max()
     for positions in (transpose, None):
         with pytest.raises(ValueError, match="not Hermitian"):
-            eigsolve._check_hermitian("Q", q, positions)
+            formgrid._check_hermitian("Q", q, positions)
 
 
 def test_grid_solve_meets_contract_at_n256():

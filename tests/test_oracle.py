@@ -16,7 +16,7 @@ import scipy.linalg as sla
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from diracbox import (assemble, bounds, build_grid, eigsolve, jopt,
-                      lambda1_2d, symmetry, weighted)
+                      lambda1_2d, symmetry, tensor, weighted)
 
 TOL = 1e-10
 
@@ -84,11 +84,11 @@ def test_sparse_path_matches_dense_full_pencil(n, log_aspect, m):
 
     # the shifted inverse's class factors certify Q - sigma M > 0: they
     # exist just below the lowest eigenvalue and not just above it
-    mass = eigsolve.mass_inverse(n)
-    q_bb = eigsolve._boundary_block(mass.basis, q)
+    mass = tensor.mass_inverse(n)
+    q_bb = tensor._boundary_block(mass.basis, q)
 
     def shifted(s):
-        return eigsolve._TensorInverse(mass.basis, (a**-2, b**-2, -s),
+        return tensor._TensorInverse(mass.basis, (a**-2, b**-2, -s),
                                        q_bb - s * mass.boundary_block)
 
     shifted(dense_pair[0] * (1 - 1e-9))
