@@ -46,7 +46,7 @@ from .formgrid import (
     parts_quotient,
     trial_dirichlet,
 )
-from .tensor import _half_turn_modes, mass_inverse
+from .tensor import mass_inverse
 
 __all__ = ["main"]
 
@@ -118,7 +118,7 @@ def cache_root() -> str:
 # Part of every cache key, never of a record.  Change it whenever a solver
 # change alters any computed number, even in the last bits, so records
 # computed by older code miss instead of being served.
-SOLVER_VERSION = "10"
+SOLVER_VERSION = "11"
 
 
 def _cache_key(params: dict) -> str:
@@ -276,6 +276,8 @@ def _sweep_grid(constraint: str, a_min: float, a_max: float, steps: int):
 def cmd_sweep(opts) -> int:
     if not opts["out"]:
         raise ValueError("sweep requires --out for the CSV file")
+    if opts["jobs"] < 1:
+        raise ValueError(f"jobs must be >= 1, got {opts['jobs']}")
     points = _sweep_grid(opts["constraint"], opts["a_min"], opts["a_max"],
                          opts["steps"])
     m, n, tol, seed = opts["m"], opts["n"], opts["tol"], opts["seed"]
@@ -287,13 +289,10 @@ def cmd_sweep(opts) -> int:
     if opts["jobs"] > 1 and (not use_cache or any(
             cache_get({"a": a, "b": b, "m": m, "n": n, "tol": tol,
                        "seed": seed}) is None for a, b in points)):
-        # assembled, the grid's tensor basis, M's inverse, the rotation map
-        # (the class projector and the charge conjugation), the half-turn
-        # class coordinates and the trial field's norm parts built before
-        # fork, so workers inherit all six
+        # M's inverse (with the assembly, the grid's tensor basis and the
+        # rotation map it checks the basis against) and the trial field's
+        # norm parts built before fork, so workers inherit them
         mass_inverse(n)
-        symmetry_mod.rotation_map(n)
-        _half_turn_modes(n)
         _trial_parts(n)
         with ProcessPoolExecutor(max_workers=opts["jobs"]) as pool:
             records = list(pool.map(solve_record, *zip(*tasks)))

@@ -25,21 +25,16 @@ so it depends on nothing but the point.  The inverse of ``Q - sigma M``
 exists only for a shift below the lowest eigenvalue, so a shift that
 contradicts its lower bound raises ConsistencyError, never a number.
 
-ARPACK iterates in the class +1 coordinates of the tensor inverse
-(``_ClassOperator``): one dense array of class +1 coefficients of the
-interior fields in the eigenbasis ``V (x) V``, u1 on one checkerboard of
-mode parities and u2 on the other, and the nodal values of the left and
-bottom edge dofs.  There the interior block of ``M`` is the identity and
-that of ``Q - sigma M`` is diagonal, both meet the edges only through the
-ring coupling, and the projector is implicit, so an operator application
-costs O(N^2) and one half-size Cholesky solve instead of four O(N^3)
-transforms.  ARPACK's vectors take one back transform to nodal
-coordinates; the inverse-iteration step, Rayleigh-Ritz and the residual
-contract run on the assembled pencil, through the nodal solve, which
-splits its right-hand side into the two classes.  The modal iteration
-never reads the assembled interior, so when the class +1 contract fails,
-the interior blocks of ``K1``, ``K2`` and ``M`` are compared with the
-Kronecker sums the inverse assumes, and a mismatch raises ConsistencyError.
+The inverses of ``Q - sigma M`` and ``M`` are the exact tensor-product
+inverses of ``tensor``, and ARPACK iterates in their class +1 coordinates
+(``tensor._ClassOperator``).  ARPACK's vectors take one back transform to
+nodal coordinates; the inverse-iteration step, Rayleigh-Ritz and the
+residual contract run on the assembled pencil, through the nodal solves.
+The modal iteration never reads the assembled interior, so when the class
++1 contract fails, the interior blocks of ``K1``, ``K2`` and ``M`` are
+compared with the Kronecker sums the inverse assumes, and a mismatch raises
+ConsistencyError.  ``tol`` must be a finite number above zero, and is
+checked before any work.
 
 ``smallest_eigenpair(Q, M)`` serves any other Hermitian pencil (1D pencils,
 tests) at shift zero with symmetric-mode SuperLU factors of both matrices:
@@ -121,6 +116,14 @@ class _PencilSolution:
     iterations: int
 
 
+def _check_tol(tol):
+    """ValueError unless the residual contract's ``tol`` is finite and
+    positive: at or below zero no pair can meet it, and at NaN every pair
+    would."""
+    if not 0.0 < tol < np.inf:
+        raise ValueError(f"tol must be a finite number > 0, got {tol!r}")
+
+
 def _factor(mat):
     """Complex SuperLU factor in symmetric mode: minimum-degree ordered for
     the symmetric pattern, diagonal pivots, so ``perm_r == perm_c`` unless a
@@ -196,6 +199,7 @@ def _solve_pencil(fm, w, sigma: float, classes, k: int, tol: float,
     """
     from .symmetry import rotation_map      # symmetry imports this module
 
+    _check_tol(tol)
     if tuple(classes) not in ((1,), (1, -1)):
         raise ValueError(f"classes must be (1,) or (1, -1), got {classes!r}")
     mass = mass_inverse(fm.n)               # M's check comes first
@@ -337,6 +341,7 @@ def smallest_eigenpair(Q, M, k: int = 1, tol: float = 1e-10,
     (``k >= dim - 1``).  Grid solves go through ``_solve_pencil``, which
     needs no sparse factor.
     """
+    _check_tol(tol)
     m_solve = _mass_lu(M).solve
     if Q.shape != M.shape or Q.shape[0] != Q.shape[1]:
         raise ValueError("matrices must be square and of equal shape")

@@ -1,26 +1,38 @@
-"""Exact tensor-product inverses of the grid pencils' forms.
+"""Exact tensor-product inverses of the grid forms.
 
-The inverses are exact tensor-product inverses instead of sparse factors.
 The interior u1 and u2 blocks of every grid form are one separable
 Kronecker sum, inverted by fast diagonalisation in the 1D eigenbasis
 (Lynch, Rice & Thomas 1964); the interior meets the 4(n-1) edge dofs only
 through the ring of lines next to the edges, and dense Cholesky factors of
 the boundary Schur complement close the system (the capacitance matrix of
 Buzbee, Dorr, George & Golub 1971).  Every grid form commutes with the half
-turn, so the Schur complement is block diagonal in the two classes: one
-2(n-1)-square block per class on the left and bottom edges, whose right and
-top images follow from the class (``_half_turn_modes``).  Both blocks are
+turn ``R^2``, so the Schur complement is block diagonal in its two classes
+(Bossavit 1986): one 2(n-1)-square block per class on the left and bottom
+edges, whose right and top images follow from the class.  Both blocks are
 built from the left and bottom ring rows and factored; together they
 certify that the form is positive definite on the whole space, and the
 block of ``Q_BB`` between the classes is checked to vanish, since the class
-blocks read only its left and bottom rows.  ``_tensor_basis`` holds the
-per-n eigenbasis and ring layout, ``_half_turn_modes`` the class
-coordinates and ``mass_inverse`` the inverse of ``M``, each built once per
-n and process on the first grid solve; the shifted inverse lives for one
-solve, its boundary block ``Q_BB - sigma M_BB`` taken from ``Q`` and the
-mass inverse's ``M_BB``.  The Schur factors exist only for a
+blocks read only its left and bottom rows.
+
+ARPACK iterates in the class +1 coordinates of the tensor inverse
+(``_ClassOperator``): one dense array of class +1 coefficients of the
+interior fields in the eigenbasis ``V (x) V``, u1 on one checkerboard of
+mode parities and u2 on the other, and the nodal values of the left and
+bottom edge dofs.  There the interior block of ``M`` is the identity and
+that of ``Q - sigma M`` is diagonal, both meet the edges only through the
+ring coupling, and the projector onto the class is implicit, so an operator
+application costs O(N^2) and one half-size Cholesky solve.  The nodal
+``solve``, which the driver's repair step and residual check use, takes its
+right-hand side into the two classes' coordinates and back.
+
+``mass_inverse(n)`` is the one per-n owner: the inverse of ``M``, built on
+the first grid solve of that n and holding the grid's ``_TensorBasis`` (the
+eigenbasis, the ring layout and the half-turn class coordinates).  Every
+shifted inverse reads the basis as ``mass_inverse(n).basis`` and lives for
+one solve, its boundary block ``Q_BB - sigma M_BB`` taken from ``Q`` and
+the mass inverse's ``M_BB``.  The Schur factors exist only for a
 positive-definite matrix, so ``mass_inverse`` is also M's
-positive-definiteness check, and it solves the M^-1-norm residual check.
+positive-definiteness check.
 """
 
 from __future__ import annotations
@@ -41,7 +53,8 @@ __all__ = ["mass_inverse"]
 
 @dataclass(frozen=True)
 class _TensorBasis:
-    """Per-n data of the tensor-product inverse of the grid pencils.
+    """Per-n data of the tensor-product inverse of the grid forms: the
+    eigenbasis, the ring layout and the half-turn class coordinates.
 
     Interior nodes (``N = n - 1`` per axis) carry both components, and the
     interior block of every weighted form is the Kronecker sum
@@ -49,73 +62,7 @@ class _TensorBasis:
     Dirichlet matrices.  ``vecs`` solves ``K_D V = M_D V diag(lam)`` with
     ``V^T M_D V = I``, so ``D`` is diagonal in ``V (x) V``.  Interior dofs
     meet the edge dofs only through the ring of interior lines next to the
-    edges; the edges are ordered left, right, bottom, top (``x1 = -1/2``,
-    ``x1 = 1/2``, ``x2 = -1/2``, ``x2 = 1/2``).
-    """
-
-    n: int
-    vecs: np.ndarray        # (N, N) V
-    lam: np.ndarray         # (N,)
-    vinv: np.ndarray        # (N, N) V^-1 = V^T M_D
-    ring: np.ndarray        # (N,) row of V at the ring lines of the left
-    #                         and bottom edges
-    couple: np.ndarray      # (2,) 1D stiffness, mass entry ring-to-edge
-    interior: np.ndarray    # (N, 2, N) reduced index of u1, u2 at node (i, j)
-    boundary: np.ndarray    # (4N,) reduced index of the edge dofs
-
-    # Modal coordinates: an interior field X of one component and column is
-    # ``V zhat V^T``.  Modal interior arrays are real, laid out
-    # (mode, [re/im, component, column], mode), so that every transform is a
-    # real matrix product over all fields at once; edge values stay nodal,
-    # one complex column each.
-
-    def forward(self, cols):
-        """Modal right-hand sides of the nodal right-hand sides ``cols``
-        (dim, k): ``V^T F V`` of each interior field ``F``, and the edge
-        entries."""
-        nn, k = self.n - 1, cols.shape[1]
-        g = cols[self.interior[:, :, None, :], np.arange(k)[:, None]]
-        g = np.stack([g.real, g.imag], axis=1).reshape(nn, -1)
-        ghat = _gemm(_gemm(self.vecs.T, g).reshape(-1, nn), self.vecs)
-        return ghat.reshape(nn, -1, nn), cols[self.boundary]
-
-    def back(self, zhat, xb):
-        """Nodal vectors (dim, k) of the modal interior ``zhat`` and the
-        edge values ``xb`` (4N, k)."""
-        nn, k = self.n - 1, xb.shape[1]
-        xi = _gemm(_gemm(self.vecs, zhat.reshape(nn, -1)).reshape(-1, nn),
-                   self.vecs.T).reshape(nn, 2, 2, k, nn)
-        x = np.empty((2 * nn * nn + xb.shape[0], k), dtype=complex)
-        x[self.interior[:, :, None, :], np.arange(k)[:, None]] = (
-            xi[:, 0] + 1j * xi[:, 1])
-        x[self.boundary] = xb
-        return x
-
-
-@lru_cache(maxsize=None)
-def _tensor_basis(n: int) -> _TensorBasis:
-    """Fast-diagonalisation basis and ring layout of the n-grid (once per n).
-
-    Built on the first grid solve of that n, never during assembly.
-    """
-    cmap = constraint_map(n)
-    k1d, m1d, _ = (mat.toarray() for mat in _matrices_1d(n))
-    lam, vecs = sla.eigh(k1d[1:n, 1:n], m1d[1:n, 1:n])
-    inner = slice(1, n)
-    edges = (cmap.free1[0, inner], cmap.free1[n, inner],
-             cmap.free1[inner, 0], cmap.free1[inner, n])
-    return _TensorBasis(
-        n=n, vecs=vecs, lam=lam, vinv=vecs.T @ m1d[1:n, 1:n], ring=vecs[0],
-        couple=np.array([k1d[1, 0], m1d[1, 0]]),
-        interior=np.stack([cmap.free1[inner, inner],
-                           cmap.free2[inner, inner]], axis=1),
-        boundary=np.concatenate(edges),
-    )
-
-
-@dataclass(frozen=True)
-class _HalfTurnModes:
-    """Coordinates of the half-turn classes on the tensor basis (per n).
+    edges.
 
     ``R^2`` maps ``(u1, u2)(x)`` to ``(-u1(-x), u2(-x))``.  Column k of V
     has the reflection parity ``p_k = (-1)^k``, ``V[::-1] = V diag(p)`` and
@@ -128,54 +75,69 @@ class _HalfTurnModes:
 
     A class ``beta`` vector is ``(w, x)``: ``w`` one dense modal interior
     array, real, laid out (mode, [re/im, column], mode), holding u1 on the
-    class's u1 checkerboard and u2 on the other, and ``x`` (2N, k) its left
-    and bottom edge values.  Every form commutes with ``R^2``, so it acts on
-    each class alone; the methods here are its ring coupling in these
+    class's u1 checkerboard and u2 on the other (component c of a column is
+    the nodal field ``V w_c V^T``), and ``x`` (2N, k) its left and bottom
+    edge values.  Every form commutes with ``R^2``, so it acts on each class
+    alone; ``trace`` and ``lift`` are its ring coupling in these
     coordinates, where the right and top edges double the left and bottom
     ones.
     """
 
-    basis: _TensorBasis
-    u1: dict                # beta -> (N, N) bool, where class beta keeps u1
-    edges: np.ndarray       # (2N,) left and bottom positions in the edges
-    images: np.ndarray      # (2N,) their half-turn images, right and top
-    position: np.ndarray    # (4N,) class coordinate of each edge dof
-    on_image: np.ndarray    # (4N,) True on the right and top edges
+    n: int
+    vecs: np.ndarray        # (N, N) V
+    lam: np.ndarray         # (N,)
+    vinv: np.ndarray        # (N, N) V^-1 = V^T M_D
+    ring: np.ndarray        # (N,) row of V at the ring lines of the left
+    #                         and bottom edges
+    couple: np.ndarray      # (2,) 1D stiffness, mass entry ring-to-edge
+    interior: np.ndarray    # (N, 2, N) reduced index of u1, u2 at node (i, j)
+    boundary: np.ndarray    # (4N,) reduced index of the left and bottom edge
+    #                         dofs, then of their images: right and top,
+    #                         each reversed
+    u1: np.ndarray          # (N, N) bool, where class +1 keeps u1 and
+    #                         class -1 keeps u2
     parts: np.ndarray       # (2, N) ring row on the even, odd modes
     phase: dict             # beta -> (2, 2, N) trace weight per edge
     #                         (left, bottom), parity of the summed mode, mode
 
-    def split(self, ghat, fb):
-        """Class parts ``{beta: (w, x)}`` of a modal right-hand side: the
-        class's checkerboards of the interior and the left and bottom rows
-        of the class's part of the edge values."""
-        nn = self.basis.n - 1
-        g = ghat.reshape(nn, 2, 2, -1, nn)
-        return {beta: (np.where(self.u1[beta][:, None, None, :],
-                                g[:, :, 0], g[:, :, 1]),
-                       (fb[self.edges] - beta * fb[self.images]) / 2)
-                for beta in (1, -1)}
+    def forward(self, cols):
+        """Class parts ``{beta: (w, x)}`` of the nodal right-hand sides
+        ``cols`` (dim, k): ``V^T F V`` of each interior field ``F`` on the
+        class's checkerboards, and the class's part of the edge values."""
+        nn, k = self.n - 1, cols.shape[1]
+        g = cols[self.interior[:, :, None, :], np.arange(k)[:, None]]
+        g = np.stack([g.real, g.imag], axis=1).reshape(nn, -1)
+        g = _gemm(_gemm(self.vecs.T, g).reshape(-1, nn), self.vecs)
+        g1, g2 = g.reshape(nn, 2, 2, k, nn).transpose(2, 0, 1, 3, 4)
+        keep = self.u1[:, None, None, :]
+        edge, image = cols[self.boundary].reshape(2, 2 * nn, k)
+        return {1: (np.where(keep, g1, g2), (edge - image) / 2),
+                -1: (np.where(keep, g2, g1), (edge + image) / 2)}
 
-    def merge(self, parts):
-        """Modal interior and edge values of the sum of class parts
+    def back(self, parts):
+        """Nodal vectors (dim, k) of the sum of the class parts
         ``{beta: (w, x)}``, a missing class zero; the inverse of
-        ``split``."""
-        nn = self.basis.n - 1
+        ``forward``."""
+        nn = self.n - 1
         (w_p, x_p), (w_m, x_m) = (parts.get(beta, (0.0, 0.0))
                                   for beta in (1, -1))
-        keep = self.u1[1][:, None, None, :]
-        zhat = np.stack([np.where(keep, w_p, w_m), np.where(keep, w_m, w_p)],
-                        axis=2)
-        xb = np.empty((4 * nn, zhat.shape[3]), dtype=complex)
-        xb[self.edges], xb[self.images] = x_p + x_m, x_m - x_p
-        return zhat.reshape(nn, -1, nn), xb
+        keep = self.u1[:, None, None, :]
+        z = np.stack([np.where(keep, w_p, w_m), np.where(keep, w_m, w_p)],
+                     axis=2)
+        k = z.shape[3]
+        z = _gemm(_gemm(self.vecs, z.reshape(nn, -1)).reshape(-1, nn),
+                  self.vecs.T).reshape(nn, 2, 2, k, nn)
+        x = np.empty((2 * nn * nn + 4 * nn, k), dtype=complex)
+        x[self.interior[:, :, None, :], np.arange(k)[:, None]] = (
+            z[:, 0] + 1j * z[:, 1])
+        x[self.boundary] = np.concatenate([x_p + x_m, x_m - x_p])
+        return x
 
     def trace(self, alpha, beta, w):
         """``C^T W1 + Omega^H C^T W2`` (2N, k) on the left and bottom edges
         of a class ``beta`` interior ``w``, where ``C`` is the ring coupling
         of a form with coefficients ``alpha`` (see ``_TensorInverse``)."""
-        nn, vinv = self.basis.n - 1, self.basis.vinv
-        k = w.shape[2]
+        nn, k = self.n - 1, w.shape[2]
         left = _gemm(self.parts, w.reshape(nn, -1)).reshape(2, 2, k, nn)
         bottom = _gemm(w.reshape(-1, nn), self.parts.T).reshape(nn, 2, k, 2)
         weight_l, weight_b = self.phase[beta]
@@ -184,16 +146,17 @@ class _HalfTurnModes:
             (weight_b.T[:, None] * (bottom[:, 0] + 1j * bottom[:, 1])
              ).sum(-1).T])                          # (edge, k, mode)
         t = _gemm(np.concatenate([lines.real, lines.imag]).reshape(-1, nn),
-                  vinv).reshape(2, 2, k, nn)
+                  self.vinv).reshape(2, 2, k, nn)
         return (t[0] + 1j * t[1]).transpose(0, 2, 1).reshape(2 * nn, k)
 
     def lift(self, alpha, beta, x):
         """The class ``beta`` interior of ``C x`` (u1) and ``C Omega x``
         (u2) for the left and bottom values ``x`` and their images: twice
         the adjoint of ``trace``."""
-        nn, vinv = self.basis.n - 1, self.basis.vinv
+        nn = self.n - 1
         xe = x.reshape(2, nn, -1).transpose(1, 0, 2)
-        a = _gemm(vinv, np.stack([xe.real, xe.imag], axis=2).reshape(nn, -1))
+        a = _gemm(self.vinv,
+                  np.stack([xe.real, xe.imag], axis=2).reshape(nn, -1))
         a = a.reshape(nn, 2, 2, -1)
         a = (a[:, :, 0] + 1j * a[:, :, 1]) * (2.0 * alpha.T[:, :, None])
         weight_l, weight_b = self.phase[beta]
@@ -212,8 +175,8 @@ class _HalfTurnModes:
         classes vanishes to 1e-12 of the largest entry of ``a_bb``:
         otherwise the class blocks describe another matrix."""
         coo = a_bb.tocoo()
-        size = self.edges.size
-        at = self.position[coo.row] * size + self.position[coo.col]
+        size = 2 * (self.n - 1)
+        at = coo.row % size * size + coo.col % size
 
         def dense(weights, keep=slice(None)):
             data = weights * coo.data[keep]
@@ -221,59 +184,58 @@ class _HalfTurnModes:
                     + 1j * np.bincount(at[keep], data.imag, size * size)
                     ).reshape(size, size)
 
+        own = coo.row < size                # left and bottom rows
         # (E_+^H A E_-)/2, E_beta embedding the class coordinates
-        dev = np.abs(dense(np.where(self.on_image[coo.row], -0.5, 0.5))).max()
+        dev = np.abs(dense(np.where(own, 0.5, -0.5))).max()
         scale = np.abs(coo.data).max() if coo.nnz else 0.0
         if dev > 1e-12 * max(scale, 1e-300):
             raise ConsistencyError(
                 f"the edge block of {name} does not commute with the half "
                 f"turn (cross-class deviation {dev:.3e})")
-        keep = ~self.on_image[coo.row]
-        return {beta: dense(np.where(self.on_image[coo.col[keep]], -beta, 1.0),
-                            keep)
+        return {beta: dense(np.where(coo.col[own] < size, 1.0, -beta), own)
                 for beta in (1, -1)}
 
 
-@lru_cache(maxsize=None)
-def _half_turn_modes(n: int) -> _HalfTurnModes:
-    """The half-turn class coordinates of the n-grid (once per n, on the
-    first grid solve).
+def _tensor_basis(n: int) -> _TensorBasis:
+    """The basis of the n-grid, which ``mass_inverse`` builds once per n.
 
     The reflection parity of V and the closed-form ``R^2`` (interior
-    ``(i, j) -> (n-i, n-j)`` with -1 on u1 and +1 on u2, edges to their
-    opposite edge reversed with -1) are checked here, once, against the
-    basis and ``symmetry.rotation_map``.
+    ``(i, j) -> (n-i, n-j)`` with -1 on u1 and +1 on u2, each edge dof to
+    its image with -1) are checked here against the basis and
+    ``symmetry.rotation_map``.
     """
-    from .symmetry import rotation_map      # symmetry imports this module
+    from .symmetry import rotation_map      # symmetry imports eigsolve,
+    #                                         which imports this module
 
-    basis, nn = _tensor_basis(n), n - 1
+    cmap = constraint_map(n)
+    k1d, m1d, _ = (mat.toarray() for mat in _matrices_1d(n))
+    lam, vecs = sla.eigh(k1d[1:n, 1:n], m1d[1:n, 1:n])
+    nn, inner = n - 1, slice(1, n)
     parity = (-1.0) ** np.arange(nn)
-    if not (np.abs(basis.vecs[::-1] - basis.vecs * parity).max()
-            <= 1e-9 * np.abs(basis.vecs).max()):
+    if not (np.abs(vecs[::-1] - vecs * parity).max()
+            <= 1e-9 * np.abs(vecs).max()):
         raise AssertionError("the 1D eigenbasis is not reflection-symmetric")
-    partner = np.arange(4 * nn).reshape(4, nn)[[1, 0, 3, 2], ::-1].ravel()
-    rows = np.concatenate([basis.interior.ravel(), basis.boundary])
-    cols = np.concatenate([basis.interior[::-1, :, ::-1].ravel(),
-                           basis.boundary[partner]])
+    interior = np.stack([cmap.free1[inner, inner], cmap.free2[inner, inner]],
+                        axis=1)
+    boundary = np.concatenate([cmap.free1[0, inner], cmap.free1[inner, 0],
+                               cmap.free1[n, inner][::-1],
+                               cmap.free1[inner, n][::-1]])
+    rows = np.concatenate([interior.ravel(), boundary])
+    cols = np.concatenate([interior[::-1, :, ::-1].ravel(),
+                           np.roll(boundary, 2 * nn)])
     sign = np.broadcast_to([[-1.0], [1.0]], (nn, 2, nn)).ravel()
     half = sp.csr_matrix((np.concatenate([sign, -np.ones(4 * nn)]),
                           (rows, cols)), shape=(rows.size, rows.size))
     if (half != rotation_map(n).half_turn).nnz:
         raise AssertionError("the half turn is not the modal reflection")
-    edges = np.r_[0:nn, 2 * nn:3 * nn]
-    position = np.empty(4 * nn, dtype=np.int64)
-    position[edges] = position[partner[edges]] = np.arange(2 * nn)
-    on_image = np.ones(4 * nn, dtype=bool)
-    on_image[edges] = False
     # u1 of the summed mode of parity s is kept beside the free mode of
     # parity p when s p = -beta; u2 enters the trace with conj(omega)
     same = np.array([[1.0], [-1.0]]) * parity
-    return _HalfTurnModes(
-        basis=basis,
-        u1={beta: np.outer(parity, parity) == -beta for beta in (1, -1)},
-        edges=edges, images=partner[edges], position=position,
-        on_image=on_image,
-        parts=np.stack([basis.ring * (parity > 0), basis.ring * (parity < 0)]),
+    return _TensorBasis(
+        n=n, vecs=vecs, lam=lam, vinv=vecs.T @ m1d[1:n, 1:n], ring=vecs[0],
+        couple=np.array([k1d[1, 0], m1d[1, 0]]), interior=interior,
+        boundary=boundary, u1=np.outer(parity, parity) < 0,
+        parts=np.stack([vecs[0] * (parity > 0), vecs[0] * (parity < 0)]),
         phase={beta: np.stack([np.where(same == -beta, 1.0,
                                         np.conj(OMEGA[edge]))
                                for edge in (LEFT, BOTTOM)])
@@ -288,15 +250,17 @@ class _TensorInverse:
     Fast diagonalisation inverts the interior blocks ``D``, where ``C``
     couples the u1 interior to the edge dofs and ``C Omega`` the u2
     interior.  The form commutes with the half turn, so it is block
-    diagonal in the half-turn classes (``_HalfTurnModes``), and so is the
+    diagonal in the half-turn classes (``_TensorBasis``), and so is the
     boundary Schur complement ``S = Q_BB - C^T D^-1 C - Omega^H C^T D^-1 C
     Omega``: one (2N)-square block ``S_beta`` per class, on the left and
     bottom edges, each closed by a dense Cholesky factor (the capacitance
     matrix of Buzbee, Dorr, George & Golub 1971, split by the classes of
     Bossavit 1986).  ``C`` is separable edge by edge, and the right and top
     ring rows are the left and bottom ones times the parity ``p``, so each
-    class block is built from three edge-pair blocks, products of N-square
-    matrices.  The factors exist only when ``q`` is positive definite on
+    class block is built from edge-pair blocks, products of N-square
+    matrices: the left-left and bottom-bottom blocks are the same in both
+    classes, and one cross-edge product gives the left-bottom block of
+    both.  The factors exist only when ``q`` is positive definite on
     both classes, that is on the whole space, so building the inverse is
     also that check; the class blocks of ``Q_BB`` describe it only when the
     block between the classes vanishes, which is checked too.
@@ -306,19 +270,18 @@ class _TensorInverse:
 
     One implementation serves every use: ``class_solve`` is the inverse on
     one class in its modal coordinates (the Schur steps, O(N^2) per column,
-    and one half-size Cholesky solve), and the nodal ``solve`` splits its
-    right-hand side into the two classes between the basis's forward and
-    back transforms, two O(N^3) products each.  The repair step and the
-    residual check use ``solve``; ARPACK's class operator
-    (``_ClassOperator``) iterates on ``class_product`` and ``class_solve``
-    alone.
+    and one half-size Cholesky solve), and the nodal ``solve`` runs both
+    class solves between the basis's forward and back transforms, which
+    take nodal vectors to class coordinates and back, two O(N^3) products
+    each.  The repair step and the residual check use ``solve``; ARPACK's
+    class operator (``_ClassOperator``) iterates on ``class_product`` and
+    ``class_solve`` alone.
     """
 
     def __init__(self, basis: _TensorBasis, w, q_bb, name: str = "Q"):
         w1, w2, w3 = (float(x) for x in w[:3])
         lam, vinv = basis.lam, basis.vinv
         self.basis = basis
-        self.modes = modes = _half_turn_modes(basis.n)
         self.boundary_block = q_bb
         self.delta = w1 * lam[:, None] + w2 * lam[None, :] + w3
         if not self.delta.min() > 0.0:
@@ -329,7 +292,7 @@ class _TensorInverse:
         kc, mc = basis.couple
         self.alpha = np.array([w1 * kc + w3 * mc + w2 * mc * lam,
                                w2 * kc + w3 * mc + w1 * mc * lam])
-        self.class_blocks = blocks = modes.blocks(q_bb, name)
+        self.class_blocks = blocks = basis.blocks(q_bb, name)
 
         # 2 C^T D^-1 C on the left and bottom edges of each class: the
         # left-left and bottom-bottom blocks are the same in both classes
@@ -338,16 +301,18 @@ class _TensorInverse:
         ll = 2.0 * _gemm(vinv.T * (al**2 * (ring**2 @ inv_delta)), vinv)
         bb = 2.0 * _gemm(vinv.T * (ab**2 * (inv_delta @ ring**2)), vinv)
         # left-bottom: u1 enters with weight 1 and u2 with conj(omega_L)
-        # omega_B on its checkerboard
+        # omega_B = theta.  Class beta keeps u1 on the checkerboard
+        # (1 - beta p p^T)/2 and diag(p) V^-1 = V^-1 J, so with
+        # X = V^-T kernel V^-1 its block is (1 + theta) X - beta (1 - theta)
+        # J X J
         kernel = al[:, None] * (np.outer(ring, ring) * inv_delta).T * ab
-        part = {beta: 2.0 * _gemm(_gemm(vinv.T, kernel * modes.u1[beta]),
-                                  vinv) for beta in (1, -1)}
+        cross = _gemm(_gemm(vinv.T, kernel), vinv)
         theta = np.conj(OMEGA[LEFT]) * OMEGA[BOTTOM]
         nn = basis.n - 1
         self.chol = {}
         for beta in (1, -1):
             schur = blocks[beta].copy()
-            lb = part[beta] + theta * part[-beta]
+            lb = (1 + theta) * cross - beta * (1 - theta) * cross[::-1, ::-1]
             schur[:nn, :nn] -= ll
             schur[nn:, nn:] -= bb
             schur[:nn, nn:] -= lb
@@ -363,19 +328,18 @@ class _TensorInverse:
         """``q^-1 f`` for a vector or the columns of a matrix: the forward
         transform, the class solves and the back transform."""
         f = np.asarray(f)
-        cols = f.reshape(f.shape[0], -1)                 # (dim, k)
-        parts = self.modes.split(*self.basis.forward(cols))
-        x = self.basis.back(*self.modes.merge(
-            {beta: self.class_solve(beta, *rhs) for beta, rhs in parts.items()}))
+        parts = self.basis.forward(f.reshape(f.shape[0], -1))
+        x = self.basis.back({beta: self.class_solve(beta, *rhs)
+                             for beta, rhs in parts.items()})
         return x.reshape(f.shape)
 
     def class_product(self, beta, w, x):
         """``q`` on the class ``beta`` vector ``(w, x)``, in the modal
         coordinates of its right-hand sides."""
-        modes = self.modes
+        basis = self.basis
         return (self.delta[:, None, None, :] * w
-                + modes.lift(self.alpha, beta, x),
-                modes.trace(self.alpha, beta, w)
+                + basis.lift(self.alpha, beta, x),
+                basis.trace(self.alpha, beta, w)
                 + self._sparse_blocks[beta] @ x)
 
     @cached_property
@@ -390,11 +354,11 @@ class _TensorInverse:
 
         Every step costs O(N^2) per column, plus the Cholesky solve.
         """
-        modes, delta = self.modes, self.delta[:, None, None, :]
+        basis, delta = self.basis, self.delta[:, None, None, :]
         # the edge equation S_beta x = fb - C^T D^-1 g1 - Omega^H C^T D^-1 g2
-        rhs = fb - modes.trace(self.alpha, beta, g / delta)
+        rhs = fb - basis.trace(self.alpha, beta, g / delta)
         x = sla.cho_solve(self.chol[beta], rhs, check_finite=False)
-        w = modes.lift(self.alpha, beta, x)
+        w = basis.lift(self.alpha, beta, x)
         np.subtract(g, w, out=w)
         w /= delta
         return w, x
@@ -419,11 +383,13 @@ def _gemm(a, b):
 
 @lru_cache(maxsize=None)
 def mass_inverse(n: int) -> _TensorInverse:
-    """Tensor-product inverse of the n-grid mass matrix (built once per n).
+    """Tensor-product inverse of the n-grid mass matrix, and the owner of
+    the grid's basis (built once per n).
 
     Its Schur factors are M's positive-definiteness check.  Built on the
     first grid solve of that n, never during assembly, and shared by every
-    later solve on the grid.
+    later solve on the grid; its ``basis`` is the one every shifted inverse
+    of the grid reads.
     """
     m = assemble(build_grid(n)).M
     _check_hermitian("M", m)
@@ -434,13 +400,13 @@ def mass_inverse(n: int) -> _TensorInverse:
 
 class _ClassOperator:
     """ARPACK's class +1 operator ``P (Q - sigma M)^-1 M`` in the class +1
-    coordinates of the tensor inverse (``_HalfTurnModes``).
+    coordinates of the tensor inverse (``_TensorBasis``).
 
     A vector holds the dense class +1 modal interior, u1 on one
-    checkerboard of the eigenbasis (component c is the nodal field ``V
-    zhat_c V^T``) and u2 on the other, and the nodal values of the left and
-    bottom edge dofs, whose images on the opposite edges follow from the
-    class; it has half the length of a nodal vector, and ``P`` is implicit.
+    checkerboard of the eigenbasis and u2 on the other, and the nodal
+    values of the left and bottom edge dofs, whose images on the opposite
+    edges follow from the class; it has half the length of a nodal vector,
+    and ``P`` is implicit.
     Since ``V^T M_D V = I`` and ``V^T K_D V = diag(lam)``, the interior
     block of ``M`` is the identity here and that of ``Q - sigma M`` is the
     diagonal ``delta``; both meet the edges only through the ring coupling.
@@ -453,15 +419,14 @@ class _ClassOperator:
 
     def __init__(self, shift: _TensorInverse, mass: _TensorInverse):
         self.shift, self.mass = shift, mass
-        nn = shift.basis.n - 1
-        self.split = nn * nn
-        self.dim = self.split + 2 * nn
+        self.nn = nn = shift.basis.n - 1
+        self.dim = nn * nn + 2 * nn
 
     def _expand(self, z):
         """Class +1 vector ``(w, x)`` of the columns ``z`` (dim, k)."""
-        nn = self.shift.basis.n - 1
-        w = z[:self.split].reshape(nn, nn, -1).transpose(0, 2, 1)
-        return np.stack([w.real, w.imag], axis=1), z[self.split:]
+        nn = self.nn
+        w = z[:nn * nn].reshape(nn, nn, -1).transpose(0, 2, 1)
+        return np.stack([w.real, w.imag], axis=1), z[nn * nn:]
 
     def apply(self, z):
         """``(Q - sigma M)^-1 M z`` for one class +1 vector."""
@@ -473,8 +438,7 @@ class _ClassOperator:
 
     def to_nodal(self, z):
         """Nodal vectors of the class +1 columns ``z``."""
-        return self.shift.basis.back(
-            *self.shift.modes.merge({1: self._expand(z)}))
+        return self.shift.basis.back({1: self._expand(z)})
 
 
 def _check_kronecker_interior(fm, basis: _TensorBasis):

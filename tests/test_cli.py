@@ -1,15 +1,18 @@
 import dataclasses
+import functools
 import json
 import math
+import multiprocessing
 import os
 import re
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from diracbox import (assemble, bounds, build_grid, cli, eigsolve, jopt, symmetry,
-                      tensor)
+from diracbox import (assemble, bounds, build_grid, cli, eigsolve, jopt,
+                      symmetry, tensor)
 from diracbox.errors import ClusterResolutionError, ConsistencyError, SolverError
 from diracbox.formgrid import constraint_map, quotient, trial_dirichlet
 
@@ -77,6 +80,27 @@ def test_argument_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         run(["solve", "--format", "xml"])           # argparse enum
     assert exc.value.code == 2
+
+
+def test_bad_tol_and_jobs_exit_code_before_any_solve(tmp_path, monkeypatch,
+                                                    capsys):
+    # A tol at or below zero fails every residual contract and a NaN tol
+    # passes every one; a sweep needs at least one worker.  Each is an
+    # argument error, raised before any solve.
+    def eigsh(*args, **kwargs):
+        raise AssertionError("a solve ran")
+
+    monkeypatch.setattr(eigsolve.spla, "eigsh", eigsh)
+    for tol in ("0", "-1", "nan"):
+        assert run(["solve", "--n", "8", "--no-cache", "--tol", tol]) == 2
+        assert "tol must be" in capsys.readouterr().err
+    for argv in (["refine", "--n-list", "8,16"],
+                 ["jopt", "--n", "8", "--restarts", "3"]):
+        assert run(argv + ["--tol", "-1"]) == 2
+        assert "tol must be" in capsys.readouterr().err
+    assert run(["sweep", "--n", "8", "--steps", "3", "--jobs", "0",
+                "--no-cache", "--out", str(tmp_path / "sweep.csv")]) == 2
+    assert "jobs must be" in capsys.readouterr().err
 
 
 def test_solver_failure_exit_code():
@@ -239,6 +263,25 @@ def test_sweep_jobs_independent_of_scheduling(tmp_path):
             "--a-max", "2", "--steps", "4", "--n", "12", "--no-cache"]
     serial = tmp_path / "serial.csv"
     parallel = tmp_path / "parallel.csv"
+    assert run(base + ["--jobs", "1", "--out", str(serial)]) == 0
+    assert run(base + ["--jobs", "2", "--out", str(parallel)]) == 0
+
+    def strip_timing(path):
+        rows = [line.split(",") for line in path.read_text().splitlines()[1:]]
+        return [r[:11] + r[12:] for r in rows]   # drop wall_time_ms
+
+    assert strip_timing(serial) == strip_timing(parallel)
+
+
+def test_sweep_jobs_under_spawn(tmp_path, monkeypatch):
+    # Workers started by spawn inherit no per-grid state from the parent,
+    # as on platforms whose default start method is not fork: the rows are
+    # those of the serial sweep.
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", functools.partial(
+        ProcessPoolExecutor, mp_context=multiprocessing.get_context("spawn")))
+    base = ["sweep", "--constraint", "area", "--m", "0", "--a-min", "0.5",
+            "--a-max", "2", "--steps", "4", "--n", "12", "--no-cache"]
+    serial, parallel = tmp_path / "serial.csv", tmp_path / "parallel.csv"
     assert run(base + ["--jobs", "1", "--out", str(serial)]) == 0
     assert run(base + ["--jobs", "2", "--out", str(parallel)]) == 0
 

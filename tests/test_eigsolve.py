@@ -63,6 +63,21 @@ def test_rejects_indefinite_mass_with_positive_diagonal(monkeypatch):
         smallest_eigenpair(q, m, k=2)
 
 
+def test_rejects_bad_tol_before_any_solve(monkeypatch):
+    # At or below zero no pair can meet the residual contract, and at NaN
+    # every pair would: an argument error, raised before ARPACK runs.
+    def eigsh(*args, **kwargs):
+        raise AssertionError("ARPACK ran with a bad tol")
+
+    monkeypatch.setattr(eigsolve.spla, "eigsh", eigsh)
+    q = sp.diags(np.arange(1.0, 7.0)).tocsr().astype(complex)
+    for tol in (0.0, -1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="tol must be"):
+            lambda1_2d(1, 1, 0, 12, tol=tol)
+        with pytest.raises(ValueError, match="tol must be"):
+            smallest_eigenpair(q, sp.identity(6, format="csr"), tol=tol)
+
+
 def test_rejects_bad_k():
     q = np.eye(2, dtype=complex)
     with pytest.raises(ValueError):
@@ -204,8 +219,7 @@ def test_grid_solves_factor_nothing(fm_cache, monkeypatch):
 def test_grid_inverse_state_built_once_per_n(fm_cache):
     # The per-n basis and M's inverse are built on the first grid solve of
     # that n, once, and never during set-up.
-    builders = (tensor._tensor_basis, tensor.mass_inverse,
-                tensor._half_turn_modes)
+    builders = (tensor.mass_inverse,)
     for n in (12, 48):
         fm = fm_cache(n)
         for builder in builders:
@@ -217,7 +231,6 @@ def test_grid_inverse_state_built_once_per_n(fm_cache):
             jopt.euler_solve(fm, a, 1.0 / a, m)
             symmetry.ground_cluster(fm, a, 1.0 / a, m, k=2)
         assert all(b.cache_info().misses == 1 for b in builders)
-        assert tensor.mass_inverse(n).basis is tensor._tensor_basis(n)
 
 
 def _weight_shapes(a, b, m):
@@ -228,7 +241,7 @@ def _weight_shapes(a, b, m):
 @pytest.mark.parametrize("n", [4, 6, 12, 30])
 def test_tensor_inverse_is_exact(fm_cache, n):
     fm = fm_cache(n)
-    basis = tensor._tensor_basis(n)
+    basis = tensor.mass_inverse(n).basis
     rng = np.random.default_rng(n)
     worst = 0.0
     for log_aspect in np.linspace(-math.log(20.0), math.log(20.0), 5):
@@ -289,7 +302,7 @@ def test_class_operator_is_exact_in_modal_coordinates(fm_cache, n):
 
 def test_tensor_inverse_rejects_indefinite_forms(fm_cache):
     fm = fm_cache(12)
-    basis = tensor._tensor_basis(12)
+    basis = tensor.mass_inverse(12).basis
     # a negative interior spectrum, and an indefinite boundary block over a
     # positive interior: both are errors, never a number
     for w in ((1.0, 1.0, -1e3, 0.0, 0.0), (1.0, 1.0, 0.0, -1e3, -1e3)):
