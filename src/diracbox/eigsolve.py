@@ -17,24 +17,30 @@ ground eigenvalue is simple, so one run with k = 1 and a Krylov space of
 spectral transformation, Bossavit 1986 for the symmetry classes).  The
 other class needs no run: the charge conjugation ``C(u1, u2) = (conj u2,
 conj u1)``, the discrete form of the lambda -> -lambda symmetry of the
-Dirac operator, commutes with the pencil and anticommutes with ``R^2``, so
-``C`` of the class +1 eigenvectors are the class -1 eigenvectors, and they
-pass the same residual contract or the pencil lacks the symmetry.  The
-shift is the closed-form lower bound ``bounds.sharp_lower`` of the point,
-so it depends on nothing but the point.  The inverse of ``Q - sigma M``
-exists only for a shift below the lowest eigenvalue, so a shift that
+Dirac operator, commutes with the pencil and anticommutes with ``R^2``, and
+it is an M^-1 isometry, so ``C`` maps each class +1 eigenpair onto a class
+-1 eigenpair with the same value and the same residual.  That every form of
+the grid is Hermitian and commutes with ``C`` bit for bit is certified once
+per grid (``FormMatrices._symmetry_certificate``), so every pencil with
+real weights does too; a form without the symmetry raises ConsistencyError.
+The shift is the closed-form lower bound ``bounds.sharp_lower`` of the
+point, so it depends on nothing but the point.  The inverse of ``Q - sigma
+M`` exists only for a shift below the lowest eigenvalue, so a shift that
 contradicts its lower bound raises ConsistencyError, never a number.
 
 The inverses of ``Q - sigma M`` and ``M`` are the exact tensor-product
 inverses of ``tensor``, and ARPACK iterates in their class +1 coordinates
 (``tensor._ClassOperator``).  ARPACK's vectors take one back transform to
-nodal coordinates; the inverse-iteration step, Rayleigh-Ritz and the
-residual contract run on the assembled pencil, through the nodal solves.
-The modal iteration never reads the assembled interior, so when the class
-+1 contract fails, the interior blocks of ``K1``, ``K2`` and ``M`` are
-compared with the Kronecker sums the inverse assumes, and a mismatch raises
-ConsistencyError.  ``tol`` must be a finite number above zero, and is
-checked before any work.
+nodal coordinates.  One inverse-iteration step in residual-correction form
+(Parlett 1998) subtracts the class +1 solve of their residual on the
+assembled pencil, Rayleigh-Ritz runs on the assembled pencil, and the
+residual contract reads each residual's M^-1 norm in the class coordinates
+of the mass inverse, with no back transform.  The modal iteration never
+reads the assembled interior, so when the class +1 contract fails, the
+interior blocks of ``K1``, ``K2`` and ``M`` are compared with the Kronecker
+sums the inverse assumes, and a mismatch raises ConsistencyError.  ``tol``
+must be a finite number above zero, and is checked before any work, as are
+``k``, the classes and the weights, which must be real.
 
 ``smallest_eigenpair(Q, M)`` serves any other Hermitian pencil (1D pencils,
 tests) at shift zero with symmetric-mode SuperLU factors of both matrices:
@@ -78,9 +84,9 @@ class EigenResult:
 
     ``mu`` is the discrete lambda_1^2, ``residual`` the M^-1-norm of
     ``Q psi - mu M psi`` and ``iterations`` the number of shifted-operator
-    applications of the one class +1 solve.  ``eigenvalues`` holds, in
-    ascending order, the class +1 ground value and the value of its charge
-    conjugate in class -1.
+    applications of the one class +1 solve plus its inverse-iteration
+    step.  ``eigenvalues`` holds the class +1 ground value and the equal
+    value of its charge conjugate in class -1.
     """
 
     mu: float
@@ -90,7 +96,7 @@ class EigenResult:
     iterations: int
     n: int
     seed: int
-    eigenvalues: tuple    # class +1 ground value and its conjugate's
+    eigenvalues: tuple    # class +1 ground value and its conjugate's, equal
 
 
 @dataclass(frozen=True)
@@ -180,36 +186,44 @@ def _solve_pencil(fm, w, sigma: float, classes, k: int, tol: float,
     (``weighted(fm, w)``, ``fm.M``), merged in ascending order.
 
     The one entry point of every grid solve.  ``classes`` is ``(1,)`` or
-    ``(1, -1)``.  ``sigma`` must lie below the lowest eigenvalue.  ARPACK
+    ``(1, -1)``, the weights ``w`` are real and ``sigma`` must lie below the
+    lowest eigenvalue; the arguments are checked before any work.  ARPACK
     iterates ``P (Q - sigma M)^-1 M`` with the projector ``P = (I + R^2)/2``
     of the half turn, in the modal coordinates of one tensor-product inverse
     of ``Q - sigma M`` restricted to class +1 (``_ClassOperator``), for the
     largest ``1/(mu - sigma)`` of class +1.  Its vectors go back to nodal
-    coordinates once, and the inverse-iteration step, Rayleigh-Ritz and the
-    residual contract run on the assembled pencil.  Class -1 needs no
-    second run: the charge conjugation ``C`` of ``symmetry.rotation_map``
-    commutes with the pencil and anticommutes with ``R^2``, so ``C`` of the
-    class +1 eigenvectors are the class -1 eigenvectors with the same
-    values; a conjugate that fails the contract means the pencil lacks the
-    symmetry.  A shift the inverse rejects lies above the lowest
-    eigenvalue, which contradicts the lower bound it came from; a boundary
-    block that does not commute with the half turn, and a class +1 failure
-    on a form whose interior is not the Kronecker sum the inverse assumes,
-    are inconsistencies too.  Each raises ConsistencyError.
+    coordinates once; one inverse-iteration step in residual-correction
+    form, through the class +1 solve, Rayleigh-Ritz and the residual
+    contract run on the assembled pencil, the residual's M^-1 norm taken in
+    the mass inverse's class coordinates.  Class -1 needs no second run:
+    every form of the grid is Hermitian and commutes with the charge
+    conjugation ``C`` of ``symmetry.rotation_map`` (``FormMatrices.
+    _symmetry_certificate``, read once per grid after the class +1
+    contract), so every real-weighted pencil does, and ``C``, which
+    anticommutes with ``R^2`` and is an M^-1 isometry, maps each class +1
+    eigenpair onto a class -1 eigenpair with the same value and residual.
+    A form without the symmetry raises ConsistencyError.  A shift the
+    inverse rejects lies above the lowest eigenvalue, which contradicts the
+    lower bound it came from; a boundary block that does not commute with
+    the half turn, and a class +1 failure on a form whose interior is not
+    the Kronecker sum the inverse assumes, are inconsistencies too.  Each
+    raises ConsistencyError.
     """
     from .symmetry import rotation_map      # symmetry imports this module
 
     _check_tol(tol)
     if tuple(classes) not in ((1,), (1, -1)):
         raise ValueError(f"classes must be (1,) or (1, -1), got {classes!r}")
-    mass = mass_inverse(fm.n)               # M's check comes first
-    q = weighted(fm, w)
-    _check_hermitian("Q", q, fm._transpose_positions)
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     ncv = max(NCV, 2 * k + 1)
     if ncv > fm.ndof // 2:
         raise ValueError(f"k={k} per class is too many for the n={fm.n} grid")
+    if np.any(np.imag(w)):
+        raise ValueError(f"the form weights must be real, got {w!r}")
+    w = np.real(w)
+    mass = mass_inverse(fm.n)               # M's check comes first
+    q = weighted(fm, w)
     basis = mass.basis
     try:
         shift = _TensorInverse(
@@ -223,26 +237,20 @@ def _solve_pencil(fm, w, sigma: float, classes, k: int, tol: float,
     op = _ClassOperator(shift, mass)
     z, iterations = _krylov(op.apply, op.dim, k, maxit, seed, sigma=sigma,
                             ncv=ncv)
-    v = _inverse_step(q, fm.M, shift.solve, op.to_nodal(z), sigma)
+    v = _inverse_step(q, fm.M, shift.plus_solve, op.to_nodal(z))
     rot = rotation_map(fm.n)
     v, iterations = (v + rot.half_turn @ v) / 2, iterations + k
     try:
-        parts = [_ritz(q, fm.M, v, mass.solve, tol, iterations)]
+        mus, v, residuals = _ritz(q, fm.M, v, mass.norms, tol, iterations)
     except SolverError:
         _check_kronecker_interior(fm, basis)
         raise
+    fm._symmetry_certificate                # raises for a form without C
     if len(classes) > 1:
-        try:
-            parts.append(_ritz(q, fm.M, rot.conjugate(parts[0][1]),
-                               mass.solve, tol, iterations))
-        except SolverError as exc:
-            raise ConsistencyError(
-                "the charge conjugates of the class +1 eigenvectors fail "
-                f"the residual contract ({exc}); the pencil lacks the "
-                "symmetry") from exc
-    mus, vectors, residuals = (np.concatenate(x, axis=-1) for x in zip(*parts))
+        mus, residuals = np.tile(mus, 2), np.tile(residuals, 2)
+        v = np.concatenate([v, rot.conjugate(v)], axis=1)
     order = np.argsort(mus, kind="stable")
-    return _PencilSolution(mus=mus[order], vectors=vectors[:, order],
+    return _PencilSolution(mus=mus[order], vectors=v[:, order],
                            residuals=residuals[order],
                            classes=np.repeat(classes, k)[order],
                            iterations=iterations)
@@ -285,27 +293,31 @@ def _krylov(apply_op, dim: int, k: int, maxit: int, seed: int, *,
     return v, iterations
 
 
-def _inverse_step(q, m, a_solve, v, sigma: float = 0.0):
-    """One block inverse-iteration step ``(q - sigma m)^-1 m v``, where
-    ``a_solve`` applies ``(q - sigma m)^-1``.
+def _inverse_step(q, m, a_solve, v):
+    """One block inverse-iteration step in residual-correction form,
+    ``v - a_solve(q v - theta m v)`` with ``theta`` the Rayleigh quotient
+    of each column of ``v``, where ``a_solve`` applies ``(q - sigma m)^-1``.
 
-    ARPACK's vectors can sit far above its tolerance: 1e-8 relative for an
-    exactly degenerate pair under threaded BLAS, and class solves without
-    this step read residual/mu up to 8e-11 at n = 256 against the 1e-10
-    contract.  The step damps their errors and the Rayleigh-Ritz step
-    recovers the eigenpairs.  One step of iterative refinement makes the
-    solve exact to rounding whatever the conditioning of the inverse.
+    In exact arithmetic this is ``(theta - sigma) (q - sigma m)^-1 m v``,
+    the plain step up to each column's scale (Parlett 1998): the solve acts
+    on a residual that is already small, so its rounding is relative to
+    that residual, whatever the conditioning of the inverse.  ARPACK's
+    vectors can sit far above its tolerance: 1e-8 relative for an exactly
+    degenerate pair under threaded BLAS, and class solves without this step
+    read residual/mu up to 8e-11 at n = 256 against the 1e-10 contract.
+    The step damps their errors and the Rayleigh-Ritz step recovers the
+    eigenpairs.
     """
-    rhs = m @ v
-    v = a_solve(rhs)
-    v += a_solve(rhs - (q @ v - sigma * (m @ v)))
-    return v
+    qv, mv = q @ v, m @ v
+    theta = (np.real(np.einsum("ij,ij->j", v.conj(), qv))
+             / np.real(np.einsum("ij,ij->j", v.conj(), mv)))
+    return v - a_solve(qv - theta * mv)
 
 
-def _ritz(q, m, v, m_solve, tol: float, iterations: int):
+def _ritz(q, m, v, m_inv_norms, tol: float, iterations: int):
     """Rayleigh-Ritz of (q, m) on the span of ``v``, under the residual
     contract: ascending values, M-orthonormal vectors and their M^-1-norm
-    residuals."""
+    residuals, ``m_inv_norms`` giving the M^-1 norm of each column."""
     # A no-op up to rounding for converged eigenvectors.  Each value is the
     # quotient of an admissible vector, so it stays a conforming upper bound.
     v = np.asarray(v, dtype=complex)
@@ -316,9 +328,7 @@ def _ritz(q, m, v, m_solve, tol: float, iterations: int):
     v, qv, mv = v @ coeff, qv @ coeff, mv @ coeff
     mus = np.real(np.einsum("ij,ij->j", v.conj(), qv))
 
-    r = qv - mus * mv
-    residuals = np.sqrt(np.abs(np.real(np.einsum("ij,ij->j", r.conj(),
-                                                  m_solve(r)))))
+    residuals = m_inv_norms(qv - mus * mv)
     bad = residuals > tol * np.maximum(np.abs(mus), 1e-300)
     if np.any(bad):
         i = int(np.argmax(residuals / np.maximum(np.abs(mus), 1e-300)))
@@ -360,7 +370,8 @@ def smallest_eigenpair(Q, M, k: int = 1, tol: float = 1e-10,
         v, iterations = _krylov(lambda x: a_solve(M @ x), dim, k, maxit,
                                 seed)
         v, iterations = _inverse_step(Q, M, a_solve, v), iterations + k
-    mus, v, _ = _ritz(Q, M, v, m_solve, tol, iterations)
+    mus, v, _ = _ritz(Q, M, v, lambda r: np.sqrt(np.abs(np.real(
+        np.einsum("ij,ij->j", r.conj(), m_solve(r))))), tol, iterations)
     return [(float(mus[i]), v[:, i]) for i in range(k)]
 
 
@@ -371,21 +382,15 @@ def lambda1_2d(a: float, b: float, m: float, n: int, tol: float = 1e-10,
     Conforming, so ``mu`` over-estimates the continuum lambda_1(a,b)^2.
     Every eigenvalue is double, one of each pair in each half-turn class:
     class +1 is solved for its ground value at the shift
-    ``sharp_lower(a, b, m)``, the closed-form lower bound, class -1 is its
-    charge conjugate, and the two values must agree, which tests the
-    symmetry on every solve.
+    ``sharp_lower(a, b, m)``, the closed-form lower bound, and class -1
+    holds its charge conjugate, with the same value, since the grid's forms
+    are certified to commute with the conjugation.
     """
     a, b, m = _check_weights(a, b, m)
     fm = assemble(build_grid(n))
     sol = _solve_pencil(fm, (a**-2, b**-2, 0.0, m / a, m / b),
                         sharp_lower(a, b, m), (1, -1), 1, tol, maxit, seed)
-    # the shifted inverse exists, so both values lie above sigma > 0
-    low, high = (float(x) for x in sol.mus)
-    if high - low > 1e-8 * low:
-        raise ConsistencyError(
-            f"the half-turn classes disagree on the ground eigenvalue: "
-            f"{low!r} and {high!r}")
-    mu = low + m**2
+    mu = float(sol.mus[0]) + m**2
     return EigenResult(
         mu=mu,
         lambda1=float(np.sqrt(mu)),

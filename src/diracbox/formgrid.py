@@ -38,6 +38,8 @@ from functools import cached_property, lru_cache
 import numpy as np
 import scipy.sparse as sp
 
+from .errors import ConsistencyError
+
 __all__ = [
     "Grid",
     "ConstraintMap",
@@ -228,13 +230,79 @@ class FormMatrices:
         """Position of each entry's transpose in the data of the pattern
         that K1, K2 and M share (computed once); ValueError unless that
         pattern is structurally symmetric."""
-        keys = _entry_keys(self.M)
-        rows, cols = np.divmod(keys, self.M.shape[1])
-        want = cols * self.M.shape[1] + rows
-        at = np.minimum(np.searchsorted(keys, want), keys.size - 1)
-        if not np.array_equal(keys[at], want):
+        at = _image_positions(self.M, lambda pos: pos.T)
+        if at is None:
             raise ValueError("the pattern of K1, K2 and M is not symmetric")
         return at
+
+    @cached_property
+    def _symmetry_certificate(self) -> bool:
+        """True once each of the five matrices is checked Hermitian and
+        found to commute exactly with the charge conjugation ``C`` of
+        ``symmetry.rotation_map`` (computed once, on the first solve).
+
+        Every form with real weights is then Hermitian and commutes exactly
+        with ``C`` too: ``weighted`` does the same arithmetic on an entry
+        and on its image.  ``C A = A C`` reads ``A[k, l] = phase_k
+        conj(phase_l) conj(A[perm_k, perm_l])``, so the check reads the data
+        arrays through the positions of the images, once per pattern (the
+        shared one and each trace's).  ValueError for a matrix that is not
+        Hermitian (to 1e-12 of its largest entry, as ``_check_hermitian``),
+        ConsistencyError for one that does not commute with ``C`` bit for
+        bit or whose pattern ``C`` does not keep.
+        """
+        from .symmetry import rotation_map  # symmetry imports this module
+
+        self._trace_positions               # checks the shared pattern
+        rot = rotation_map(self.n)
+        # the phases are 1, -1, i and -i, so single precision holds them
+        # and every product exactly, in half the memory
+        perm, phase = rot.conj_perm, rot.conj_phase.astype(np.complex64)
+        for group in ((("K1", self.K1), ("K2", self.K2), ("M", self.M)),
+                      (("Tpar", self.Tpar),), (("Teq", self.Teq),)):
+            pattern = group[-1][1]
+            at = _image_positions(pattern, lambda pos: pos[perm][:, perm])
+            weight = np.repeat(phase, np.diff(pattern.indptr))
+            weight *= phase.conj()[pattern.indices]
+            transpose = self._transpose_positions if pattern is self.M \
+                else None
+            for name, mat in group:
+                if not _is_image(mat.data, transpose):
+                    _check_hermitian(name, mat, transpose)
+                if not _is_image(mat.data, at, weight):
+                    dev = (np.inf if at is None else np.abs(
+                        mat.data - weight * mat.data[at].conj()).max())
+                    raise ConsistencyError(
+                        f"{name} does not commute with the charge "
+                        f"conjugation (deviation {dev:.3e}); the pencil "
+                        "lacks the symmetry")
+        return True
+
+
+def _is_image(data, at, weight=1.0) -> bool:
+    """Whether ``data`` equals ``weight * conj(data[at])`` bit for bit,
+    ``at`` holding the position of each entry's image (False for None)."""
+    if at is None:
+        return False
+    image = data[at]
+    np.conjugate(image, out=image)
+    image *= weight
+    return np.array_equal(image, data)
+
+
+def _image_positions(mat: sp.csr_matrix, image):
+    """Position in the data of ``mat`` of the image of each stored entry
+    under ``image``, a map of sparse matrices that moves entries (the
+    transpose, a permutation); None unless the image of the pattern is the
+    pattern itself."""
+    pos = image(sp.csr_matrix((np.arange(1, mat.nnz + 1, dtype=np.int32),
+                               mat.indices, mat.indptr),
+                              shape=mat.shape)).tocsr()
+    pos.sort_indices()
+    if not (np.array_equal(pos.indptr, mat.indptr)
+            and np.array_equal(pos.indices, mat.indices)):
+        return None
+    return pos.data - 1
 
 
 def _entry_keys(mat: sp.csr_matrix) -> np.ndarray:

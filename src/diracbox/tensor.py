@@ -21,9 +21,11 @@ mode parities and u2 on the other, and the nodal values of the left and
 bottom edge dofs.  There the interior block of ``M`` is the identity and
 that of ``Q - sigma M`` is diagonal, both meet the edges only through the
 ring coupling, and the projector onto the class is implicit, so an operator
-application costs O(N^2) and one half-size Cholesky solve.  The nodal
-``solve``, which the driver's repair step and residual check use, takes its
-right-hand side into the two classes' coordinates and back.
+application costs O(N^2) and one half-size Cholesky solve.  The driver's
+inverse-iteration step solves on class +1 alone (``plus_solve``): its
+right-hand side goes into the class +1 coordinates and back.  Its residual
+check reads ``r^H M^-1 r`` in the class coordinates of both classes
+(``norms``), with no back transform.
 
 ``mass_inverse(n)`` is the one per-n owner: the inverse of ``M``, built on
 the first grid solve of that n and holding the grid's ``_TensorBasis`` (the
@@ -270,12 +272,13 @@ class _TensorInverse:
 
     One implementation serves every use: ``class_solve`` is the inverse on
     one class in its modal coordinates (the Schur steps, O(N^2) per column,
-    and one half-size Cholesky solve), and the nodal ``solve`` runs both
-    class solves between the basis's forward and back transforms, which
-    take nodal vectors to class coordinates and back, two O(N^3) products
-    each.  The repair step and the residual check use ``solve``; ARPACK's
-    class operator (``_ClassOperator``) iterates on ``class_product`` and
-    ``class_solve`` alone.
+    and one half-size Cholesky solve).  The basis's forward and back
+    transforms take nodal vectors to class coordinates and back, two O(N^3)
+    products each.  ARPACK's class operator (``_ClassOperator``) iterates
+    on ``class_product`` and ``class_solve`` alone; the driver's
+    inverse-iteration step uses ``plus_solve``, the class +1 solve between
+    a forward and a back transform, and its residual check ``norms``, both
+    class solves after one forward transform.
     """
 
     def __init__(self, basis: _TensorBasis, w, q_bb, name: str = "Q"):
@@ -324,14 +327,30 @@ class _TensorInverse:
             except sla.LinAlgError as exc:
                 raise ValueError(f"{name} is not positive definite") from exc
 
-    def solve(self, f):
-        """``q^-1 f`` for a vector or the columns of a matrix: the forward
-        transform, the class solves and the back transform."""
-        f = np.asarray(f)
-        parts = self.basis.forward(f.reshape(f.shape[0], -1))
-        x = self.basis.back({beta: self.class_solve(beta, *rhs)
-                             for beta, rhs in parts.items()})
-        return x.reshape(f.shape)
+    def plus_solve(self, cols):
+        """``P q^-1 cols`` for nodal columns ``cols`` (dim, k), ``P`` the
+        projector onto class +1: the forward transform, the class +1 solve
+        and the back transform."""
+        parts = self.basis.forward(cols)
+        return self.basis.back({1: self.class_solve(1, *parts[1])})
+
+    def norms(self, cols):
+        """The ``q^-1`` norm ``sqrt(cols^H q^-1 cols)`` of each nodal
+        column, in class coordinates with no back transform.
+
+        With ``(g, f)`` the class parts of ``cols`` and ``(w, x)`` their
+        class solves, the interior contributes ``<g, w>``, since the modal
+        coefficients ``V^T F V`` pair with ``V W V^T``, and the edges
+        ``2 <f, x>``, since the right and top values are the left and
+        bottom ones up to the class sign.  Both classes count.
+        """
+        total = 0.0
+        for beta, (g, f) in self.basis.forward(cols).items():
+            w, x = self.class_solve(beta, g, f)
+            total = total + (np.einsum("iajl,iajl->j", g, w)
+                             + 2.0 * np.real(np.einsum("ij,ij->j",
+                                                       f.conj(), x)))
+        return np.sqrt(np.abs(total))
 
     def class_product(self, beta, w, x):
         """``q`` on the class ``beta`` vector ``(w, x)``, in the modal

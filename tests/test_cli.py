@@ -151,8 +151,9 @@ def test_pencil_without_charge_conjugation_exit_code(monkeypatch, capsys):
     # Class -1 is the charge conjugate of the class +1 solve.  A Hermitian,
     # half-turn-invariant K1 that breaks the conjugation: the u1 diagonal
     # entry of the centre node, its own half-turn image, doubled.  Class +1
-    # vectors vanish there, so class +1 solves cleanly and only the
-    # conjugate fails its contract: exit 5, never a value.
+    # vectors vanish there, so class +1 solves cleanly and the grid's
+    # symmetry certificate, read after the class +1 contract, finds the
+    # break: exit 5, never a value.
     n = 14
     fm = assemble(build_grid(n))
     k = constraint_map(n).free1[n // 2, n // 2]

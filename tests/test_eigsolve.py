@@ -78,6 +78,24 @@ def test_rejects_bad_tol_before_any_solve(monkeypatch):
             smallest_eigenpair(q, sp.identity(6, format="csr"), tol=tol)
 
 
+def test_grid_solve_checks_arguments_before_any_work(fm_cache):
+    # k, the classes and real weights are argument errors, raised before M's
+    # inverse or the weighted form is built.
+    fm = fm_cache(10)
+    sigma = bounds.sharp_lower(1.0, 1.0, 0.0)
+    w = (1.0, 1.0, 0.0, 0.0, 0.0)
+    tensor.mass_inverse.cache_clear()
+    for weights, classes, k, match in (
+            (w, (1, -1), 0, "k must be"),
+            (w, (1, -1), fm.ndof, "too many"),
+            (w, (-1,), 1, "classes must be"),
+            ((1.0, 1.0, 0.0, 0.5j, 0.0), (1, -1), 1, "must be real")):
+        with pytest.raises(ValueError, match=match):
+            eigsolve._solve_pencil(fm, weights, sigma, classes, k, 1e-10,
+                                   500, 0)
+    assert tensor.mass_inverse.cache_info().misses == 0
+
+
 def test_rejects_bad_k():
     q = np.eye(2, dtype=complex)
     with pytest.raises(ValueError):
@@ -238,6 +256,14 @@ def _weight_shapes(a, b, m):
             (0.0, 0.0, 1.0, 0.0, 0.0))
 
 
+def _nodal_solve(inv, cols):
+    """The inverse ``inv`` on nodal columns: the forward transform, both
+    class solves and the back transform."""
+    basis = inv.basis
+    return basis.back({beta: inv.class_solve(beta, *rhs)
+                       for beta, rhs in basis.forward(cols).items()})
+
+
 @pytest.mark.parametrize("n", [4, 6, 12, 30])
 def test_tensor_inverse_is_exact(fm_cache, n):
     fm = fm_cache(n)
@@ -249,12 +275,12 @@ def test_tensor_inverse_is_exact(fm_cache, n):
         for m in (0.0, 1e-2, 1.0, 1e3):
             for w in _weight_shapes(a, b, m):
                 q = weighted(fm, w)
-                solve = tensor._TensorInverse(
-                    basis, w, tensor._boundary_block(basis, q)).solve
+                inv = tensor._TensorInverse(
+                    basis, w, tensor._boundary_block(basis, q))
                 x0 = (rng.standard_normal((fm.ndof, 2))
                       + 1j * rng.standard_normal((fm.ndof, 2)))
-                for x, want in ((solve(q @ x0), x0),
-                                (solve(q @ x0[:, 0]), x0[:, 0])):
+                for want in (x0, x0[:, :1]):
+                    x = _nodal_solve(inv, q @ want)
                     assert x.shape == want.shape
                     worst = max(worst, np.linalg.norm(x - want)
                                 / np.linalg.norm(want))
@@ -268,13 +294,13 @@ def test_class_operator_is_exact_in_modal_coordinates(fm_cache, n):
     # The operator there is the nodal class +1 operator
     # P (Q - sigma M)^-1 M seen through the back transform, with the nodal
     # solve of the same inverse (exact by test_tensor_inverse_is_exact) and
-    # the assembled M.
+    # the assembled M; the class +1 nodal solve is P (Q - sigma M)^-1.
     fm = fm_cache(n)
     mass = tensor.mass_inverse(n)
     basis = mass.basis
     half_turn = symmetry.rotation_map(n).half_turn
     rng = np.random.default_rng(n)
-    worst = worst_p = 0.0
+    worst = worst_p = worst_plus = 0.0
     for log_aspect in np.linspace(-math.log(20.0), math.log(20.0), 5):
         a, b = math.exp(log_aspect / 2), math.exp(-log_aspect / 2)
         for m in (0.0, 1e-2, 1.0, 1e3):
@@ -288,16 +314,38 @@ def test_class_operator_is_exact_in_modal_coordinates(fm_cache, n):
             op = tensor._ClassOperator(shift, mass)
             assert 2 * op.dim == fm.ndof
             z = rng.standard_normal(op.dim) + 1j * rng.standard_normal(op.dim)
-            x = op.to_nodal(z[:, None])[:, 0]
+            x = op.to_nodal(z[:, None])
             worst_p = max(worst_p, np.linalg.norm(half_turn @ x - x)
                           / np.linalg.norm(x))
-            y = shift.solve(fm.M @ x)
+            y = _nodal_solve(shift, fm.M @ x)
             want = (y + half_turn @ y) / 2
-            got = op.to_nodal(op.apply(z)[:, None])[:, 0]
+            got = op.to_nodal(op.apply(z)[:, None])
             worst = max(worst, np.linalg.norm(got - want)
                         / np.linalg.norm(want))
+            f = rng.standard_normal((fm.ndof, 2)) + 0j
+            y = _nodal_solve(shift, f)
+            want = (y + half_turn @ y) / 2
+            worst_plus = max(worst_plus, np.linalg.norm(
+                shift.plus_solve(f) - want) / np.linalg.norm(want))
     assert worst <= 1e-12
     assert worst_p <= 1e-13
+    assert worst_plus <= 1e-12
+
+
+@pytest.mark.parametrize("n", [4, 12, 30])
+def test_mass_inverse_norms_in_class_coordinates(fm_cache, n):
+    # The residual's M^-1 norm is read in class coordinates, with no back
+    # transform: both classes and the doubled edges count.  It must equal
+    # the norm through a dense Cholesky factor of the assembled M.
+    fm = fm_cache(n)
+    chol = sla.cho_factor(fm.M.toarray())
+    rng = np.random.default_rng(n)
+    r = rng.standard_normal((fm.ndof, 3)) + 1j * rng.standard_normal(
+        (fm.ndof, 3))
+    want = np.sqrt(np.real(np.einsum("ij,ij->j", r.conj(),
+                                     sla.cho_solve(chol, r))))
+    got = tensor.mass_inverse(n).norms(r)
+    assert np.abs(got - want).max() <= 1e-12 * want.max()
 
 
 def test_tensor_inverse_rejects_indefinite_forms(fm_cache):

@@ -268,6 +268,62 @@ def test_weighted_rejects_forms_without_a_shared_pattern(fm_cache):
         weighted(broken, (1.0, 1.0, 0.0, 1.0, 1.0))
 
 
+@pytest.mark.parametrize("n", [4, 12, 30])
+def test_symmetry_certificate_holds_for_assembled_forms(fm_cache, n):
+    # Each of the five forms is Hermitian and commutes with the charge
+    # conjugation bit for bit, so every real-weighted pencil does too.
+    import dataclasses
+    fm = dataclasses.replace(fm_cache(n))       # a fresh, unchecked copy
+    assert "_symmetry_certificate" not in vars(fm)
+    assert fm._symmetry_certificate is True
+
+
+def _planted(fm, name, delta):
+    import dataclasses
+    return dataclasses.replace(
+        fm, **{name: (getattr(fm, name) + delta).tocsr()})
+
+
+def test_symmetry_certificate_rejects_a_non_hermitian_form(fm_cache):
+    fm = fm_cache(12)
+    k1 = fm.K1.tocoo()
+    off = np.flatnonzero(k1.row != k1.col)[k1.nnz // 3]
+    delta = sp.csr_matrix(([1e-9 * np.abs(k1.data).max()],
+                           ([k1.row[off]], [k1.col[off]])), shape=k1.shape)
+    with pytest.raises(ValueError, match="K1 is not Hermitian"):
+        _planted(fm, "K1", delta)._symmetry_certificate
+
+
+@pytest.mark.parametrize("name", ["K1", "K2", "M", "Tpar", "Teq"])
+def test_symmetry_certificate_rejects_a_form_without_conjugation(fm_cache,
+                                                                 name):
+    # Hermitian changes that the charge conjugation C does not keep, each
+    # found bit for bit.  C swaps u1 and u2 at an interior node, so one
+    # ulp more on one u1 diagonal entry breaks it; it maps each edge dof to
+    # itself, where a same-edge entry of a trace must stay real.
+    from diracbox.errors import ConsistencyError
+    n = 12
+    fm = fm_cache(n)
+    mat = getattr(fm, name)
+    if name in ("Tpar", "Teq"):
+        coo = mat.tocoo()
+        off = np.flatnonzero(coo.row != coo.col)[0]
+        r, c = coo.row[off], coo.col[off]
+        eps = 1e-3j * np.abs(coo.data).max()
+        delta = sp.csr_matrix(([eps, -eps], ([r, c], [c, r])),
+                              shape=mat.shape)
+    else:
+        k = constraint_map(n).free1[3, 5]
+        bump = np.zeros(fm.ndof)
+        bump[k] = np.spacing(mat[k, k].real)
+        delta = sp.diags(bump)
+    broken = _planted(fm, name, delta)
+    assert broken.K1.nnz == fm.K1.nnz       # the pattern is unchanged
+    with pytest.raises(ConsistencyError, match=f"{name} does not commute"
+                       ".*lacks the symmetry"):
+        broken._symmetry_certificate
+
+
 def test_assemble_built_once_per_n():
     assert assemble(build_grid(8)) is assemble(build_grid(8))
     assert assemble(build_grid(8)) is not assemble(build_grid(10))

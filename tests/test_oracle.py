@@ -54,6 +54,9 @@ def test_sparse_path_matches_dense_full_pencil(n, log_aspect, m):
 
     full = weighted(fm, (a**-2, b**-2, m**2, m / a, m / b))
     assert res.mu == pytest.approx(_dense_lowest(full, fm.M), rel=1e-10)
+    # class -1 is the charge conjugate of class +1: the same value
+    assert len(res.eigenvalues) == 2
+    assert res.eigenvalues[0] == res.eigenvalues[1] == res.mu
     shifted = res.mu - m**2
     q = weighted(fm, (a**-2, b**-2, 0.0, m / a, m / b))
     assert res.residual <= TOL * shifted
@@ -84,6 +87,11 @@ def test_sparse_path_matches_dense_full_pencil(n, log_aspect, m):
                 <= 1e-12 * _m_norm(fm.M, v))
     plus, minus = (sol.mus[sol.classes == beta] for beta in (1, -1))
     assert plus == pytest.approx(minus, rel=1e-10)
+    # the class -1 columns are the conjugates of the class +1 ones, bit for
+    # bit, in the same order
+    conjugate = symmetry.rotation_map(n).conjugate
+    assert np.array_equal(sol.vectors[:, sol.classes == -1],
+                          conjugate(sol.vectors[:, sol.classes == 1]))
 
     # the shifted inverse's class factors certify Q - sigma M > 0: they
     # exist just below the lowest eigenvalue and not just above it
