@@ -245,6 +245,9 @@ def _solve_pencil(fm, w, sigma: float, classes, k: int, tol: float,
     except SolverError:
         _check_kronecker_interior(fm, basis)
         raise
+    # the form and the shifted inverse go first: on a grid's first solve
+    # the certificate's temporaries would otherwise add to them at the peak
+    del q, shift, op
     fm._symmetry_certificate                # raises for a form without C
     if len(classes) > 1:
         mus, residuals = np.tile(mus, 2), np.tile(residuals, 2)

@@ -278,6 +278,29 @@ def test_symmetry_certificate_holds_for_assembled_forms(fm_cache, n):
     assert fm._symmetry_certificate is True
 
 
+def test_symmetry_certificate_built_on_the_first_solve_not_in_setup():
+    # The benchmark times set-up (import, constraint map, assembly through
+    # the CLI's form cache, rotation map); the certificate belongs to the
+    # first solve.  A fresh process, so no earlier test has built it.
+    import os
+    import subprocess
+    import sys
+    code = ("from diracbox import cli, formgrid, lambda1_2d, symmetry\n"
+            "formgrid.constraint_map(12)\n"
+            "fm = cli._form_matrices(12)\n"
+            "symmetry.rotation_map(12)\n"
+            "assert '_symmetry_certificate' not in vars(fm)\n"
+            "lambda1_2d(1.0, 1.0, 0.0, 12)\n"
+            "assert vars(fm)['_symmetry_certificate'] is True\n")
+    src = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+
+
 def _planted(fm, name, delta):
     import dataclasses
     return dataclasses.replace(
