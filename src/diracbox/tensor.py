@@ -21,7 +21,7 @@ mode parities and u2 on the other, and the nodal values of the left and
 bottom edge dofs.  There the interior block of ``M`` is the identity and
 that of ``Q - sigma M`` is diagonal, both meet the edges only through the
 ring coupling, and the projector onto the class is implicit, so an operator
-application costs O(N^2) and one half-size Cholesky solve.  The driver's
+application costs O(N^2) and one half-size Cholesky solve.  The solver's
 inverse-iteration step solves on class +1 alone (``plus_solve``): its
 right-hand side goes into the class +1 coordinates and back.  Its residual
 check reads ``r^H M^-1 r`` in the class coordinates of both classes
@@ -275,7 +275,7 @@ class _TensorInverse:
     and one half-size Cholesky solve).  The basis's forward and back
     transforms take nodal vectors to class coordinates and back, two O(N^3)
     products each.  ARPACK's class operator (``_ClassOperator``) iterates
-    on ``class_product`` and ``class_solve`` alone; the driver's
+    on ``class_product`` and ``class_solve`` alone; the solver's
     inverse-iteration step uses ``plus_solve``, the class +1 solve between
     a forward and a back transform, and its residual check ``norms``, both
     class solves after one forward transform.
