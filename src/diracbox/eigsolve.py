@@ -239,7 +239,7 @@ def _solve_pencil(fm, w, sigma: float, classes, k: int, tol: float,
                             ncv=ncv)
     v = _inverse_step(q, fm.M, shift.plus_solve, op.to_nodal(z))
     rot = rotation_map(fm.n)
-    v, iterations = (v + rot.half_turn @ v) / 2, iterations + k
+    v, iterations = (v + rot.half_turn(v)) / 2, iterations + k
     try:
         mus, v, residuals = _ritz(q, fm.M, v, mass.norms, tol, iterations)
     except SolverError:

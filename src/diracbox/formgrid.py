@@ -138,21 +138,14 @@ def constraint_map(n: int) -> ConstraintMap:
     for c, w in OMEGA.items():
         omega[cls == c] = w
 
-    free1 = -np.ones((n + 1, n + 1), dtype=np.int64)
-    free2 = -np.ones((n + 1, n + 1), dtype=np.int64)
-    k = 0
-    # Node-major ordering keeps the reduced matrices banded.
-    for i in range(n + 1):
-        for j in range(n + 1):
-            c = cls[i, j]
-            if c == CORNER:
-                continue
-            free1[i, j] = k
-            k += 1
-            if c == INTERIOR:
-                free2[i, j] = k
-                k += 1
-    ndof = k
+    # Node-major ordering keeps the reduced matrices banded: each node's
+    # dofs (none at a corner, u1 on an edge, u1 and u2 inside) follow those
+    # of the nodes before it.
+    count = np.where(cls == CORNER, 0, np.where(cls == INTERIOR, 2, 1))
+    start = np.cumsum(count).reshape(n + 1, n + 1) - count
+    free1 = np.where(count > 0, start, -1)
+    free2 = np.where(count == 2, start + 1, -1)
+    ndof = int(count.sum())
     assert ndof == 2 * (n - 1) ** 2 + 4 * (n - 1)
 
     nn = (n + 1) * (n + 1)
@@ -226,16 +219,6 @@ class FormMatrices:
         return tuple(positions)
 
     @cached_property
-    def _transpose_positions(self) -> np.ndarray:
-        """Position of each entry's transpose in the data of the pattern
-        that K1, K2 and M share (computed once); ValueError unless that
-        pattern is structurally symmetric."""
-        at = _image_positions(self.M, lambda pos: pos.T)
-        if at is None:
-            raise ValueError("the pattern of K1, K2 and M is not symmetric")
-        return at
-
-    @cached_property
     def _symmetry_certificate(self) -> bool:
         """True once each of the five matrices is checked Hermitian and
         found to commute exactly with the charge conjugation ``C`` of
@@ -244,12 +227,14 @@ class FormMatrices:
         Every form with real weights is then Hermitian and commutes exactly
         with ``C`` too: ``weighted`` does the same arithmetic on an entry
         and on its image.  ``C A = A C`` reads ``A[k, l] = phase_k
-        conj(phase_l) conj(A[perm_k, perm_l])``, so the check reads the data
-        arrays through the positions of the images, once per pattern (the
-        shared one and each trace's).  ValueError for a matrix that is not
-        Hermitian (to 1e-12 of its largest entry, as ``_check_hermitian``),
-        ConsistencyError for one that does not commute with ``C`` bit for
-        bit or whose pattern ``C`` does not keep.
+        conj(phase_l) conj(A[perm_k, perm_l])`` and ``A = A^H`` reads
+        ``A[k, l] = conj(A[l, k])``, so the check reads the data arrays
+        through the positions of the images, once per pattern (the shared
+        one and each trace's).  A matrix that is not Hermitian bit for bit
+        goes to ``_check_hermitian``: ValueError unless it is Hermitian to
+        1e-12 of its largest entry.  ConsistencyError for a matrix that does
+        not commute with ``C`` bit for bit or whose pattern ``C`` does not
+        keep.
         """
         from .symmetry import rotation_map  # symmetry imports this module
 
@@ -264,11 +249,10 @@ class FormMatrices:
             at = _image_positions(pattern, lambda pos: pos[perm][:, perm])
             weight = np.repeat(phase, np.diff(pattern.indptr))
             weight *= phase.conj()[pattern.indices]
-            transpose = self._transpose_positions if pattern is self.M \
-                else None
+            transpose = _image_positions(pattern, lambda pos: pos.T)
             for name, mat in group:
                 if not _is_image(mat.data, transpose):
-                    _check_hermitian(name, mat, transpose)
+                    _check_hermitian(name, mat)
                 if not _is_image(mat.data, at, weight):
                     dev = (np.inf if at is None else np.abs(
                         mat.data - weight * mat.data[at].conj()).max())
@@ -534,29 +518,13 @@ def reconstruct(psi: SpinorField, cmap: ConstraintMap | None = None):
     return u1, u2
 
 
-def _hermitian_deviation(mat, transpose=None):
-    """``(max |mat - mat^H|, max |mat|)``.
-
-    ``transpose`` holds, for a sparse ``mat`` on a structurally symmetric
-    pattern, the data position of each entry's transpose
-    (``FormMatrices._transpose_positions``); the deviation is then read off
-    the data array, the same arithmetic as the sparse difference without
-    building ``mat^H``.  A matrix with fewer entries than ``transpose``
-    lost some to cancellation and takes the sparse path.
-    """
+def _check_hermitian(name, mat):
+    """ValueError unless ``max |mat - mat^H| <= 1e-12 max |mat|``."""
     if sp.issparse(mat):
-        if transpose is not None and mat.nnz == transpose.size:
-            d = mat.data
-            return np.abs(d - d[transpose].conj()).max(), np.abs(d).max()
         anti = abs(mat - mat.getH())
         dev = anti.max() if anti.nnz else 0.0
     else:
         mat = np.asarray(mat)
         dev = np.abs(mat - mat.conj().T).max()
-    return dev, abs(mat).max()
-
-
-def _check_hermitian(name, mat, transpose=None):
-    dev, scale = _hermitian_deviation(mat, transpose)
-    if dev > 1e-12 * max(scale, 1e-300):
+    if dev > 1e-12 * max(abs(mat).max(), 1e-300):
         raise ValueError(f"{name} is not Hermitian (deviation {dev:.3e})")

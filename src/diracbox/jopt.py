@@ -43,7 +43,7 @@ from .formgrid import (
     norm_parts,
     random_field,
     trial_dirichlet,
-    weighted_quotient,
+    _weighted_parts_quotient,
 )
 from .symmetry import (
     FOURTH_ROOTS,
@@ -73,7 +73,12 @@ def j_value(psi: SpinorField, fm: FormMatrices, m: float) -> float:
     m = float(m)
     if m < 0.0 or not math.isfinite(m):
         raise ValueError(f"mass must be finite and >= 0, got {m!r}")
-    g1, g2, mass, t1, t2 = norm_parts(fm, psi)
+    return _parts_j(norm_parts(fm, psi), m)
+
+
+def _parts_j(parts, m: float) -> float:
+    """``j_value`` of a field from its ``norm_parts``."""
+    g1, g2, mass, t1, t2 = parts
     if mass <= 0.0:
         raise ValueError("J of a zero field is undefined")
     val = 2.0 * math.sqrt(max(g1, 0.0) * max(g2, 0.0))
@@ -103,9 +108,9 @@ def euler_solve(fm: FormMatrices, A: float, B: float, m: float,
     return float(sol.mus[0]), SpinorField(sol.vectors[:, 0], fm.n)
 
 
-def _ratios(fm: FormMatrices, psi: SpinorField, m: float):
-    """Tight weights (A, B) of a field; B is pinned to 1 when massless."""
-    g1, g2, mass, t1, t2 = norm_parts(fm, psi)
+def _ratios(parts, m: float):
+    """Tight weights (A, B) from a field's norm parts; B is 1 when massless."""
+    g1, g2, mass, t1, t2 = parts
     floor = (DEGENERATE_FLOOR * math.sqrt(mass)) ** 2
     if g1 <= floor or g2 <= floor:
         raise DegenerateRatioError(
@@ -176,7 +181,7 @@ def fixed_point_minimize(fm: FormMatrices, m: float,
     _, init_dev = rotation_deviation(fm, init)
     symmetric_track = init_dev <= SYMMETRIC_INIT_TOL
 
-    A, B = _ratios(fm, init, m)
+    A, B = _ratios(norm_parts(fm, init), m)
     psi = init
     mu_prev = None
     history = []
@@ -186,8 +191,10 @@ def fixed_point_minimize(fm: FormMatrices, m: float,
         mu, psi = euler_solve(fm, A, B, m, solver_tol, seed=seed)
         if symmetric_track:
             psi = _project_dominant_symmetry(fm, psi)
-            mu = weighted_quotient(fm, _euler_weights(A, B, m), psi)
-        jv = j_value(psi, fm, m)
+        parts = norm_parts(fm, psi)     # once per round
+        if symmetric_track:
+            mu = _weighted_parts_quotient(_euler_weights(A, B, m), parts)
+        jv = _parts_j(parts, m)
         history.append((mu, A, B, jv))
         slack = 1e-12 * max(1.0, abs(mu_prev if mu_prev is not None else mu))
         if mu_prev is not None and mu > mu_prev + slack:
@@ -198,7 +205,7 @@ def fixed_point_minimize(fm: FormMatrices, m: float,
                 f"J-quotient exceeded its weighted eigenvalue: {jv!r} > {mu!r}")
         mu_prev = mu
 
-        a_new, b_new = _ratios(fm, psi, m)
+        a_new, b_new = _ratios(parts, m)
         delta = abs(a_new - A) + abs(b_new - B)
         A, B = a_new, b_new
         if delta <= tol:

@@ -7,12 +7,12 @@ The map
 rotates the square by 90 degrees while twisting the first spinor component
 by ``i``; it preserves the infinite-mass boundary constraint exactly (the
 edge factors transform into one another consistently), so on the even grid
-it acts on reduced coordinates as an exact permutation-with-phase sparse
-matrix.  Its fourth power is the identity, it is an isometry of the mass
-inner product, and it commutes with the square form, which makes the
-eigenspaces of the square classifiable by an eigenvalue of ``R`` in
-``{1, -1, i, -i}``; rectangles retain the half-turn ``R^2`` with classes
-``{1, -1}``.  Any field with ``R psi = omega psi``, |omega| = 1, has equal
+it acts on reduced coordinates as a signed permutation, a gather with a
+unit phase per dof: ``(R x)[k] = phase[k] * x[perm[k]]``.  Its fourth power
+is the identity, it is an isometry of the mass inner product, and it
+commutes with the square form, which makes the eigenspaces of the square
+classifiable by an eigenvalue of ``R`` in ``{1, -1, i, -i}``; rectangles
+retain the half-turn ``R^2`` with classes ``{1, -1}``.  Any field with ``R psi = omega psi``, |omega| = 1, has equal
 axis gradient norms and equal boundary trace norms, which is what
 ``verify_norm_identities`` measures.
 
@@ -30,7 +30,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-import scipy.sparse as sp
 
 from .bounds import sharp_lower
 from .eigsolve import _solve_pencil
@@ -68,32 +67,68 @@ FOURTH_ROOTS = (1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j)
 
 @dataclass(frozen=True)
 class RotationMap:
-    """Reduced-coordinate action of the quarter turn on an even grid, and
-    of the charge conjugation that anticommutes with its half turn."""
+    """Reduced-coordinate actions of the quarter turn ``R``, the half turn
+    ``R^2`` and the charge conjugation ``C`` on an even grid, each a signed
+    permutation: ``(R x)[k] = phase[k] * x[perm[k]]``, likewise ``R^2`` with
+    ``half_perm`` and ``half_phase``, and ``C`` with ``conj_perm`` and
+    ``conj_phase`` after a complex conjugation."""
 
     n: int
-    matrix: sp.csr_matrix
-    half_turn: sp.csr_matrix   # matrix @ matrix, cached
-    # (C x)[k] = conj_phase[k] * conj(x[conj_perm[k]])
+    perm: np.ndarray
+    phase: np.ndarray
+    half_perm: np.ndarray
+    half_phase: np.ndarray
     conj_perm: np.ndarray
     conj_phase: np.ndarray
 
     def apply(self, values: np.ndarray) -> np.ndarray:
-        return self.matrix @ values
+        """Quarter turn of a reduced vector or of a matrix's columns."""
+        return _gather(self.perm, self.phase, values)
+
+    def half_turn(self, values: np.ndarray) -> np.ndarray:
+        """Half turn of a reduced vector or of a matrix's columns."""
+        return _gather(self.half_perm, self.half_phase, values)
 
     def conjugate(self, values: np.ndarray) -> np.ndarray:
         """Charge conjugation of a reduced vector or of a matrix's columns."""
-        phase = self.conj_phase.reshape((-1,) + (1,) * (values.ndim - 1))
-        return phase * np.conj(values[self.conj_perm])
+        return _gather(self.conj_perm, self.conj_phase, np.conj(values))
 
 
-def _is_zero(mat: sp.spmatrix) -> bool:
-    return not mat.nnz or abs(mat).max() == 0.0
+def _gather(perm: np.ndarray, phase: np.ndarray, values: np.ndarray):
+    """``phase[k] * values[perm[k]]``, the phase broadcast over columns."""
+    return phase.reshape((-1,) + (1,) * (values.ndim - 1)) * values[perm]
+
+
+def _self_tested(n, perm, phase, conj_perm, conj_phase) -> RotationMap:
+    """The map of ``R = (perm, phase)`` and ``C = (conj_perm, conj_phase)``,
+    with ``R^2 = (perm[perm], phase * phase[perm])``, once the arrays pass
+    exact identities: ``perm`` is a bijection with ``R^4 = I``, ``C^2 = I``
+    and ``C R = -i R C``.  AssertionError otherwise, e.g. when the boundary
+    classes do not map onto one another."""
+    half, half_phase = perm[perm], phase * phase[perm]
+    ident = np.arange(perm.size)
+    if not (perm.min() >= 0 and np.array_equal(half[half], ident)
+            and np.all(half_phase * half_phase[half] == 1.0)):
+        raise AssertionError("quarter-turn action is not of order four")
+    # (C^2 x)[k] = conj_phase[k] conj(conj_phase[conj_perm[k]]) x[...], and
+    # C R and -i R C gather conj(x) at perm[conj_perm] and conj_perm[perm]
+    if not (np.array_equal(conj_perm[conj_perm], ident)
+            and np.all(conj_phase * np.conj(conj_phase[conj_perm]) == 1.0)
+            and np.array_equal(perm[conj_perm], conj_perm[perm])
+            and np.array_equal(conj_phase * np.conj(phase[conj_perm]),
+                               -1j * phase * conj_phase[perm])):
+        raise AssertionError("charge conjugation is not an involution "
+                             "anticommuting with the half turn")
+    return RotationMap(n=n, perm=perm, phase=phase, half_perm=half,
+                       half_phase=half_phase, conj_perm=conj_perm,
+                       conj_phase=conj_phase)
 
 
 @lru_cache(maxsize=None)
 def rotation_map(n: int) -> RotationMap:
-    """Quarter-turn and conjugation actions for grid size n (cached per n).
+    """Quarter-turn, half-turn and conjugation actions for grid size n
+    (cached per n), built by index arithmetic on the constraint map and
+    self-tested once (``_self_tested``).
 
     The charge conjugation ``C(u1, u2) = (conj u2, conj u1)`` keeps the
     boundary constraint: it swaps the two dofs of each interior node and
@@ -108,31 +143,19 @@ def rotation_map(n: int) -> RotationMap:
     rows = np.concatenate([cmap.free1[i, j], cmap.free2[i, j][inner]])
     cols = np.concatenate([cmap.free1[si, sj], cmap.free2[si, sj][inner]])
     data = np.repeat([1.0j, 1.0 + 0.0j], [i.size, inner.sum()])
-    mat = sp.csr_matrix((data, (rows, cols)), shape=(cmap.ndof, cmap.ndof))
-    half = (mat @ mat).tocsr()
+    perm = np.full(cmap.ndof, -1)
+    perm[rows] = cols
+    phase = np.empty(cmap.ndof, dtype=complex)
+    phase[rows] = data
 
-    perm = np.arange(cmap.ndof)
+    conj = np.arange(cmap.ndof)
     u1, u2 = cmap.free1[i, j][inner], cmap.free2[i, j][inner]
-    perm[u1], perm[u2] = u2, u1
+    conj[u1], conj[u2] = u2, u1
     edge = cmap.free1[i, j][~inner]
     omega = np.array([OMEGA.get(c, 0.0) for c in range(CORNER)])  # by class
-    phase = np.ones(cmap.ndof, dtype=complex)
-    phase[edge] = np.conj(omega[cmap.node_class[i, j][~inner]])
-
-    # One-time self-test: the boundary classes must map onto one another so
-    # that the permutation-with-phase action is a bijection with R^4 = I,
-    # and C = conj_mat conj(.) must satisfy C^2 = I and C R = -i R C.
-    ident = sp.identity(cmap.ndof, dtype=complex, format="csr")
-    if not _is_zero(half @ half - ident):
-        raise AssertionError("quarter-turn action is not of order four")
-    conj_mat = sp.csr_matrix((phase, (np.arange(cmap.ndof), perm)),
-                             shape=(cmap.ndof, cmap.ndof))
-    if not (_is_zero(conj_mat @ conj_mat.conj() - ident)
-            and _is_zero(conj_mat @ mat.conj() + 1j * (mat @ conj_mat))):
-        raise AssertionError("charge conjugation is not an involution "
-                             "anticommuting with the half turn")
-    return RotationMap(n=n, matrix=mat, half_turn=half, conj_perm=perm,
-                       conj_phase=phase)
+    conj_phase = np.ones(cmap.ndof, dtype=complex)
+    conj_phase[edge] = np.conj(omega[cmap.node_class[i, j][~inner]])
+    return _self_tested(n, perm, phase, conj, conj_phase)
 
 
 def rotate(psi: SpinorField) -> SpinorField:
@@ -241,10 +264,10 @@ def classify_symmetry(fm: FormMatrices, pairs, square: bool = True):
 
     v = np.column_stack([getattr(p, "values", p) for _, p in pairs])
     rot = rotation_map(fm.n)
-    op = rot.matrix if square else rot.half_turn
+    op = rot.apply if square else rot.half_turn
     allowed = FOURTH_ROOTS if square else (1.0 + 0.0j, -1.0 + 0.0j)
 
-    w = op @ v
+    w = op(v)
     mv = fm.M @ v
     gram = v.conj().T @ mv
     coeff = np.linalg.solve(gram, v.conj().T @ (fm.M @ w))
@@ -265,7 +288,7 @@ def classify_symmetry(fm: FormMatrices, pairs, square: bool = True):
                 f"symmetry eigenvalue {alpha!r} is not an allowed root of unity")
         rep = v @ cvecs[:, idx]
         rep = rep / _m_norm(fm, rep)
-        dev = _m_norm(fm, (op @ rep) - alpha * rep)
+        dev = _m_norm(fm, op(rep) - alpha * rep)
         if dev > 1e-6:
             raise ClusterResolutionError(
                 f"representative for alpha={alpha!r} deviates by {dev:.3e}")

@@ -203,8 +203,8 @@ def _tensor_basis(n: int) -> _TensorBasis:
 
     The reflection parity of V and the closed-form ``R^2`` (interior
     ``(i, j) -> (n-i, n-j)`` with -1 on u1 and +1 on u2, each edge dof to
-    its image with -1) are checked here against the basis and
-    ``symmetry.rotation_map``.
+    its image with -1) are checked here against the basis and against
+    ``half_perm`` and ``half_phase`` of ``symmetry.rotation_map``.
     """
     from .symmetry import rotation_map      # symmetry imports eigsolve,
     #                                         which imports this module
@@ -226,9 +226,9 @@ def _tensor_basis(n: int) -> _TensorBasis:
     cols = np.concatenate([interior[::-1, :, ::-1].ravel(),
                            np.roll(boundary, 2 * nn)])
     sign = np.broadcast_to([[-1.0], [1.0]], (nn, 2, nn)).ravel()
-    half = sp.csr_matrix((np.concatenate([sign, -np.ones(4 * nn)]),
-                          (rows, cols)), shape=(rows.size, rows.size))
-    if (half != rotation_map(n).half_turn).nnz:
+    rot = rotation_map(n)       # (R^2 x)[rows] = sign * x[cols]
+    if not (np.array_equal(rot.half_perm[rows], cols) and np.array_equal(
+            rot.half_phase[rows], np.concatenate([sign, -np.ones(4 * nn)]))):
         raise AssertionError("the half turn is not the modal reflection")
     # u1 of the summed mode of parity s is kept beside the free mode of
     # parity p when s p = -beta; u2 enters the trace with conj(omega)

@@ -157,7 +157,8 @@ def test_pencil_without_charge_conjugation_exit_code(monkeypatch, capsys):
     n = 14
     fm = assemble(build_grid(n))
     k = constraint_map(n).free1[n // 2, n // 2]
-    assert symmetry.rotation_map(n).half_turn[k, k] == -1.0
+    rot = symmetry.rotation_map(n)
+    assert rot.half_perm[k] == k and rot.half_phase[k] == -1.0
     bump = np.zeros(fm.ndof)
     bump[k] = fm.K1[k, k].real
     broken = dataclasses.replace(fm, K1=(fm.K1 + sp.diags(bump)).tocsr())
@@ -183,7 +184,8 @@ def test_interior_not_kronecker_sum_exit_code(monkeypatch, capsys):
     fm = assemble(build_grid(n))
     cmap = constraint_map(n)
     k, image = cmap.free1[5, 8], cmap.free1[n - 5, n - 8]
-    assert symmetry.rotation_map(n).half_turn[image, k] == -1.0
+    rot = symmetry.rotation_map(n)
+    assert rot.half_perm[image] == k and rot.half_phase[image] == -1.0
     bump = np.zeros(fm.ndof)
     bump[[k, image]] = 1e-6 * fm.K1[k, k].real
     broken = dataclasses.replace(fm, K1=(fm.K1 + sp.diags(bump)).tocsr())
@@ -208,7 +210,8 @@ def test_pencil_without_half_turn_symmetry_exit_code(monkeypatch, capsys):
     fm = assemble(build_grid(n))
     cmap = constraint_map(n)
     k, image = cmap.free1[0, 5], cmap.free1[n, n - 5]
-    assert symmetry.rotation_map(n).half_turn[image, k] == -1.0
+    rot = symmetry.rotation_map(n)
+    assert rot.half_perm[image] == k and rot.half_phase[image] == -1.0
     bump = np.zeros(fm.ndof)
     bump[k] = 1e-6 * fm.K1[k, k].real
     broken = dataclasses.replace(fm, K1=(fm.K1 + sp.diags(bump)).tocsr())

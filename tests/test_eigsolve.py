@@ -315,16 +315,16 @@ def test_class_operator_is_exact_in_modal_coordinates(fm_cache, n):
             assert 2 * op.dim == fm.ndof
             z = rng.standard_normal(op.dim) + 1j * rng.standard_normal(op.dim)
             x = op.to_nodal(z[:, None])
-            worst_p = max(worst_p, np.linalg.norm(half_turn @ x - x)
+            worst_p = max(worst_p, np.linalg.norm(half_turn(x) - x)
                           / np.linalg.norm(x))
             y = _nodal_solve(shift, fm.M @ x)
-            want = (y + half_turn @ y) / 2
+            want = (y + half_turn(y)) / 2
             got = op.to_nodal(op.apply(z)[:, None])
             worst = max(worst, np.linalg.norm(got - want)
                         / np.linalg.norm(want))
             f = rng.standard_normal((fm.ndof, 2)) + 0j
             y = _nodal_solve(shift, f)
-            want = (y + half_turn @ y) / 2
+            want = (y + half_turn(y)) / 2
             worst_plus = max(worst_plus, np.linalg.norm(
                 shift.plus_solve(f) - want) / np.linalg.norm(want))
     assert worst <= 1e-12
@@ -357,36 +357,6 @@ def test_tensor_inverse_rejects_indefinite_forms(fm_cache):
         with pytest.raises(ValueError, match="not positive definite"):
             tensor._TensorInverse(
                 basis, w, tensor._boundary_block(basis, weighted(fm, w)))
-
-
-@pytest.mark.parametrize("n", [4, 12, 30])
-def test_hermitian_check_fast_path_matches_sparse_path(fm_cache, n):
-    # The per-solve check of Q reads its deviation off the data array
-    # through the cached transpose positions of the shared pattern; it must
-    # agree with the sparse difference Q - Q^H to the last bit.
-    fm = fm_cache(n)
-    transpose = fm._transpose_positions
-    shapes = [w for a, b, m in ((1.3, 1 / 1.3, 0.0), (0.05, 20.0, 1e3),
-                                (1.7, 0.4, 2.5))
-              for w in _weight_shapes(a, b, m)]
-    for w in shapes:
-        q = weighted(fm, w)
-        assert q.nnz == transpose.size
-        assert (formgrid._hermitian_deviation(q, transpose)
-                == formgrid._hermitian_deviation(q))
-    # K1 - K2 cancels on the diagonal: fewer entries, so the sparse path
-    q = weighted(fm, (1.0, -1.0, 0.0, 0.0, 0.0))
-    assert q.nnz < transpose.size
-    assert (formgrid._hermitian_deviation(q, transpose)
-            == formgrid._hermitian_deviation(q))
-    # a planted non-Hermitian entry off the diagonal raises on both paths
-    q = weighted(fm, shapes[0])
-    rows = np.repeat(np.arange(fm.ndof), np.diff(q.indptr))
-    off = np.flatnonzero(rows != q.indices)[len(rows) // 3]
-    q.data[off] += 1e-9 * np.abs(q.data).max()
-    for positions in (transpose, None):
-        with pytest.raises(ValueError, match="not Hermitian"):
-            formgrid._check_hermitian("Q", q, positions)
 
 
 def test_grid_solve_meets_contract_at_n256():

@@ -347,6 +347,28 @@ def test_symmetry_certificate_rejects_a_form_without_conjugation(fm_cache,
         broken._symmetry_certificate
 
 
+@pytest.mark.parametrize("n", [4, 12, 30])
+def test_constraint_numbering_matches_a_node_loop(n):
+    # Node-major numbering: u1 of every non-corner node, then u2 of an
+    # interior one, in the order of a loop over the nodes.
+    cmap = constraint_map(n)
+    free1 = -np.ones((n + 1, n + 1), dtype=np.int64)
+    free2 = -np.ones((n + 1, n + 1), dtype=np.int64)
+    k = 0
+    for i in range(n + 1):
+        for j in range(n + 1):
+            if cmap.node_class[i, j] == CORNER:
+                continue
+            free1[i, j] = k
+            k += 1
+            if cmap.node_class[i, j] == INTERIOR:
+                free2[i, j] = k
+                k += 1
+    assert cmap.ndof == k
+    for got, want in ((cmap.free1, free1), (cmap.free2, free2)):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
 def test_assemble_built_once_per_n():
     assert assemble(build_grid(8)) is assemble(build_grid(8))
     assert assemble(build_grid(8)) is not assemble(build_grid(10))

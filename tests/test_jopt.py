@@ -19,7 +19,9 @@ from diracbox import (
     symmetrize,
     trial_dirichlet,
     verify_theorem_idea_chain,
+    weighted_quotient,
 )
+from diracbox.formgrid import norm_parts
 
 TWO_PI_SQ = 2 * math.pi**2
 
@@ -108,6 +110,37 @@ def test_fixed_point_history_invariants(fm_cache):
     # the next eigenvalue never exceeds the previous iterate's J-quotient
     for j_k, mu_next in zip(jvs, mus[1:]):
         assert mu_next <= j_k + 1e-12 * max(1.0, abs(j_k))
+
+
+@pytest.mark.parametrize("m, start", [(0.0, "trial"), (0.7, "random"),
+                                      (0.7, "symmetrised")])
+def test_fixed_point_history_matches_a_reference_loop(fm_cache, m, start):
+    # Each round's norm parts serve the projected quotient, J and the next
+    # ratios; the history is that of a loop that computes them afresh for
+    # each, bit for bit.
+    fm = fm_cache(12)
+    grid = build_grid(12)
+    psi = {"trial": trial_dirichlet(grid),
+           "random": random_field(grid, seed=2),
+           "symmetrised": symmetrize(random_field(grid, seed=3))}[start]
+    state = fixed_point_minimize(fm, m, init=psi, maxit=5)
+    assert state.symmetric_track == (start != "random")
+
+    def ratios(field):
+        g1, g2, _, t1, t2 = norm_parts(fm, field)
+        return (g1 / g2) ** 0.25, 1.0 if m == 0.0 else math.sqrt(t1 / t2)
+
+    A, B = ratios(psi)
+    want = []
+    for _ in state.history:
+        mu, psi = euler_solve(fm, A, B, m)
+        if state.symmetric_track:
+            psi = jopt._project_dominant_symmetry(fm, psi)
+            mu = weighted_quotient(fm, jopt._euler_weights(A, B, m), psi)
+        want.append((mu, A, B, j_value(psi, fm, m)))
+        A, B = ratios(psi)
+    assert state.history == tuple(want)
+    assert (state.A, state.B) == (A, B)
 
 
 def test_fixed_point_zero_mass_identification(fm_cache, solve_memo):

@@ -83,7 +83,7 @@ def test_sparse_path_matches_dense_full_pencil(n, log_aspect, m):
     assert sol.mus == pytest.approx(dense_four, rel=1e-10)
     half_turn = symmetry.rotation_map(n).half_turn
     for beta, v in zip(sol.classes, sol.vectors.T):
-        assert (_m_norm(fm.M, half_turn @ v - beta * v)
+        assert (_m_norm(fm.M, half_turn(v) - beta * v)
                 <= 1e-12 * _m_norm(fm.M, v))
     plus, minus = (sol.mus[sol.classes == beta] for beta in (1, -1))
     assert plus == pytest.approx(minus, rel=1e-10)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from diracbox import (
     ClusterResolutionError,
@@ -21,6 +22,8 @@ from diracbox import (
     verify_norm_identities,
     weighted,
 )
+from diracbox import symmetry
+from diracbox.formgrid import constraint_map
 
 FOURTH_ROOTS = (1, 1j, -1, -1j)
 
@@ -99,11 +102,57 @@ def test_charge_conjugation_commutes_with_every_form(fm_cache, n):
     assert np.array_equal(rot.conjugate(rot.conjugate(x)), x)
 
 
+@pytest.mark.parametrize("n", [4, 12, 30])
+def test_gathers_match_the_node_formulas(n):
+    # Reference matrices built from the node formulas on full fields,
+    # projected back through the constraint bases B:
+    # (R u)(x1, x2) = (i u1(-x2, x1), u2(-x2, x1)) and
+    # C(u1, u2) = (conj u2, conj u1).  R, R^2 and C applied by gathers
+    # equal them bit for bit.
+    cmap = constraint_map(n)
+    npts = n + 1
+    i, j = np.indices((npts, npts))
+    # node (i, j) sits at x = -1/2 + (i, j)/n, so (-x2, x1) is node (n-j, i)
+    turn = sp.csr_matrix((np.ones(npts**2), (np.arange(npts**2),
+                                             ((n - j) * npts + i).ravel())))
+    ident = sp.identity(npts**2)
+    swap = sp.bmat([[None, ident], [ident, None]])
+    basis = sp.vstack([cmap.basis1, cmap.basis2]).tocsr()
+    # B^H B is diagonal: 1 on interior dofs, 1 + |omega|^2 = 2 on edge dofs
+    left = sp.diags(1.0 / (basis.getH() @ basis).diagonal()) @ basis.getH()
+    rmat = (left @ sp.block_diag([1j * turn, turn]) @ basis).tocsr()
+    half = (rmat @ rmat).tocsr()
+    cmat = (left @ swap @ basis.conj()).tocsr()
+    rot = rotation_map(n)
+    rng = np.random.default_rng(n)
+    x = (rng.standard_normal((cmap.ndof, 3))
+         + 1j * rng.standard_normal((cmap.ndof, 3)))
+    for v in (x, x[:, 1]):
+        assert np.array_equal(rot.apply(v), rmat @ v)
+        assert np.array_equal(rot.half_turn(v), half @ v)
+        assert np.array_equal(rot.conjugate(v), cmat @ v.conj())
+
+
+@pytest.mark.parametrize("field", ["phase", "conj_phase"])
+def test_rotation_self_test_rejects_one_flipped_phase(field):
+    # The one-time self-test of rotation_map reads exact identities on the
+    # arrays of R and C; one phase of either flipped breaks one of them.
+    rot = rotation_map(12)
+    arrays = {k: getattr(rot, k)
+              for k in ("perm", "phase", "conj_perm", "conj_phase")}
+    assert np.array_equal(symmetry._self_tested(12, **arrays).half_phase,
+                          rot.half_phase)
+    arrays[field] = arrays[field].copy()
+    arrays[field][7] *= -1
+    with pytest.raises(AssertionError):
+        symmetry._self_tested(12, **arrays)
+
+
 def test_half_turn_invariance_rectangle(fm_cache):
     fm = fm_cache(12)
     rot = rotation_map(12)
     psi = random_field(build_grid(12), seed=4)
-    half = SpinorField(rot.half_turn @ psi.values, 12)
+    half = SpinorField(rot.half_turn(psi.values), 12)
     q1 = quotient(fm, 1.4, 0.6, 0.8, psi)
     q2 = quotient(fm, 1.4, 0.6, 0.8, half)
     assert q2 == pytest.approx(q1, rel=1e-13)
