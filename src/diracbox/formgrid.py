@@ -240,9 +240,7 @@ class FormMatrices:
 
         self._trace_positions               # checks the shared pattern
         rot = rotation_map(self.n)
-        # the phases are 1, -1, i and -i, so single precision holds them
-        # and every product exactly, in half the memory
-        perm, phase = rot.conj_perm, rot.conj_phase.astype(np.complex64)
+        perm, phase = rot.conj_perm, rot.conj_phase
         for group in ((("K1", self.K1), ("K2", self.K2), ("M", self.M)),
                       (("Tpar", self.Tpar),), (("Teq", self.Teq),)):
             pattern = group[-1][1]

@@ -137,24 +137,22 @@ def rotation_map(n: int) -> RotationMap:
     half-turn class onto the other with the same eigenvalues.
     """
     cmap = constraint_map(n)
-    i, j = np.nonzero(cmap.node_class != CORNER)
-    si, sj = n - j, i   # value at (i, j) comes from this source node
-    inner = cmap.free2[i, j] >= 0
-    rows = np.concatenate([cmap.free1[i, j], cmap.free2[i, j][inner]])
-    cols = np.concatenate([cmap.free1[si, sj], cmap.free2[si, sj][inner]])
-    data = np.repeat([1.0j, 1.0 + 0.0j], [i.size, inner.sum()])
+    free1, free2 = cmap.free1, cmap.free2
+    has1, has2 = free1 >= 0, free2 >= 0
+    # the value at node (i, j) comes from node (n - j, i)
+    src1, src2 = free1[::-1].T, free2[::-1].T
     perm = np.full(cmap.ndof, -1)
-    perm[rows] = cols
-    phase = np.empty(cmap.ndof, dtype=complex)
-    phase[rows] = data
+    perm[free1[has1]], perm[free2[has2]] = src1[has1], src2[has2]
+    # the phases are 1, -1, i and -i, which single precision holds exactly
+    phase = np.full(cmap.ndof, 1j, dtype=np.complex64)      # i u1
+    phase[free2[has2]] = 1.0                                 # u2
 
     conj = np.arange(cmap.ndof)
-    u1, u2 = cmap.free1[i, j][inner], cmap.free2[i, j][inner]
-    conj[u1], conj[u2] = u2, u1
-    edge = cmap.free1[i, j][~inner]
+    conj[free1[has2]], conj[free2[has2]] = free2[has2], free1[has2]
+    edge = has1 & ~has2
     omega = np.array([OMEGA.get(c, 0.0) for c in range(CORNER)])  # by class
-    conj_phase = np.ones(cmap.ndof, dtype=complex)
-    conj_phase[edge] = np.conj(omega[cmap.node_class[i, j][~inner]])
+    conj_phase = np.ones(cmap.ndof, dtype=np.complex64)
+    conj_phase[free1[edge]] = np.conj(omega[cmap.node_class[edge]])
     return _self_tested(n, perm, phase, conj, conj_phase)
 
 
