@@ -141,10 +141,10 @@ def constraint_map(n: int) -> ConstraintMap:
     # Node-major ordering keeps the reduced matrices banded: each node's
     # dofs (none at a corner, u1 on an edge, u1 and u2 inside) follow those
     # of the nodes before it.
-    count = np.where(cls == CORNER, 0, np.where(cls == INTERIOR, 2, 1))
-    start = np.cumsum(count).reshape(n + 1, n + 1) - count
-    free1 = np.where(count > 0, start, -1)
-    free2 = np.where(count == 2, start + 1, -1)
+    count = (cls != CORNER).astype(np.int8) + (cls == INTERIOR)
+    free1 = np.cumsum(count).reshape(n + 1, n + 1) - count
+    free2 = np.where(count == 2, free1 + 1, -1)
+    free1[count == 0] = -1
     ndof = int(count.sum())
     assert ndof == 2 * (n - 1) ** 2 + 4 * (n - 1)
 

@@ -12,9 +12,9 @@ unit phase per dof: ``(R x)[k] = phase[k] * x[perm[k]]``.  Its fourth power
 is the identity, it is an isometry of the mass inner product, and it
 commutes with the square form, which makes the eigenspaces of the square
 classifiable by an eigenvalue of ``R`` in ``{1, -1, i, -i}``; rectangles
-retain the half-turn ``R^2`` with classes ``{1, -1}``.  Any field with ``R psi = omega psi``, |omega| = 1, has equal
-axis gradient norms and equal boundary trace norms, which is what
-``verify_norm_identities`` measures.
+retain the half-turn ``R^2`` with classes ``{1, -1}``.  Any field with
+``R psi = omega psi``, |omega| = 1, has equal axis gradient norms and equal
+boundary trace norms, which is what ``verify_norm_identities`` measures.
 
 The antilinear charge conjugation ``C(u1, u2) = (conj u2, conj u1)``, the
 discrete form of the lambda -> -lambda symmetry of the Dirac operator, also
