@@ -18,6 +18,11 @@ reduced vector reconstructs to a field satisfying the boundary condition
 exactly, so the discrete space is a subspace of the true form domain and
 discrete minima over-estimate the continuum ones.
 
+The elimination is a pair of index gathers, in 2D and in the 1D problem of
+``assemble_1d`` alike: nodal values read the reduced dofs, u2 scaled by the
+node's constraint factor, and reduced matrices take each scalar entry to
+the same dofs (``_reduce``); no projection matrix is formed.
+
 The five matrices assembled here realise the weighted squared-operator form
 
     |H_{a,b} psi|^2 = a^-2 psi*K1 psi + b^-2 psi*K2 psi + m^2 psi*M psi
@@ -104,18 +109,18 @@ class ConstraintMap:
     """Bookkeeping for the eliminated boundary constraint.
 
     ``free1``/``free2`` hold the reduced index of each node's u1/u2 degree
-    of freedom (-1 where eliminated).  ``basis1``/``basis2`` map reduced
-    vectors to full nodal component values; conjugate-transposing them maps
-    full matrices to reduced ones.
+    of freedom (-1 where eliminated) and ``factor`` its constraint factor,
+    1 inside, ``omega`` on an edge and 0 at a corner: a reduced vector ``x``
+    has nodal values ``u1 = x[free1]`` and ``u2 = factor * x[u2 dof]``, the
+    u2 dof being ``free2`` inside and ``free1`` on an edge.
     """
 
     n: int
     node_class: np.ndarray      # (n+1, n+1) int
     free1: np.ndarray           # (n+1, n+1) int, -1 if eliminated
     free2: np.ndarray           # (n+1, n+1) int, -1 if eliminated
+    factor: np.ndarray          # (n+1, n+1) complex
     ndof: int
-    basis1: sp.csr_matrix = field(repr=False)
-    basis2: sp.csr_matrix = field(repr=False)
 
 
 def _classify_nodes(n: int) -> np.ndarray:
@@ -134,41 +139,35 @@ def constraint_map(n: int) -> ConstraintMap:
     """Constraint bookkeeping for an even n-cell grid (cached per n)."""
     build_grid(n)
     cls = _classify_nodes(n)
-    omega = np.zeros((n + 1, n + 1), dtype=complex)
+    factor = (cls == INTERIOR).astype(complex)
     for c, w in OMEGA.items():
-        omega[cls == c] = w
+        factor[cls == c] = w
 
     # Node-major ordering keeps the reduced matrices banded: each node's
     # dofs (none at a corner, u1 on an edge, u1 and u2 inside) follow those
     # of the nodes before it.
     count = (cls != CORNER).astype(np.int8) + (cls == INTERIOR)
-    free1 = np.cumsum(count).reshape(n + 1, n + 1) - count
-    free2 = np.where(count == 2, free1 + 1, -1)
-    free1[count == 0] = -1
+    free1, free2 = _number(count)
     ndof = int(count.sum())
     assert ndof == 2 * (n - 1) ** 2 + 4 * (n - 1)
+    return ConstraintMap(n=n, node_class=cls, free1=free1, free2=free2,
+                         factor=factor, ndof=ndof)
 
-    nn = (n + 1) * (n + 1)
-    node_index = np.arange(nn).reshape(n + 1, n + 1)
 
-    mask1 = free1 >= 0
-    rows1 = node_index[mask1]
-    cols1 = free1[mask1]
-    data1 = np.ones(rows1.size, dtype=complex)
-    basis1 = sp.csr_matrix((data1, (rows1, cols1)), shape=(nn, ndof))
+def _number(count: np.ndarray):
+    """Node-major dof numbers ``(free1, free2)`` of nodes that hold
+    ``count`` dofs each: u1 first, then u2 at a node with two, -1 where a
+    node holds no such dof."""
+    free1 = np.cumsum(count).reshape(count.shape) - count
+    free2 = np.where(count == 2, free1 + 1, -1)
+    free1[count == 0] = -1
+    return free1, free2
 
-    mask_int = free2 >= 0
-    rows2 = np.concatenate([node_index[mask_int], node_index[~mask_int & mask1]])
-    cols2 = np.concatenate([free2[mask_int], free1[~mask_int & mask1]])
-    data2 = np.concatenate(
-        [np.ones(mask_int.sum(), dtype=complex), omega[~mask_int & mask1]]
-    )
-    basis2 = sp.csr_matrix((data2, (rows2, cols2)), shape=(nn, ndof))
 
-    return ConstraintMap(
-        n=n, node_class=cls, free1=free1, free2=free2,
-        ndof=ndof, basis1=basis1, basis2=basis2,
-    )
+def _u2_dofs(free1: np.ndarray, free2: np.ndarray) -> np.ndarray:
+    """The dof each node's u2 is read from: its own inside, its u1 dof on
+    an edge, -1 at a corner."""
+    return np.where(free2 >= 0, free2, free1)
 
 
 @dataclass(frozen=True)
@@ -336,19 +335,31 @@ def _matrices_1d(n: int):
     return sp.csr_matrix(stiff), sp.csr_matrix(mass), sp.csr_matrix(trace)
 
 
-def _hermitize(a: sp.spmatrix) -> sp.csr_matrix:
-    out = (a + a.conjugate().transpose()) * 0.5
-    out = sp.csr_matrix(out)
-    out.eliminate_zeros()
-    out.sort_indices()
+def _reduce(full: sp.spmatrix, free1: np.ndarray, free2: np.ndarray,
+            factor: np.ndarray, ndof: int) -> sp.csr_matrix:
+    """Reduced spinor matrix of a per-component scalar matrix ``A``.
+
+    ``A[p, q]`` goes at ``(free1[p], free1[q])`` and ``conj(w[p]) w[q]
+    A[p, q]`` at ``(u2[p], u2[q])``, with ``u2`` the ``_u2_dofs`` and ``w``
+    the constraint factor, and the CSR conversion sums the two.  No entry
+    gets more than one term of each, so a symmetric real ``A`` gives a
+    Hermitian matrix bit for bit.
+    """
+    full = full.tocoo()
+    p, q = full.row, full.col
+    rows, cols, data = [], [], []
+    for dof, w in ((free1, None), (_u2_dofs(free1, free2), factor.ravel())):
+        dof = dof.ravel().astype(p.dtype)   # gathers at A's index width
+        keep = (dof[p] >= 0) & (dof[q] >= 0)
+        pk, qk, a = p[keep], q[keep], full.data[keep]
+        rows.append(dof[pk])
+        cols.append(dof[qk])
+        data.append(a if w is None else np.conj(w[pk]) * w[qk] * a)
+    out = sp.csr_matrix((np.concatenate(data),
+                         (np.concatenate(rows), np.concatenate(cols))),
+                        shape=(ndof, ndof))
+    out.data += 0.0         # the factor products leave signed zeros
     return out
-
-
-def _reduce(full: sp.spmatrix, cmap: ConstraintMap) -> sp.csr_matrix:
-    """Project a per-component scalar matrix to reduced spinor coordinates."""
-    b1, b2 = cmap.basis1, cmap.basis2
-    red = (b1.getH() @ full @ b1) + (b2.getH() @ full @ b2)
-    return _hermitize(red)
 
 
 @lru_cache(maxsize=None)
@@ -357,62 +368,38 @@ def assemble(grid: Grid) -> FormMatrices:
 
     Scalar 2D matrices are tensor (Kronecker) products of the exact 1D
     element matrices; the trace matrices pair an endpoint selector along
-    the constrained axis with the 1D mass matrix along the edge.
+    the constrained axis with the 1D mass matrix along the edge: Tpar the
+    vertical pieces x1 = +-1/2, Teq the horizontal ones.  Each product is
+    reduced as soon as it is built.
     """
     n = grid.n
     cmap = constraint_map(n)
     k1d, m1d, t1d = _matrices_1d(n)
-
-    kx = sp.kron(k1d, m1d, format="csr")
-    ky = sp.kron(m1d, k1d, format="csr")
-    mm = sp.kron(m1d, m1d, format="csr")
-    tv = sp.kron(t1d, m1d, format="csr")   # x1 = +-1/2, vertical pieces
-    th = sp.kron(m1d, t1d, format="csr")   # x2 = +-1/2, horizontal pieces
-
-    return FormMatrices(
-        n=n,
-        K1=_reduce(kx, cmap),
-        K2=_reduce(ky, cmap),
-        M=_reduce(mm, cmap),
-        Tpar=_reduce(tv, cmap),
-        Teq=_reduce(th, cmap),
-    )
+    pairs = dict(K1=(k1d, m1d), K2=(m1d, k1d), M=(m1d, m1d),
+                 Tpar=(t1d, m1d), Teq=(m1d, t1d))
+    return FormMatrices(n=n, **{
+        name: _reduce(sp.kron(a, b, format="coo"), cmap.free1, cmap.free2,
+                      cmap.factor, cmap.ndof)
+        for name, (a, b) in pairs.items()})
 
 
 def assemble_1d(n: int) -> FormMatrices1D:
-    """1D spinor problem with endpoint constraints phi2 = +-i phi1 eliminated.
+    """1D spinor problem with endpoint constraints phi2 = omega phi1
+    eliminated, ``omega`` that of the left and right edges (-i and +i).
 
-    Reduced layout: one dof per endpoint, two per interior node, node-major.
+    Reduced layout: one dof per endpoint, two per interior node, node-major,
+    numbered and reduced by the rule of the 2D grid.
     """
     build_grid(n)
     k1d, m1d, t1d = _matrices_1d(n)
-    npts = n + 1
-    ndof = 2 * (n - 1) + 2
-
-    rows1, cols1, data1 = [], [], []
-    rows2, cols2, data2 = [], [], []
-    k = 0
-    for p in range(npts):
-        if p == 0 or p == n:
-            w = -1.0j if p == 0 else 1.0j
-            rows1.append(p); cols1.append(k); data1.append(1.0)
-            rows2.append(p); cols2.append(k); data2.append(w)
-            k += 1
-        else:
-            rows1.append(p); cols1.append(k); data1.append(1.0)
-            k += 1
-            rows2.append(p); cols2.append(k); data2.append(1.0)
-            k += 1
-    assert k == ndof
-    b1 = sp.csr_matrix((np.asarray(data1, dtype=complex), (rows1, cols1)),
-                       shape=(npts, ndof))
-    b2 = sp.csr_matrix((np.asarray(data2, dtype=complex), (rows2, cols2)),
-                       shape=(npts, ndof))
-
-    def red(a):
-        return _hermitize((b1.getH() @ a @ b1) + (b2.getH() @ a @ b2))
-
-    return FormMatrices1D(n=n, K=red(k1d), M=red(m1d), T=red(t1d))
+    count = np.full(n + 1, 2, dtype=np.int8)
+    count[[0, -1]] = 1
+    free1, free2 = _number(count)
+    factor = np.ones(n + 1, dtype=complex)
+    factor[[0, -1]] = OMEGA[LEFT], OMEGA[RIGHT]
+    ndof = int(count.sum())
+    red = (_reduce(a, free1, free2, factor, ndof) for a in (k1d, m1d, t1d))
+    return FormMatrices1D(n, *red)
 
 
 def _check_weights(a: float, b: float, m: float):
@@ -508,18 +495,24 @@ def random_field(grid: Grid, seed: int = 0) -> SpinorField:
 
 
 def reconstruct(psi: SpinorField, cmap: ConstraintMap | None = None):
-    """Full nodal component arrays (U1, U2), each (n+1, n+1)."""
+    """Full nodal component arrays (U1, U2), each (n+1, n+1), gathered from
+    the reduced vector: ``U1 = x[free1]`` and ``U2 = factor * x[u2 dof]``,
+    zero at the corners.  ValueError for a field of another grid."""
     cmap = cmap or constraint_map(psi.n)
-    npts = cmap.n + 1
-    u1 = np.asarray((cmap.basis1 @ psi.values)).reshape(npts, npts)
-    u2 = np.asarray((cmap.basis2 @ psi.values)).reshape(npts, npts)
-    return u1, u2
+    x = psi.values
+    if x.shape != (cmap.ndof,):
+        raise ValueError(f"field of shape {x.shape} does not match the "
+                         f"{cmap.ndof} dofs of the {cmap.n}-cell grid")
+    u1 = np.where(cmap.free1 >= 0, x[cmap.free1], 0.0)
+    u2 = cmap.factor * x[_u2_dofs(cmap.free1, cmap.free2)]
+    # +0.0 turns negative zeros positive, as the sum of a sparse product does
+    return u1 + 0.0, u2 + 0.0
 
 
 def _check_hermitian(name, mat):
     """ValueError unless ``max |mat - mat^H| <= 1e-12 max |mat|``."""
     if sp.issparse(mat):
-        anti = abs(mat - mat.getH())
+        anti = abs(mat - mat.conj().T)
         dev = anti.max() if anti.nnz else 0.0
     else:
         mat = np.asarray(mat)

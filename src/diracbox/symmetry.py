@@ -35,8 +35,6 @@ from .bounds import sharp_lower
 from .eigsolve import _solve_pencil
 from .errors import ClusterResolutionError
 from .formgrid import (
-    CORNER,
-    OMEGA,
     FormMatrices,
     SpinorField,
     build_grid,
@@ -132,9 +130,10 @@ def rotation_map(n: int) -> RotationMap:
 
     The charge conjugation ``C(u1, u2) = (conj u2, conj u1)`` keeps the
     boundary constraint: it swaps the two dofs of each interior node and
-    maps an edge dof ``x`` to ``conj(omega) conj(x)``.  It commutes with
-    every grid form, ``C^2 = I`` and ``C R = -i R C``, so ``C`` maps each
-    half-turn class onto the other with the same eigenvalues.
+    maps an edge dof ``x`` to ``conj(omega) conj(x)``, ``omega`` the edge's
+    constraint factor.  It commutes with every grid form, ``C^2 = I`` and
+    ``C R = -i R C``, so ``C`` maps each half-turn class onto the other
+    with the same eigenvalues.
     """
     cmap = constraint_map(n)
     free1, free2 = cmap.free1, cmap.free2
@@ -150,9 +149,8 @@ def rotation_map(n: int) -> RotationMap:
     conj = np.arange(cmap.ndof)
     conj[free1[has2]], conj[free2[has2]] = free2[has2], free1[has2]
     edge = has1 & ~has2
-    omega = np.array([OMEGA.get(c, 0.0) for c in range(CORNER)])  # by class
     conj_phase = np.ones(cmap.ndof, dtype=np.complex64)
-    conj_phase[free1[edge]] = np.conj(omega[cmap.node_class[edge]])
+    conj_phase[free1[edge]] = np.conj(cmap.factor[edge])
     return _self_tested(n, perm, phase, conj, conj_phase)
 
 

@@ -369,6 +369,77 @@ def test_constraint_numbering_matches_a_node_loop(n):
         assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
+def _assert_same_bytes(got, want):
+    """Canonical CSR matrices equal in shape, stored pattern, index dtypes
+    and every bit of their data."""
+    assert got.shape == want.shape
+    for attr in ("indptr", "indices", "data"):
+        g, w = getattr(got, attr), getattr(want, attr)
+        assert g.dtype == w.dtype and g.tobytes() == w.tobytes(), attr
+
+
+@pytest.mark.parametrize("n", [4, 12, 30])
+def test_forms_match_the_projection_bases_bit_for_bit(fm_cache,
+                                                      projection_bases, n):
+    # The reduction by index gathers equals the Hermitian part of
+    # B1^H A B1 + B2^H A B2, the bases built from the node classes and
+    # OMEGA, to the last bit and stored entry.
+    ref = projection_bases.of_grid(n)
+    k, m, t = _matrices_1d(n)
+    fm = fm_cache(n)
+    pairs = {"K1": (k, m), "K2": (m, k), "M": (m, m), "Tpar": (t, m),
+             "Teq": (m, t)}
+    for name, (a, b) in pairs.items():
+        _assert_same_bytes(getattr(fm, name),
+                           ref.reduce(sp.kron(a, b, format="csr")))
+
+
+@pytest.mark.parametrize("n", [4, 64])
+def test_assemble_1d_matches_the_projection_bases_bit_for_bit(
+        projection_bases, n):
+    # Numbered by a loop over the nodes: one dof at each end, where
+    # u2 = -i u1 (left) and +i u1 (right), two at each interior node.
+    free1 = np.full(n + 1, -1)
+    free2 = np.full(n + 1, -1)
+    k = 0
+    for p in range(n + 1):
+        free1[p] = k
+        k += 1
+        if 0 < p < n:
+            free2[p] = k
+            k += 1
+    omega = np.zeros(n + 1, dtype=complex)
+    omega[0], omega[n] = -1.0j, 1.0j
+    ref = projection_bases(free1, free2, omega)
+    fm1 = assemble_1d(n)
+    for got, full in zip((fm1.K, fm1.M, fm1.T), _matrices_1d(n)):
+        _assert_same_bytes(got, ref.reduce(full))
+
+
+@pytest.mark.parametrize("n", [4, 12])
+def test_reconstruct_matches_the_projection_bases_bit_for_bit(
+        projection_bases, n):
+    # Random fields and one of negative zeros, which the sparse products
+    # of the bases turn positive.
+    ref = projection_bases.of_grid(n)
+    fields = [random_field(build_grid(n), seed=seed).values
+              for seed in range(3)]
+    fields.append(np.full(ref.basis1.shape[1], complex(-0.0, -0.0)))
+    for values in fields:
+        got = reconstruct(SpinorField(values, n))
+        for u, basis in zip(got, (ref.basis1, ref.basis2)):
+            want = (basis @ values).reshape(n + 1, n + 1)
+            assert u.dtype == want.dtype and u.tobytes() == want.tobytes()
+
+
+def test_reconstruct_rejects_a_field_of_another_grid():
+    psi = random_field(build_grid(12), seed=0)
+    with pytest.raises(ValueError, match="does not match"):
+        reconstruct(psi, constraint_map(8))
+    with pytest.raises(ValueError, match="does not match"):
+        reconstruct(SpinorField(psi.values[:-1], 12))
+
+
 def test_assemble_built_once_per_n():
     assert assemble(build_grid(8)) is assemble(build_grid(8))
     assert assemble(build_grid(8)) is not assemble(build_grid(10))

@@ -103,9 +103,9 @@ def test_charge_conjugation_commutes_with_every_form(fm_cache, n):
 
 
 @pytest.mark.parametrize("n", [4, 12, 30])
-def test_gathers_match_the_node_formulas(n):
+def test_gathers_match_the_node_formulas(projection_bases, n):
     # Reference matrices built from the node formulas on full fields,
-    # projected back through the constraint bases B:
+    # projected back through the constraint's projection bases B:
     # (R u)(x1, x2) = (i u1(-x2, x1), u2(-x2, x1)) and
     # C(u1, u2) = (conj u2, conj u1).  R, R^2 and C applied by gathers
     # equal them bit for bit.
@@ -117,7 +117,8 @@ def test_gathers_match_the_node_formulas(n):
                                              ((n - j) * npts + i).ravel())))
     ident = sp.identity(npts**2)
     swap = sp.bmat([[None, ident], [ident, None]])
-    basis = sp.vstack([cmap.basis1, cmap.basis2]).tocsr()
+    ref = projection_bases.of_grid(n)
+    basis = sp.vstack([ref.basis1, ref.basis2]).tocsr()
     # B^H B is diagonal: 1 on interior dofs, 1 + |omega|^2 = 2 on edge dofs
     left = sp.diags(1.0 / (basis.getH() @ basis).diagonal()) @ basis.getH()
     rmat = (left @ sp.block_diag([1j * turn, turn]) @ basis).tocsr()
