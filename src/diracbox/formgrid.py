@@ -505,7 +505,7 @@ def reconstruct(psi: SpinorField, cmap: ConstraintMap | None = None):
                          f"{cmap.ndof} dofs of the {cmap.n}-cell grid")
     u1 = np.where(cmap.free1 >= 0, x[cmap.free1], 0.0)
     u2 = cmap.factor * x[_u2_dofs(cmap.free1, cmap.free2)]
-    # +0.0 turns negative zeros positive, as the sum of a sparse product does
+    # +0.0 leaves no negative zero, from the factor products or the field
     return u1 + 0.0, u2 + 0.0
 
 
