@@ -18,7 +18,7 @@ for n in (16, 32, 64):
     res = lambda1_2d(a, b, m, n)
     print(f"{n:>6} {res.mu:>22.12f} {res.lambda1:>12.8f}")
 
-# the matrices of each grid are assembled once per process and reused here
+# the forms and inverses of each grid are built once per process and reused
 study = refine_study(a, b, m, [16, 32, 64])
 print()
 print(f"Richardson extrapolation: lambda_1 ~ {study.lambda1:.6f} "

@@ -118,7 +118,7 @@ def cache_root() -> str:
 # Part of every cache key, never of a record.  Change it whenever a solver
 # change alters any computed number, even in the last bits, so records
 # computed by older code miss instead of being served.
-SOLVER_VERSION = "12"
+SOLVER_VERSION = "13"
 
 
 def _cache_key(params: dict) -> str:
@@ -289,12 +289,12 @@ def cmd_sweep(opts) -> int:
     if opts["jobs"] > 1 and (not use_cache or any(
             cache_get({"a": a, "b": b, "m": m, "n": n, "tol": tol,
                        "seed": seed}) is None for a, b in points)):
-        # M's inverse (with the assembly, the grid's tensor basis and the
-        # rotation map it checks the basis against), the forms' symmetry
-        # certificate and the trial field's norm parts built before fork,
-        # so workers inherit them
-        mass_inverse(n)
+        # the forms' symmetry certificate (on their 1D matrices and the
+        # rotation map), M's inverse (with the grid's tensor basis) and the
+        # trial field's norm parts built before fork, so workers inherit
+        # them
         _form_matrices(n)._symmetry_certificate
+        mass_inverse(n)
         _trial_parts(n)
         with ProcessPoolExecutor(max_workers=opts["jobs"]) as pool:
             records = list(pool.map(solve_record, *zip(*tasks)))

@@ -20,9 +20,10 @@ conj u1)``, the discrete form of the lambda -> -lambda symmetry of the
 Dirac operator, commutes with the pencil and anticommutes with ``R^2``, and
 it is an M^-1 isometry, so ``C`` maps each class +1 eigenpair onto a class
 -1 eigenpair with the same value and the same residual.  That every form of
-the grid is Hermitian and commutes with ``C`` bit for bit is certified once
-per grid (``FormMatrices._symmetry_certificate``), so every pencil with
-real weights does too; a form without the symmetry raises ConsistencyError.
+the grid is Hermitian and commutes with ``C`` and ``R^2`` is certified once
+per grid, on the 1D matrices every form is built from
+(``FormMatrices._symmetry_certificate``), so every pencil with real weights
+does too; a form without the symmetry raises ConsistencyError.
 The shift is the closed-form lower bound ``bounds.sharp_lower`` of the
 point, so it depends on nothing but the point.  The inverse of ``Q - sigma
 M`` exists only for a shift below the lowest eigenvalue, so a shift that
@@ -32,15 +33,13 @@ The inverses of ``Q - sigma M`` and ``M`` are the exact tensor-product
 inverses of ``tensor``, and ARPACK iterates in their class +1 coordinates
 (``tensor._ClassOperator``).  ARPACK's vectors take one back transform to
 nodal coordinates.  One inverse-iteration step in residual-correction form
-(Parlett 1998) subtracts the class +1 solve of their residual on the
-assembled pencil, Rayleigh-Ritz runs on the assembled pencil, and the
+(Parlett 1998) subtracts the class +1 solve of their residual, then
+Rayleigh-Ritz runs on the pencil, both through the Kronecker operators of
+the forms (``formgrid``), one gather giving ``Q v`` and ``M v``, and the
 residual contract reads each residual's M^-1 norm in the class coordinates
-of the mass inverse, with no back transform.  The modal iteration never
-reads the assembled interior, so when the class +1 contract fails, the
-interior blocks of ``K1``, ``K2`` and ``M`` are compared with the Kronecker
-sums the inverse assumes, and a mismatch raises ConsistencyError.  ``tol``
-must be a finite number above zero, and is checked before any work, as are
-``k``, the classes and the weights, which must be real.
+of the mass inverse, with no back transform.  ``tol`` must be a finite
+number above zero, and is checked before any work, as are ``k``, the
+classes and the weights, which must be real.
 
 ``smallest_eigenpair(Q, M)`` serves any other Hermitian pencil (1D pencils,
 tests) at shift zero with symmetric-mode SuperLU factors of both matrices:
@@ -69,10 +68,9 @@ import scipy.sparse.linalg as spla
 
 from .bounds import sharp_lower
 from .errors import ConsistencyError, SolverError
-from .formgrid import (SpinorField, assemble, build_grid, weighted,
-                       _check_hermitian, _check_weights)
-from .tensor import (_ClassOperator, _TensorInverse, _boundary_block,
-                     _check_kronecker_interior, mass_inverse)
+from .formgrid import (SpinorField, assemble, build_grid, _check_hermitian,
+                       _check_weights, _products)
+from .tensor import _ClassOperator, _TensorInverse, mass_inverse
 
 __all__ = ["EigenResult", "RefineStudy", "smallest_eigenpair", "lambda1_2d",
            "refine_study"]
@@ -194,20 +192,18 @@ def _solve_pencil(fm, w, sigma: float, classes, k: int, tol: float,
     largest ``1/(mu - sigma)`` of class +1.  Its vectors go back to nodal
     coordinates once; one inverse-iteration step in residual-correction
     form, through the class +1 solve, Rayleigh-Ritz and the residual
-    contract run on the assembled pencil, the residual's M^-1 norm taken in
-    the mass inverse's class coordinates.  Class -1 needs no second run:
-    every form of the grid is Hermitian and commutes with the charge
-    conjugation ``C`` of ``symmetry.rotation_map`` (``FormMatrices.
-    _symmetry_certificate``, read once per grid after the class +1
-    contract), so every real-weighted pencil does, and ``C``, which
-    anticommutes with ``R^2`` and is an M^-1 isometry, maps each class +1
-    eigenpair onto a class -1 eigenpair with the same value and residual.
-    A form without the symmetry raises ConsistencyError.  A shift the
-    inverse rejects lies above the lowest eigenvalue, which contradicts the
-    lower bound it came from; a boundary block that does not commute with
-    the half turn, and a class +1 failure on a form whose interior is not
-    the Kronecker sum the inverse assumes, are inconsistencies too.  Each
-    raises ConsistencyError.
+    contract run on the pencil's Kronecker operators, one gather giving
+    both ``Q v`` and ``M v``, the residual's M^-1 norm taken in the mass
+    inverse's class coordinates.  Class -1 needs no second run: every form
+    of the grid is Hermitian and commutes with the charge conjugation ``C``
+    of ``symmetry.rotation_map`` (``FormMatrices._symmetry_certificate``,
+    read once per grid before M's inverse), so every real-weighted pencil
+    does, and ``C``, which anticommutes with ``R^2`` and is an M^-1
+    isometry, maps each class +1 eigenpair onto a class -1 eigenpair with
+    the same value and residual.  A form without the symmetry raises
+    ConsistencyError.  A shift the inverse rejects lies above the lowest
+    eigenvalue, which contradicts the lower bound it came from, and raises
+    ConsistencyError too.
     """
     from .symmetry import rotation_map      # symmetry imports this module
 
@@ -222,14 +218,11 @@ def _solve_pencil(fm, w, sigma: float, classes, k: int, tol: float,
     if np.any(np.imag(w)):
         raise ValueError(f"the form weights must be real, got {w!r}")
     w = np.real(w)
-    mass = mass_inverse(fm.n)               # M's check comes first
-    q = weighted(fm, w)
-    basis = mass.basis
+    fm._symmetry_certificate                # raises for a form without C
+    mass = mass_inverse(fm.n)               # M's check
     try:
-        shift = _TensorInverse(
-            basis, (w[0], w[1], w[2] - sigma),
-            _boundary_block(basis, q) - sigma * mass.boundary_block,
-            "Q - sigma M")
+        shift = _TensorInverse(mass.basis, (w[0], w[1], w[2] - sigma, w[3],
+                                            w[4]), "Q - sigma M")
     except ValueError as exc:
         raise ConsistencyError(
             f"shift sigma={sigma!r} is not below the lowest eigenvalue "
@@ -237,18 +230,16 @@ def _solve_pencil(fm, w, sigma: float, classes, k: int, tol: float,
     op = _ClassOperator(shift, mass)
     z, iterations = _krylov(op.apply, op.dim, k, maxit, seed, sigma=sigma,
                             ncv=ncv)
-    v = _inverse_step(q, fm.M, shift.plus_solve, op.to_nodal(z))
+
+    def pencil(v):
+        return _products(fm, v, w, (0.0, 0.0, 1.0, 0.0, 0.0))
+
+    v = _inverse_step(pencil, shift.plus_solve, op.to_nodal(z))
+    # the shifted inverse's factors go before the peak of what follows
+    del shift, op
     rot = rotation_map(fm.n)
     v, iterations = (v + rot.half_turn(v)) / 2, iterations + k
-    try:
-        mus, v, residuals = _ritz(q, fm.M, v, mass.norms, tol, iterations)
-    except SolverError:
-        _check_kronecker_interior(fm, basis)
-        raise
-    # the form and the shifted inverse go first: on a grid's first solve
-    # the certificate's temporaries would otherwise add to them at the peak
-    del q, shift, op
-    fm._symmetry_certificate                # raises for a form without C
+    mus, v, residuals = _ritz(pencil, v, mass.norms, tol, iterations)
     if len(classes) > 1:
         mus, residuals = np.tile(mus, 2), np.tile(residuals, 2)
         v = np.concatenate([v, rot.conjugate(v)], axis=1)
@@ -296,10 +287,11 @@ def _krylov(apply_op, dim: int, k: int, maxit: int, seed: int, *,
     return v, iterations
 
 
-def _inverse_step(q, m, a_solve, v):
+def _inverse_step(pencil, a_solve, v):
     """One block inverse-iteration step in residual-correction form,
     ``v - a_solve(q v - theta m v)`` with ``theta`` the Rayleigh quotient
-    of each column of ``v``, where ``a_solve`` applies ``(q - sigma m)^-1``.
+    of each column of ``v``, where ``pencil`` gives ``(q v, m v)`` and
+    ``a_solve`` applies ``(q - sigma m)^-1``.
 
     In exact arithmetic this is ``(theta - sigma) (q - sigma m)^-1 m v``,
     the plain step up to each column's scale (Parlett 1998): the solve acts
@@ -311,20 +303,21 @@ def _inverse_step(q, m, a_solve, v):
     The step damps their errors and the Rayleigh-Ritz step recovers the
     eigenpairs.
     """
-    qv, mv = q @ v, m @ v
+    qv, mv = pencil(v)
     theta = (np.real(np.einsum("ij,ij->j", v.conj(), qv))
              / np.real(np.einsum("ij,ij->j", v.conj(), mv)))
     return v - a_solve(qv - theta * mv)
 
 
-def _ritz(q, m, v, m_inv_norms, tol: float, iterations: int):
-    """Rayleigh-Ritz of (q, m) on the span of ``v``, under the residual
-    contract: ascending values, M-orthonormal vectors and their M^-1-norm
-    residuals, ``m_inv_norms`` giving the M^-1 norm of each column."""
+def _ritz(pencil, v, m_inv_norms, tol: float, iterations: int):
+    """Rayleigh-Ritz of the pencil (q, m) on the span of ``v``, under the
+    residual contract: ascending values, M-orthonormal vectors and their
+    M^-1-norm residuals, ``pencil`` giving ``(q v, m v)`` and
+    ``m_inv_norms`` the M^-1 norm of each column."""
     # A no-op up to rounding for converged eigenvectors.  Each value is the
     # quotient of an admissible vector, so it stays a conforming upper bound.
     v = np.asarray(v, dtype=complex)
-    qv, mv = q @ v, m @ v
+    qv, mv = pencil(v)
     proj_q, proj_m = v.conj().T @ qv, v.conj().T @ mv
     _, coeff = sla.eigh((proj_q + proj_q.conj().T) / 2,
                         (proj_m + proj_m.conj().T) / 2)
@@ -362,6 +355,10 @@ def smallest_eigenpair(Q, M, k: int = 1, tol: float = 1e-10,
     dim = Q.shape[0]
     if not 1 <= k <= dim:
         raise ValueError(f"k={k} must lie in [1, {dim}]")
+
+    def pencil(v):
+        return Q @ v, M @ v
+
     if k >= dim - 1:
         # too small for ARPACK, which needs k < dim - 1
         qd = Q.toarray() if sp.issparse(Q) else np.asarray(Q, dtype=complex)
@@ -372,8 +369,8 @@ def smallest_eigenpair(Q, M, k: int = 1, tol: float = 1e-10,
         a_solve = _factor(Q).solve
         v, iterations = _krylov(lambda x: a_solve(M @ x), dim, k, maxit,
                                 seed)
-        v, iterations = _inverse_step(Q, M, a_solve, v), iterations + k
-    mus, v, _ = _ritz(Q, M, v, lambda r: np.sqrt(np.abs(np.real(
+        v, iterations = _inverse_step(pencil, a_solve, v), iterations + k
+    mus, v, _ = _ritz(pencil, v, lambda r: np.sqrt(np.abs(np.real(
         np.einsum("ij,ij->j", r.conj(), m_solve(r))))), tol, iterations)
     return [(float(mus[i]), v[:, i]) for i in range(k)]
 

@@ -23,16 +23,20 @@ The elimination is a pair of index gathers, in 2D and in the 1D problem of
 node's constraint factor, and reduced matrices take each scalar entry to
 the same dofs (``_reduce``); no projection matrix is formed.
 
-The five matrices assembled here realise the weighted squared-operator form
+The five forms realise the weighted squared-operator form
 
     |H_{a,b} psi|^2 = a^-2 psi*K1 psi + b^-2 psi*K2 psi + m^2 psi*M psi
                       + (m/a) psi*Tpar psi + (m/b) psi*Teq psi,
 
 with ``Tpar``/``Teq`` the trace mass matrices of the vertical/horizontal
-boundary pieces.  All element integrals are exact closed forms; the five
-scalar weights enter only at evaluation time, through ``weighted`` for
-matrices and ``weighted_quotient`` for fields, so one assembly (built once
-per n and process) serves every parameter point and every re-weighting.
+boundary pieces.  Each is ``P^H (A (x) B) P`` on each component, ``P``
+the gather of the reduced dofs to nodal values and ``A``, ``B`` exact P1
+matrices of the interval, so only those are stored and every form is
+applied matrix-free, by tridiagonal sweeps over nodal arrays (Deville,
+Fischer & Mund 2002).  The five scalar weights enter only at evaluation
+time, through ``weighted`` for operators and ``weighted_quotient`` for
+fields, so one assembly (built once per n and process) serves every
+parameter point and every re-weighting.
 """
 
 from __future__ import annotations
@@ -42,6 +46,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from .errors import ConsistencyError
 
@@ -112,7 +117,8 @@ class ConstraintMap:
     of freedom (-1 where eliminated) and ``factor`` its constraint factor,
     1 inside, ``omega`` on an edge and 0 at a corner: a reduced vector ``x``
     has nodal values ``u1 = x[free1]`` and ``u2 = factor * x[u2 dof]``, the
-    u2 dof being ``free2`` inside and ``free1`` on an edge.
+    u2 dof being ``free2`` inside and ``free1`` on an edge.  ``slots``
+    holds the flat (node, component) slot of each dof, in dof order.
     """
 
     n: int
@@ -121,6 +127,7 @@ class ConstraintMap:
     free2: np.ndarray           # (n+1, n+1) int, -1 if eliminated
     factor: np.ndarray          # (n+1, n+1) complex
     ndof: int
+    slots: np.ndarray           # (ndof,) int
 
 
 def _classify_nodes(n: int) -> np.ndarray:
@@ -151,7 +158,8 @@ def constraint_map(n: int) -> ConstraintMap:
     ndof = int(count.sum())
     assert ndof == 2 * (n - 1) ** 2 + 4 * (n - 1)
     return ConstraintMap(n=n, node_class=cls, free1=free1, free2=free2,
-                         factor=factor, ndof=ndof)
+                         factor=factor, ndof=ndof, slots=np.flatnonzero(
+                             np.stack([count > 0, count > 1], axis=-1)))
 
 
 def _number(count: np.ndarray):
@@ -164,12 +172,6 @@ def _number(count: np.ndarray):
     return free1, free2
 
 
-def _u2_dofs(free1: np.ndarray, free2: np.ndarray) -> np.ndarray:
-    """The dof each node's u2 is read from: its own inside, its u1 dof on
-    an edge, -1 at a corner."""
-    return np.where(free2 >= 0, free2, free1)
-
-
 @dataclass(frozen=True)
 class SpinorField:
     """Complex reduced-coordinate nodal vector on an n-cell grid."""
@@ -178,122 +180,79 @@ class SpinorField:
     n: int
 
 
+# The five forms, each a pair (A, B) of 1D matrices, A along x1 and B along
+# x2, indexing LINES: K1 = K (x) M, K2 = M (x) K, M = M (x) M, Tpar = T (x) M
+# (the vertical edges) and Teq = M (x) T (the horizontal ones).
+FORMS = ("K1", "K2", "M", "Tpar", "Teq")
+LINES = ("stiffness", "mass", "trace")
+_PAIRS = ((0, 1), (1, 0), (1, 1), (2, 1), (1, 2))
+
+
 @dataclass(frozen=True)
 class FormMatrices:
-    """The five reduced Hermitian matrices of the squared form.
+    """The five reduced Hermitian forms of the squared form on one grid,
+    held as the 1D matrices they are built from.
 
-    K1, K2 and M share one sparsity pattern, the 3 x 3 node stencil, and
-    the trace matrices Tpar and Teq lie inside it.
+    ``lines`` (3, 3, n+1) holds the P1 stiffness, mass and endpoint trace
+    (``LINES``) in band form, ``lines[f, 1 + d, i] = A_f[i, i + d]`` for
+    ``d = -1, 0, 1`` (zero outside the matrix).  Each form is ``P^H (A (x)
+    B) P`` on each component, ``P`` the gather of ``reconstruct`` and
+    ``(A, B)`` its pair of 1D matrices, so ``fm.K1`` ... ``fm.Teq`` and
+    ``weighted`` apply it by tridiagonal sweeps over nodal arrays: no 2D
+    matrix is formed.
     """
 
     n: int
-    K1: sp.csr_matrix = field(repr=False)
-    K2: sp.csr_matrix = field(repr=False)
-    M: sp.csr_matrix = field(repr=False)
-    Tpar: sp.csr_matrix = field(repr=False)
-    Teq: sp.csr_matrix = field(repr=False)
+    lines: np.ndarray = field(repr=False)
+
+    # each form as the operator of unit weight (``weighted``)
+    K1, K2, M, Tpar, Teq = (property(lambda fm, w=w: weighted(fm, w))
+                            for w in np.eye(len(FORMS)))
 
     @property
     def ndof(self) -> int:
-        return self.M.shape[0]
+        return constraint_map(self.n).ndof
 
     @cached_property
-    def _trace_positions(self):
-        """Positions of the Tpar and Teq entries in the data of the pattern
-        that K1, K2 and M share (computed once); ValueError unless the
-        three share one canonical pattern that holds both traces."""
-        for name, mat in (("K1", self.K1), ("K2", self.K2)):
-            if not (np.array_equal(mat.indptr, self.M.indptr)
-                    and np.array_equal(mat.indices, self.M.indices)):
-                raise ValueError(f"{name} and M differ in sparsity pattern")
-        keys = _entry_keys(self.M)
-        positions = []
-        for name, mat in (("Tpar", self.Tpar), ("Teq", self.Teq)):
-            want = _entry_keys(mat)
-            at = np.minimum(np.searchsorted(keys, want), keys.size - 1)
-            if not np.array_equal(keys[at], want):
-                raise ValueError(f"{name} lies outside the pattern of K1, "
-                                 "K2 and M")
-            positions.append(at)
-        return tuple(positions)
+    def _matrices(self):
+        """The 1D matrices as sparse tridiagonals, for the sweeps."""
+        return tuple(_tridiagonal(bands) for bands in self.lines)
 
     @cached_property
     def _symmetry_certificate(self) -> bool:
-        """True once each of the five matrices is checked Hermitian and
-        found to commute exactly with the charge conjugation ``C`` of
-        ``symmetry.rotation_map`` (computed once, on the first solve).
+        """True once each 1D matrix is checked real, symmetric and
+        reversal-symmetric bit for bit and the grid's ``symmetry.
+        rotation_map`` has passed its self-test (computed once, on the
+        first solve).
 
-        Every form with real weights is then Hermitian and commutes exactly
-        with ``C`` too: ``weighted`` does the same arithmetic on an entry
-        and on its image.  ``C A = A C`` reads ``A[k, l] = phase_k
-        conj(phase_l) conj(A[perm_k, perm_l])`` and ``A = A^H`` reads
-        ``A[k, l] = conj(A[l, k])``, so the check reads the data arrays
-        through the positions of the images, once per pattern (the shared
-        one and each trace's).  A matrix that is not Hermitian bit for bit
-        goes to ``_check_hermitian``: ValueError unless it is Hermitian to
-        1e-12 of its largest entry.  ConsistencyError for a matrix that does
-        not commute with ``C`` bit for bit or whose pattern ``C`` does not
-        keep.
+        Every real-weighted form is then Hermitian, since A and B are
+        symmetric.  It commutes with the charge conjugation ``C``: ``C``
+        swaps and conjugates the nodal components, up to the unit edge
+        factors, and the one real operator acts on both alike.  It commutes
+        with the half turn, which reverses both axes.  ValueError for a
+        matrix that is not symmetric, ConsistencyError for one that is not
+        real or not reversal-symmetric, naming the forms that read it.
         """
         from .symmetry import rotation_map  # symmetry imports this module
 
-        self._trace_positions               # checks the shared pattern
-        rot = rotation_map(self.n)
-        perm, phase = rot.conj_perm, rot.conj_phase
-        for group in ((("K1", self.K1), ("K2", self.K2), ("M", self.M)),
-                      (("Tpar", self.Tpar),), (("Teq", self.Teq),)):
-            pattern = group[-1][1]
-            at = _image_positions(pattern, lambda pos: pos[perm][:, perm])
-            weight = np.repeat(phase, np.diff(pattern.indptr))
-            weight *= phase.conj()[pattern.indices]
-            transpose = _image_positions(pattern, lambda pos: pos.T)
-            for name, mat in group:
-                if not _is_image(mat.data, transpose):
-                    _check_hermitian(name, mat)
-                if not _is_image(mat.data, at, weight):
-                    dev = (np.inf if at is None else np.abs(
-                        mat.data - weight * mat.data[at].conj()).max())
-                    raise ConsistencyError(
-                        f"{name} does not commute with the charge "
-                        f"conjugation (deviation {dev:.3e}); the pencil "
-                        "lacks the symmetry")
+        for index, (name, bands) in enumerate(zip(LINES, self.lines)):
+            users = [f for f, pair in zip(FORMS, _PAIRS) if index in pair]
+            forms = ", ".join(users[:-1]) + " and " + users[-1]
+            if np.iscomplexobj(bands) and bands.imag.any():
+                raise ConsistencyError(
+                    f"the 1D {name} matrix is not real, so {forms} do not "
+                    "commute with the charge conjugation; the pencil lacks "
+                    "the symmetry")
+            if not np.array_equal(bands[0, 1:], bands[2, :-1]):
+                raise ValueError(f"the 1D {name} matrix is not symmetric, so "
+                                 f"{forms} are not Hermitian")
+            if not np.array_equal(bands, bands[::-1, ::-1]):
+                raise ConsistencyError(
+                    f"the 1D {name} matrix is not reversal-symmetric, so "
+                    f"{forms} do not commute with the half turn; the pencil "
+                    "lacks the symmetry")
+        rotation_map(self.n)
         return True
-
-
-def _is_image(data, at, weight=1.0) -> bool:
-    """Whether ``data`` equals ``weight * conj(data[at])`` bit for bit,
-    ``at`` holding the position of each entry's image (False for None)."""
-    if at is None:
-        return False
-    image = data[at]
-    np.conjugate(image, out=image)
-    image *= weight
-    return np.array_equal(image, data)
-
-
-def _image_positions(mat: sp.csr_matrix, image):
-    """Position in the data of ``mat`` of the image of each stored entry
-    under ``image``, a map of sparse matrices that moves entries (the
-    transpose, a permutation); None unless the image of the pattern is the
-    pattern itself."""
-    pos = image(sp.csr_matrix((np.arange(1, mat.nnz + 1, dtype=np.int32),
-                               mat.indices, mat.indptr),
-                              shape=mat.shape)).tocsr()
-    pos.sort_indices()
-    if not (np.array_equal(pos.indptr, mat.indptr)
-            and np.array_equal(pos.indices, mat.indices)):
-        return None
-    return pos.data - 1
-
-
-def _entry_keys(mat: sp.csr_matrix) -> np.ndarray:
-    """Row-major key of each stored entry; ValueError unless they strictly
-    increase (sorted indices, no duplicates)."""
-    rows = np.repeat(np.arange(mat.shape[0]), np.diff(mat.indptr))
-    keys = rows * mat.shape[1] + mat.indices
-    if not np.all(keys[1:] > keys[:-1]):
-        raise ValueError("form matrix is not in canonical CSR form")
-    return keys
 
 
 @dataclass(frozen=True)
@@ -310,29 +269,29 @@ class FormMatrices1D:
         return self.M.shape[0]
 
 
-def _matrices_1d(n: int):
-    """Exact P1 mass/stiffness/endpoint-trace matrices on n unit-span cells.
+def _lines(n: int) -> np.ndarray:
+    """Exact P1 stiffness, mass and endpoint-trace matrices on n unit-span
+    cells, in the band form of ``FormMatrices.lines``.
 
     The interval is (-1/2, 1/2), h = 1/n:
-      mass      tridiag(h/6, 2h/3, h/6), halved diagonal at the ends,
       stiffness tridiag(-1/h, 2/h, -1/h), halved diagonal at the ends,
+      mass      tridiag(h/6, 2h/3, h/6), halved diagonal at the ends,
       trace     selector of the two endpoint nodes.
     """
     h = 1.0 / n
-    main_m = np.full(n + 1, 2.0 * h / 3.0)
-    main_m[0] = main_m[-1] = h / 3.0
-    off_m = np.full(n, h / 6.0)
-    mass = sp.diags_array([off_m, main_m, off_m], offsets=[-1, 0, 1])
+    lines = np.zeros((3, 3, n + 1))
+    lines[0, 1], lines[0, [0, 2]] = 2.0 / h, -1.0 / h
+    lines[1, 1], lines[1, [0, 2]] = 2.0 * h / 3.0, h / 6.0
+    lines[:, 1, [0, -1]] = [[1.0 / h], [h / 3.0], [1.0]]
+    lines[:, 0, 0] = lines[:, 2, -1] = 0.0
+    return lines
 
-    main_k = np.full(n + 1, 2.0 / h)
-    main_k[0] = main_k[-1] = 1.0 / h
-    off_k = np.full(n, -1.0 / h)
-    stiff = sp.diags_array([off_k, main_k, off_k], offsets=[-1, 0, 1])
 
-    sel = np.zeros(n + 1)
-    sel[0] = sel[-1] = 1.0
-    trace = sp.diags_array([sel], offsets=[0])
-    return sp.csr_matrix(stiff), sp.csr_matrix(mass), sp.csr_matrix(trace)
+def _matrices_1d(n: int):
+    """The matrices of ``_lines`` as sparse (n+1)-square matrices."""
+    return tuple(sp.csr_matrix(sp.diags_array(
+        [bands[0, 1:], bands[1], bands[2, :-1]], offsets=[-1, 0, 1]))
+        for bands in _lines(n))
 
 
 def _reduce(full: sp.spmatrix, free1: np.ndarray, free2: np.ndarray,
@@ -340,15 +299,17 @@ def _reduce(full: sp.spmatrix, free1: np.ndarray, free2: np.ndarray,
     """Reduced spinor matrix of a per-component scalar matrix ``A``.
 
     ``A[p, q]`` goes at ``(free1[p], free1[q])`` and ``conj(w[p]) w[q]
-    A[p, q]`` at ``(u2[p], u2[q])``, with ``u2`` the ``_u2_dofs`` and ``w``
-    the constraint factor, and the CSR conversion sums the two.  No entry
+    A[p, q]`` at ``(u2[p], u2[q])``, with ``u2`` the dof each node's u2 is
+    read from (``free2`` inside, ``free1`` on an edge) and ``w`` the
+    constraint factor, and the CSR conversion sums the two.  No entry
     gets more than one term of each, so a symmetric real ``A`` gives a
     Hermitian matrix bit for bit.
     """
     full = full.tocoo()
     p, q = full.row, full.col
     rows, cols, data = [], [], []
-    for dof, w in ((free1, None), (_u2_dofs(free1, free2), factor.ravel())):
+    u2 = np.where(free2 >= 0, free2, free1)
+    for dof, w in ((free1, None), (u2, factor.ravel())):
         dof = dof.ravel().astype(p.dtype)   # gathers at A's index width
         keep = (dof[p] >= 0) & (dof[q] >= 0)
         pk, qk, a = p[keep], q[keep], full.data[keep]
@@ -364,23 +325,13 @@ def _reduce(full: sp.spmatrix, free1: np.ndarray, free2: np.ndarray,
 
 @lru_cache(maxsize=None)
 def assemble(grid: Grid) -> FormMatrices:
-    """Assemble the five reduced matrices for one grid (cached per n).
+    """The five reduced forms of one grid (cached per n): its 1D matrices.
 
-    Scalar 2D matrices are tensor (Kronecker) products of the exact 1D
-    element matrices; the trace matrices pair an endpoint selector along
-    the constrained axis with the 1D mass matrix along the edge: Tpar the
-    vertical pieces x1 = +-1/2, Teq the horizontal ones.  Each product is
-    reduced as soon as it is built.
+    Scalar 2D forms are tensor (Kronecker) products of the exact 1D element
+    matrices; the trace forms pair an endpoint selector along the
+    constrained axis with the 1D mass matrix along the edge.
     """
-    n = grid.n
-    cmap = constraint_map(n)
-    k1d, m1d, t1d = _matrices_1d(n)
-    pairs = dict(K1=(k1d, m1d), K2=(m1d, k1d), M=(m1d, m1d),
-                 Tpar=(t1d, m1d), Teq=(m1d, t1d))
-    return FormMatrices(n=n, **{
-        name: _reduce(sp.kron(a, b, format="coo"), cmap.free1, cmap.free2,
-                      cmap.factor, cmap.ndof)
-        for name, (a, b) in pairs.items()})
+    return FormMatrices(n=grid.n, lines=_lines(grid.n))
 
 
 def assemble_1d(n: int) -> FormMatrices1D:
@@ -411,40 +362,101 @@ def _check_weights(a: float, b: float, m: float):
     return a, b, m
 
 
-def weighted(fm: FormMatrices, w) -> sp.csr_matrix:
-    """Weighted sum w_K1 K1 + w_K2 K2 + w_M M + w_Tpar Tpar + w_Teq Teq.
+def weighted(fm: FormMatrices, w) -> spla.LinearOperator:
+    """Weighted sum w_K1 K1 + w_K2 K2 + w_M M + w_Tpar Tpar + w_Teq Teq, as
+    an operator on reduced vectors; ValueError unless the weights are five
+    real numbers."""
+    w = np.asarray(w)
+    if w.shape != (len(FORMS),) or np.iscomplexobj(w) and w.imag.any():
+        raise ValueError(f"the form weights must be {len(FORMS)} real "
+                         f"numbers, got {w!r}")
+    w = w.real.astype(float)
 
-    The data arrays are summed on the pattern K1, K2 and M share, term by
-    term in that order with zero weights skipped, and the trace terms are
-    added at their cached positions: the same arithmetic as the sum of the
-    sparse terms, bit for bit, entries that cancel to zero dropped.
+    def apply(x):
+        return _products(fm, x, w)[0]
+
+    return spla.LinearOperator((fm.ndof,) * 2, matvec=apply, matmat=apply,
+                               dtype=complex)
+
+
+def _products(fm: FormMatrices, x, *weights):
+    """The products ``weighted(fm, w) @ x`` for each ``w`` in ``weights``,
+    of the reduced columns ``x`` (ndof, k), from one gather.
+
+    The weighted form is ``A (x) M + M (x) B`` on each component, with
+    ``A = w_K1 K + w_M M + w_Tpar T`` and ``B = w_K2 K + w_Teq T``: after
+    the mass sweep along x2 that every form shares, one sweep along x1, or
+    three when ``B`` does not vanish, then the adjoint gather.
     """
-    positions = fm._trace_positions         # checks the shared pattern
-    data = None
-    for wi, mat in zip(w[:3], (fm.K1, fm.K2, fm.M)):
-        if wi != 0.0:
-            if data is None:
-                data = wi * mat.data
-            else:
-                data += wi * mat.data
-    if data is None:
-        data = np.zeros(fm.M.nnz, dtype=complex)
-    for wi, mat, at in zip(w[3:], (fm.Tpar, fm.Teq), positions):
-        if wi != 0.0:
-            data[at] += wi * mat.data
-    q = sp.csr_matrix((data, fm.M.indices.copy(), fm.M.indptr.copy()),
-                      shape=fm.M.shape)
-    if not data.all():
-        q.eliminate_zeros()
-    return q
+    cmap = constraint_map(fm.n)
+    stiff, mass, trace = fm.lines
+    u = _nodal(cmap, x)
+    um = _along_x2(mass, u)
+    out = []
+    for w in weights:
+        y = _tridiagonal(w[0] * stiff + w[2] * mass + w[3] * trace) @ um
+        along = w[1] * stiff + w[4] * trace
+        if along.any():
+            y += fm._matrices[1] @ _along_x2(along, u)
+        out.append(_reduced(cmap, y).reshape(x.shape))
+    return out
 
 
 def norm_parts(fm: FormMatrices, psi: SpinorField):
-    """Squared norms (|d1 psi|^2, |d2 psi|^2, |psi|^2, |trace_par|^2, |trace_eq|^2)."""
-    v = psi.values
-    def quad(mat):
-        return float(np.real(np.vdot(v, mat @ v)))
-    return (quad(fm.K1), quad(fm.K2), quad(fm.M), quad(fm.Tpar), quad(fm.Teq))
+    """Squared norms (|d1 psi|^2, |d2 psi|^2, |psi|^2, |trace_par|^2,
+    |trace_eq|^2): the five quadratic forms ``<u, (A (x) B) u>`` on the
+    nodal arrays ``u`` of ``psi``."""
+    u = _nodal(constraint_map(fm.n), psi.values)
+    # <u, A_x1 B_x2 u> = <A^T_x1 u, B_x2 u>
+    x1 = [mat.T @ u for mat in fm._matrices]
+    x2 = [_along_x2(bands, u) for bands in fm.lines]
+    return tuple(float(np.vdot(x1[a], x2[b])) for a, b in _PAIRS)
+
+
+def _nodal(cmap: ConstraintMap, x) -> np.ndarray:
+    """The nodal values ``P x`` of reduced columns ``x`` (ndof, k) as one
+    real array (n+1, (n+1) 4k), rows along x1, each node holding u1 then u2
+    of each column, real and imaginary parts interleaved: the dofs fill
+    their slots, and an edge node's u2 is its factor times its u1."""
+    x = np.asarray(x).reshape(cmap.ndof, -1)
+    u = np.zeros((cmap.n + 1, cmap.n + 1, 2, x.shape[1]), dtype=complex)
+    u.reshape(-1, x.shape[1])[cmap.slots] = x
+    edge = (cmap.free1 >= 0) & (cmap.free2 < 0)
+    u[edge, 1] = cmap.factor[edge, None] * u[edge, 0]
+    return u.reshape(cmap.n + 1, -1).view(float)
+
+
+def _reduced(cmap: ConstraintMap, y: np.ndarray) -> np.ndarray:
+    """The adjoint gather ``P^H`` of nodal arrays laid out as by
+    ``_nodal``, which it overwrites: an edge dof takes its u1 value plus
+    ``conj(omega)`` times its u2 value."""
+    u = y.view(complex).reshape(cmap.n + 1, cmap.n + 1, 2, -1)
+    edge = (cmap.free1 >= 0) & (cmap.free2 < 0)
+    u[edge, 0] += cmap.factor[edge, None].conj() * u[edge, 1]
+    return u.reshape(-1, u.shape[3])[cmap.slots]
+
+
+def _tridiagonal(bands: np.ndarray) -> sp.csr_array:
+    """The 1D matrix of ``bands`` as a sparse tridiagonal, which acts along
+    x1 on nodal arrays from the left."""
+    n1 = bands.shape[1]
+    indices = (np.arange(n1)[:, None] + np.arange(-1, 2)).ravel()[1:-1]
+    indptr = np.r_[0, np.arange(2, 3 * n1 - 1, 3), 3 * n1 - 2]
+    return sp.csr_array((bands.T.ravel()[1:-1], indices, indptr),
+                        shape=(n1, n1))
+
+
+def _along_x2(bands: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """The 1D matrix of ``bands`` applied along x2 of the nodal arrays
+    ``u``, whose x2 neighbours lie one node's lanes apart in a row."""
+    lanes = u.shape[1] // bands.shape[1]
+    lower, diag, upper = np.repeat(bands, lanes, axis=1)
+    y = u * diag
+    t = u[:, :-lanes] * lower[lanes:]
+    y[:, lanes:] += t
+    np.multiply(u[:, lanes:], upper[:-lanes], out=t)
+    y[:, :-lanes] += t
+    return y
 
 
 def weighted_quotient(fm: FormMatrices, w, psi: SpinorField) -> float:
@@ -496,17 +508,16 @@ def random_field(grid: Grid, seed: int = 0) -> SpinorField:
 
 def reconstruct(psi: SpinorField, cmap: ConstraintMap | None = None):
     """Full nodal component arrays (U1, U2), each (n+1, n+1), gathered from
-    the reduced vector: ``U1 = x[free1]`` and ``U2 = factor * x[u2 dof]``,
-    zero at the corners.  ValueError for a field of another grid."""
+    the reduced vector by ``_nodal``: ``U1 = x[free1]`` and ``U2 = factor *
+    x[u2 dof]``, zero at the corners.  ValueError for a field of another
+    grid."""
     cmap = cmap or constraint_map(psi.n)
-    x = psi.values
-    if x.shape != (cmap.ndof,):
-        raise ValueError(f"field of shape {x.shape} does not match the "
-                         f"{cmap.ndof} dofs of the {cmap.n}-cell grid")
-    u1 = np.where(cmap.free1 >= 0, x[cmap.free1], 0.0)
-    u2 = cmap.factor * x[_u2_dofs(cmap.free1, cmap.free2)]
+    if psi.values.shape != (cmap.ndof,):
+        raise ValueError(f"field of shape {psi.values.shape} does not match "
+                         f"the {cmap.ndof} dofs of the {cmap.n}-cell grid")
+    u = _nodal(cmap, psi.values).view(complex)
     # +0.0 leaves no negative zero, from the factor products or the field
-    return u1 + 0.0, u2 + 0.0
+    return u[:, 0::2] + 0.0, u[:, 1::2] + 0.0
 
 
 def _check_hermitian(name, mat):

@@ -9,10 +9,11 @@ Buzbee, Dorr, George & Golub 1971).  Every grid form commutes with the half
 turn ``R^2``, so the Schur complement is block diagonal in its two classes
 (Bossavit 1986): one 2(n-1)-square block per class on the left and bottom
 edges, whose right and top images follow from the class.  Both blocks are
-built from the left and bottom ring rows and factored; together they
-certify that the form is positive definite on the whole space, and the
-block of ``Q_BB`` between the classes is checked to vanish, since the class
-blocks read only its left and bottom rows.
+built from the left and bottom ring rows and the edge block ``Q_BB``, all
+from the grid's 1D matrices, and factored; together they certify that the
+form is positive definite on the whole space.  The class blocks read only
+the left and bottom rows of ``Q_BB``, whose reversal-symmetric 1D matrices
+(``FormMatrices._symmetry_certificate``) keep the half turn.
 
 ARPACK iterates in the class +1 coordinates of the tensor inverse
 (``_ClassOperator``): one dense array of class +1 coefficients of the
@@ -31,10 +32,9 @@ check reads ``r^H M^-1 r`` in the class coordinates of both classes
 the first grid solve of that n and holding the grid's ``_TensorBasis`` (the
 eigenbasis, the ring layout and the half-turn class coordinates).  Every
 shifted inverse reads the basis as ``mass_inverse(n).basis`` and lives for
-one solve, its boundary block ``Q_BB - sigma M_BB`` taken from ``Q`` and
-the mass inverse's ``M_BB``.  The Schur factors exist only for a
-positive-definite matrix, so ``mass_inverse`` is also M's
-positive-definiteness check.
+one solve, the form of the weights with ``w_M - sigma``.  The 1D
+eigenbasis and the Schur factors exist only for a positive-definite
+matrix, so ``mass_inverse`` is also M's positive-definiteness check.
 """
 
 from __future__ import annotations
@@ -46,9 +46,8 @@ import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
 
-from .errors import ConsistencyError
-from .formgrid import (BOTTOM, LEFT, OMEGA, assemble, build_grid,
-                       constraint_map, _check_hermitian, _matrices_1d)
+from .formgrid import (BOTTOM, LEFT, OMEGA, _PAIRS, assemble, build_grid,
+                       constraint_map, _tridiagonal)
 
 __all__ = ["mass_inverse"]
 
@@ -91,7 +90,6 @@ class _TensorBasis:
     vinv: np.ndarray        # (N, N) V^-1 = V^T M_D
     ring: np.ndarray        # (N,) row of V at the ring lines of the left
     #                         and bottom edges
-    couple: np.ndarray      # (2,) 1D stiffness, mass entry ring-to-edge
     interior: np.ndarray    # (N, 2, N) reduced index of u1, u2 at node (i, j)
     boundary: np.ndarray    # (4N,) reduced index of the left and bottom edge
     #                         dofs, then of their images: right and top,
@@ -101,6 +99,7 @@ class _TensorBasis:
     parts: np.ndarray       # (2, N) ring row on the even, odd modes
     phase: dict             # beta -> (2, 2, N) trace weight per edge
     #                         (left, bottom), parity of the summed mode, mode
+    lines: np.ndarray       # (3, 3, n+1) the grid's 1D matrices, band form
 
     def forward(self, cols):
         """Class parts ``{beta: (w, x)}`` of the nodal right-hand sides
@@ -170,36 +169,52 @@ class _TensorBasis:
                         .reshape(-1, 2), self.parts).reshape(nn, -1)
                 ).reshape(nn, 2, -1, nn)
 
-    def blocks(self, a_bb, name: str):
-        """The class blocks ``{beta: A_beta}`` (dense, 2N-square) of the
-        edge block ``a_bb`` of a form: its left and bottom rows on the
-        class's vectors.  ConsistencyError unless the block between the two
-        classes vanishes to 1e-12 of the largest entry of ``a_bb``:
-        otherwise the class blocks describe another matrix."""
-        coo = a_bb.tocoo()
-        size = 2 * (self.n - 1)
-        at = coo.row % size * size + coo.col % size
+    def blocks(self, w):
+        """The class blocks ``{beta: Q_beta}`` (dense, 2N-square) of the
+        edge block ``Q_BB`` of the form with weights ``w``: its left and
+        bottom rows on the class's vectors, from the 1D matrices.
 
-        def dense(weights, keep=slice(None)):
-            data = weights * coo.data[keep]
-            return (np.bincount(at[keep], data.real, size * size)
-                    + 1j * np.bincount(at[keep], data.imag, size * size)
-                    ).reshape(size, size)
+        Two edge dofs at nodes ``p`` and ``q`` couple through their u1 and
+        u2 terms, ``(1 + conj(omega_p) omega_q) sum_f w_f A_f[p1, q1]
+        B_f[p2, q2]``: along an edge that is twice the form's line matrix,
+        and the dofs next to a corner couple across it.  On the left and
+        bottom rows, a right or top dof enters as ``-beta`` times the left
+        or bottom dof it is the half-turn image of.
+        """
+        n, nn = self.n, self.n - 1
+        factor = constraint_map(n).factor
+        terms = [(wf, self.lines[a], self.lines[b])
+                 for wf, (a, b) in zip(w, _PAIRS)]
 
-        own = coo.row < size                # left and bottom rows
-        # (E_+^H A E_-)/2, E_beta embedding the class coordinates
-        dev = np.abs(dense(np.where(own, 0.5, -0.5))).max()
-        scale = np.abs(coo.data).max() if coo.nnz else 0.0
-        if dev > 1e-12 * max(scale, 1e-300):
-            raise ConsistencyError(
-                f"the edge block of {name} does not commute with the half "
-                f"turn (cross-class deviation {dev:.3e})")
-        return {beta: dense(np.where(coo.col[own] < size, 1.0, -beta), own)
-                for beta in (1, -1)}
+        def couple(p, q):
+            (i, j), (k, l) = p, q
+            total = sum(wf * a[1 + k - i, i] * b[1 + l - j, j]
+                        for wf, a, b in terms)
+            return (1.0 + np.conj(factor[p]) * factor[q]) * total
+
+        # the left edge reads each B along x2 at A[0, 0], the bottom edge
+        # each A along x1 at B[0, 0]; the u1 and u2 terms double them
+        block = np.zeros((2 * nn, 2 * nn), dtype=complex)
+        block[:nn, :nn] = _tridiagonal(2.0 * sum(
+            wf * a[1, 0] * b[:, 1:n] for wf, a, b in terms)).toarray()
+        block[nn:, nn:] = _tridiagonal(2.0 * sum(
+            wf * b[1, 0] * a[:, 1:n] for wf, a, b in terms)).toarray()
+        block[0, nn] = couple((0, 1), (1, 0))
+        block[nn, 0] = couple((1, 0), (0, 1))
+        out = {}
+        for beta in (1, -1):
+            # left (0, n-1) meets top (1, n), the image of bottom (n-1, 0),
+            # and bottom (n-1, 0) meets right (n, 1), that of left (0, n-1)
+            out[beta] = block.copy()
+            out[beta][nn - 1, -1] = -beta * couple((0, n - 1), (1, n))
+            out[beta][-1, nn - 1] = -beta * couple((n - 1, 0), (n, 1))
+        return out
 
 
-def _tensor_basis(n: int) -> _TensorBasis:
-    """The basis of the n-grid, which ``mass_inverse`` builds once per n.
+def _tensor_basis(fm) -> _TensorBasis:
+    """The basis of the grid of the forms ``fm``, which ``mass_inverse``
+    builds once per n; ValueError unless the 1D mass matrix is positive
+    definite on the interior, which M is then too.
 
     The reflection parity of V and the closed-form ``R^2`` (interior
     ``(i, j) -> (n-i, n-j)`` with -1 on u1 and +1 on u2, each edge dof to
@@ -209,9 +224,14 @@ def _tensor_basis(n: int) -> _TensorBasis:
     from .symmetry import rotation_map      # symmetry imports eigsolve,
     #                                         which imports this module
 
+    n = fm.n
     cmap = constraint_map(n)
-    k1d, m1d, _ = (mat.toarray() for mat in _matrices_1d(n))
-    lam, vecs = sla.eigh(k1d[1:n, 1:n], m1d[1:n, 1:n])
+    k_d, m_d = (_tridiagonal(bands[:, 1:n]).toarray()
+                for bands in fm.lines[:2])
+    try:
+        lam, vecs = sla.eigh(k_d, m_d)
+    except sla.LinAlgError as exc:
+        raise ValueError("M is not positive definite") from exc
     nn, inner = n - 1, slice(1, n)
     parity = (-1.0) ** np.arange(nn)
     if not (np.abs(vecs[::-1] - vecs * parity).max()
@@ -234,20 +254,20 @@ def _tensor_basis(n: int) -> _TensorBasis:
     # parity p when s p = -beta; u2 enters the trace with conj(omega)
     same = np.array([[1.0], [-1.0]]) * parity
     return _TensorBasis(
-        n=n, vecs=vecs, lam=lam, vinv=vecs.T @ m1d[1:n, 1:n], ring=vecs[0],
-        couple=np.array([k1d[1, 0], m1d[1, 0]]), interior=interior,
-        boundary=boundary, u1=np.outer(parity, parity) < 0,
+        n=n, vecs=vecs, lam=lam, vinv=vecs.T @ m_d, ring=vecs[0],
+        interior=interior, boundary=boundary, u1=np.outer(parity, parity) < 0,
         parts=np.stack([vecs[0] * (parity > 0), vecs[0] * (parity < 0)]),
         phase={beta: np.stack([np.where(same == -beta, 1.0,
                                         np.conj(OMEGA[edge]))
                                for edge in (LEFT, BOTTOM)])
                for beta in (1, -1)},
+        lines=fm.lines,
     )
 
 
 class _TensorInverse:
     """Exact inverse of one grid form ``q = weighted(fm, w)``, built from
-    the weights ``w`` and the sparse boundary block ``q_bb = Q_BB`` alone.
+    the weights ``w`` and the grid's 1D matrices alone.
 
     Fast diagonalisation inverts the interior blocks ``D``, where ``C``
     couples the u1 interior to the edge dofs and ``C Omega`` the u2
@@ -265,10 +285,9 @@ class _TensorInverse:
     both.  The factors exist only when ``q`` is positive definite on
     both classes, that is on the whole space, so building the inverse is
     also that check; the class blocks of ``Q_BB`` describe it only when the
-    block between the classes vanishes, which is checked too.
-    ``boundary_block`` keeps ``Q_BB``: the mass inverse's ``M_BB`` gives
-    every shifted boundary block ``Q_BB - sigma M_BB`` without a shifted
-    matrix.
+    block between the classes vanishes, which the grid's reversal-symmetric
+    1D matrices guarantee (``FormMatrices._symmetry_certificate``).  A
+    shifted form ``Q - sigma M`` is the form with weight ``w_M - sigma``.
 
     One implementation serves every use: ``class_solve`` is the inverse on
     one class in its modal coordinates (the Schur steps, O(N^2) per column,
@@ -281,21 +300,21 @@ class _TensorInverse:
     class solves after one forward transform.
     """
 
-    def __init__(self, basis: _TensorBasis, w, q_bb, name: str = "Q"):
+    def __init__(self, basis: _TensorBasis, w, name: str = "Q"):
         w1, w2, w3 = (float(x) for x in w[:3])
         lam, vinv = basis.lam, basis.vinv
         self.basis = basis
-        self.boundary_block = q_bb
         self.delta = w1 * lam[:, None] + w2 * lam[None, :] + w3
         if not self.delta.min() > 0.0:
             raise ValueError(f"{name} is not positive definite: its interior "
                              "block has a non-positive eigenvalue")
         # the u1 coupling C of the left and bottom edges in the V basis:
         # diag(alpha) V^-1; the right and top edges have the same alpha
-        kc, mc = basis.couple
+        kc, mc = basis.lines[:2, 0, 1]    # 1D stiffness, mass ring-to-edge
         self.alpha = np.array([w1 * kc + w3 * mc + w2 * mc * lam,
                                w2 * kc + w3 * mc + w1 * mc * lam])
-        self.class_blocks = blocks = basis.blocks(q_bb, name)
+        self.w = w
+        blocks = basis.blocks(w)
 
         # 2 C^T D^-1 C on the left and bottom edges of each class: the
         # left-left and bottom-bottom blocks are the same in both classes
@@ -314,7 +333,7 @@ class _TensorInverse:
         nn = basis.n - 1
         self.chol = {}
         for beta in (1, -1):
-            schur = blocks[beta].copy()
+            schur = blocks[beta]
             lb = (1 + theta) * cross - beta * (1 - theta) * cross[::-1, ::-1]
             schur[:nn, :nn] -= ll
             schur[nn:, nn:] -= bb
@@ -365,7 +384,7 @@ class _TensorInverse:
     def _sparse_blocks(self):
         """The class blocks of ``Q_BB`` as sparse matrices, for products."""
         return {beta: sp.csr_matrix(blk)
-                for beta, blk in self.class_blocks.items()}
+                for beta, blk in self.basis.blocks(self.w).items()}
 
     def class_solve(self, beta, g, fb):
         """``q^-1`` on class ``beta`` in its modal coordinates: the class
@@ -381,12 +400,6 @@ class _TensorInverse:
         np.subtract(g, w, out=w)
         w /= delta
         return w, x
-
-
-def _boundary_block(basis: _TensorBasis, q) -> sp.csr_matrix:
-    """Block of the sparse grid form ``q`` on the edge dofs."""
-    idx = basis.boundary
-    return q[idx][:, idx]
 
 
 def _gemm(a, b):
@@ -405,16 +418,13 @@ def mass_inverse(n: int) -> _TensorInverse:
     """Tensor-product inverse of the n-grid mass matrix, and the owner of
     the grid's basis (built once per n).
 
-    Its Schur factors are M's positive-definiteness check.  Built on the
-    first grid solve of that n, never during assembly, and shared by every
-    later solve on the grid; its ``basis`` is the one every shifted inverse
-    of the grid reads.
+    Its 1D eigenbasis and Schur factors are M's positive-definiteness
+    check.  Built on the first grid solve of that n, never during assembly,
+    and shared by every later solve on the grid; its ``basis`` is the one
+    every shifted inverse of the grid reads.
     """
-    m = assemble(build_grid(n)).M
-    _check_hermitian("M", m)
-    basis = _tensor_basis(n)
-    return _TensorInverse(basis, (0.0, 0.0, 1.0), _boundary_block(basis, m),
-                          "M")
+    return _TensorInverse(_tensor_basis(assemble(build_grid(n))),
+                          (0.0, 0.0, 1.0, 0.0, 0.0), "M")
 
 
 class _ClassOperator:
@@ -458,25 +468,3 @@ class _ClassOperator:
     def to_nodal(self, z):
         """Nodal vectors of the class +1 columns ``z``."""
         return self.shift.basis.back({1: self._expand(z)})
-
-
-def _check_kronecker_interior(fm, basis: _TensorBasis):
-    """ConsistencyError unless the interior blocks of K1, K2 and M are the
-    Kronecker sums that the tensor inverse assumes, one per component.
-
-    The inverse and the modal iteration never read the assembled interior,
-    so a form that differs there fails the residual contract; this tells
-    that inconsistency from a solver failure.
-    """
-    n = fm.n
-    k1d, m1d = (mat[1:n, 1:n] for mat in _matrices_1d(n)[:2])
-    idx = basis.interior.transpose(1, 0, 2).ravel()     # u1, then u2
-    for name, mat, kron in (("K1", fm.K1, sp.kron(k1d, m1d)),
-                            ("K2", fm.K2, sp.kron(m1d, k1d)),
-                            ("M", fm.M, sp.kron(m1d, m1d))):
-        want = sp.block_diag([kron, kron])
-        dev = abs(mat[idx][:, idx] - want).max()
-        if dev > 1e-12 * abs(want).max():
-            raise ConsistencyError(
-                f"the interior block of {name} is not the Kronecker sum the "
-                f"tensor inverse assumes (deviation {dev:.3e})")

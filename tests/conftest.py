@@ -100,3 +100,62 @@ class ProjectionBases:
 def projection_bases():
     """The reference elimination, ``ProjectionBases``."""
     return ProjectionBases
+
+
+class ReferenceForms:
+    """Reference assembly of the five grid forms as sparse matrices,
+    independent of the Kronecker operators that the solver applies.
+
+    Each reduced matrix is built entry by entry from the Kronecker product
+    of its 1D element matrices, by the index-gather reduction that
+    ``formgrid._reduce`` applies to the 1D problem, itself checked against
+    ``ProjectionBases``.
+    """
+
+    def __init__(self, n):
+        from diracbox.formgrid import (FORMS, _PAIRS, _matrices_1d, _reduce,
+                                       constraint_map)
+        cmap = constraint_map(n)
+        lines = _matrices_1d(n)
+        self.n, self.ndof = n, cmap.ndof
+        self.forms = {
+            name: _reduce(sp.kron(lines[a], lines[b], format="coo"),
+                          cmap.free1, cmap.free2, cmap.factor, cmap.ndof)
+            for name, (a, b) in zip(FORMS, _PAIRS)}
+        self.M = self.forms["M"]
+
+    def weighted(self, w):
+        """The sparse sum of the weighted forms, term by term."""
+        terms = [wi * mat for wi, mat in zip(w, self.forms.values())
+                 if wi != 0.0]
+        return sp.csr_matrix(sum(terms[1:], terms[0]))
+
+    def class_blocks(self, basis, w):
+        """The half-turn class blocks ``{beta: Q_beta}`` of the edge block
+        ``Q_BB`` of ``weighted(w)``, sliced from the matrix: its left and
+        bottom rows on the class's vectors, whose right and top values are
+        ``-beta`` times the left and bottom ones they are images of."""
+        idx = basis.boundary
+        coo = self.weighted(w)[idx][:, idx].tocoo()
+        size = 2 * (self.n - 1)
+        own, image = coo.row < size, coo.col >= size
+        out = {}
+        for beta in (1, -1):
+            block = np.zeros((size, size), dtype=complex)
+            np.add.at(block, (coo.row[own], coo.col[own] % size),
+                      np.where(image[own], -beta, 1.0) * coo.data[own])
+            out[beta] = block
+        return out
+
+
+@pytest.fixture(scope="session")
+def reference_forms():
+    """``ReferenceForms`` of an n-cell grid (built once per n)."""
+    memo = {}
+
+    def get(n):
+        if n not in memo:
+            memo[n] = ReferenceForms(n)
+        return memo[n]
+
+    return get

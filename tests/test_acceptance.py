@@ -33,7 +33,6 @@ from diracbox import (
     smallest_eigenpair,
     trial_dirichlet,
     verify_norm_identities,
-    weighted,
 )
 from diracbox.eigsolve import _richardson
 
@@ -211,11 +210,12 @@ def test_criterion_08_symmetry_suite(fm_cache):
                f"{[f'{be:.3f}' for be in betas]}")
 
 
-def test_criterion_09_separability_witness(fm_cache, golden):
+def test_criterion_09_separability_witness(fm_cache, reference_forms,
+                                           golden):
     # dense oracle at n=32 calibrates the threshold recorded in golden.json
-    fm32 = fm_cache(32)
-    q = weighted(fm32, (1.0, 1.0, 0.0, 0.0, 0.0)).toarray()
-    w, v = sla.eigh(q, fm32.M.toarray(), subset_by_index=[0, 3])
+    fm32, ref32 = fm_cache(32), reference_forms(32)
+    q = ref32.weighted((1.0, 1.0, 0.0, 0.0, 0.0)).toarray()
+    w, v = sla.eigh(q, ref32.M.toarray(), subset_by_index=[0, 3])
     cluster = [(float(w[i]), SpinorField(v[:, i], 32)) for i in range(4)
                if (w[i] - w[0]) <= 1e-8 * abs(w[0])]
     rep32 = classify_symmetry(fm32, cluster, square=True)[0].field

@@ -7,9 +7,7 @@ import os
 import re
 from concurrent.futures import ProcessPoolExecutor
 
-import numpy as np
 import pytest
-import scipy.sparse as sp
 
 from diracbox import (assemble, bounds, build_grid, cli, eigsolve, jopt,
                       symmetry, tensor)
@@ -133,15 +131,25 @@ def test_shift_above_the_ground_eigenvalue_exit_code(monkeypatch, fm_cache):
         jopt.euler_solve(fm_cache(16), 1.0, 1.0, 0.0)
 
 
-def test_indefinite_mass_exit_code(monkeypatch, capsys):
-    # M's own check comes first and stays an argument error.
-    fm = assemble(build_grid(14))
+def _plant(monkeypatch, lines):
+    """Solve on forms built from the 1D matrices ``lines`` (band form)."""
+    broken = dataclasses.replace(assemble(build_grid(lines.shape[2] - 1)),
+                                 lines=lines)
     for module in (eigsolve, tensor):
-        monkeypatch.setattr(module, "assemble",
-                            lambda grid: dataclasses.replace(fm, M=-fm.M))
+        monkeypatch.setattr(module, "assemble", lambda grid: broken)
     tensor.mass_inverse.cache_clear()
+
+
+def test_indefinite_mass_exit_code(monkeypatch, capsys):
+    # M's own check stays an argument error.  The 1D mass with its middle
+    # diagonal entry negated is real, symmetric and reversal-symmetric, so
+    # the symmetry certificate passes, but it is indefinite, and so is M.
+    n = 14
+    lines = assemble(build_grid(n)).lines.copy()
+    lines[1, 1, n // 2] *= -1.0
+    _plant(monkeypatch, lines)
     try:
-        assert run(["solve", "--n", "14", "--no-cache"]) == 2
+        assert run(["solve", "--n", str(n), "--no-cache"]) == 2
         assert "M is not positive definite" in capsys.readouterr().err
     finally:
         tensor.mass_inverse.cache_clear()
@@ -149,79 +157,42 @@ def test_indefinite_mass_exit_code(monkeypatch, capsys):
 
 def test_pencil_without_charge_conjugation_exit_code(monkeypatch, capsys):
     # Class -1 is the charge conjugate of the class +1 solve.  A Hermitian,
-    # half-turn-invariant K1 that breaks the conjugation: the u1 diagonal
-    # entry of the centre node, its own half-turn image, doubled.  Class +1
-    # vectors vanish there, so class +1 solves cleanly and the grid's
-    # symmetry certificate, read after the class +1 contract, finds the
-    # break: exit 5, never a value.
+    # reversal-symmetric 1D stiffness that is not real (an imaginary pair
+    # of off-diagonal entries and its mirror image) makes K1 and K2 break
+    # the conjugation but not the half turn; the grid's symmetry
+    # certificate finds the break before any solve: exit 5, never a value.
     n = 14
-    fm = assemble(build_grid(n))
-    k = constraint_map(n).free1[n // 2, n // 2]
-    rot = symmetry.rotation_map(n)
-    assert rot.half_perm[k] == k and rot.half_phase[k] == -1.0
-    bump = np.zeros(fm.ndof)
-    bump[k] = fm.K1[k, k].real
-    broken = dataclasses.replace(fm, K1=(fm.K1 + sp.diags(bump)).tocsr())
-    monkeypatch.setattr(eigsolve, "assemble", lambda grid: broken)
-    tensor.mass_inverse.cache_clear()
+    lines = assemble(build_grid(n)).lines.astype(complex)
+    eps = 1e-6j * lines[0, 1, 1].real
+    for (d, i), delta in {(1, 3): eps, (-1, 4): -eps, (-1, n - 3): eps,
+                          (1, n - 4): -eps}.items():
+        lines[0, 1 + d, i] += delta
+    _plant(monkeypatch, lines)
     try:
         with pytest.raises(ConsistencyError, match="lacks the symmetry"):
             eigsolve.lambda1_2d(1.0, 1.0, 0.0, n)
         assert run(["solve", "--n", str(n), "--no-cache"]) == 5
-        assert "lacks the symmetry" in capsys.readouterr().err
-    finally:
-        tensor.mass_inverse.cache_clear()
-
-
-def test_interior_not_kronecker_sum_exit_code(monkeypatch, capsys):
-    # The tensor inverse and the modal iteration assume the interior blocks
-    # are the Kronecker sums and never read them.  A Hermitian,
-    # half-turn-invariant bump off the centre (the u1 dof of node (5, 8) and
-    # its half-turn image) makes the class +1 solve fail its contract; the
-    # failure path finds the interior mismatch: exit 5, not a solver
-    # failure (exit 3).
-    n = 14
-    fm = assemble(build_grid(n))
-    cmap = constraint_map(n)
-    k, image = cmap.free1[5, 8], cmap.free1[n - 5, n - 8]
-    rot = symmetry.rotation_map(n)
-    assert rot.half_perm[image] == k and rot.half_phase[image] == -1.0
-    bump = np.zeros(fm.ndof)
-    bump[[k, image]] = 1e-6 * fm.K1[k, k].real
-    broken = dataclasses.replace(fm, K1=(fm.K1 + sp.diags(bump)).tocsr())
-    monkeypatch.setattr(eigsolve, "assemble", lambda grid: broken)
-    tensor.mass_inverse.cache_clear()
-    try:
-        with pytest.raises(ConsistencyError, match="interior block of K1"):
-            eigsolve.lambda1_2d(1.0, 1.0, 0.0, n)
-        assert run(["solve", "--n", str(n), "--no-cache"]) == 5
-        assert "Kronecker sum" in capsys.readouterr().err
+        assert "charge conjugation" in capsys.readouterr().err
     finally:
         tensor.mass_inverse.cache_clear()
 
 
 def test_pencil_without_half_turn_symmetry_exit_code(monkeypatch, capsys):
     # The shifted inverse reads Q_BB on the left and bottom rows of each
-    # half-turn class and never on the right and top ones.  A Hermitian bump
-    # on the left edge dof of node (0, 5) but not on its half-turn image
-    # breaks the symmetry those class blocks rest on; the check that the
-    # block between the classes vanishes finds it: exit 5, never a value.
+    # half-turn class and never on the right and top ones.  A 1D stiffness
+    # whose first diagonal entry differs from its last one gives real,
+    # Hermitian K1 and K2 that differ on the left edge from the right, its
+    # half-turn image; the certificate finds it before any solve: exit 5,
+    # never a value.
     n = 14
-    fm = assemble(build_grid(n))
-    cmap = constraint_map(n)
-    k, image = cmap.free1[0, 5], cmap.free1[n, n - 5]
-    rot = symmetry.rotation_map(n)
-    assert rot.half_perm[image] == k and rot.half_phase[image] == -1.0
-    bump = np.zeros(fm.ndof)
-    bump[k] = 1e-6 * fm.K1[k, k].real
-    broken = dataclasses.replace(fm, K1=(fm.K1 + sp.diags(bump)).tocsr())
-    monkeypatch.setattr(eigsolve, "assemble", lambda grid: broken)
-    tensor.mass_inverse.cache_clear()
+    lines = assemble(build_grid(n)).lines.copy()
+    lines[0, 1, 0] *= 1.0 + 1e-6
+    _plant(monkeypatch, lines)
     try:
         with pytest.raises(ConsistencyError, match="half turn"):
             eigsolve.lambda1_2d(1.0, 1.0, 0.0, n)
         assert run(["solve", "--n", str(n), "--no-cache"]) == 5
-        assert "does not commute with the half turn" in capsys.readouterr().err
+        assert "do not commute with the half turn" in capsys.readouterr().err
     finally:
         tensor.mass_inverse.cache_clear()
 

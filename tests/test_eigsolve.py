@@ -17,7 +17,6 @@ from diracbox import (
     lambda1_2d,
     refine_study,
     smallest_eigenpair,
-    weighted,
 )
 from diracbox import cli, eigsolve, formgrid, jopt, symmetry, tensor
 
@@ -104,9 +103,9 @@ def test_rejects_bad_k():
         smallest_eigenpair(q, q, k=3)
 
 
-def test_sparse_deterministic_bitwise(fm_cache):
-    fm = fm_cache(48)
-    q = weighted(fm, (1.0, 1.0, 0.0, 0.0, 0.0))
+def test_sparse_deterministic_bitwise(reference_forms):
+    fm = reference_forms(48)
+    q = fm.weighted((1.0, 1.0, 0.0, 0.0, 0.0))
     first = smallest_eigenpair(q, fm.M, k=2, seed=42)
     second = smallest_eigenpair(q, fm.M, k=2, seed=42)
     for (mu1, v1), (mu2, v2) in zip(first, second):
@@ -114,9 +113,9 @@ def test_sparse_deterministic_bitwise(fm_cache):
         assert np.array_equal(v1, v2)
 
 
-def test_sparse_matches_dense(fm_cache):
-    fm = fm_cache(16)
-    q = weighted(fm, (1.3**-2, 0.9**-2, 0.0, 0.5 / 1.3, 0.5 / 0.9))
+def test_sparse_matches_dense(reference_forms):
+    fm = reference_forms(16)
+    q = fm.weighted((1.3**-2, 0.9**-2, 0.0, 0.5 / 1.3, 0.5 / 0.9))
     dense = sla.eigh(q.toarray(), fm.M.toarray(), eigvals_only=True,
                      subset_by_index=[0, 2])
     sparse = smallest_eigenpair(q, fm.M, k=3)
@@ -124,9 +123,9 @@ def test_sparse_matches_dense(fm_cache):
         assert mu_s == pytest.approx(mu_d, rel=1e-11)
 
 
-def test_eigenvectors_mass_orthonormal(fm_cache):
-    fm = fm_cache(16)
-    pairs = smallest_eigenpair(weighted(fm, (1, 1, 0, 0, 0)), fm.M, k=4)
+def test_eigenvectors_mass_orthonormal(reference_forms):
+    fm = reference_forms(16)
+    pairs = smallest_eigenpair(fm.weighted((1, 1, 0, 0, 0)), fm.M, k=4)
     v = np.column_stack([vec for _, vec in pairs])
     gram = v.conj().T @ (fm.M @ v)
     assert np.abs(gram - np.eye(4)).max() <= 1e-12
@@ -140,9 +139,9 @@ def test_1d_pencil_against_root_equation():
     assert exact <= mu <= exact * (1 + 1e-4)
 
 
-def test_nonconvergence_carries_best_iterate(fm_cache):
-    fm = fm_cache(48)
-    q = weighted(fm, (1.0, 1.0, 0.0, 0.0, 0.0))
+def test_nonconvergence_carries_best_iterate(reference_forms):
+    fm = reference_forms(48)
+    q = fm.weighted((1.0, 1.0, 0.0, 0.0, 0.0))
     with pytest.raises(SolverError) as err:
         smallest_eigenpair(q, fm.M, k=4, maxit=1)
     assert err.value.iterations > 0
@@ -164,19 +163,20 @@ def test_grid_nonconvergence_carries_shifted_best_iterate():
     assert err.value.best_mu == pytest.approx(mu, rel=1e-6)
 
 
-def test_residual_contract_enforced(fm_cache):
-    fm = fm_cache(16)
-    q = weighted(fm, (1.0, 1.0, 0.0, 0.0, 0.0))
+def test_residual_contract_enforced(reference_forms):
+    fm = reference_forms(16)
+    q = fm.weighted((1.0, 1.0, 0.0, 0.0, 0.0))
     with pytest.raises(SolverError):
         smallest_eigenpair(q, fm.M, k=1, tol=1e-30)
 
 
-def test_smallest_eigenpair_releases_its_factors(fm_cache, monkeypatch):
+def test_smallest_eigenpair_releases_its_factors(reference_forms,
+                                                 monkeypatch):
     # The SuperLU factors of a matrix-pencil solve, M for its check and Q for
     # ARPACK, must go when it returns, with GC paused: no reference cycle may
     # hold them until the next full collection.
-    fm = fm_cache(48)
-    q = weighted(fm, (1.0, 1.0, 0.0, 0.0, 0.0))
+    fm = reference_forms(48)
+    q = fm.weighted((1.0, 1.0, 0.0, 0.0, 0.0))
     splu = eigsolve.spla.splu
     factors = []
 
@@ -265,8 +265,8 @@ def _nodal_solve(inv, cols):
 
 
 @pytest.mark.parametrize("n", [4, 6, 12, 30])
-def test_tensor_inverse_is_exact(fm_cache, n):
-    fm = fm_cache(n)
+def test_tensor_inverse_is_exact(reference_forms, n):
+    fm = reference_forms(n)
     basis = tensor.mass_inverse(n).basis
     rng = np.random.default_rng(n)
     worst = 0.0
@@ -274,9 +274,8 @@ def test_tensor_inverse_is_exact(fm_cache, n):
         a, b = math.exp(log_aspect / 2), math.exp(-log_aspect / 2)
         for m in (0.0, 1e-2, 1.0, 1e3):
             for w in _weight_shapes(a, b, m):
-                q = weighted(fm, w)
-                inv = tensor._TensorInverse(
-                    basis, w, tensor._boundary_block(basis, q))
+                q = fm.weighted(w)
+                inv = tensor._TensorInverse(basis, w)
                 x0 = (rng.standard_normal((fm.ndof, 2))
                       + 1j * rng.standard_normal((fm.ndof, 2)))
                 for want in (x0, x0[:, :1]):
@@ -288,14 +287,14 @@ def test_tensor_inverse_is_exact(fm_cache, n):
 
 
 @pytest.mark.parametrize("n", [4, 6, 12, 30])
-def test_class_operator_is_exact_in_modal_coordinates(fm_cache, n):
+def test_class_operator_is_exact_in_modal_coordinates(reference_forms, n):
     # ARPACK's coordinates are exactly the half-turn class +1: as many as
     # the class has dofs, each back-transformed vector inside the class.
     # The operator there is the nodal class +1 operator
     # P (Q - sigma M)^-1 M seen through the back transform, with the nodal
     # solve of the same inverse (exact by test_tensor_inverse_is_exact) and
-    # the assembled M; the class +1 nodal solve is P (Q - sigma M)^-1.
-    fm = fm_cache(n)
+    # the reference M; the class +1 nodal solve is P (Q - sigma M)^-1.
+    fm = reference_forms(n)
     mass = tensor.mass_inverse(n)
     basis = mass.basis
     half_turn = symmetry.rotation_map(n).half_turn
@@ -306,11 +305,8 @@ def test_class_operator_is_exact_in_modal_coordinates(fm_cache, n):
         for m in (0.0, 1e-2, 1.0, 1e3):
             w = (a**-2, b**-2, 0.0, m / a, m / b)
             sigma = bounds.sharp_lower(a, b, m)
-            q = weighted(fm, w)
             shift = tensor._TensorInverse(
-                basis, (w[0], w[1], -sigma),
-                tensor._boundary_block(basis, q)
-                - sigma * mass.boundary_block)
+                basis, (w[0], w[1], -sigma, w[3], w[4]))
             op = tensor._ClassOperator(shift, mass)
             assert 2 * op.dim == fm.ndof
             z = rng.standard_normal(op.dim) + 1j * rng.standard_normal(op.dim)
@@ -333,11 +329,11 @@ def test_class_operator_is_exact_in_modal_coordinates(fm_cache, n):
 
 
 @pytest.mark.parametrize("n", [4, 12, 30])
-def test_mass_inverse_norms_in_class_coordinates(fm_cache, n):
+def test_mass_inverse_norms_in_class_coordinates(reference_forms, n):
     # The residual's M^-1 norm is read in class coordinates, with no back
     # transform: both classes and the doubled edges count.  It must equal
-    # the norm through a dense Cholesky factor of the assembled M.
-    fm = fm_cache(n)
+    # the norm through a dense Cholesky factor of the reference M.
+    fm = reference_forms(n)
     chol = sla.cho_factor(fm.M.toarray())
     rng = np.random.default_rng(n)
     r = rng.standard_normal((fm.ndof, 3)) + 1j * rng.standard_normal(
@@ -348,15 +344,27 @@ def test_mass_inverse_norms_in_class_coordinates(fm_cache, n):
     assert np.abs(got - want).max() <= 1e-12 * want.max()
 
 
-def test_tensor_inverse_rejects_indefinite_forms(fm_cache):
-    fm = fm_cache(12)
+def test_tensor_inverse_rejects_indefinite_forms():
     basis = tensor.mass_inverse(12).basis
     # a negative interior spectrum, and an indefinite boundary block over a
     # positive interior: both are errors, never a number
     for w in ((1.0, 1.0, -1e3, 0.0, 0.0), (1.0, 1.0, 0.0, -1e3, -1e3)):
         with pytest.raises(ValueError, match="not positive definite"):
-            tensor._TensorInverse(
-                basis, w, tensor._boundary_block(basis, weighted(fm, w)))
+            tensor._TensorInverse(basis, w)
+
+
+@pytest.mark.parametrize("n", [4, 12, 30])
+def test_class_blocks_match_the_reference_assembly(reference_forms, n):
+    # The half-turn class blocks of Q_BB built from 1D entries, against the
+    # blocks sliced from the reference assembly's edge block, for weights
+    # that leave no form out.
+    ref = reference_forms(n)
+    basis = tensor.mass_inverse(n).basis
+    for w in ((0.3, 1.7, 0.5, 0.9, 1.1), (1.0, 1.0, -40.0, 2.0, 3.0)):
+        got, want = basis.blocks(w), ref.class_blocks(basis, w)
+        for beta in (1, -1):
+            assert np.abs(got[beta] - want[beta]).max() <= 1e-14 * np.abs(
+                want[beta]).max()
 
 
 def test_grid_solve_meets_contract_at_n256():
@@ -381,11 +389,12 @@ def test_degenerate_point_reproducible_under_threaded_blas():
     assert len(mus) == 1, mus
 
 
-def test_sparse_path_repairs_inaccurate_arpack_vectors(fm_cache, monkeypatch):
+def test_sparse_path_repairs_inaccurate_arpack_vectors(reference_forms,
+                                                       monkeypatch):
     # ARPACK can return the vectors of a degenerate pair far above its
     # tolerance; the inverse-iteration and Rayleigh-Ritz steps repair them.
-    fm = fm_cache(48)
-    q = weighted(fm, (1.0, 1.0, 0.0, 0.0, 0.0))
+    fm = reference_forms(48)
+    q = fm.weighted((1.0, 1.0, 0.0, 0.0, 0.0))
     clean = smallest_eigenpair(q, fm.M, k=4)
     eigsh = eigsolve.spla.eigsh
 

@@ -19,7 +19,8 @@ from diracbox import (
     weighted,
     weighted_quotient,
 )
-from diracbox.formgrid import CORNER, INTERIOR, OMEGA, _matrices_1d
+from diracbox.formgrid import (CORNER, INTERIOR, OMEGA, _matrices_1d,
+                               norm_parts)
 
 TWO_PI_SQ = 2 * math.pi**2
 
@@ -103,12 +104,17 @@ def test_mass_partition_of_unity():
     assert full.sum() == pytest.approx(1.0, rel=1e-14)
 
 
+def _dense(form):
+    """The dense matrix of a grid form operator."""
+    return form @ np.eye(form.shape[1])
+
+
 def test_matrices_hermitian(fm_cache):
     fm = fm_cache(8)
     for mat in (fm.K1, fm.K2, fm.M, fm.Tpar, fm.Teq):
-        dev = abs(mat - mat.getH())
-        top = abs(mat).max()
-        assert (dev.max() if dev.nnz else 0.0) <= 1e-14 * top
+        mat = _dense(mat)
+        dev = np.abs(mat - mat.conj().T).max()
+        assert dev <= 1e-14 * np.abs(mat).max()
 
 
 def test_definiteness_and_trace_support(fm_cache):
@@ -142,14 +148,14 @@ def test_interior_blocks_are_one_kronecker_sum(fm_cache, n):
     kron = {"K1": sp.kron(kd, md), "K2": sp.kron(md, kd),
             "M": sp.kron(md, md)}
     for name, want in kron.items():
-        mat = getattr(fm, name)
+        mat = _dense(getattr(fm, name))
         for rows in (u1, u2):
-            assert abs(mat[rows][:, rows] - want).max() <= 1e-13 * abs(
+            assert np.abs(mat[rows][:, rows] - want).max() <= 1e-13 * abs(
                 want).max()
-        assert abs(mat[u1][:, u2]).max() == 0.0
+        assert np.abs(mat[u1][:, u2]).max() == 0.0
     for mat in (fm.Tpar, fm.Teq):
-        coo = mat.tocoo()
-        assert np.isin(coo.row, edge).all() and np.isin(coo.col, edge).all()
+        row, col = np.nonzero(_dense(mat))
+        assert np.isin(row, edge).all() and np.isin(col, edge).all()
 
 
 def test_constraint_reconstruction_exact(fm_cache):
@@ -205,11 +211,10 @@ def test_quotient_homogeneity_and_errors(fm_cache):
 
 def test_weighted_zero_mass_reduction(fm_cache):
     fm = fm_cache(8)
-    q = weighted(fm, (0.25, 4.0, 0.0, 0.0, 0.0))
-    ref = fm.K1 / 4.0 + fm.K2 * 4.0
-    dev = abs(q - ref)
-    assert (dev.max() if dev.nnz else 0.0) == 0.0
-    assert q.nnz == (fm.K1 + fm.K2).nnz
+    q = _dense(weighted(fm, (0.25, 4.0, 0.0, 0.0, 0.0)))
+    ref = _dense(fm.K1) / 4.0 + _dense(fm.K2) * 4.0
+    assert np.abs(q - ref).max() <= 1e-14 * np.abs(ref).max()
+    assert np.array_equal(q != 0.0, ref != 0.0)
 
 
 def test_weighted_form_weights(fm_cache):
@@ -233,45 +238,64 @@ def test_weighted_form_weights(fm_cache):
 
 
 @pytest.mark.parametrize("n", [4, 12, 30])
-def test_weighted_is_the_term_by_term_sum_bit_for_bit(fm_cache, n):
-    # weighted sums data arrays on the pattern K1, K2 and M share; the result
-    # must be the sparse sum of the weighted terms, in the same order, to the
-    # last bit and with the same stored entries.
+def test_forms_match_the_reference_assembly(fm_cache, reference_forms, n):
+    # Each Kronecker operator, weighted sums with every weight nonzero and
+    # the quadratic forms of norm_parts agree with the sparse reference
+    # assembly on random complex column blocks.
     from diracbox import jopt
-    fm = fm_cache(n)
-    mats = (fm.K1, fm.K2, fm.M, fm.Tpar, fm.Teq)
+    fm, ref = fm_cache(n), reference_forms(n)
+    rng = np.random.default_rng(n)
+    x = rng.standard_normal((fm.ndof, 3)) + 1j * rng.standard_normal(
+        (fm.ndof, 3))
+
+    def close(got, want):
+        return np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
+    for name, mat in ref.forms.items():
+        assert close(getattr(fm, name) @ x, mat @ x), name
+        assert close(getattr(fm, name) @ x[:, 0], mat @ x[:, 0]), name
     for a, b, m in ((1.3, 1 / 1.3, 0.0), (0.05, 20.0, 1e3), (1.7, 0.4, 2.5)):
-        for w in ((a**-2, b**-2, 0.0, m / a, m / b),
-                  jopt._euler_weights(a, b, m), (0.0, 0.0, 1.0, 0.0, 0.0)):
-            terms = [wi * mat for wi, mat in zip(w, mats) if wi != 0.0]
-            want = sp.csr_matrix(sum(terms[1:], terms[0]))
-            got = weighted(fm, w)
-            assert np.array_equal(got.indptr, want.indptr)
-            assert np.array_equal(got.indices, want.indices)
-            assert np.array_equal(got.data.view(float), want.data.view(float))
-            # q owns its index arrays
-            assert not np.shares_memory(got.indices, fm.M.indices)
-            assert not np.shares_memory(got.indptr, fm.M.indptr)
+        for w in ((a**-2, b**-2, m**2, m / a, m / b),
+                  (a**-2, b**-2, 0.0, m / a, m / b),
+                  jopt._euler_weights(a, b, m)):
+            assert close(weighted(fm, w) @ x, ref.weighted(w) @ x), w
+    for col in x.T:
+        parts = norm_parts(fm, SpinorField(col, n))
+        want = [np.vdot(col, mat @ col).real for mat in ref.forms.values()]
+        assert np.abs(np.subtract(parts, want)).max() <= 1e-14 * max(want)
 
 
-def test_weighted_rejects_forms_without_a_shared_pattern(fm_cache):
-    import dataclasses
+def test_weighted_rejects_complex_weights(fm_cache):
     fm = fm_cache(8)
-    k1 = fm.K1.tolil()
-    k1[0, fm.ndof - 1] = k1[fm.ndof - 1, 0] = 1.0    # outside the stencil
-    broken = dataclasses.replace(fm, K1=k1.tocsr())
-    with pytest.raises(ValueError, match="sparsity pattern"):
-        weighted(broken, (1.0, 1.0, 0.0, 0.0, 0.0))
-    far = sp.csr_matrix(([1.0], ([0], [fm.ndof - 1])), shape=fm.M.shape)
-    broken = dataclasses.replace(fm, Tpar=(fm.Tpar + far + far.T).tocsr())
-    with pytest.raises(ValueError, match="Tpar lies outside"):
-        weighted(broken, (1.0, 1.0, 0.0, 1.0, 1.0))
+    with pytest.raises(ValueError, match="must be 5 real numbers"):
+        weighted(fm, (1.0, 1.0, 0.0, 0.5j, 0.0))
+    with pytest.raises(ValueError, match="must be 5 real numbers"):
+        weighted(fm, (1.0, 1.0, 0.0))
+
+
+def test_forms_store_only_the_1d_matrices():
+    # The five forms of the n = 1024 grid are held as their 1D matrices:
+    # the arrays a FormMatrices owns, apart from the shared constraint map,
+    # stay below 1 MB, where the assembled sparse forms held 1,175 MB.
+    fm = assemble(build_grid(1024))
+    fm._matrices                            # a cached attribute
+    arrays = []
+    for value in vars(fm).values():
+        for item in value if isinstance(value, tuple) else (value,):
+            if sp.issparse(item):
+                arrays += [item.data, item.indices, item.indptr]
+            elif isinstance(item, np.ndarray):
+                arrays.append(item)
+            else:
+                assert isinstance(item, int), type(item)
+    assert sum(a.nbytes for a in arrays) < 2**20
 
 
 @pytest.mark.parametrize("n", [4, 12, 30])
 def test_symmetry_certificate_holds_for_assembled_forms(fm_cache, n):
-    # Each of the five forms is Hermitian and commutes with the charge
-    # conjugation bit for bit, so every real-weighted pencil does too.
+    # The 1D matrices are real, symmetric and reversal-symmetric bit for
+    # bit, so every real-weighted pencil is Hermitian and commutes with the
+    # charge conjugation and the half turn.
     import dataclasses
     fm = dataclasses.replace(fm_cache(n))       # a fresh, unchecked copy
     assert "_symmetry_certificate" not in vars(fm)
@@ -301,49 +325,51 @@ def test_symmetry_certificate_built_on_the_first_solve_not_in_setup():
     assert proc.returncode == 0, proc.stderr[-2000:]
 
 
-def _planted(fm, name, delta):
+def _planted(fm, line, entries):
+    """A copy of the forms with ``entries`` ``{(d, i): delta}`` added to
+    the band form of the 1D matrix ``line``."""
     import dataclasses
-    return dataclasses.replace(
-        fm, **{name: (getattr(fm, name) + delta).tocsr()})
+    lines = fm.lines.astype(complex if any(
+        np.iscomplexobj(v) for v in entries.values()) else float)
+    for (d, i), delta in entries.items():
+        lines[line, 1 + d, i] += delta
+    return dataclasses.replace(fm, lines=lines)
 
 
 def test_symmetry_certificate_rejects_a_non_hermitian_form(fm_cache):
+    # One off-diagonal stiffness entry moved, its transpose kept: K1 and K2
+    # are not Hermitian.
     fm = fm_cache(12)
-    k1 = fm.K1.tocoo()
-    off = np.flatnonzero(k1.row != k1.col)[k1.nnz // 3]
-    delta = sp.csr_matrix(([1e-9 * np.abs(k1.data).max()],
-                           ([k1.row[off]], [k1.col[off]])), shape=k1.shape)
-    with pytest.raises(ValueError, match="K1 is not Hermitian"):
-        _planted(fm, "K1", delta)._symmetry_certificate
+    delta = 1e-9 * np.abs(fm.lines[0]).max()
+    with pytest.raises(ValueError, match="K1 and K2 are not Hermitian"):
+        _planted(fm, 0, {(1, 5): delta})._symmetry_certificate
 
 
 @pytest.mark.parametrize("name", ["K1", "K2", "M", "Tpar", "Teq"])
 def test_symmetry_certificate_rejects_a_form_without_conjugation(fm_cache,
                                                                  name):
-    # Hermitian changes that the charge conjugation C does not keep, each
-    # found bit for bit.  C swaps u1 and u2 at an interior node, so one
-    # ulp more on one u1 diagonal entry breaks it; it maps each edge dof to
-    # itself, where a same-edge entry of a trace must stay real.
+    # A Hermitian change that the charge conjugation C does not keep, in a
+    # 1D matrix the form reads: C conjugates the nodal components, so an
+    # imaginary pair of off-diagonal entries breaks it.
     from diracbox.errors import ConsistencyError
-    n = 12
-    fm = fm_cache(n)
-    mat = getattr(fm, name)
-    if name in ("Tpar", "Teq"):
-        coo = mat.tocoo()
-        off = np.flatnonzero(coo.row != coo.col)[0]
-        r, c = coo.row[off], coo.col[off]
-        eps = 1e-3j * np.abs(coo.data).max()
-        delta = sp.csr_matrix(([eps, -eps], ([r, c], [c, r])),
-                              shape=mat.shape)
-    else:
-        k = constraint_map(n).free1[3, 5]
-        bump = np.zeros(fm.ndof)
-        bump[k] = np.spacing(mat[k, k].real)
-        delta = sp.diags(bump)
-    broken = _planted(fm, name, delta)
-    assert broken.K1.nnz == fm.K1.nnz       # the pattern is unchanged
-    with pytest.raises(ConsistencyError, match=f"{name} does not commute"
-                       ".*lacks the symmetry"):
+    fm = fm_cache(12)
+    # the stiffness, mass or trace the form reads besides the mass
+    line = {"K1": 0, "K2": 0, "M": 1, "Tpar": 2, "Teq": 2}[name]
+    eps = 1e-3j * np.abs(fm.lines[line]).max()
+    broken = _planted(fm, line, {(1, 5): eps, (-1, 6): -eps})
+    with pytest.raises(ConsistencyError, match=f"{name}.*not commute with "
+                       "the charge conjugation.*lacks the symmetry"):
+        broken._symmetry_certificate
+
+
+def test_symmetry_certificate_rejects_a_form_without_the_half_turn(fm_cache):
+    # One end of the 1D mass changed: the form on the left edge differs
+    # from the one on the right edge, its half-turn image.
+    from diracbox.errors import ConsistencyError
+    fm = fm_cache(12)
+    broken = _planted(fm, 1, {(0, 0): 1e-9 * fm.lines[1, 1, 0]})
+    with pytest.raises(ConsistencyError, match="do not commute with the "
+                       "half turn"):
         broken._symmetry_certificate
 
 
@@ -379,18 +405,18 @@ def _assert_same_bytes(got, want):
 
 
 @pytest.mark.parametrize("n", [4, 12, 30])
-def test_forms_match_the_projection_bases_bit_for_bit(fm_cache,
+def test_forms_match_the_projection_bases_bit_for_bit(reference_forms,
                                                       projection_bases, n):
-    # The reduction by index gathers equals the Hermitian part of
+    # The reference assembly by index gathers equals the Hermitian part of
     # B1^H A B1 + B2^H A B2, the bases built from the node classes and
     # OMEGA, to the last bit and stored entry.
     ref = projection_bases.of_grid(n)
     k, m, t = _matrices_1d(n)
-    fm = fm_cache(n)
+    forms = reference_forms(n).forms
     pairs = {"K1": (k, m), "K2": (m, k), "M": (m, m), "Tpar": (t, m),
              "Teq": (m, t)}
     for name, (a, b) in pairs.items():
-        _assert_same_bytes(getattr(fm, name),
+        _assert_same_bytes(forms[name],
                            ref.reduce(sp.kron(a, b, format="csr")))
 
 

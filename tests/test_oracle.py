@@ -5,7 +5,9 @@ class solve under them (shift-invert ARPACK inside one half-turn class, on
 the tensor-product inverse of ``Q - sigma M`` at the closed-form shift,
 with the memoised tensor-product inverse of M for the residual) run on
 grids small enough for dense ``scipy.linalg.eigh`` on the full weighted
-pencil, mass term included, to serve as the oracle.
+pencil, mass term included, to serve as the oracle.  The pencil is the
+sparse reference assembly of the conftest, independent of the Kronecker
+operators the solver applies.
 """
 
 import math
@@ -16,7 +18,7 @@ import scipy.linalg as sla
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from diracbox import (assemble, bounds, build_grid, eigsolve, jopt,
-                      lambda1_2d, symmetry, tensor, weighted)
+                      lambda1_2d, symmetry, tensor)
 
 TOL = 1e-10
 
@@ -45,31 +47,33 @@ def _residual(q, m, m_chol, mu, v):
        m=st.one_of(st.just(0.0), st.floats(-2.0, 3.0).map(lambda e: 10.0**e)))
 @example(n=30, log_aspect=math.log(20.0), m=0.0)
 @example(n=30, log_aspect=-math.log(20.0), m=1e3)
-def test_sparse_path_matches_dense_full_pencil(n, log_aspect, m):
+def test_sparse_path_matches_dense_full_pencil(reference_forms, n,
+                                               log_aspect, m):
     a, b = math.exp(log_aspect / 2), math.exp(-log_aspect / 2)
-    fm = assemble(build_grid(n))
-    m_chol = sla.cho_factor(fm.M.toarray())
+    fm, ref = assemble(build_grid(n)), reference_forms(n)
+    m_chol = sla.cho_factor(ref.M.toarray())
     res = lambda1_2d(a, b, m, n, TOL)
     mu_j, psi_j = jopt.euler_solve(fm, a, b, m, TOL)
 
-    full = weighted(fm, (a**-2, b**-2, m**2, m / a, m / b))
-    assert res.mu == pytest.approx(_dense_lowest(full, fm.M), rel=1e-10)
+    # the m^2 M term shifts every eigenvalue of q by m^2, so the lowest
+    # value of the full pencil q + m^2 M is the lowest of the four
+    q = ref.weighted((a**-2, b**-2, 0.0, m / a, m / b))
+    dense_four = _dense_lowest(q, ref.M, k=4)
+    assert res.mu == pytest.approx(dense_four[0] + m**2, rel=1e-10)
     # class -1 is the charge conjugate of class +1: the same value
     assert len(res.eigenvalues) == 2
     assert res.eigenvalues[0] == res.eigenvalues[1] == res.mu
     shifted = res.mu - m**2
-    q = weighted(fm, (a**-2, b**-2, 0.0, m / a, m / b))
     assert res.residual <= TOL * shifted
-    assert (_residual(q, fm.M, m_chol, shifted, res.psi.values)
+    assert (_residual(q, ref.M, m_chol, shifted, res.psi.values)
             <= TOL * shifted)
 
-    q_j = weighted(fm, jopt._euler_weights(a, b, m))
-    assert mu_j == pytest.approx(_dense_lowest(q_j, fm.M), rel=1e-10)
-    assert _residual(q_j, fm.M, m_chol, mu_j, psi_j.values) <= TOL * mu_j
+    q_j = ref.weighted(jopt._euler_weights(a, b, m))
+    assert mu_j == pytest.approx(_dense_lowest(q_j, ref.M), rel=1e-10)
+    assert _residual(q_j, ref.M, m_chol, mu_j, psi_j.values) <= TOL * mu_j
 
     # every eigenvalue is double: the ground pair, both against the oracle
     pair, _ = symmetry.ground_cluster(fm, a, b, m, k=2, tol=TOL)
-    dense_four = _dense_lowest(q, fm.M, k=4)
     dense_pair = dense_four[:2]
     assert pair == pytest.approx(dense_pair, rel=1e-10)
     assert pair[1] == pytest.approx(pair[0], rel=1e-10)
@@ -83,8 +87,8 @@ def test_sparse_path_matches_dense_full_pencil(n, log_aspect, m):
     assert sol.mus == pytest.approx(dense_four, rel=1e-10)
     half_turn = symmetry.rotation_map(n).half_turn
     for beta, v in zip(sol.classes, sol.vectors.T):
-        assert (_m_norm(fm.M, half_turn(v) - beta * v)
-                <= 1e-12 * _m_norm(fm.M, v))
+        assert (_m_norm(ref.M, half_turn(v) - beta * v)
+                <= 1e-12 * _m_norm(ref.M, v))
     plus, minus = (sol.mus[sol.classes == beta] for beta in (1, -1))
     assert plus == pytest.approx(minus, rel=1e-10)
     # the class -1 columns are the conjugates of the class +1 ones, bit for
@@ -95,12 +99,10 @@ def test_sparse_path_matches_dense_full_pencil(n, log_aspect, m):
 
     # the shifted inverse's class factors certify Q - sigma M > 0: they
     # exist just below the lowest eigenvalue and not just above it
-    mass = tensor.mass_inverse(n)
-    q_bb = tensor._boundary_block(mass.basis, q)
+    basis = tensor.mass_inverse(n).basis
 
     def shifted(s):
-        return tensor._TensorInverse(mass.basis, (a**-2, b**-2, -s),
-                                       q_bb - s * mass.boundary_block)
+        return tensor._TensorInverse(basis, (a**-2, b**-2, -s, m / a, m / b))
 
     shifted(dense_pair[0] * (1 - 1e-9))
     with pytest.raises(ValueError, match="not positive definite"):

@@ -20,7 +20,6 @@ from diracbox import (
     symmetrize,
     trial_dirichlet,
     verify_norm_identities,
-    weighted,
 )
 from diracbox import symmetry
 from diracbox.formgrid import constraint_map
@@ -87,7 +86,7 @@ def test_rectangle_quotient_swaps_axes(fm_cache):
 @pytest.mark.parametrize("n", [4, 12, 30])
 def test_charge_conjugation_commutes_with_every_form(fm_cache, n):
     # C is antilinear: C x = phase * conj(x[perm]).  It commutes with the
-    # five assembled matrices, and C R = -i R C holds bit for bit.
+    # five grid forms, and C R = -i R C holds bit for bit.
     fm = fm_cache(n)
     rot = rotation_map(n)
     rng = np.random.default_rng(n)
@@ -201,11 +200,11 @@ def test_classify_single_member_cluster(fm_cache):
     assert classes[0].alpha == pytest.approx(-1j, abs=1e-10)
 
 
-def test_classify_accepts_raw_vector_pairs(fm_cache):
+def test_classify_accepts_raw_vector_pairs(fm_cache, reference_forms):
     # the (mu, vector) pairs of smallest_eigenpair classify exactly like the
     # same pairs wrapped as SpinorFields
-    fm = fm_cache(12)
-    pairs = smallest_eigenpair(weighted(fm, (1, 1, 0, 0, 0)), fm.M, k=2)
+    fm, ref = fm_cache(12), reference_forms(12)
+    pairs = smallest_eigenpair(ref.weighted((1, 1, 0, 0, 0)), ref.M, k=2)
     raw = classify_symmetry(fm, pairs, square=True)
     wrapped = classify_symmetry(
         fm, [(mu, SpinorField(v, 12)) for mu, v in pairs], square=True)
@@ -245,9 +244,9 @@ def test_classify_rejects_non_invariant_span(fm_cache):
         classify_symmetry(fm, [(1.0, psi)], square=True)
 
 
-def test_classify_rejects_spread_cluster(fm_cache):
-    fm = fm_cache(16)
-    pairs = smallest_eigenpair(weighted(fm, (1, 1, 0, 0, 0)), fm.M, k=4)
+def test_classify_rejects_spread_cluster(fm_cache, reference_forms):
+    fm, ref = fm_cache(16), reference_forms(16)
+    pairs = smallest_eigenpair(ref.weighted((1, 1, 0, 0, 0)), ref.M, k=4)
     fake = [(mu, SpinorField(v, 16)) for mu, v in pairs]  # two clusters mixed
     with pytest.raises(ClusterResolutionError):
         classify_symmetry(fm, fake, square=True)
