@@ -118,7 +118,8 @@ class ConstraintMap:
     1 inside, ``omega`` on an edge and 0 at a corner: a reduced vector ``x``
     has nodal values ``u1 = x[free1]`` and ``u2 = factor * x[u2 dof]``, the
     u2 dof being ``free2`` inside and ``free1`` on an edge.  ``slots``
-    holds the flat (node, component) slot of each dof, in dof order.
+    holds the flat (node, component) slot of each dof, in dof order, and
+    ``edges`` the flat index of each edge node.
     """
 
     n: int
@@ -128,6 +129,7 @@ class ConstraintMap:
     factor: np.ndarray          # (n+1, n+1) complex
     ndof: int
     slots: np.ndarray           # (ndof,) int
+    edges: np.ndarray           # (4(n-1),) int
 
 
 def _classify_nodes(n: int) -> np.ndarray:
@@ -159,7 +161,8 @@ def constraint_map(n: int) -> ConstraintMap:
     assert ndof == 2 * (n - 1) ** 2 + 4 * (n - 1)
     return ConstraintMap(n=n, node_class=cls, free1=free1, free2=free2,
                          factor=factor, ndof=ndof, slots=np.flatnonzero(
-                             np.stack([count > 0, count > 1], axis=-1)))
+                             np.stack([count > 0, count > 1], axis=-1)),
+                         edges=np.flatnonzero(count == 1))
 
 
 def _number(count: np.ndarray):
@@ -222,16 +225,15 @@ class FormMatrices:
     def _symmetry_certificate(self) -> bool:
         """True once each 1D matrix is checked real, symmetric and
         reversal-symmetric bit for bit and the grid's ``symmetry.
-        rotation_map`` has passed its self-test (computed once, on the
-        first solve).
+        rotation_map`` has passed its self-test (once, on the first solve).
 
-        Every real-weighted form is then Hermitian, since A and B are
-        symmetric.  It commutes with the charge conjugation ``C``: ``C``
-        swaps and conjugates the nodal components, up to the unit edge
-        factors, and the one real operator acts on both alike.  It commutes
-        with the half turn, which reverses both axes.  ValueError for a
-        matrix that is not symmetric, ConsistencyError for one that is not
-        real or not reversal-symmetric, naming the forms that read it.
+        Every real-weighted form is then Hermitian, as A and B are
+        symmetric; it commutes with the charge conjugation ``C``, which
+        swaps and conjugates the nodal components up to the unit edge
+        factors while one real operator acts on both, and with the half
+        turn, which reverses both axes.  ValueError for a matrix that is
+        not symmetric, ConsistencyError for one that is not real or not
+        reversal-symmetric, naming the forms that read it.
         """
         from .symmetry import rotation_map  # symmetry imports this module
 
@@ -394,7 +396,8 @@ def _products(fm: FormMatrices, x, *weights):
     um = _along_x2(mass, u)
     out = []
     for w in weights:
-        y = _tridiagonal(w[0] * stiff + w[2] * mass + w[3] * trace) @ um
+        y = sum((wi * (mat @ um) for wi, mat in zip(
+            (w[0], w[2], w[3]), fm._matrices) if wi != 0.0), np.zeros_like(um))
         along = w[1] * stiff + w[4] * trace
         if along.any():
             y += fm._matrices[1] @ _along_x2(along, u)
@@ -419,10 +422,10 @@ def _nodal(cmap: ConstraintMap, x) -> np.ndarray:
     of each column, real and imaginary parts interleaved: the dofs fill
     their slots, and an edge node's u2 is its factor times its u1."""
     x = np.asarray(x).reshape(cmap.ndof, -1)
-    u = np.zeros((cmap.n + 1, cmap.n + 1, 2, x.shape[1]), dtype=complex)
+    u = np.zeros(((cmap.n + 1) ** 2, 2, x.shape[1]), dtype=complex)
     u.reshape(-1, x.shape[1])[cmap.slots] = x
-    edge = (cmap.free1 >= 0) & (cmap.free2 < 0)
-    u[edge, 1] = cmap.factor[edge, None] * u[edge, 0]
+    edges = cmap.edges
+    u[edges, 1] = cmap.factor.ravel()[edges, None] * u[edges, 0]
     return u.reshape(cmap.n + 1, -1).view(float)
 
 
@@ -430,10 +433,10 @@ def _reduced(cmap: ConstraintMap, y: np.ndarray) -> np.ndarray:
     """The adjoint gather ``P^H`` of nodal arrays laid out as by
     ``_nodal``, which it overwrites: an edge dof takes its u1 value plus
     ``conj(omega)`` times its u2 value."""
-    u = y.view(complex).reshape(cmap.n + 1, cmap.n + 1, 2, -1)
-    edge = (cmap.free1 >= 0) & (cmap.free2 < 0)
-    u[edge, 0] += cmap.factor[edge, None].conj() * u[edge, 1]
-    return u.reshape(-1, u.shape[3])[cmap.slots]
+    u = y.view(complex).reshape((cmap.n + 1) ** 2, 2, -1)
+    edges = cmap.edges
+    u[edges, 0] += cmap.factor.ravel()[edges, None].conj() * u[edges, 1]
+    return u.reshape(-1, u.shape[2])[cmap.slots]
 
 
 def _tridiagonal(bands: np.ndarray) -> sp.csr_array:
