@@ -21,6 +21,7 @@ from .dirac1d import Root1D, lambda1_1d, nu1, nu1_lower
 from .eigsolve import (
     EigenResult,
     RefineStudy,
+    ground_cluster,
     lambda1_2d,
     refine_study,
     smallest_eigenpair,
@@ -62,7 +63,6 @@ from .symmetry import (
     SymmetryClass,
     classify_symmetry,
     commutation_check,
-    ground_cluster,
     rotate,
     rotation_deviation,
     rotation_map,

@@ -36,7 +36,7 @@ import numpy as np
 from . import bounds as bounds_mod
 from . import jopt as jopt_mod
 from . import symmetry as symmetry_mod
-from .eigsolve import lambda1_2d, refine_study
+from .eigsolve import ground_cluster, lambda1_2d, refine_study
 from .errors import ClusterResolutionError, ConsistencyError, SolverError
 from .formgrid import (
     FormMatrices,
@@ -324,9 +324,8 @@ def cmd_symmetry(opts) -> int:
     b = opts["b"] if opts["b"] is not None else a
     m, n, k = opts["m"], opts["n"], opts["k"]
     fm = _form_matrices(n)
-    mus, cluster = symmetry_mod.ground_cluster(fm, a, b, m, k=k,
-                                               tol=opts["tol"],
-                                               seed=opts["seed"])
+    mus, cluster = ground_cluster(fm, a, b, m, k=k, tol=opts["tol"],
+                                  seed=opts["seed"])
     square = (a == b)
     classes = symmetry_mod.classify_symmetry(fm, cluster, square=square)
     class_reports = []

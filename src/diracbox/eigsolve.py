@@ -6,22 +6,24 @@ The generalized problem ``Q psi = mu M psi`` with Hermitian positive-definite
 ``1/(mu - sigma)``, from a deterministic seeded start vector, and a
 Rayleigh-Ritz step on the unshifted pencil makes its vectors M-orthonormal.
 
-Every grid solve (``lambda1_2d``, ``jopt.euler_solve`` and
-``symmetry.ground_cluster``) goes through ``_solve_pencil(fm, w, sigma,
-classes, ...)``.  Every eigenvalue of a grid pencil is double, one of each
-pair in each class ``beta = +1, -1`` of the half turn ``R^2``
-(``symmetry.rotation_map``), which commutes with every grid form.  The
-projector ``P = (I + R^2)/2`` keeps ARPACK inside class +1, where the
-ground eigenvalue is simple, so one run with k = 1 and a Krylov space of
-``NCV`` vectors serves the whole solve (Ericsson & Ruhe 1980 for the
-spectral transformation, Bossavit 1986 for the symmetry classes).  The
-other class needs no run: the charge conjugation ``C(u1, u2) = (conj u2,
-conj u1)``, the discrete form of the lambda -> -lambda symmetry of the
-Dirac operator, commutes with the pencil and anticommutes with ``R^2``, and
-it is an M^-1 isometry, so ``C`` maps each class +1 eigenpair onto a class
--1 eigenpair with the same value and the same residual.  That every form of
-the grid is Hermitian and commutes with ``C`` and ``R^2`` is certified once
-per grid, on the 1D matrices every form is built from
+Every grid solve (``lambda1_2d``, ``ground_cluster`` and
+``jopt.euler_solve``) goes through ``_solve_pencil(fm, w, sigma, k,
+...)``, which returns the k lowest eigenpairs of class +1.  Every
+eigenvalue of a grid pencil is double, one of each pair in each class
+``beta = +1, -1`` of the half turn ``R^2`` (``symmetry.rotation_map``),
+which commutes with every grid form.  The projector ``P = (I + R^2)/2``
+keeps ARPACK inside class +1, where the ground eigenvalue is simple, so one
+run with k = 1 and a Krylov space of ``NCV`` vectors serves the whole solve
+(Ericsson & Ruhe 1980 for the spectral transformation, Bossavit 1986 for
+the symmetry classes).  The other class needs no run: the charge
+conjugation ``C(u1, u2) = (conj u2, conj u1)``, the discrete form of the
+lambda -> -lambda symmetry of the Dirac operator, commutes with the pencil
+and anticommutes with ``R^2``, and it is an M^-1 isometry, so ``C`` maps
+each class +1 eigenpair onto a class -1 eigenpair with the same value and
+the same residual.  ``ground_cluster`` appends those conjugates to the
+class +1 pairs, and ``lambda1_2d`` records the ground value twice.  That
+every form of the grid is Hermitian and commutes with ``C`` and ``R^2`` is
+certified once per grid, on the 1D matrices every form is built from
 (``FormMatrices._symmetry_certificate``), so every pencil with real weights
 does too; a form without the symmetry raises ConsistencyError.
 The shift is the closed-form lower bound ``bounds.sharp_lower`` of the
@@ -38,8 +40,8 @@ Rayleigh-Ritz runs on the pencil, both through the Kronecker operators of
 the forms (``formgrid``), one gather giving ``Q v`` and ``M v``, and the
 residual contract reads each residual's M^-1 norm in the class coordinates
 of the mass inverse, with no back transform.  ``tol`` must be a finite
-number above zero, and is checked before any work, as are ``k``, the
-classes and the weights, which must be real.
+number above zero, and is checked before any work, as are ``k`` and the
+weights, which must be real.
 
 ``smallest_eigenpair(Q, M)`` serves any other Hermitian pencil (1D pencils,
 tests) at shift zero with symmetric-mode SuperLU factors of both matrices:
@@ -70,10 +72,11 @@ from .bounds import sharp_lower
 from .errors import ConsistencyError, SolverError
 from .formgrid import (SpinorField, assemble, build_grid, _check_hermitian,
                        _check_weights, _products)
+from .symmetry import rotation_map
 from .tensor import _ClassOperator, _TensorInverse, mass_inverse
 
 __all__ = ["EigenResult", "RefineStudy", "smallest_eigenpair", "lambda1_2d",
-           "refine_study"]
+           "ground_cluster", "refine_study"]
 
 
 @dataclass(frozen=True)
@@ -116,7 +119,6 @@ class _PencilSolution:
     mus: np.ndarray
     vectors: np.ndarray       # columns, M-orthonormal
     residuals: np.ndarray     # M^-1 norms
-    classes: np.ndarray       # half-turn class (+1 or -1) of each column
     iterations: int
 
 
@@ -178,38 +180,33 @@ NCV = 6
 ARPACK_TOL = 1e-14
 
 
-def _solve_pencil(fm, w, sigma: float, classes, k: int, tol: float,
-                  maxit: int, seed: int) -> _PencilSolution:
-    """k lowest eigenpairs of each half-turn class of the grid pencil
-    (``weighted(fm, w)``, ``fm.M``), merged in ascending order.
+def _solve_pencil(fm, w, sigma: float, k: int, tol: float, maxit: int,
+                  seed: int) -> _PencilSolution:
+    """k lowest eigenpairs of half-turn class +1 of the grid pencil
+    (``weighted(fm, w)``, ``fm.M``), in ascending order.
 
-    The one entry point of every grid solve.  ``classes`` is ``(1,)`` or
-    ``(1, -1)``, the weights ``w`` are real and ``sigma`` must lie below the
-    lowest eigenvalue; the arguments are checked before any work.  ARPACK
-    iterates ``P (Q - sigma M)^-1 M`` with the projector ``P = (I + R^2)/2``
-    of the half turn, in the modal coordinates of one tensor-product inverse
-    of ``Q - sigma M`` restricted to class +1 (``_ClassOperator``), for the
-    largest ``1/(mu - sigma)`` of class +1.  Its vectors go back to nodal
-    coordinates once; one inverse-iteration step in residual-correction
-    form, through the class +1 solve, Rayleigh-Ritz and the residual
-    contract run on the pencil's Kronecker operators, one gather giving
-    both ``Q v`` and ``M v``, the residual's M^-1 norm taken in the mass
-    inverse's class coordinates.  Class -1 needs no second run: every form
-    of the grid is Hermitian and commutes with the charge conjugation ``C``
-    of ``symmetry.rotation_map`` (``FormMatrices._symmetry_certificate``,
-    read once per grid before M's inverse), so every real-weighted pencil
-    does, and ``C``, which anticommutes with ``R^2`` and is an M^-1
-    isometry, maps each class +1 eigenpair onto a class -1 eigenpair with
-    the same value and residual.  A form without the symmetry raises
+    The one entry point of every grid solve.  The weights ``w`` are real
+    and ``sigma`` must lie below the lowest eigenvalue; the arguments are
+    checked before any work.  ARPACK iterates ``P (Q - sigma M)^-1 M`` with
+    the projector ``P = (I + R^2)/2`` of the half turn, in the modal
+    coordinates of one tensor-product inverse of ``Q - sigma M`` restricted
+    to class +1 (``_ClassOperator``), for the largest ``1/(mu - sigma)`` of
+    class +1.  Its vectors go back to nodal coordinates once; one
+    inverse-iteration step in residual-correction form, through the class
+    +1 solve, Rayleigh-Ritz and the residual contract run on the pencil's
+    Kronecker operators, one gather giving both ``Q v`` and ``M v``, the
+    residual's M^-1 norm taken in the mass inverse's class coordinates.
+    Before M's inverse, the grid's 1D matrices are certified
+    (``FormMatrices._symmetry_certificate``) and its ``rotation_map`` is
+    read, which self-tests once per n: every real-weighted pencil then
+    commutes with ``R^2`` and with the charge conjugation ``C``, which maps
+    each class +1 eigenpair onto a class -1 eigenpair with the same value
+    and residual (``ground_cluster``).  A form without the symmetry raises
     ConsistencyError.  A shift the inverse rejects lies above the lowest
     eigenvalue, which contradicts the lower bound it came from, and raises
     ConsistencyError too.
     """
-    from .symmetry import rotation_map      # symmetry imports this module
-
     _check_tol(tol)
-    if tuple(classes) not in ((1,), (1, -1)):
-        raise ValueError(f"classes must be (1,) or (1, -1), got {classes!r}")
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     ncv = max(NCV, 2 * k + 1)
@@ -219,6 +216,7 @@ def _solve_pencil(fm, w, sigma: float, classes, k: int, tol: float,
         raise ValueError(f"the form weights must be real, got {w!r}")
     w = np.real(w)
     fm._symmetry_certificate                # raises for a form without C
+    rot = rotation_map(fm.n)                # self-tested once per n
     mass = mass_inverse(fm.n)               # M's check
     try:
         shift = _TensorInverse(mass.basis, (w[0], w[1], w[2] - sigma, w[3],
@@ -237,17 +235,11 @@ def _solve_pencil(fm, w, sigma: float, classes, k: int, tol: float,
     v = _inverse_step(pencil, shift.plus_solve, op.to_nodal(z))
     # the shifted inverse's factors go before the peak of what follows
     del shift, op
-    rot = rotation_map(fm.n)
     v, iterations = (v + rot.half_turn(v)) / 2, iterations + k
     mus, v, residuals = _ritz(pencil, v, mass.norms, tol, iterations)
-    if len(classes) > 1:
-        mus, residuals = np.tile(mus, 2), np.tile(residuals, 2)
-        v = np.concatenate([v, rot.conjugate(v)], axis=1)
     order = np.argsort(mus, kind="stable")
     return _PencilSolution(mus=mus[order], vectors=v[:, order],
-                           residuals=residuals[order],
-                           classes=np.repeat(classes, k)[order],
-                           iterations=iterations)
+                           residuals=residuals[order], iterations=iterations)
 
 
 def _krylov(apply_op, dim: int, k: int, maxit: int, seed: int, *,
@@ -342,19 +334,20 @@ def smallest_eigenpair(Q, M, k: int = 1, tol: float = 1e-10,
 
     Eigenvectors are M-orthonormal; each pair satisfies the residual
     contract ``|Q v - mu M v|_{M^-1} <= tol * mu``.  Deterministic for a
-    fixed seed.  M is checked and factored by SuperLU on every call, and Q
+    fixed seed.  The shapes, Q's Hermitian part and ``k`` are checked
+    first; then M is checked and factored by SuperLU on every call, and Q
     is factored for ARPACK; LAPACK solves the pencils too small for ARPACK
     (``k >= dim - 1``).  Grid solves go through ``_solve_pencil``, which
     needs no sparse factor.
     """
     _check_tol(tol)
-    m_solve = _mass_lu(M).solve
     if Q.shape != M.shape or Q.shape[0] != Q.shape[1]:
         raise ValueError("matrices must be square and of equal shape")
     _check_hermitian("Q", Q)
     dim = Q.shape[0]
     if not 1 <= k <= dim:
         raise ValueError(f"k={k} must lie in [1, {dim}]")
+    m_solve = _mass_lu(M).solve
 
     def pencil(v):
         return Q @ v, M @ v
@@ -389,7 +382,7 @@ def lambda1_2d(a: float, b: float, m: float, n: int, tol: float = 1e-10,
     a, b, m = _check_weights(a, b, m)
     fm = assemble(build_grid(n))
     sol = _solve_pencil(fm, (a**-2, b**-2, 0.0, m / a, m / b),
-                        sharp_lower(a, b, m), (1, -1), 1, tol, maxit, seed)
+                        sharp_lower(a, b, m), 1, tol, maxit, seed)
     mu = float(sol.mus[0]) + m**2
     return EigenResult(
         mu=mu,
@@ -399,8 +392,34 @@ def lambda1_2d(a: float, b: float, m: float, n: int, tol: float = 1e-10,
         iterations=sol.iterations,
         n=n,
         seed=seed,
-        eigenvalues=tuple(float(x) + m**2 for x in sol.mus),
+        eigenvalues=(mu, mu),
     )
+
+
+def ground_cluster(fm, a: float, b: float, m: float, k: int = 4,
+                   tol: float = 1e-10, seed: int = 0):
+    """The ``k`` lowest shifted eigenvalues and the ground cluster among them.
+
+    Solves the (a, b, m) pencil without its ``m^2`` mass term for
+    ``ceil(k/2)`` class +1 eigenpairs at the shift ``sharp_lower(a, b, m)``,
+    appends their charge conjugates (``rotation_map(n).conjugate``) as the
+    class -1 pairs, merges both in a stable ascending order, and returns
+    ``(mus, cluster)``: the ``k`` lowest eigenvalues, ascending, and the
+    ``(mu, psi)`` pairs among them within relative 1e-8 of the lowest,
+    ready for ``symmetry.classify_symmetry``.
+    """
+    a, b, m = _check_weights(a, b, m)
+    sol = _solve_pencil(fm, (a**-2, b**-2, 0.0, m / a, m / b),
+                        sharp_lower(a, b, m), -(-k // 2), tol, 500, seed)
+    mus = np.tile(sol.mus, 2)
+    v = np.concatenate([sol.vectors, rotation_map(fm.n).conjugate(
+        sol.vectors)], axis=1)
+    order = np.argsort(mus, kind="stable")[:k]
+    mus = mus[order].tolist()
+    cluster = [(mu, SpinorField(v[:, i], fm.n))
+               for i, mu in zip(order, mus)
+               if (mu - mus[0]) <= 1e-8 * abs(mus[0])]
+    return mus, cluster
 
 
 def refine_study(a: float, b: float, m: float, n_list, tol: float = 1e-10,

@@ -158,7 +158,8 @@ def constraint_map(n: int) -> ConstraintMap:
     count = (cls != CORNER).astype(np.int8) + (cls == INTERIOR)
     free1, free2 = _number(count)
     ndof = int(count.sum())
-    assert ndof == 2 * (n - 1) ** 2 + 4 * (n - 1)
+    if ndof != 2 * (n - 1) ** 2 + 4 * (n - 1):
+        raise ConsistencyError(f"the {n}-cell grid numbers {ndof} dofs")
     return ConstraintMap(n=n, node_class=cls, free1=free1, free2=free2,
                          factor=factor, ndof=ndof, slots=np.flatnonzero(
                              np.stack([count > 0, count > 1], axis=-1)),
@@ -224,8 +225,7 @@ class FormMatrices:
     @cached_property
     def _symmetry_certificate(self) -> bool:
         """True once each 1D matrix is checked real, symmetric and
-        reversal-symmetric bit for bit and the grid's ``symmetry.
-        rotation_map`` has passed its self-test (once, on the first solve).
+        reversal-symmetric bit for bit (once, on the first solve).
 
         Every real-weighted form is then Hermitian, as A and B are
         symmetric; it commutes with the charge conjugation ``C``, which
@@ -235,8 +235,6 @@ class FormMatrices:
         not symmetric, ConsistencyError for one that is not real or not
         reversal-symmetric, naming the forms that read it.
         """
-        from .symmetry import rotation_map  # symmetry imports this module
-
         for index, (name, bands) in enumerate(zip(LINES, self.lines)):
             users = [f for f, pair in zip(FORMS, _PAIRS) if index in pair]
             forms = ", ".join(users[:-1]) + " and " + users[-1]
@@ -253,7 +251,6 @@ class FormMatrices:
                     f"the 1D {name} matrix is not reversal-symmetric, so "
                     f"{forms} do not commute with the half turn; the pencil "
                     "lacks the symmetry")
-        rotation_map(self.n)
         return True
 
 

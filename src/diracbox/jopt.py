@@ -33,7 +33,7 @@ import numpy as np
 
 from .bounds import sharp_lower
 from .errors import ConsistencyError, DegenerateRatioError
-from .eigsolve import _solve_pencil, lambda1_2d
+from .eigsolve import _solve_pencil, ground_cluster, lambda1_2d
 from .formgrid import (
     FormMatrices,
     SpinorField,
@@ -48,7 +48,6 @@ from .formgrid import (
 from .symmetry import (
     FOURTH_ROOTS,
     classify_symmetry,
-    ground_cluster,
     rotation_deviation,
     symmetrize,
     verify_norm_identities,
@@ -103,8 +102,7 @@ def euler_solve(fm: FormMatrices, A: float, B: float, m: float,
     """
     A, B, m = _check_weights(A, B, m)
     sol = _solve_pencil(fm, _euler_weights(A, B, m),
-                        sharp_lower(A, 1.0 / A, 0.0), (1,), 1, tol, maxit,
-                        seed)
+                        sharp_lower(A, 1.0 / A, 0.0), 1, tol, maxit, seed)
     return float(sol.mus[0]), SpinorField(sol.vectors[:, 0], fm.n)
 
 

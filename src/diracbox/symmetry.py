@@ -20,8 +20,11 @@ The antilinear charge conjugation ``C(u1, u2) = (conj u2, conj u1)``, the
 discrete form of the lambda -> -lambda symmetry of the Dirac operator, also
 preserves the constraint and commutes with every grid form.  It satisfies
 ``C R = -i R C``, so it swaps the half-turn classes; this is why every grid
-eigenvalue is double, and the eigensolver takes the class -1 eigenvectors
-as ``C`` of the class +1 ones.
+eigenvalue is double, and ``eigsolve.ground_cluster`` takes the class -1
+eigenvectors as ``C`` of the class +1 ones.
+
+The module imports only ``formgrid`` and ``errors``: the solvers
+(``tensor``, ``eigsolve``) read its maps, never the other way round.
 """
 
 from __future__ import annotations
@@ -31,9 +34,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .bounds import sharp_lower
-from .eigsolve import _solve_pencil
-from .errors import ClusterResolutionError
+from .errors import ClusterResolutionError, ConsistencyError
 from .formgrid import (
     FormMatrices,
     SpinorField,
@@ -43,7 +44,6 @@ from .formgrid import (
     quotient,
     random_field,
     reconstruct,
-    _check_weights,
 )
 
 __all__ = [
@@ -54,7 +54,6 @@ __all__ = [
     "symmetrize",
     "rotation_deviation",
     "commutation_check",
-    "ground_cluster",
     "classify_symmetry",
     "verify_norm_identities",
     "separability_residual",
@@ -101,13 +100,13 @@ def _self_tested(n, perm, phase, conj_perm, conj_phase) -> RotationMap:
     """The map of ``R = (perm, phase)`` and ``C = (conj_perm, conj_phase)``,
     with ``R^2 = (perm[perm], phase * phase[perm])``, once the arrays pass
     exact identities: ``perm`` is a bijection with ``R^4 = I``, ``C^2 = I``
-    and ``C R = -i R C``.  AssertionError otherwise, e.g. when the boundary
-    classes do not map onto one another."""
+    and ``C R = -i R C``.  ConsistencyError otherwise, e.g. when the
+    boundary classes do not map onto one another."""
     half, half_phase = perm[perm], phase * phase[perm]
     ident = np.arange(perm.size)
     if not (perm.min() >= 0 and np.array_equal(half[half], ident)
             and np.all(half_phase * half_phase[half] == 1.0)):
-        raise AssertionError("quarter-turn action is not of order four")
+        raise ConsistencyError("quarter-turn action is not of order four")
     # (C^2 x)[k] = conj_phase[k] conj(conj_phase[conj_perm[k]]) x[...], and
     # C R and -i R C gather conj(x) at perm[conj_perm] and conj_perm[perm]
     if not (np.array_equal(conj_perm[conj_perm], ident)
@@ -115,8 +114,8 @@ def _self_tested(n, perm, phase, conj_perm, conj_phase) -> RotationMap:
             and np.array_equal(perm[conj_perm], conj_perm[perm])
             and np.array_equal(conj_phase * np.conj(phase[conj_perm]),
                                -1j * phase * conj_phase[perm])):
-        raise AssertionError("charge conjugation is not an involution "
-                             "anticommuting with the half turn")
+        raise ConsistencyError("charge conjugation is not an involution "
+                               "anticommuting with the half turn")
     return RotationMap(n=n, perm=perm, phase=phase, half_perm=half,
                        half_phase=half_phase, conj_perm=conj_perm,
                        conj_phase=conj_phase)
@@ -214,28 +213,6 @@ class SymmetryClass:
     alpha: complex
     field: SpinorField
     deviation: float
-
-
-def ground_cluster(fm: FormMatrices, a: float, b: float, m: float,
-                   k: int = 4, tol: float = 1e-10, seed: int = 0):
-    """The ``k`` lowest shifted eigenvalues and the ground cluster among them.
-
-    Solves the (a, b, m) pencil without its ``m^2`` mass term for
-    ``ceil(k/2)`` class +1 eigenpairs at the shift ``sharp_lower(a, b, m)``,
-    takes their charge conjugates as the class -1 pairs, and returns
-    ``(mus, cluster)``: the ``k`` lowest eigenvalues, ascending, and the
-    ``(mu, psi)`` pairs among them within relative 1e-8 of the lowest,
-    ready for :func:`classify_symmetry`.
-    """
-    a, b, m = _check_weights(a, b, m)
-    sol = _solve_pencil(fm, (a**-2, b**-2, 0.0, m / a, m / b),
-                        sharp_lower(a, b, m), (1, -1), -(-k // 2), tol, 500,
-                        seed)
-    mus = sol.mus[:k].tolist()
-    cluster = [(mu, SpinorField(sol.vectors[:, i], fm.n))
-               for i, mu in enumerate(mus)
-               if (mu - mus[0]) <= 1e-8 * abs(mus[0])]
-    return mus, cluster
 
 
 def classify_symmetry(fm: FormMatrices, pairs, square: bool = True):

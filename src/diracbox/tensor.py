@@ -46,8 +46,10 @@ import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
 
+from .errors import ConsistencyError
 from .formgrid import (BOTTOM, LEFT, OMEGA, _PAIRS, assemble, build_grid,
                        constraint_map, _tridiagonal)
+from .symmetry import rotation_map
 
 __all__ = ["mass_inverse"]
 
@@ -219,11 +221,9 @@ def _tensor_basis(fm) -> _TensorBasis:
     The reflection parity of V and the closed-form ``R^2`` (interior
     ``(i, j) -> (n-i, n-j)`` with -1 on u1 and +1 on u2, each edge dof to
     its image with -1) are checked here against the basis and against
-    ``half_perm`` and ``half_phase`` of ``symmetry.rotation_map``.
+    ``half_perm`` and ``half_phase`` of ``symmetry.rotation_map``;
+    ConsistencyError if either check fails.
     """
-    from .symmetry import rotation_map      # symmetry imports eigsolve,
-    #                                         which imports this module
-
     n = fm.n
     cmap = constraint_map(n)
     k_d, m_d = (_tridiagonal(bands[:, 1:n]).toarray()
@@ -236,7 +236,8 @@ def _tensor_basis(fm) -> _TensorBasis:
     parity = (-1.0) ** np.arange(nn)
     if not (np.abs(vecs[::-1] - vecs * parity).max()
             <= 1e-9 * np.abs(vecs).max()):
-        raise AssertionError("the 1D eigenbasis is not reflection-symmetric")
+        raise ConsistencyError(
+            "the 1D eigenbasis is not reflection-symmetric")
     interior = np.stack([cmap.free1[inner, inner], cmap.free2[inner, inner]],
                         axis=1)
     boundary = np.concatenate([cmap.free1[0, inner], cmap.free1[inner, 0],
@@ -249,7 +250,7 @@ def _tensor_basis(fm) -> _TensorBasis:
     rot = rotation_map(n)       # (R^2 x)[rows] = sign * x[cols]
     if not (np.array_equal(rot.half_perm[rows], cols) and np.array_equal(
             rot.half_phase[rows], np.concatenate([sign, -np.ones(4 * nn)]))):
-        raise AssertionError("the half turn is not the modal reflection")
+        raise ConsistencyError("the half turn is not the modal reflection")
     # u1 of the summed mode of parity s is kept beside the free mode of
     # parity p when s p = -beta; u2 enters the trace with conj(omega)
     same = np.array([[1.0], [-1.0]]) * parity

@@ -197,6 +197,22 @@ def test_pencil_without_half_turn_symmetry_exit_code(monkeypatch, capsys):
         tensor.mass_inverse.cache_clear()
 
 
+def test_failed_self_test_exit_code(monkeypatch, capsys):
+    # The tensor basis checks its closed-form half turn against the grid's
+    # rotation map.  A map whose half turn is not the modal reflection is
+    # an internal self-test failure: exit 5, not a traceback.
+    n = 14
+    rot = symmetry.rotation_map(n)
+    broken = dataclasses.replace(rot, half_perm=rot.half_perm[::-1].copy())
+    monkeypatch.setattr(tensor, "rotation_map", lambda size: broken)
+    tensor.mass_inverse.cache_clear()
+    try:
+        assert run(["solve", "--n", str(n), "--no-cache"]) == 5
+        assert "not the modal reflection" in capsys.readouterr().err
+    finally:
+        tensor.mass_inverse.cache_clear()
+
+
 def test_trial_quotient_memoised_per_n_outside_setup():
     # The trial field's norm parts are built once per n on the first record,
     # never in the set-up the benchmark times (constraint map, assembly,
@@ -303,7 +319,8 @@ def test_cached_parallel_sweep_starts_no_pool(tmp_path, monkeypatch):
         raise AssertionError("every point is cached")
 
     monkeypatch.setattr(cli, "mass_inverse", fails)
-    monkeypatch.setattr(symmetry, "rotation_map", fails)
+    for module in (eigsolve, tensor):
+        monkeypatch.setattr(module, "rotation_map", fails)
     monkeypatch.setattr(cli, "ProcessPoolExecutor", fails)
     monkeypatch.setattr(cli, "lambda1_2d", fails)
     assert run(argv) == 0

@@ -78,21 +78,38 @@ def test_rejects_bad_tol_before_any_solve(monkeypatch):
 
 
 def test_grid_solve_checks_arguments_before_any_work(fm_cache):
-    # k, the classes and real weights are argument errors, raised before M's
-    # inverse or the weighted form is built.
+    # k and real weights are argument errors, raised before M's inverse or
+    # the weighted form is built.
     fm = fm_cache(10)
     sigma = bounds.sharp_lower(1.0, 1.0, 0.0)
     w = (1.0, 1.0, 0.0, 0.0, 0.0)
     tensor.mass_inverse.cache_clear()
-    for weights, classes, k, match in (
-            (w, (1, -1), 0, "k must be"),
-            (w, (1, -1), fm.ndof, "too many"),
-            (w, (-1,), 1, "classes must be"),
-            ((1.0, 1.0, 0.0, 0.5j, 0.0), (1, -1), 1, "must be real")):
+    for weights, k, match in (
+            (w, 0, "k must be"),
+            (w, fm.ndof, "too many"),
+            ((1.0, 1.0, 0.0, 0.5j, 0.0), 1, "must be real")):
         with pytest.raises(ValueError, match=match):
-            eigsolve._solve_pencil(fm, weights, sigma, classes, k, 1e-10,
-                                   500, 0)
+            eigsolve._solve_pencil(fm, weights, sigma, k, 1e-10, 500, 0)
     assert tensor.mass_inverse.cache_info().misses == 0
+
+
+def test_checks_arguments_before_factoring_mass(monkeypatch):
+    # Mismatched shapes, a non-Hermitian Q and a bad k are argument errors,
+    # raised before M is checked and factored.
+    def splu(*args, **kwargs):
+        raise AssertionError("M was factored")
+
+    monkeypatch.setattr(eigsolve.spla, "splu", splu)
+    m = sp.identity(6, dtype=complex, format="csr")
+    q = sp.diags(np.arange(1.0, 7.0)).tocsr().astype(complex)
+    skew = q.tolil()
+    skew[0, 1] = 1.0
+    for args, match in (((q, sp.identity(5, format="csr")), "equal shape"),
+                        ((skew.tocsr(), m), "not Hermitian"),
+                        ((q, m, 0), "must lie in"),
+                        ((q, m, 7), "must lie in")):
+        with pytest.raises(ValueError, match=match):
+            smallest_eigenpair(*args)
 
 
 def test_rejects_bad_k():
@@ -231,7 +248,7 @@ def test_grid_solves_factor_nothing(fm_cache, monkeypatch):
     fm = fm_cache(12)
     lambda1_2d(1.3, 0.8, 1.0, 12)
     jopt.euler_solve(fm, 1.3, 0.8, 1.0)
-    symmetry.ground_cluster(fm, 1.3, 0.8, 1.0, k=2)
+    eigsolve.ground_cluster(fm, 1.3, 0.8, 1.0, k=2)
 
 
 def test_grid_inverse_state_built_once_per_n(fm_cache):
@@ -247,7 +264,7 @@ def test_grid_inverse_state_built_once_per_n(fm_cache):
         for a, m in ((1.0, 0.0), (1.4, 2.0)):
             lambda1_2d(a, 1.0 / a, m, n)
             jopt.euler_solve(fm, a, 1.0 / a, m)
-            symmetry.ground_cluster(fm, a, 1.0 / a, m, k=2)
+            eigsolve.ground_cluster(fm, a, 1.0 / a, m, k=2)
         assert all(b.cache_info().misses == 1 for b in builders)
 
 

@@ -1,9 +1,10 @@
 """Differential gate: the solver path against the dense full pencil.
 
-``lambda1_2d``, ``jopt.euler_solve``, ``symmetry.ground_cluster`` and the
-class solve under them (shift-invert ARPACK inside one half-turn class, on
-the tensor-product inverse of ``Q - sigma M`` at the closed-form shift,
-with the memoised tensor-product inverse of M for the residual) run on
+``lambda1_2d``, ``jopt.euler_solve``, ``eigsolve.ground_cluster`` and the
+class +1 solve under them (shift-invert ARPACK inside half-turn class +1,
+on the tensor-product inverse of ``Q - sigma M`` at the closed-form shift,
+with the memoised tensor-product inverse of M for the residual), whose
+charge conjugates ``ground_cluster`` takes as the class -1 pairs, run on
 grids small enough for dense ``scipy.linalg.eigh`` on the full weighted
 pencil, mass term included, to serve as the oracle.  The pencil is the
 sparse reference assembly of the conftest, independent of the Kronecker
@@ -73,29 +74,33 @@ def test_sparse_path_matches_dense_full_pencil(reference_forms, n,
     assert _residual(q_j, ref.M, m_chol, mu_j, psi_j.values) <= TOL * mu_j
 
     # every eigenvalue is double: the ground pair, both against the oracle
-    pair, _ = symmetry.ground_cluster(fm, a, b, m, k=2, tol=TOL)
+    pair, _ = eigsolve.ground_cluster(fm, a, b, m, k=2, tol=TOL)
     dense_pair = dense_four[:2]
     assert pair == pytest.approx(dense_pair, rel=1e-10)
     assert pair[1] == pytest.approx(pair[0], rel=1e-10)
 
-    # two pairs per half-turn class at the closed-form shift: the four
-    # lowest values, every vector inside its class, the classes isospectral
-    sigma = bounds.sharp_lower(a, b, m)
-    assert sigma > 0.0
-    sol = eigsolve._solve_pencil(fm, (a**-2, b**-2, 0.0, m / a, m / b),
-                                 sigma, (1, -1), 2, TOL, 500, 0)
-    assert sol.mus == pytest.approx(dense_four, rel=1e-10)
-    half_turn = symmetry.rotation_map(n).half_turn
-    for beta, v in zip(sol.classes, sol.vectors.T):
-        assert (_m_norm(ref.M, half_turn(v) - beta * v)
+    # two class +1 pairs at the closed-form shift and their conjugates: the
+    # four lowest values, every cluster vector inside its class, the
+    # classes isospectral
+    assert bounds.sharp_lower(a, b, m) > 0.0
+    four, cluster = eigsolve.ground_cluster(fm, a, b, m, k=4, tol=TOL)
+    assert four == pytest.approx(dense_four, rel=1e-10)
+    rot = symmetry.rotation_map(n)
+    members = {1: [], -1: []}
+    for mu, psi in cluster:
+        v = psi.values
+        beta = 1 if (_m_norm(ref.M, rot.half_turn(v) - v)
+                     <= 1e-12 * _m_norm(ref.M, v)) else -1
+        assert (_m_norm(ref.M, rot.half_turn(v) - beta * v)
                 <= 1e-12 * _m_norm(ref.M, v))
-    plus, minus = (sol.mus[sol.classes == beta] for beta in (1, -1))
-    assert plus == pytest.approx(minus, rel=1e-10)
+        members[beta].append((mu, v))
+    plus, minus = ([mu for mu, _ in members[beta]] for beta in (1, -1))
+    assert plus and plus == pytest.approx(minus, rel=1e-10)
     # the class -1 columns are the conjugates of the class +1 ones, bit for
     # bit, in the same order
-    conjugate = symmetry.rotation_map(n).conjugate
-    assert np.array_equal(sol.vectors[:, sol.classes == -1],
-                          conjugate(sol.vectors[:, sol.classes == 1]))
+    plus, minus = (np.column_stack([v for _, v in members[beta]])
+                   for beta in (1, -1))
+    assert np.array_equal(minus, rot.conjugate(plus))
 
     # the shifted inverse's class factors certify Q - sigma M > 0: they
     # exist just below the lowest eigenvalue and not just above it

@@ -4,6 +4,7 @@ import scipy.sparse as sp
 
 from diracbox import (
     ClusterResolutionError,
+    ConsistencyError,
     SpinorField,
     build_grid,
     classify_symmetry,
@@ -144,7 +145,7 @@ def test_rotation_self_test_rejects_one_flipped_phase(field):
                           rot.half_phase)
     arrays[field] = arrays[field].copy()
     arrays[field][7] *= -1
-    with pytest.raises(AssertionError):
+    with pytest.raises(ConsistencyError):
         symmetry._self_tested(12, **arrays)
 
 
