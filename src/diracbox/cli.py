@@ -289,8 +289,8 @@ def cmd_sweep(opts) -> int:
     if opts["jobs"] > 1 and (not use_cache or any(
             cache_get({"a": a, "b": b, "m": m, "n": n, "tol": tol,
                        "seed": seed}) is None for a, b in points)):
-        # the forms' symmetry certificate (on their 1D matrices and the
-        # rotation map), M's inverse (with the grid's tensor basis) and the
+        # the forms' symmetry certificate (on their 1D matrices), M's
+        # inverse (with the grid's tensor basis and rotation map) and the
         # trial field's norm parts built before fork, so workers inherit
         # them
         _form_matrices(n)._symmetry_certificate

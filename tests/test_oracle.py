@@ -79,28 +79,36 @@ def test_sparse_path_matches_dense_full_pencil(reference_forms, n,
     assert pair == pytest.approx(dense_pair, rel=1e-10)
     assert pair[1] == pytest.approx(pair[0], rel=1e-10)
 
-    # two class +1 pairs at the closed-form shift and their conjugates: the
-    # four lowest values, every cluster vector inside its class, the
-    # classes isospectral
-    assert bounds.sharp_lower(a, b, m) > 0.0
+    # two class +1 pairs at the closed-form shift, ascending: both columns
+    # inside class +1, their conjugates inside class -1
+    sigma = bounds.sharp_lower(a, b, m)
+    assert sigma > 0.0
+    sol = eigsolve._solve_pencil(fm, (a**-2, b**-2, 0.0, m / a, m / b),
+                                 sigma, 2, TOL, 500, 0)
+    assert sol.mus[0] <= sol.mus[1]
+    rot = symmetry.rotation_map(n)
+    conj = rot.conjugate(sol.vectors)
+    for beta, cols in ((1, sol.vectors), (-1, conj)):
+        for v in cols.T:
+            assert (_m_norm(ref.M, rot.half_turn(v) - beta * v)
+                    <= 1e-12 * _m_norm(ref.M, v))
+
+    # ground_cluster(k=4) takes the conjugates as class -1, the classes
+    # isospectral: the four lowest values, each pair followed by its
+    # conjugate, and the cluster those of them within rel 1e-8 of the
+    # lowest, values and vectors bit for bit
     four, cluster = eigsolve.ground_cluster(fm, a, b, m, k=4, tol=TOL)
     assert four == pytest.approx(dense_four, rel=1e-10)
-    rot = symmetry.rotation_map(n)
-    members = {1: [], -1: []}
-    for mu, psi in cluster:
-        v = psi.values
-        beta = 1 if (_m_norm(ref.M, rot.half_turn(v) - v)
-                     <= 1e-12 * _m_norm(ref.M, v)) else -1
-        assert (_m_norm(ref.M, rot.half_turn(v) - beta * v)
-                <= 1e-12 * _m_norm(ref.M, v))
-        members[beta].append((mu, v))
-    plus, minus = ([mu for mu, _ in members[beta]] for beta in (1, -1))
-    assert plus and plus == pytest.approx(minus, rel=1e-10)
-    # the class -1 columns are the conjugates of the class +1 ones, bit for
-    # bit, in the same order
-    plus, minus = (np.column_stack([v for _, v in members[beta]])
-                   for beta in (1, -1))
-    assert np.array_equal(minus, rot.conjugate(plus))
+    merged = [(sol.mus[0], sol.vectors[:, 0]), (sol.mus[0], conj[:, 0]),
+              (sol.mus[1], sol.vectors[:, 1]), (sol.mus[1], conj[:, 1])]
+    if sol.mus[0] == sol.mus[1]:
+        # the stable merge keeps class +1 ahead of class -1 on a tie
+        merged = [merged[i] for i in (0, 2, 1, 3)]
+    assert four == [mu for mu, _ in merged]
+    size = sum(mu - four[0] <= 1e-8 * abs(four[0]) for mu in four)
+    assert len(cluster) == size >= 2
+    for (mu, psi), (mu_ref, v) in zip(cluster, merged):
+        assert mu == mu_ref and np.array_equal(psi.values, v)
 
     # the shifted inverse's class factors certify Q - sigma M > 0: they
     # exist just below the lowest eigenvalue and not just above it
