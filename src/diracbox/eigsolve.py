@@ -166,18 +166,24 @@ def _mass_lu(m):
 # ARPACK's Krylov dimension in a class solve.  The closed-form shift puts
 # the wanted 1/(mu - sigma) far above the rest of the spectrum of the
 # shifted inverse, so a small space converges in a handful of applications.
-# Measured against 4: equal or fewer applications on every benchmark
-# workload (88 against 92 on solve_n128, 242 against 264 on an 11-point
-# area sweep at n = 64) and the faster wall time in 5 of 6 pairs.
-NCV = 6
+# Measured on the real symmetric class operator over the 16 n = 128 points
+# of the benchmark's solve_n128 seeds 0-3, summed applications at ARPACK_TOL
+# 1e-14 / 1e-13 / 1e-12: 156 / 150 / 134 for 4, 165 / 153 / 141 for 5 and
+# 151 / 148 / 148 for 6 (172 for 8 at 1e-14); on 23 sweep points at
+# n = 64 (11-point area and 12-point perimeter sweeps, m = 1, seeds 0-1),
+# 414 for 5 against 460 for 6 at 1e-12.  At 4, a run cut after one restart
+# has no value even at tolerance 1e-8 to report as its best iterate.
+NCV = 5
 
-# ARPACK's relative stopping tolerance, just above the rounding floor.  At
-# tolerance 0 the stop sits on the operator's rounding and moves by whole
-# restarts between similar operators.  Against 0 on the 16 n = 128 points
-# of the benchmark's solve_n128 seeds 0-3: 148 applications against 172,
-# values within 8.7e-15 relative, and residual/mu at or below 2.2e-12 after
-# the repair either way, against the 1e-10 contract.
-ARPACK_TOL = 1e-14
+# ARPACK's relative stopping tolerance in a class solve.  At tolerance 0 the
+# stop sits on the operator's rounding and moves by whole restarts between
+# similar operators (168 applications on solve_n128 at NCV 5); the repair
+# and Rayleigh-Ritz steps, not ARPACK, enforce the residual contract.
+# Against 1e-14 on the 16 solve_n128 points at NCV 5: 141 applications
+# against 165, values within 3.8e-15 relative of those at NCV 6 and
+# tolerance 0, and residual/mu at or below 3.2e-12 after the repair either
+# way, against the 1e-10 contract.
+ARPACK_TOL = 1e-12
 
 
 def _solve_pencil(fm, w, sigma: float, k: int, tol: float, maxit: int,
@@ -227,7 +233,7 @@ def _solve_pencil(fm, w, sigma: float, k: int, tol: float, maxit: int,
             f"({exc}); it must be a lower bound") from exc
     op = _ClassOperator(shift, mass)
     z, iterations = _krylov(op.apply, op.dim, k, maxit, seed, sigma=sigma,
-                            ncv=ncv)
+                            ncv=ncv, tol=ARPACK_TOL, dtype=float)
 
     def pencil(v):
         return _products(fm, v, w, (0.0, 0.0, 1.0, 0.0, 0.0))
@@ -243,13 +249,16 @@ def _solve_pencil(fm, w, sigma: float, k: int, tol: float, maxit: int,
 
 
 def _krylov(apply_op, dim: int, k: int, maxit: int, seed: int, *,
-            sigma: float = 0.0, ncv=None):
+            sigma: float = 0.0, ncv=None, tol: float = 1e-14, dtype=complex):
     """Vectors of the k largest eigenvalues ``1/(mu - sigma)`` of the
-    operator ``apply_op`` on ``dim``-vectors, and the count of its
-    applications.  ARPACK runs from a seeded start vector.
+    Hermitian operator ``apply_op`` on ``dim``-vectors of ``dtype``, and
+    the count of its applications.  ARPACK runs from a seeded start vector
+    to the relative tolerance ``tol`` (the class solve's is ``ARPACK_TOL``).
     """
     rng = np.random.default_rng(seed)
-    v0 = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+    v0 = rng.standard_normal(dim)
+    if dtype is complex:
+        v0 = v0 + 1j * rng.standard_normal(dim)
     iterations = 0
 
     def counted(x):
@@ -257,12 +266,12 @@ def _krylov(apply_op, dim: int, k: int, maxit: int, seed: int, *,
         iterations += 1
         return apply_op(x)
 
-    op = spla.LinearOperator((dim, dim), matvec=counted, dtype=complex)
+    op = spla.LinearOperator((dim, dim), matvec=counted, dtype=dtype)
     try:
         # the residual contract is enforced by the repair and Rayleigh-Ritz
         # steps, not by ARPACK's tolerance
         _, v = spla.eigsh(op, k=k, which="LM", v0=v0, maxiter=maxit,
-                          tol=ARPACK_TOL, ncv=ncv)
+                          tol=tol, ncv=ncv)
     except spla.ArpackNoConvergence as exc:
         nus = np.real(exc.eigenvalues)
         if not len(nus):

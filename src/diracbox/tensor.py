@@ -15,32 +15,41 @@ form is positive definite on the whole space.  The class blocks read only
 the left and bottom rows of ``Q_BB``, whose reversal-symmetric 1D matrices
 (``FormMatrices._symmetry_certificate``) keep the half turn.
 
-ARPACK iterates in the class +1 coordinates of the tensor inverse
+Every real-weighted grid form also commutes with the antiunitary ``T = K P``,
+``P`` the x1-reflection of the reduced dofs and ``K`` the complex
+conjugation, and ``T`` keeps both classes.  So each class has real
+coordinates, the coefficients of a unitary basis of ``T``-fixed vectors, in
+which every form is a real symmetric matrix (``_TensorBasis``), and all
+class arithmetic is real: the Schur blocks and their Cholesky factors, the
+class solves and ARPACK's vector.  A complex class vector ``z`` is two real
+columns, those of ``(z + T z)/2`` and ``(z - T z)/2i``.
+
+ARPACK iterates in the real class +1 coordinates of the tensor inverse
 (``_ClassOperator``): one dense array of class +1 coefficients of the
 interior fields in the eigenbasis ``V (x) V``, u1 on one checkerboard of
-mode parities and u2 on the other, and the nodal values of the left and
-bottom edge dofs.  There the interior block of ``M`` is the identity and
-that of ``Q - sigma M`` is diagonal, both meet the edges only through the
-ring coupling, and the projector onto the class is implicit, so an operator
+mode parities and u2 on the other, and the left and bottom edge values.
+There the interior block of ``M`` is the identity and that of
+``Q - sigma M`` is diagonal, both meet the edges only through the ring
+coupling, and the projector onto the class is implicit, so an operator
 application costs O(N^2) and one half-size Cholesky solve.  The solver's
 inverse-iteration step solves on class +1 alone (``plus_solve``): its
-right-hand side goes into the class +1 coordinates and back.  Its residual
-check reads ``r^H M^-1 r`` in the class coordinates of both classes
-(``norms``), with no back transform.
+complex right-hand side goes into the real class +1 coordinates and back.
+Its residual check reads ``r^H M^-1 r`` in the real coordinates of both
+classes (``norms``), with no back transform.
 
 ``mass_inverse(n)`` is the one per-n owner: the inverse of ``M``, built on
 the first grid solve of that n and holding the grid's ``_TensorBasis`` (the
-eigenbasis, the ring layout and the half-turn class coordinates).  Every
-shifted inverse reads the basis as ``mass_inverse(n).basis`` and lives for
-one solve, the form of the weights with ``w_M - sigma``.  The 1D
-eigenbasis and the Schur factors exist only for a positive-definite
-matrix, so ``mass_inverse`` is also M's positive-definiteness check.
+eigenbasis, the ring layout and the class coordinates).  Every shifted
+inverse reads the basis as ``mass_inverse(n).basis`` and lives for one
+solve, the form of the weights with ``w_M - sigma``.  The 1D eigenbasis
+and the Schur factors exist only for a positive-definite matrix, so
+``mass_inverse`` is also M's positive-definiteness check.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 import scipy.linalg as sla
@@ -57,7 +66,7 @@ __all__ = ["mass_inverse"]
 @dataclass(frozen=True)
 class _TensorBasis:
     """Per-n data of the tensor-product inverse of the grid forms: the
-    eigenbasis, the ring layout and the half-turn class coordinates.
+    eigenbasis, the ring layout and the real class coordinates.
 
     Interior nodes (``N = n - 1`` per axis) carry both components, and the
     interior block of every weighted form is the Kronecker sum
@@ -76,14 +85,21 @@ class _TensorBasis:
     opposite edges end to end, so the right and top values of a class
     ``beta`` vector are ``-beta`` times its left and bottom values, reversed.
 
-    A class ``beta`` vector is ``(w, x)``: ``w`` one dense modal interior
-    array, real, laid out (mode, [re/im, column], mode), holding u1 on the
-    class's u1 checkerboard and u2 on the other (component c of a column is
-    the nodal field ``V w_c V^T``), and ``x`` (2N, k) its left and bottom
-    edge values.  Every form commutes with ``R^2``, so it acts on each class
-    alone; ``trace`` and ``lift`` are its ring coupling in these
-    coordinates, where the right and top edges double the left and bottom
-    ones.
+    ``T`` maps the modal coefficient ``w(k, l)`` to ``p_k conj(w(k, l))``,
+    the left edge value ``x_L[t]`` to ``-beta conj(x_L[N-1-t])`` and the
+    bottom one ``x_B[t]`` to ``conj(x_B[N-1-t])``.  The real coordinates of
+    a class ``beta`` vector are ``(w, x)``: ``w`` (N, k, N) real with the
+    modal coefficient ``i^[k odd] w``, holding u1 on the class's u1
+    checkerboard and u2 on the other, and ``x`` (2N, k) real with the edge
+    values ``U x``.  On an edge of sign ``s`` (``-beta`` on the left, 1 on
+    the bottom) ``U`` takes the pair ``(t, N-1-t)``, ``t < N/2``, to
+    ``((x_t + i x_{N-1-t})/sqrt2, s (x_t - i x_{N-1-t})/sqrt2)`` and the
+    middle value to ``sqrt(s) x_mid``; ``unitary[beta]`` holds ``U`` as
+    ``(U x)_t = ua_t x_t + ub_t x_{N-1-t}``.  The coordinates are
+    orthonormal, so every form is real symmetric in them.  Every form
+    commutes with ``R^2``, so it acts on each class alone; ``trace`` and
+    ``lift`` are its ring coupling in these coordinates, where the right
+    and top edges double the left and bottom ones.
     """
 
     n: int
@@ -99,82 +115,109 @@ class _TensorBasis:
     u1: np.ndarray          # (N, N) bool, where class +1 keeps u1 and
     #                         class -1 keeps u2
     parts: np.ndarray       # (2, N) ring row on the even, odd modes
-    phase: dict             # beta -> (2, 2, N) trace weight per edge
+    weight: dict            # beta -> (2, 2, N) real trace weight per edge
     #                         (left, bottom), parity of the summed mode, mode
+    edge_map: dict          # beta -> (2, N, N) real map per edge from the
+    #                         trace's modal line to the edge coordinates
+    unitary: dict           # beta -> (2, 2N) complex (ua, ub) of U
     lines: np.ndarray       # (3, 3, n+1) the grid's 1D matrices, band form
 
     def forward(self, cols):
         """Class parts ``{beta: (w, x)}`` of the nodal right-hand sides
-        ``cols`` (dim, k): ``V^T F V`` of each interior field ``F`` on the
+        ``cols`` (dim, k), two real columns for each: the real coordinates
+        of ``(z + T z)/2`` and of ``(z - T z)/2i`` for the class part ``z``
+        of the column.  ``V^T F V`` of each interior field ``F`` on the
         class's checkerboards, and the class's part of the edge values."""
         nn, k = self.n - 1, cols.shape[1]
         g = cols[self.interior[:, :, None, :], np.arange(k)[:, None]]
-        g = np.stack([g.real, g.imag], axis=1).reshape(nn, -1)
+        g = np.stack([g.real, g.imag], axis=3).reshape(nn, -1)
         g = _gemm(_gemm(self.vecs.T, g).reshape(-1, nn), self.vecs)
-        g1, g2 = g.reshape(nn, 2, 2, k, nn).transpose(2, 0, 1, 3, 4)
-        keep = self.u1[:, None, None, :]
+        g = g.reshape(nn, 2, k, 2, nn)
+        # odd modes: the coordinate is -i times the coefficient
+        g[1::2] = g[1::2, :, :, ::-1] * np.array([[1.0], [-1.0]])
+        g1, g2 = g.reshape(nn, 2, 2 * k, nn).transpose(1, 0, 2, 3)
+        keep = self.u1[:, None, :]
         edge, image = cols[self.boundary].reshape(2, 2 * nn, k)
-        return {1: (np.where(keep, g1, g2), (edge - image) / 2),
-                -1: (np.where(keep, g2, g1), (edge + image) / 2)}
+        return {1: (np.where(keep, g1, g2), self._edge(1, edge - image)),
+                -1: (np.where(keep, g2, g1), self._edge(-1, edge + image))}
+
+    def _edge(self, beta, x):
+        """The real column pairs of the class ``beta`` edge coordinates
+        ``U^H x / 2`` of the nodal left and bottom values minus (class +1)
+        or plus their images ``x``."""
+        nn = self.n - 1
+        ua, ub = self.unitary[beta].conj()[:, :, None] / 2
+        return _split(ua * x + (ub * x).reshape(2, nn, -1)[:, ::-1].reshape(
+            2 * nn, -1))
 
     def back(self, parts):
         """Nodal vectors (dim, k) of the sum of the class parts
-        ``{beta: (w, x)}``, a missing class zero; the inverse of
-        ``forward``."""
+        ``{beta: (w, x)}`` with 2k real columns each, a missing class zero:
+        the column pair ``(a, b)`` gives the vector of the coordinates
+        ``a + i b``.  The inverse of ``forward``."""
         nn = self.n - 1
-        (w_p, x_p), (w_m, x_m) = (parts.get(beta, (0.0, 0.0))
-                                  for beta in (1, -1))
-        keep = self.u1[:, None, None, :]
+        (w_p, _), (w_m, _) = (parts.get(beta, (0.0, 0.0))
+                              for beta in (1, -1))
+        keep = self.u1[:, None, :]
         z = np.stack([np.where(keep, w_p, w_m), np.where(keep, w_m, w_p)],
-                     axis=2)
-        k = z.shape[3]
+                     axis=1)
+        k = z.shape[2] // 2
+        z = z.reshape(nn, 2, k, 2, nn)
+        # odd modes: the coefficient is i times the coordinate
+        z[1::2] = z[1::2, :, :, ::-1] * np.array([[-1.0], [1.0]])
         z = _gemm(_gemm(self.vecs, z.reshape(nn, -1)).reshape(-1, nn),
-                  self.vecs.T).reshape(nn, 2, 2, k, nn)
+                  self.vecs.T).reshape(nn, 2, k, 2, nn)
         x = np.empty((2 * nn * nn + 4 * nn, k), dtype=complex)
         x[self.interior[:, :, None, :], np.arange(k)[:, None]] = (
-            z[:, 0] + 1j * z[:, 1])
+            z[:, :, :, 0] + 1j * z[:, :, :, 1])
+        x_p, x_m = (self._values(beta, parts[beta][1]) if beta in parts
+                    else 0.0 for beta in (1, -1))
         x[self.boundary] = np.concatenate([x_p + x_m, x_m - x_p])
         return x
+
+    def _values(self, beta, x):
+        """The nodal left and bottom values ``U x`` of the class ``beta``
+        edge coordinates ``x``, whose column pairs are complex columns."""
+        nn = self.n - 1
+        ua, ub = self.unitary[beta][:, :, None]
+        x = x[:, 0::2] + 1j * x[:, 1::2]
+        return ua * x + ub * x.reshape(2, nn, -1)[:, ::-1].reshape(2 * nn, -1)
 
     def trace(self, alpha, beta, w):
         """``C^T W1 + Omega^H C^T W2`` (2N, k) on the left and bottom edges
         of a class ``beta`` interior ``w``, where ``C`` is the ring coupling
         of a form with coefficients ``alpha`` (see ``_TensorInverse``)."""
-        nn, k = self.n - 1, w.shape[2]
-        left = _gemm(self.parts, w.reshape(nn, -1)).reshape(2, 2, k, nn)
-        bottom = _gemm(w.reshape(-1, nn), self.parts.T).reshape(nn, 2, k, 2)
-        weight_l, weight_b = self.phase[beta]
+        nn, k = self.n - 1, w.shape[1]
+        left = _gemm(self.parts, w.reshape(nn, -1)).reshape(2, k, nn)
+        bottom = _gemm(w.reshape(-1, nn), self.parts.T).reshape(nn, k, 2)
+        weight_l, weight_b = self.weight[beta]
         lines = alpha[:, None, :] * np.stack([
-            (weight_l[:, None] * (left[:, 0] + 1j * left[:, 1])).sum(0),
-            (weight_b.T[:, None] * (bottom[:, 0] + 1j * bottom[:, 1])
-             ).sum(-1).T])                          # (edge, k, mode)
-        t = _gemm(np.concatenate([lines.real, lines.imag]).reshape(-1, nn),
-                  self.vinv).reshape(2, 2, k, nn)
-        return (t[0] + 1j * t[1]).transpose(0, 2, 1).reshape(2 * nn, k)
+            (weight_l[:, None] * left).sum(0),
+            (weight_b.T[:, None] * bottom).sum(-1).T])      # (edge, k, mode)
+        return np.concatenate([_gemm(emap, line.T)
+                               for emap, line in zip(self.edge_map[beta],
+                                                     lines)])
 
     def lift(self, alpha, beta, x):
         """The class ``beta`` interior of ``C x`` (u1) and ``C Omega x``
         (u2) for the left and bottom values ``x`` and their images: twice
-        the adjoint of ``trace``."""
+        the transpose of ``trace``."""
         nn = self.n - 1
-        xe = x.reshape(2, nn, -1).transpose(1, 0, 2)
-        a = _gemm(self.vinv,
-                  np.stack([xe.real, xe.imag], axis=2).reshape(nn, -1))
-        a = a.reshape(nn, 2, 2, -1)
-        a = (a[:, :, 0] + 1j * a[:, :, 1]) * (2.0 * alpha.T[:, :, None])
-        weight_l, weight_b = self.phase[beta]
-        left = weight_l.conj()[:, None, :] * a[:, 0].T       # (parity, k, l)
-        bottom = weight_b.T.conj()[:, None, :] * a[:, 1, :, None]
-        return (_gemm(self.parts.T, np.stack([left.real, left.imag], axis=1)
-                      .reshape(2, -1))
-                + _gemm(np.stack([bottom.real, bottom.imag], axis=1)
-                        .reshape(-1, 2), self.parts).reshape(nn, -1)
-                ).reshape(nn, 2, -1, nn)
+        a = np.stack([_gemm(line.T, emap) for emap, line in
+                      zip(self.edge_map[beta], x.reshape(2, nn, -1))])
+        a *= 2.0 * alpha[:, None, :]                        # (edge, k, mode)
+        weight_l, weight_b = self.weight[beta]
+        left = weight_l[:, None, :] * a[0]                  # (parity, k, l)
+        bottom = a[1].T[:, :, None] * weight_b.T[:, None, :]
+        return (_gemm(self.parts.T, left.reshape(2, -1))
+                + _gemm(bottom.reshape(-1, 2), self.parts).reshape(nn, -1)
+                ).reshape(nn, -1, nn)
 
     def blocks(self, w):
-        """The class blocks ``{beta: Q_beta}`` (dense, 2N-square) of the
-        edge block ``Q_BB`` of the form with weights ``w``: its left and
-        bottom rows on the class's vectors, from the 1D matrices.
+        """The class blocks ``{beta: Q_beta}`` (sparse, 2N-square, complex)
+        of the edge block ``Q_BB`` of the form with weights ``w``: its left
+        and bottom rows on the class's nodal edge values, from the 1D
+        matrices.
 
         Two edge dofs at nodes ``p`` and ``q`` couple through their u1 and
         u2 terms, ``(1 + conj(omega_p) omega_q) sum_f w_f A_f[p1, q1]
@@ -196,21 +239,35 @@ class _TensorBasis:
 
         # the left edge reads each B along x2 at A[0, 0], the bottom edge
         # each A along x1 at B[0, 0]; the u1 and u2 terms double them
-        block = np.zeros((2 * nn, 2 * nn), dtype=complex)
-        block[:nn, :nn] = _tridiagonal(2.0 * sum(
-            wf * a[1, 0] * b[:, 1:n] for wf, a, b in terms)).toarray()
-        block[nn:, nn:] = _tridiagonal(2.0 * sum(
-            wf * b[1, 0] * a[:, 1:n] for wf, a, b in terms)).toarray()
-        block[0, nn] = couple((0, 1), (1, 0))
-        block[nn, 0] = couple((1, 0), (0, 1))
-        out = {}
-        for beta in (1, -1):
-            # left (0, n-1) meets top (1, n), the image of bottom (n-1, 0),
-            # and bottom (n-1, 0) meets right (n, 1), that of left (0, n-1)
-            out[beta] = block.copy()
-            out[beta][nn - 1, -1] = -beta * couple((0, n - 1), (1, n))
-            out[beta][-1, nn - 1] = -beta * couple((n - 1, 0), (n, 1))
-        return out
+        edges = sp.block_diag([_tridiagonal(2.0 * sum(
+            wf * a[1, 0] * b[:, 1:n] for wf, a, b in terms)), _tridiagonal(
+            2.0 * sum(wf * b[1, 0] * a[:, 1:n] for wf, a, b in terms))],
+            format="coo")
+        # left (0, n-1) meets top (1, n), the image of bottom (n-1, 0), and
+        # bottom (n-1, 0) meets right (n, 1), that of left (0, n-1)
+        rows = np.concatenate([edges.row, [0, nn, nn - 1, 2 * nn - 1]])
+        cols = np.concatenate([edges.col, [nn, 0, 2 * nn - 1, nn - 1]])
+        corners = [couple((0, 1), (1, 0)), couple((1, 0), (0, 1))]
+        far = [couple((0, n - 1), (1, n)), couple((n - 1, 0), (n, 1))]
+        return {beta: sp.coo_array(
+            (np.concatenate([edges.data, corners, np.multiply(-beta, far)]),
+             (rows, cols)), shape=(2 * nn, 2 * nn)) for beta in (1, -1)}
+
+    def real_block(self, beta, block):
+        """``U^H block U``, real, dense and Fortran-ordered (so that LAPACK
+        factors it in place), of a sparse class ``beta`` block on the nodal
+        edge values that commutes with ``T``."""
+        nn = self.n - 1
+        ua, ub = self.unitary[beta]
+        rev = np.arange(2 * nn).reshape(2, nn)[:, ::-1].ravel()
+        (r, c), v = block.coords, block.data
+        # (U x)_t = ua_t x_t + ub_t x_rev(t): each entry meets four
+        left = [(r, ua[r].conj() * v), (rev[r], ub[r].conj() * v)]
+        right = [(c, ua[c]), (rev[c], ub[c])]
+        rows, cols, vals = (np.concatenate(z) for z in zip(*(
+            (i, j, (a * b).real) for i, a in left for j, b in right)))
+        return sp.coo_array((vals, (rows, cols)),
+                            shape=(2 * nn, 2 * nn)).toarray(order="F")
 
 
 def _tensor_basis(fm) -> _TensorBasis:
@@ -251,18 +308,41 @@ def _tensor_basis(fm) -> _TensorBasis:
     if not (np.array_equal(rot.half_perm[rows], cols) and np.array_equal(
             rot.half_phase[rows], np.concatenate([sign, -np.ones(4 * nn)]))):
         raise ConsistencyError("the half turn is not the modal reflection")
-    # u1 of the summed mode of parity s is kept beside the free mode of
-    # parity p when s p = -beta; u2 enters the trace with conj(omega)
-    same = np.array([[1.0], [-1.0]]) * parity
+    vinv = vecs.T @ m_d
+    # the pair (t, N-1-t) of an edge of sign s, and its middle value
+    low, mid = np.arange(nn) < nn // 2, np.arange(nn) == nn // 2
+    weight, edge_map, unitary = {}, {}, {}
+    for beta in (1, -1):
+        signs = np.array([[-beta], [1.0]])                  # left, bottom
+        ua = np.where(low, 1.0, np.where(mid, np.sqrt(signs + 0j),
+                                         -1j * signs)) / np.where(mid, 1.0,
+                                                                  np.sqrt(2))
+        ub = np.where(low, 1j, np.where(mid, 0.0, signs)) / np.sqrt(2)
+        unitary[beta] = np.stack([ua.ravel(), ub.ravel()])
+        # u1 of the summed mode of parity q is kept beside the free mode of
+        # parity p when q p = -beta; u2 enters the trace with conj(omega).
+        # A T-fixed trace line is sqrt(s p) times a real one: the left edge
+        # sums the x1 modes k, whose coefficients carry i^[k odd], and the
+        # bottom edge has i^[k odd] = sqrt(p_k) on its free mode
+        same = np.array([[1.0], [-1.0]]) * parity
+        root = np.sqrt(signs * parity + 0j)                 # (edge, mode)
+        phase = np.stack([
+            np.where(same == -beta, 1.0, np.conj(OMEGA[edge]))
+            for edge in (LEFT, BOTTOM)])
+        phase[0] *= np.array([[1.0], [1j]]) / root[0]
+        if np.any(phase.imag):
+            raise ConsistencyError("the trace weights are not real under T")
+        weight[beta] = phase.real
+        # U^H V^-T diag(sqrt(s p)) per edge, real up to V's rounding
+        emap = vinv.T[None] * root[:, None, :]
+        emap = (ua.conj()[:, :, None] * emap
+                + (ub.conj()[:, :, None] * emap)[:, ::-1])
+        edge_map[beta] = np.ascontiguousarray(emap.real)
     return _TensorBasis(
-        n=n, vecs=vecs, lam=lam, vinv=vecs.T @ m_d, ring=vecs[0],
+        n=n, vecs=vecs, lam=lam, vinv=vinv, ring=vecs[0],
         interior=interior, boundary=boundary, u1=np.outer(parity, parity) < 0,
         parts=np.stack([vecs[0] * (parity > 0), vecs[0] * (parity < 0)]),
-        phase={beta: np.stack([np.where(same == -beta, 1.0,
-                                        np.conj(OMEGA[edge]))
-                               for edge in (LEFT, BOTTOM)])
-               for beta in (1, -1)},
-        lines=fm.lines,
+        weight=weight, edge_map=edge_map, unitary=unitary, lines=fm.lines,
     )
 
 
@@ -276,26 +356,27 @@ class _TensorInverse:
     diagonal in the half-turn classes (``_TensorBasis``), and so is the
     boundary Schur complement ``S = Q_BB - C^T D^-1 C - Omega^H C^T D^-1 C
     Omega``: one (2N)-square block ``S_beta`` per class, on the left and
-    bottom edges, each closed by a dense Cholesky factor (the capacitance
-    matrix of Buzbee, Dorr, George & Golub 1971, split by the classes of
-    Bossavit 1986).  ``C`` is separable edge by edge, and the right and top
-    ring rows are the left and bottom ones times the parity ``p``, so each
-    class block is built from edge-pair blocks, products of N-square
-    matrices: the left-left and bottom-bottom blocks are the same in both
-    classes, and one cross-edge product gives the left-bottom block of
-    both.  The factors exist only when ``q`` is positive definite on
-    both classes, that is on the whole space, so building the inverse is
-    also that check; the class blocks of ``Q_BB`` describe it only when the
-    block between the classes vanishes, which the grid's reversal-symmetric
-    1D matrices guarantee (``FormMatrices._symmetry_certificate``).  A
-    shifted form ``Q - sigma M`` is the form with weight ``w_M - sigma``.
+    bottom edges, each taken to the class's real edge coordinates and
+    closed by a real dense Cholesky factor (the capacitance matrix of
+    Buzbee, Dorr, George & Golub 1971, split by the classes of Bossavit
+    1986).  ``C`` is separable edge by edge, and the right and top ring
+    rows are the left and bottom ones times the parity ``p``, so each class
+    block is built from edge-pair blocks, products of N-square matrices:
+    the left-left and bottom-bottom blocks are the same in both classes,
+    and one cross-edge product gives the left-bottom block of both.  The
+    factors exist only when ``q`` is positive definite on both classes,
+    that is on the whole space, so building the inverse is also that check;
+    the class blocks of ``Q_BB`` describe it only when the block between
+    the classes vanishes, which the grid's reversal-symmetric 1D matrices
+    guarantee (``FormMatrices._symmetry_certificate``).  A shifted form
+    ``Q - sigma M`` is the form with weight ``w_M - sigma``.
 
     One implementation serves every use: ``class_solve`` is the inverse on
-    one class in its modal coordinates (the Schur steps, O(N^2) per column,
+    one class in its real coordinates (the Schur steps, O(N^2) per column,
     and one half-size Cholesky solve).  The basis's forward and back
     transforms take nodal vectors to class coordinates and back, two O(N^3)
     products each.  ARPACK's class operator (``_ClassOperator``) iterates
-    on ``class_product`` and ``class_solve`` alone; the solver's
+    on the class solves and the ring coupling alone; the solver's
     inverse-iteration step uses ``plus_solve``, the class +1 solve between
     a forward and a back transform, and its residual check ``norms``, both
     class solves after one forward transform.
@@ -314,32 +395,31 @@ class _TensorInverse:
         kc, mc = basis.lines[:2, 0, 1]    # 1D stiffness, mass ring-to-edge
         self.alpha = np.array([w1 * kc + w3 * mc + w2 * mc * lam,
                                w2 * kc + w3 * mc + w1 * mc * lam])
-        self.w = w
         blocks = basis.blocks(w)
 
-        # 2 C^T D^-1 C on the left and bottom edges of each class: the
-        # left-left and bottom-bottom blocks are the same in both classes
+        # 2 C^T D^-1 C in the real edge coordinates of each class: the
+        # modal ring coupling of an edge, 2 alpha^2 (ring^2 @ D^-1) on its
+        # own modes and the kernel between the left and bottom modes, taken
+        # to the coordinates by the edge maps; the bottom edge's are the
+        # same in both classes
         inv_delta = 1.0 / self.delta
         ring, (al, ab) = basis.ring, self.alpha
-        ll = 2.0 * _gemm(vinv.T * (al**2 * (ring**2 @ inv_delta)), vinv)
-        bb = 2.0 * _gemm(vinv.T * (ab**2 * (inv_delta @ ring**2)), vinv)
-        # left-bottom: u1 enters with weight 1 and u2 with conj(omega_L)
-        # omega_B = theta.  Class beta keeps u1 on the checkerboard
-        # (1 - beta p p^T)/2 and diag(p) V^-1 = V^-1 J, so with
-        # X = V^-T kernel V^-1 its block is (1 + theta) X - beta (1 - theta)
-        # J X J
-        kernel = al[:, None] * (np.outer(ring, ring) * inv_delta).T * ab
-        cross = _gemm(_gemm(vinv.T, kernel), vinv)
-        theta = np.conj(OMEGA[LEFT]) * OMEGA[BOTTOM]
+        gb = basis.edge_map[1][1]
+        bb = _gemm(gb * (2.0 * ab**2 * (inv_delta @ ring**2)), gb.T)
         nn = basis.n - 1
+        parity = np.arange(nn) % 2
+        # left mode l meets bottom mode k through the interior mode (k, l)
+        kernel = np.outer(2.0 * al * ring, ab * ring) * inv_delta.T
         self.chol = {}
         for beta in (1, -1):
-            schur = blocks[beta]
-            lb = (1 + theta) * cross - beta * (1 - theta) * cross[::-1, ::-1]
+            (gl, gb), (wl, wb) = basis.edge_map[beta], basis.weight[beta]
+            ll = _gemm(gl * (2.0 * al**2 * (ring**2 @ inv_delta)), gl.T)
+            lb = _gemm(_gemm(gl, kernel * wl[parity].T * wb[parity]), gb.T)
+            schur = basis.real_block(beta, blocks[beta])
             schur[:nn, :nn] -= ll
             schur[nn:, nn:] -= bb
             schur[:nn, nn:] -= lb
-            schur[nn:, :nn] -= lb.conj().T
+            schur[nn:, :nn] -= lb.T
             try:
                 self.chol[beta] = sla.cho_factor(schur, lower=True,
                                                  overwrite_a=True,
@@ -362,38 +442,24 @@ class _TensorInverse:
         class solves, the interior contributes ``<g, w>``, since the modal
         coefficients ``V^T F V`` pair with ``V W V^T``, and the edges
         ``2 <f, x>``, since the right and top values are the left and
-        bottom ones up to the class sign.  Both classes count.
+        bottom ones up to the class sign.  Both classes count, and both
+        real columns of each nodal one: ``q^-1`` is real symmetric in the
+        real coordinates, so the pair has no cross term.
         """
         total = 0.0
         for beta, (g, f) in self.basis.forward(cols).items():
             w, x = self.class_solve(beta, g, f)
-            total = total + (np.einsum("iajl,iajl->j", g, w)
-                             + 2.0 * np.real(np.einsum("ij,ij->j",
-                                                       f.conj(), x)))
-        return np.sqrt(np.abs(total))
-
-    def class_product(self, beta, w, x):
-        """``q`` on the class ``beta`` vector ``(w, x)``, in the modal
-        coordinates of its right-hand sides."""
-        basis = self.basis
-        return (self.delta[:, None, None, :] * w
-                + basis.lift(self.alpha, beta, x),
-                basis.trace(self.alpha, beta, w)
-                + self._sparse_blocks[beta] @ x)
-
-    @cached_property
-    def _sparse_blocks(self):
-        """The class blocks of ``Q_BB`` as sparse matrices, for products."""
-        return {beta: sp.csr_matrix(blk)
-                for beta, blk in self.basis.blocks(self.w).items()}
+            total = total + (np.einsum("iaj,iaj->a", g, w)
+                             + 2.0 * np.einsum("ij,ij->j", f, x))
+        return np.sqrt(np.abs(total.reshape(-1, 2).sum(1)))
 
     def class_solve(self, beta, g, fb):
-        """``q^-1`` on class ``beta`` in its modal coordinates: the class
+        """``q^-1`` on class ``beta`` in its real coordinates: the class
         vector of the solution from the right-hand side ``(g, fb)``.
 
         Every step costs O(N^2) per column, plus the Cholesky solve.
         """
-        basis, delta = self.basis, self.delta[:, None, None, :]
+        basis, delta = self.basis, self.delta[:, None, :]
         # the edge equation S_beta x = fb - C^T D^-1 g1 - Omega^H C^T D^-1 g2
         rhs = fb - basis.trace(self.alpha, beta, g / delta)
         x = sla.cho_solve(self.chol[beta], rhs, check_finite=False)
@@ -401,6 +467,13 @@ class _TensorInverse:
         np.subtract(g, w, out=w)
         w /= delta
         return w, x
+
+
+def _split(a):
+    """The real and imaginary parts of the columns (axis 1) of ``a`` as
+    two real columns each."""
+    return np.stack([a.real, a.imag], axis=2).reshape(
+        a.shape[0], -1, *a.shape[2:])
 
 
 def _gemm(a, b):
@@ -429,43 +502,60 @@ def mass_inverse(n: int) -> _TensorInverse:
 
 
 class _ClassOperator:
-    """ARPACK's class +1 operator ``P (Q - sigma M)^-1 M`` in the class +1
-    coordinates of the tensor inverse (``_TensorBasis``).
+    """ARPACK's class +1 operator, real symmetric: ``L^T (Q - sigma M)^-1
+    L`` in the real class +1 coordinates of the tensor inverse
+    (``_TensorBasis``), ``L L^T`` the Cholesky factorisation of ``M`` there.
 
     A vector holds the dense class +1 modal interior, u1 on one
-    checkerboard of the eigenbasis and u2 on the other, and the nodal
-    values of the left and bottom edge dofs, whose images on the opposite
-    edges follow from the class; it has half the length of a nodal vector,
-    and ``P`` is implicit.
-    Since ``V^T M_D V = I`` and ``V^T K_D V = diag(lam)``, the interior
-    block of ``M`` is the identity here and that of ``Q - sigma M`` is the
-    diagonal ``delta``; both meet the edges only through the ring coupling.
-    So ``M z`` is the mass inverse's ``class_product`` and the inverse is
-    the shifted ``class_solve``: every application costs O(N^2) and one
-    half-size Cholesky solve, and only ARPACK's vectors pay the back
-    transform to nodal coordinates.  The operator is similar to the nodal
-    one on class +1, so it has the same eigenvalues.
+    checkerboard of the eigenbasis and u2 on the other, and the left and
+    bottom edge coordinates, whose images on the opposite edges follow from
+    the class; it has half the length of a nodal vector, and the projector
+    onto the class is implicit.  Since ``V^T M_D V = I`` and ``V^T K_D V =
+    diag(lam)``, the interior block of ``M`` is the identity here and that
+    of ``Q - sigma M`` is the diagonal ``delta``; both meet the edges only
+    through the ring coupling ``B``.  So ``L = [[I, 0], [B^T, L_S]]``, with
+    ``L_S`` the mass inverse's Cholesky factor of its Schur block (times
+    sqrt2, for the doubled edges), the inverse is the shifted
+    ``class_solve``, and every application costs O(N^2), two triangular
+    products and one half-size Cholesky solve.  The operator is similar to
+    ``(Q - sigma M)^-1 M`` on class +1, so it has the same eigenvalues
+    ``1/(mu - sigma)``; only ARPACK's vectors pay ``L^-T`` and the back
+    transform to nodal coordinates (``to_nodal``).
     """
 
     def __init__(self, shift: _TensorInverse, mass: _TensorInverse):
         self.shift, self.mass = shift, mass
         self.nn = nn = shift.basis.n - 1
         self.dim = nn * nn + 2 * nn
+        self.factor = mass.chol[1][0]       # lower triangle: L_S / sqrt2
 
-    def _expand(self, z):
-        """Class +1 vector ``(w, x)`` of the columns ``z`` (dim, k)."""
+    def _split(self, z):
+        """Class +1 vector ``(w, x)`` of the real columns ``z`` (dim, k)."""
         nn = self.nn
-        w = z[:nn * nn].reshape(nn, nn, -1).transpose(0, 2, 1)
-        return np.stack([w.real, w.imag], axis=1), z[nn * nn:]
+        return z[:nn * nn].reshape(nn, nn, -1).transpose(0, 2, 1), z[nn * nn:]
 
     def apply(self, z):
-        """``(Q - sigma M)^-1 M z`` for one class +1 vector."""
-        w, x = self.shift.class_solve(
-            1, *self.mass.class_product(1, *self._expand(
-                z.reshape(self.dim, 1))))
-        w = (w[:, 0, 0] + 1j * w[:, 1, 0]).ravel()
-        return np.concatenate([w, x[:, 0]])
+        """``L^T (Q - sigma M)^-1 L z`` for one real class +1 vector."""
+        nn, mass = self.nn, self.mass
+        w = z[:nn * nn].reshape(nn, 1, nn)
+        # L z, its edge rows halved as class_solve reads them
+        x = (mass.basis.trace(mass.alpha, 1, w)[:, 0] + _SQRT_HALF
+             * sla.blas.dtrmv(self.factor, z[nn * nn:], lower=1))
+        w, x = self.shift.class_solve(1, w, x[:, None])
+        x = x[:, 0]
+        w += mass.basis.lift(mass.alpha, 1, x[:, None])
+        return np.concatenate([w.ravel(), _SQRT_TWO * sla.blas.dtrmv(
+            self.factor, x, lower=1, trans=1)])
 
     def to_nodal(self, z):
-        """Nodal vectors of the class +1 columns ``z``."""
-        return self.shift.basis.back({1: self._expand(z)})
+        """Complex nodal vectors of the real columns ``z`` (dim, k): the
+        class +1 vectors ``L^-T z``, back-transformed."""
+        mass = self.mass
+        w, x = self._split(z)
+        x = _SQRT_HALF * sla.solve_triangular(
+            self.factor, x, trans="T", lower=True, check_finite=False)
+        w = w - mass.basis.lift(mass.alpha, 1, x)
+        return self.shift.basis.back({1: (_split(w), _split(x))})
+
+
+_SQRT_TWO, _SQRT_HALF = np.sqrt(2.0), np.sqrt(0.5)

@@ -326,7 +326,7 @@ def test_class_operator_is_exact_in_modal_coordinates(reference_forms, n):
                 basis, (w[0], w[1], -sigma, w[3], w[4]))
             op = tensor._ClassOperator(shift, mass)
             assert 2 * op.dim == fm.ndof
-            z = rng.standard_normal(op.dim) + 1j * rng.standard_normal(op.dim)
+            z = rng.standard_normal(op.dim)
             x = op.to_nodal(z[:, None])
             worst_p = max(worst_p, np.linalg.norm(half_turn(x) - x)
                           / np.linalg.norm(x))
@@ -359,6 +359,73 @@ def test_mass_inverse_norms_in_class_coordinates(reference_forms, n):
                                      sla.cho_solve(chol, r))))
     got = tensor.mass_inverse(n).norms(r)
     assert np.abs(got - want).max() <= 1e-12 * want.max()
+
+
+def _x1_reflection(n):
+    """``T z = conj(P z)``, ``P`` the plain x1-reflection of the reduced
+    dofs: the dof at node (i, j) takes the value of the same component at
+    (n - i, j)."""
+    cmap = formgrid.constraint_map(n)
+    perm = np.empty(cmap.ndof, dtype=int)
+    for free in (cmap.free1, cmap.free2):
+        has = free >= 0
+        perm[free[has]] = free[::-1][has]
+    return lambda z: np.conj(z[perm])
+
+
+@pytest.mark.parametrize("n", [4, 8, 12])
+def test_real_class_coordinates_under_x1_reflection(reference_forms, n):
+    # T = K P commutes with every real-weighted pencil and keeps both
+    # half-turn classes, so class +1 has real coordinates (the basis's):
+    # the dense class +1 operator commutes with T, the real class vectors
+    # of both classes are T-fixed, and the real operator ARPACK iterates
+    # has the complex operator's eigenvalues.  The residual norms of
+    # complex columns with T-odd and class -1 parts, read as two real
+    # columns per class, match a dense Cholesky factor of M.
+    fm = reference_forms(n)
+    mass = tensor.mass_inverse(n)
+    basis, x1 = mass.basis, _x1_reflection(n)
+    half_turn = symmetry.rotation_map(n).half_turn
+    rng = np.random.default_rng(n)
+    a, b, m = 1.4, 1.0 / 1.4, 0.7
+    w = (a**-2, b**-2, 0.0, m / a, m / b)
+    sigma = bounds.sharp_lower(a, b, m)
+    shift = tensor._TensorInverse(basis, (w[0], w[1], -sigma, w[3], w[4]))
+
+    def plus(x):
+        return (x + half_turn(x)) / 2
+
+    mat_m = fm.M.toarray()
+    dense = plus(plus(sla.solve((fm.weighted(w) - sigma * fm.M).toarray(),
+                                mat_m)).T).T
+    z = rng.standard_normal((fm.ndof, 3)) + 1j * rng.standard_normal(
+        (fm.ndof, 3))
+    assert np.abs(dense @ x1(z) - x1(dense @ z)).max() <= 1e-12 * np.abs(
+        dense @ z).max()
+
+    nn = n - 1
+    for beta in (1, -1):
+        # real coordinates: each column pair with a zero imaginary column
+        v = basis.back({beta: (tensor._split(rng.standard_normal(
+            (nn, 2, nn))), tensor._split(rng.standard_normal((2 * nn, 2))))})
+        assert np.abs(x1(v) - v).max() <= 1e-13 * np.abs(v).max()
+
+    op = tensor._ClassOperator(shift, mass)
+    real = np.stack([op.apply(e) for e in np.eye(op.dim)], axis=1)
+    assert np.abs(real - real.T).max() <= 1e-12 * np.abs(real).max()
+    want = np.sort(np.linalg.eigvals(dense).real)[-op.dim:]
+    got = np.linalg.eigvalsh((real + real.T) / 2)
+    assert np.abs(got - want).max() <= 1e-11 * want.max()
+
+    r = rng.standard_normal((fm.ndof, 2)) + 1j * rng.standard_normal(
+        (fm.ndof, 2))
+    z = plus(r[:, :1])
+    r = np.concatenate([r, (z - x1(z)) / 2, r[:, 1:] - plus(r[:, 1:])],
+                       axis=1)
+    chol = sla.cho_factor(mat_m)
+    want = np.sqrt(np.real(np.einsum("ij,ij->j", r.conj(),
+                                     sla.cho_solve(chol, r))))
+    assert np.abs(mass.norms(r) - want).max() <= 1e-12 * want.max()
 
 
 def test_tensor_inverse_rejects_indefinite_forms():
