@@ -1,10 +1,11 @@
 """Smallest-eigenpair solver for the Hermitian pencil and the lambda_1 driver.
 
 The generalized problem ``Q psi = mu M psi`` with Hermitian positive-definite
-``Q`` and ``M`` is solved by shift-invert: ARPACK iterates the plain operator
-``(Q - sigma M)^-1 M`` in standard mode for its largest eigenvalues
-``1/(mu - sigma)``, from a deterministic seeded start vector, and a
-Rayleigh-Ritz step on the unshifted pencil makes its vectors M-orthonormal.
+``Q`` and ``M`` is solved by shift-invert: ARPACK iterates an operator
+similar to ``(Q - sigma M)^-1 M`` in standard mode for its largest
+eigenvalues ``1/(mu - sigma)``, from a deterministic seeded start vector,
+and a Rayleigh-Ritz step on the unshifted pencil makes its vectors
+M-orthonormal.
 
 Every grid solve (``lambda1_2d``, ``ground_cluster`` and
 ``jopt.euler_solve``) goes through ``_solve_pencil(fm, w, sigma, k,
@@ -32,10 +33,14 @@ M`` exists only for a shift below the lowest eigenvalue, so a shift that
 contradicts its lower bound raises ConsistencyError, never a number.
 
 The inverses of ``Q - sigma M`` and ``M`` are the exact tensor-product
-inverses of ``tensor``, and ARPACK iterates in their class +1 coordinates
-(``tensor._ClassOperator``).  ARPACK's vectors take one back transform to
-nodal coordinates.  One inverse-iteration step in residual-correction form
-(Parlett 1998) subtracts the class +1 solve of their residual, then
+inverses of ``tensor``, and ARPACK iterates in their real class +1
+coordinates (``tensor._ClassOperator``): the x1-reflection ``T = K P``
+commutes with every real-weighted pencil, so the operator there is real
+symmetric, ``L^T (Q - sigma M)^-1 L`` with ``L L^T`` the Cholesky
+factorisation of ``M``, and ARPACK runs real symmetric Lanczos.  ARPACK's
+vectors take ``L^-T`` and one back transform to nodal coordinates.  One
+inverse-iteration step in residual-correction form (Parlett 1998)
+subtracts the class +1 solve of their residual, then
 Rayleigh-Ritz runs on the pencil, both through the Kronecker operators of
 the forms (``formgrid``), one gather giving ``Q v`` and ``M v``, and the
 residual contract reads each residual's M^-1 norm in the class coordinates
@@ -194,10 +199,11 @@ def _solve_pencil(fm, w, sigma: float, k: int, tol: float, maxit: int,
     The one entry point of every grid solve.  The weights ``w`` are real
     and ``sigma`` must lie below the lowest eigenvalue; the arguments are
     checked before any work.  ARPACK iterates ``P (Q - sigma M)^-1 M`` with
-    the projector ``P = (I + R^2)/2`` of the half turn, in the modal
+    the projector ``P = (I + R^2)/2`` of the half turn, in the real modal
     coordinates of one tensor-product inverse of ``Q - sigma M`` restricted
-    to class +1 (``_ClassOperator``), for the largest ``1/(mu - sigma)`` of
-    class +1.  Its vectors go back to nodal coordinates once; one
+    to class +1, where it is similar to a real symmetric operator
+    (``_ClassOperator``), for the largest ``1/(mu - sigma)`` of class +1.
+    Its vectors go back to nodal coordinates once; one
     inverse-iteration step in residual-correction form, through the class
     +1 solve, Rayleigh-Ritz and the residual contract run on the pencil's
     Kronecker operators, one gather giving both ``Q v`` and ``M v``, the

@@ -62,6 +62,8 @@ from .symmetry import rotation_map
 
 __all__ = ["mass_inverse"]
 
+_SQRT_TWO, _SQRT_HALF = np.sqrt(2.0), np.sqrt(0.5)
+
 
 @dataclass(frozen=True)
 class _TensorBasis:
@@ -138,10 +140,12 @@ class _TensorBasis:
         g1, g2 = g.reshape(nn, 2, 2 * k, nn).transpose(1, 0, 2, 3)
         keep = self.u1[:, None, :]
         edge, image = cols[self.boundary].reshape(2, 2 * nn, k)
-        return {1: (np.where(keep, g1, g2), self._edge(1, edge - image)),
-                -1: (np.where(keep, g2, g1), self._edge(-1, edge + image))}
+        return {1: (np.where(keep, g1, g2),
+                    self._coordinates(1, edge - image)),
+                -1: (np.where(keep, g2, g1),
+                     self._coordinates(-1, edge + image))}
 
-    def _edge(self, beta, x):
+    def _coordinates(self, beta, x):
         """The real column pairs of the class ``beta`` edge coordinates
         ``U^H x / 2`` of the nodal left and bottom values minus (class +1)
         or plus their images ``x``."""
@@ -238,19 +242,22 @@ class _TensorBasis:
             return (1.0 + np.conj(factor[p]) * factor[q]) * total
 
         # the left edge reads each B along x2 at A[0, 0], the bottom edge
-        # each A along x1 at B[0, 0]; the u1 and u2 terms double them
-        edges = sp.block_diag([_tridiagonal(2.0 * sum(
-            wf * a[1, 0] * b[:, 1:n] for wf, a, b in terms)), _tridiagonal(
-            2.0 * sum(wf * b[1, 0] * a[:, 1:n] for wf, a, b in terms))],
-            format="coo")
+        # each A along x1 at B[0, 0]; the u1 and u2 terms double them.  Row
+        # i of a tridiagonal line holds its bands at columns i-1, i, i+1
+        lines = [2.0 * sum(wf * a[1, 0] * b[:, 1:n] for wf, a, b in terms),
+                 2.0 * sum(wf * b[1, 0] * a[:, 1:n] for wf, a, b in terms)]
+        band = np.arange(2 * nn).reshape(2, nn, 1)
+        rows = np.broadcast_to(band, (2, nn, 3)).reshape(2, -1)[:, 1:-1]
+        cols = (band + np.arange(-1, 2)).reshape(2, -1)[:, 1:-1]
         # left (0, n-1) meets top (1, n), the image of bottom (n-1, 0), and
         # bottom (n-1, 0) meets right (n, 1), that of left (0, n-1)
-        rows = np.concatenate([edges.row, [0, nn, nn - 1, 2 * nn - 1]])
-        cols = np.concatenate([edges.col, [nn, 0, 2 * nn - 1, nn - 1]])
+        rows = np.concatenate([rows.ravel(), [0, nn, nn - 1, 2 * nn - 1]])
+        cols = np.concatenate([cols.ravel(), [nn, 0, 2 * nn - 1, nn - 1]])
+        edges = [line.T.ravel()[1:-1] for line in lines]
         corners = [couple((0, 1), (1, 0)), couple((1, 0), (0, 1))]
         far = [couple((0, n - 1), (1, n)), couple((n - 1, 0), (n, 1))]
         return {beta: sp.coo_array(
-            (np.concatenate([edges.data, corners, np.multiply(-beta, far)]),
+            (np.concatenate(edges + [corners, np.multiply(-beta, far)]),
              (rows, cols)), shape=(2 * nn, 2 * nn)) for beta in (1, -1)}
 
     def real_block(self, beta, block):
@@ -356,14 +363,15 @@ class _TensorInverse:
     diagonal in the half-turn classes (``_TensorBasis``), and so is the
     boundary Schur complement ``S = Q_BB - C^T D^-1 C - Omega^H C^T D^-1 C
     Omega``: one (2N)-square block ``S_beta`` per class, on the left and
-    bottom edges, each taken to the class's real edge coordinates and
-    closed by a real dense Cholesky factor (the capacitance matrix of
-    Buzbee, Dorr, George & Golub 1971, split by the classes of Bossavit
-    1986).  ``C`` is separable edge by edge, and the right and top ring
-    rows are the left and bottom ones times the parity ``p``, so each class
-    block is built from edge-pair blocks, products of N-square matrices:
-    the left-left and bottom-bottom blocks are the same in both classes,
-    and one cross-edge product gives the left-bottom block of both.  The
+    bottom edges, each in the class's real edge coordinates and closed by a
+    real dense Cholesky factor (the capacitance matrix of Buzbee, Dorr,
+    George & Golub 1971, split by the classes of Bossavit 1986).  ``C`` is
+    separable edge by edge, and the right and top ring rows are the left
+    and bottom ones times the parity ``p``, so each class block is built
+    from edge-pair blocks, products of N-square matrices: the modal ring
+    coupling of each edge pair, taken to the edge coordinates by the
+    basis's edge maps.  The bottom-bottom block is the same in both
+    classes.  The
     factors exist only when ``q`` is positive definite on both classes,
     that is on the whole space, so building the inverse is also that check;
     the class blocks of ``Q_BB`` describe it only when the block between
@@ -404,6 +412,7 @@ class _TensorInverse:
         # same in both classes
         inv_delta = 1.0 / self.delta
         ring, (al, ab) = basis.ring, self.alpha
+        own = 2.0 * al**2 * (ring**2 @ inv_delta)
         gb = basis.edge_map[1][1]
         bb = _gemm(gb * (2.0 * ab**2 * (inv_delta @ ring**2)), gb.T)
         nn = basis.n - 1
@@ -412,8 +421,8 @@ class _TensorInverse:
         kernel = np.outer(2.0 * al * ring, ab * ring) * inv_delta.T
         self.chol = {}
         for beta in (1, -1):
-            (gl, gb), (wl, wb) = basis.edge_map[beta], basis.weight[beta]
-            ll = _gemm(gl * (2.0 * al**2 * (ring**2 @ inv_delta)), gl.T)
+            gl, (wl, wb) = basis.edge_map[beta][0], basis.weight[beta]
+            ll = _gemm(gl * own, gl.T)
             lb = _gemm(_gemm(gl, kernel * wl[parity].T * wb[parity]), gb.T)
             schur = basis.real_block(beta, blocks[beta])
             schur[:nn, :nn] -= ll
@@ -421,9 +430,9 @@ class _TensorInverse:
             schur[:nn, nn:] -= lb
             schur[nn:, :nn] -= lb.T
             try:
-                self.chol[beta] = sla.cho_factor(schur, lower=True,
-                                                 overwrite_a=True,
-                                                 check_finite=False)
+                self.chol[beta], _ = sla.cho_factor(schur, lower=True,
+                                                    overwrite_a=True,
+                                                    check_finite=False)
             except sla.LinAlgError as exc:
                 raise ValueError(f"{name} is not positive definite") from exc
 
@@ -462,7 +471,7 @@ class _TensorInverse:
         basis, delta = self.basis, self.delta[:, None, :]
         # the edge equation S_beta x = fb - C^T D^-1 g1 - Omega^H C^T D^-1 g2
         rhs = fb - basis.trace(self.alpha, beta, g / delta)
-        x = sla.cho_solve(self.chol[beta], rhs, check_finite=False)
+        x, _ = sla.lapack.dpotrs(self.chol[beta], rhs, lower=1)
         w = basis.lift(self.alpha, beta, x)
         np.subtract(g, w, out=w)
         w /= delta
@@ -527,9 +536,9 @@ class _ClassOperator:
         self.shift, self.mass = shift, mass
         self.nn = nn = shift.basis.n - 1
         self.dim = nn * nn + 2 * nn
-        self.factor = mass.chol[1][0]       # lower triangle: L_S / sqrt2
+        self.factor = mass.chol[1]          # lower triangle: L_S / sqrt2
 
-    def _split(self, z):
+    def _parts(self, z):
         """Class +1 vector ``(w, x)`` of the real columns ``z`` (dim, k)."""
         nn = self.nn
         return z[:nn * nn].reshape(nn, nn, -1).transpose(0, 2, 1), z[nn * nn:]
@@ -551,11 +560,8 @@ class _ClassOperator:
         """Complex nodal vectors of the real columns ``z`` (dim, k): the
         class +1 vectors ``L^-T z``, back-transformed."""
         mass = self.mass
-        w, x = self._split(z)
-        x = _SQRT_HALF * sla.solve_triangular(
-            self.factor, x, trans="T", lower=True, check_finite=False)
+        w, x = self._parts(z)
+        x, _ = sla.lapack.dtrtrs(self.factor, x, lower=1, trans=1)
+        x *= _SQRT_HALF
         w = w - mass.basis.lift(mass.alpha, 1, x)
         return self.shift.basis.back({1: (_split(w), _split(x))})
-
-
-_SQRT_TWO, _SQRT_HALF = np.sqrt(2.0), np.sqrt(0.5)
