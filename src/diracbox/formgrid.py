@@ -419,11 +419,8 @@ def _nodal(cmap: ConstraintMap, x) -> np.ndarray:
     of each column, real and imaginary parts interleaved: the dofs fill
     their slots, and an edge node's u2 is its factor times its u1."""
     x = np.asarray(x).reshape(cmap.ndof, -1)
-    k = x.shape[1]
-    u = np.zeros(((cmap.n + 1) ** 2, 2, k), dtype=complex)
-    # flat indices: numpy scatters whole rows several times slower
-    u.reshape(-1)[(cmap.slots[:, None] * k + np.arange(k)).ravel()] = (
-        x.ravel())
+    u = np.zeros(((cmap.n + 1) ** 2, 2, x.shape[1]), dtype=complex)
+    u.reshape(-1, x.shape[1])[cmap.slots] = x
     edges = cmap.edges
     u[edges, 1] = cmap.factor.ravel()[edges, None] * u[edges, 0]
     return u.reshape(cmap.n + 1, -1).view(float)
@@ -436,7 +433,7 @@ def _reduced(cmap: ConstraintMap, y: np.ndarray) -> np.ndarray:
     u = y.view(complex).reshape((cmap.n + 1) ** 2, 2, -1)
     edges = cmap.edges
     u[edges, 0] += cmap.factor.ravel()[edges, None].conj() * u[edges, 1]
-    return np.take(u.reshape(-1, u.shape[2]), cmap.slots, axis=0)
+    return u.reshape(-1, u.shape[2])[cmap.slots]
 
 
 def _tridiagonal(bands: np.ndarray) -> sp.csr_array:

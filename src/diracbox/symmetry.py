@@ -182,12 +182,8 @@ def _m_norm(fm: FormMatrices, values: np.ndarray) -> float:
 def rotation_deviation(fm: FormMatrices, psi: SpinorField):
     """Best unit factor alpha and the relative M-norm of R psi - alpha psi."""
     w = rotation_map(psi.n).apply(psi.values)
-    # one two-column product; M (w - alpha psi) stays its own product,
-    # since expanding it would cancel
-    m_psi, m_w = np.ascontiguousarray(
-        (fm.M @ np.stack([psi.values, w], axis=1)).T)
-    nrm2 = np.real(np.vdot(psi.values, m_psi))
-    alpha = complex(np.vdot(psi.values, m_w) / nrm2)
+    nrm2 = np.real(np.vdot(psi.values, fm.M @ psi.values))
+    alpha = complex(np.vdot(psi.values, fm.M @ w) / nrm2)
     if alpha != 0.0:
         alpha /= abs(alpha)
     dev = _m_norm(fm, w - alpha * psi.values) / np.sqrt(nrm2)

@@ -538,11 +538,6 @@ class _ClassOperator:
         self.dim = nn * nn + 2 * nn
         self.factor = mass.chol[1]          # lower triangle: L_S / sqrt2
 
-    def _parts(self, z):
-        """Class +1 vector ``(w, x)`` of the real columns ``z`` (dim, k)."""
-        nn = self.nn
-        return z[:nn * nn].reshape(nn, nn, -1).transpose(0, 2, 1), z[nn * nn:]
-
     def apply(self, z):
         """``L^T (Q - sigma M)^-1 L z`` for one real class +1 vector."""
         nn, mass = self.nn, self.mass
@@ -559,9 +554,9 @@ class _ClassOperator:
     def to_nodal(self, z):
         """Complex nodal vectors of the real columns ``z`` (dim, k): the
         class +1 vectors ``L^-T z``, back-transformed."""
-        mass = self.mass
-        w, x = self._parts(z)
-        x, _ = sla.lapack.dtrtrs(self.factor, x, lower=1, trans=1)
+        nn, mass = self.nn, self.mass
+        w = z[:nn * nn].reshape(nn, nn, -1).transpose(0, 2, 1)
+        x, _ = sla.lapack.dtrtrs(self.factor, z[nn * nn:], lower=1, trans=1)
         x *= _SQRT_HALF
         w = w - mass.basis.lift(mass.alpha, 1, x)
         return self.shift.basis.back({1: (_split(w), _split(x))})
