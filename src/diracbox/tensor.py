@@ -31,7 +31,8 @@ mode parities and u2 on the other, and the left and bottom edge values.
 There the interior block of ``M`` is the identity and that of
 ``Q - sigma M`` is diagonal, both meet the edges only through the ring
 coupling, and the projector onto the class is implicit, so an operator
-application costs O(N^2) and one half-size Cholesky solve.  The solver's
+application costs O(N^2), two triangular products and one half-size
+Cholesky solve.  The solver's
 inverse-iteration step solves on class +1 alone (``plus_solve``): its
 complex right-hand side goes into the real class +1 coordinates and back.
 Its residual check reads ``r^H M^-1 r`` in the real coordinates of both
