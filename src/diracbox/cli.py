@@ -118,7 +118,7 @@ def cache_root() -> str:
 # Part of every cache key, never of a record.  Change it whenever a solver
 # change alters any computed number, even in the last bits, so records
 # computed by older code miss instead of being served.
-SOLVER_VERSION = "14"
+SOLVER_VERSION = "15"
 
 
 def _cache_key(params: dict) -> str:

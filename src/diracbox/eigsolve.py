@@ -245,7 +245,7 @@ def _solve_pencil(fm, w, sigma: float, k: int, tol: float, maxit: int,
         return _products(fm, v, w, (0.0, 0.0, 1.0, 0.0, 0.0))
 
     v = _inverse_step(pencil, shift.plus_solve, op.to_nodal(z))
-    # the shifted inverse's factors go before the peak of what follows
+    # the shifted inverse's factor goes before the peak of what follows
     del shift, op
     v, iterations = (v + rot.half_turn(v)) / 2, iterations + k
     mus, v, residuals = _ritz(pencil, v, mass.norms, tol, iterations)

@@ -3,16 +3,18 @@
 The interior u1 and u2 blocks of every grid form are one separable
 Kronecker sum, inverted by fast diagonalisation in the 1D eigenbasis
 (Lynch, Rice & Thomas 1964); the interior meets the 4(n-1) edge dofs only
-through the ring of lines next to the edges, and dense Cholesky factors of
-the boundary Schur complement close the system (the capacitance matrix of
+through the ring of lines next to the edges, and a dense Cholesky factor of
+the boundary Schur complement closes the system (the capacitance matrix of
 Buzbee, Dorr, George & Golub 1971).  Every grid form commutes with the half
 turn ``R^2``, so the Schur complement is block diagonal in its two classes
 (Bossavit 1986): one 2(n-1)-square block per class on the left and bottom
-edges, whose right and top images follow from the class.  Both blocks are
-built from the left and bottom ring rows and the edge block ``Q_BB``, all
-from the grid's 1D matrices, and factored; together they certify that the
-form is positive definite on the whole space.  The class blocks read only
-the left and bottom rows of ``Q_BB``, whose reversal-symmetric 1D matrices
+edges, whose right and top images follow from the class.  Class -1 takes
+its coordinates from class +1 through the charge conjugation, which
+commutes with every form, so the two blocks are one matrix: built from the
+left and bottom ring rows and the edge block ``Q_BB``, all from the grid's
+1D matrices, and factored once, it certifies that the form is positive
+definite on the whole space.  It reads only the left and bottom rows of
+``Q_BB``, whose reversal-symmetric 1D matrices
 (``FormMatrices._symmetry_certificate``) keep the half turn.
 
 Every real-weighted grid form also commutes with the antiunitary ``T = K P``,
@@ -20,7 +22,7 @@ Every real-weighted grid form also commutes with the antiunitary ``T = K P``,
 conjugation, and ``T`` keeps both classes.  So each class has real
 coordinates, the coefficients of a unitary basis of ``T``-fixed vectors, in
 which every form is a real symmetric matrix (``_TensorBasis``), and all
-class arithmetic is real: the Schur blocks and their Cholesky factors, the
+class arithmetic is real: the Schur block and its Cholesky factor, the
 class solves and ARPACK's vector.  A complex class vector ``z`` is two real
 columns, those of ``(z + T z)/2`` and ``(z - T z)/2i``.
 
@@ -43,7 +45,7 @@ the first grid solve of that n and holding the grid's ``_TensorBasis`` (the
 eigenbasis, the ring layout and the class coordinates).  Every shifted
 inverse reads the basis as ``mass_inverse(n).basis`` and lives for one
 solve, the form of the weights with ``w_M - sigma``.  The 1D eigenbasis
-and the Schur factors exist only for a positive-definite matrix, so
+and the Schur factor exist only for a positive-definite matrix, so
 ``mass_inverse`` is also M's positive-definiteness check.
 """
 
@@ -91,15 +93,26 @@ class _TensorBasis:
     ``T`` maps the modal coefficient ``w(k, l)`` to ``p_k conj(w(k, l))``,
     the left edge value ``x_L[t]`` to ``-beta conj(x_L[N-1-t])`` and the
     bottom one ``x_B[t]`` to ``conj(x_B[N-1-t])``.  The real coordinates of
-    a class ``beta`` vector are ``(w, x)``: ``w`` (N, k, N) real with the
-    modal coefficient ``i^[k odd] w``, holding u1 on the class's u1
-    checkerboard and u2 on the other, and ``x`` (2N, k) real with the edge
-    values ``U x``.  On an edge of sign ``s`` (``-beta`` on the left, 1 on
-    the bottom) ``U`` takes the pair ``(t, N-1-t)``, ``t < N/2``, to
-    ``((x_t + i x_{N-1-t})/sqrt2, s (x_t - i x_{N-1-t})/sqrt2)`` and the
-    middle value to ``sqrt(s) x_mid``; ``unitary[beta]`` holds ``U`` as
-    ``(U x)_t = ua_t x_t + ub_t x_{N-1-t}``.  The coordinates are
-    orthonormal, so every form is real symmetric in them.  Every form
+    a class +1 vector are ``(w, x)``: ``w`` (N, k, N) real with the modal
+    coefficient ``i^[k odd] w``, holding u1 on the class's u1 checkerboard
+    and u2 on the other, and ``x`` (2N, k) real with the edge values
+    ``U_+ x``.  On an edge of sign ``s`` (-1 on the left, 1 on the bottom)
+    ``U_+`` takes the pair ``(t, N-1-t)``, ``t < N/2``, to ``((x_t + i
+    x_{N-1-t})/sqrt2, s (x_t - i x_{N-1-t})/sqrt2)`` and the middle value
+    to ``sqrt(s) x_mid``.  The coordinates are orthonormal and ``T``-fixed,
+    so every form is real symmetric in them.
+
+    Class -1 takes its coordinates from class +1 through the charge
+    conjugation ``C(u1, u2) = (conj u2, conj u1)``: ``C`` maps the class +1
+    vector of real coordinates ``(w, x)`` to the class -1 vector of the same
+    coordinates, whose modal coefficient is ``(-i)^[k odd] w`` on the
+    swapped checkerboards and whose edge values are ``U_- x``, ``U_- =
+    diag(-i, 1) J U_+`` on the (left, bottom) edges.  ``C`` is antiunitary
+    and commutes with every form, whose class +1 matrix is real, so the
+    class -1 matrix is the same one: ``trace``, ``lift`` and ``real_block``
+    serve both classes, and only ``forward`` and ``back`` tell them apart,
+    by the sign ``p_k`` on interior row k and by ``unitary[beta]``, which
+    holds ``U_beta`` as ``(U x)_t = ua_t x_t + ub_t x_{N-1-t}``.  Every form
     commutes with ``R^2``, so it acts on each class alone; ``trace`` and
     ``lift`` are its ring coupling in these coordinates, where the right
     and top edges double the left and bottom ones.
@@ -108,7 +121,7 @@ class _TensorBasis:
     n: int
     vecs: np.ndarray        # (N, N) V
     lam: np.ndarray         # (N,)
-    vinv: np.ndarray        # (N, N) V^-1 = V^T M_D
+    parity: np.ndarray      # (N,) p
     ring: np.ndarray        # (N,) row of V at the ring lines of the left
     #                         and bottom edges
     interior: np.ndarray    # (N, 2, N) reduced index of u1, u2 at node (i, j)
@@ -118,11 +131,11 @@ class _TensorBasis:
     u1: np.ndarray          # (N, N) bool, where class +1 keeps u1 and
     #                         class -1 keeps u2
     parts: np.ndarray       # (2, N) ring row on the even, odd modes
-    weight: dict            # beta -> (2, 2, N) real trace weight per edge
-    #                         (left, bottom), parity of the summed mode, mode
-    edge_map: dict          # beta -> (2, N, N) real map per edge from the
-    #                         trace's modal line to the edge coordinates
-    unitary: dict           # beta -> (2, 2N) complex (ua, ub) of U
+    weight: np.ndarray      # (2, 2, N) real trace weight per edge (left,
+    #                         bottom), parity of the summed mode, mode
+    edge_map: np.ndarray    # (2, N, N) real map per edge from the trace's
+    #                         modal line to the edge coordinates
+    unitary: dict           # beta -> (2, 2N) complex (ua, ub) of U_beta
     lines: np.ndarray       # (3, 3, n+1) the grid's 1D matrices, band form
 
     def forward(self, cols):
@@ -136,14 +149,15 @@ class _TensorBasis:
         g = np.stack([g.real, g.imag], axis=3).reshape(nn, -1)
         g = _gemm(_gemm(self.vecs.T, g).reshape(-1, nn), self.vecs)
         g = g.reshape(nn, 2, k, 2, nn)
-        # odd modes: the coordinate is -i times the coefficient
+        # odd modes: the coordinate is -i times the coefficient in class
+        # +1, and i times it in class -1
         g[1::2] = g[1::2, :, :, ::-1] * np.array([[1.0], [-1.0]])
         g1, g2 = g.reshape(nn, 2, 2 * k, nn).transpose(1, 0, 2, 3)
         keep = self.u1[:, None, :]
         edge, image = cols[self.boundary].reshape(2, 2 * nn, k)
         return {1: (np.where(keep, g1, g2),
                     self._coordinates(1, edge - image)),
-                -1: (np.where(keep, g2, g1),
+                -1: (np.where(keep, g2, g1) * self.parity[:, None, None],
                      self._coordinates(-1, edge + image))}
 
     def _coordinates(self, beta, x):
@@ -163,6 +177,7 @@ class _TensorBasis:
         nn = self.n - 1
         (w_p, _), (w_m, _) = (parts.get(beta, (0.0, 0.0))
                               for beta in (1, -1))
+        w_m = w_m * self.parity[:, None, None]
         keep = self.u1[:, None, :]
         z = np.stack([np.where(keep, w_p, w_m), np.where(keep, w_m, w_p)],
                      axis=1)
@@ -188,48 +203,48 @@ class _TensorBasis:
         x = x[:, 0::2] + 1j * x[:, 1::2]
         return ua * x + ub * x.reshape(2, nn, -1)[:, ::-1].reshape(2 * nn, -1)
 
-    def trace(self, alpha, beta, w):
+    def trace(self, alpha, w):
         """``C^T W1 + Omega^H C^T W2`` (2N, k) on the left and bottom edges
-        of a class ``beta`` interior ``w``, where ``C`` is the ring coupling
-        of a form with coefficients ``alpha`` (see ``_TensorInverse``)."""
+        of a class interior ``w``, where ``C`` is the ring coupling of a
+        form with coefficients ``alpha`` (see ``_TensorInverse``)."""
         nn, k = self.n - 1, w.shape[1]
         left = _gemm(self.parts, w.reshape(nn, -1)).reshape(2, k, nn)
         bottom = _gemm(w.reshape(-1, nn), self.parts.T).reshape(nn, k, 2)
-        weight_l, weight_b = self.weight[beta]
+        weight_l, weight_b = self.weight
         lines = alpha[:, None, :] * np.stack([
             (weight_l[:, None] * left).sum(0),
             (weight_b.T[:, None] * bottom).sum(-1).T])      # (edge, k, mode)
         return np.concatenate([_gemm(emap, line.T)
-                               for emap, line in zip(self.edge_map[beta],
-                                                     lines)])
+                               for emap, line in zip(self.edge_map, lines)])
 
-    def lift(self, alpha, beta, x):
-        """The class ``beta`` interior of ``C x`` (u1) and ``C Omega x``
-        (u2) for the left and bottom values ``x`` and their images: twice
-        the transpose of ``trace``."""
+    def lift(self, alpha, x):
+        """The class interior of ``C x`` (u1) and ``C Omega x`` (u2) for
+        the left and bottom values ``x`` and their images: twice the
+        transpose of ``trace``."""
         nn = self.n - 1
         a = np.stack([_gemm(line.T, emap) for emap, line in
-                      zip(self.edge_map[beta], x.reshape(2, nn, -1))])
+                      zip(self.edge_map, x.reshape(2, nn, -1))])
         a *= 2.0 * alpha[:, None, :]                        # (edge, k, mode)
-        weight_l, weight_b = self.weight[beta]
+        weight_l, weight_b = self.weight
         left = weight_l[:, None, :] * a[0]                  # (parity, k, l)
         bottom = a[1].T[:, :, None] * weight_b.T[:, None, :]
         return (_gemm(self.parts.T, left.reshape(2, -1))
                 + _gemm(bottom.reshape(-1, 2), self.parts).reshape(nn, -1)
                 ).reshape(nn, -1, nn)
 
-    def blocks(self, w):
-        """The class blocks ``{beta: Q_beta}`` (sparse, 2N-square, complex)
-        of the edge block ``Q_BB`` of the form with weights ``w``: its left
-        and bottom rows on the class's nodal edge values, from the 1D
-        matrices.
+    def real_block(self, w):
+        """The class block of the edge block ``Q_BB`` of the form with
+        weights ``w`` in the real edge coordinates, dense and
+        Fortran-ordered (so that LAPACK factors it in place): ``U_+^H
+        Q_+ U_+``, ``Q_+`` the left and bottom rows of ``Q_BB`` on the class
+        +1 nodal edge values, built from the 1D matrices.
 
         Two edge dofs at nodes ``p`` and ``q`` couple through their u1 and
         u2 terms, ``(1 + conj(omega_p) omega_q) sum_f w_f A_f[p1, q1]
         B_f[p2, q2]``: along an edge that is twice the form's line matrix,
         and the dofs next to a corner couple across it.  On the left and
-        bottom rows, a right or top dof enters as ``-beta`` times the left
-        or bottom dof it is the half-turn image of.
+        bottom rows, a right or top dof enters as minus the left or bottom
+        dof it is the half-turn image of.
         """
         n, nn = self.n, self.n - 1
         factor = constraint_map(n).factor
@@ -252,23 +267,14 @@ class _TensorBasis:
         cols = (band + np.arange(-1, 2)).reshape(2, -1)[:, 1:-1]
         # left (0, n-1) meets top (1, n), the image of bottom (n-1, 0), and
         # bottom (n-1, 0) meets right (n, 1), that of left (0, n-1)
-        rows = np.concatenate([rows.ravel(), [0, nn, nn - 1, 2 * nn - 1]])
-        cols = np.concatenate([cols.ravel(), [nn, 0, 2 * nn - 1, nn - 1]])
+        r = np.concatenate([rows.ravel(), [0, nn, nn - 1, 2 * nn - 1]])
+        c = np.concatenate([cols.ravel(), [nn, 0, 2 * nn - 1, nn - 1]])
         edges = [line.T.ravel()[1:-1] for line in lines]
         corners = [couple((0, 1), (1, 0)), couple((1, 0), (0, 1))]
         far = [couple((0, n - 1), (1, n)), couple((n - 1, 0), (n, 1))]
-        return {beta: sp.coo_array(
-            (np.concatenate(edges + [corners, np.multiply(-beta, far)]),
-             (rows, cols)), shape=(2 * nn, 2 * nn)) for beta in (1, -1)}
-
-    def real_block(self, beta, block):
-        """``U^H block U``, real, dense and Fortran-ordered (so that LAPACK
-        factors it in place), of a sparse class ``beta`` block on the nodal
-        edge values that commutes with ``T``."""
-        nn = self.n - 1
-        ua, ub = self.unitary[beta]
+        v = np.concatenate(edges + [corners, np.negative(far)])
+        ua, ub = self.unitary[1]
         rev = np.arange(2 * nn).reshape(2, nn)[:, ::-1].ravel()
-        (r, c), v = block.coords, block.data
         # (U x)_t = ua_t x_t + ub_t x_rev(t): each entry meets four
         left = [(r, ua[r].conj() * v), (rev[r], ub[r].conj() * v)]
         right = [(c, ua[c]), (rev[c], ub[c])]
@@ -316,41 +322,39 @@ def _tensor_basis(fm) -> _TensorBasis:
     if not (np.array_equal(rot.half_perm[rows], cols) and np.array_equal(
             rot.half_phase[rows], np.concatenate([sign, -np.ones(4 * nn)]))):
         raise ConsistencyError("the half turn is not the modal reflection")
-    vinv = vecs.T @ m_d
     # the pair (t, N-1-t) of an edge of sign s, and its middle value
     low, mid = np.arange(nn) < nn // 2, np.arange(nn) == nn // 2
-    weight, edge_map, unitary = {}, {}, {}
-    for beta in (1, -1):
-        signs = np.array([[-beta], [1.0]])                  # left, bottom
-        ua = np.where(low, 1.0, np.where(mid, np.sqrt(signs + 0j),
-                                         -1j * signs)) / np.where(mid, 1.0,
-                                                                  np.sqrt(2))
-        ub = np.where(low, 1j, np.where(mid, 0.0, signs)) / np.sqrt(2)
-        unitary[beta] = np.stack([ua.ravel(), ub.ravel()])
-        # u1 of the summed mode of parity q is kept beside the free mode of
-        # parity p when q p = -beta; u2 enters the trace with conj(omega).
-        # A T-fixed trace line is sqrt(s p) times a real one: the left edge
-        # sums the x1 modes k, whose coefficients carry i^[k odd], and the
-        # bottom edge has i^[k odd] = sqrt(p_k) on its free mode
-        same = np.array([[1.0], [-1.0]]) * parity
-        root = np.sqrt(signs * parity + 0j)                 # (edge, mode)
-        phase = np.stack([
-            np.where(same == -beta, 1.0, np.conj(OMEGA[edge]))
-            for edge in (LEFT, BOTTOM)])
-        phase[0] *= np.array([[1.0], [1j]]) / root[0]
-        if np.any(phase.imag):
-            raise ConsistencyError("the trace weights are not real under T")
-        weight[beta] = phase.real
-        # U^H V^-T diag(sqrt(s p)) per edge, real up to V's rounding
-        emap = vinv.T[None] * root[:, None, :]
-        emap = (ua.conj()[:, :, None] * emap
-                + (ub.conj()[:, :, None] * emap)[:, ::-1])
-        edge_map[beta] = np.ascontiguousarray(emap.real)
+    signs = np.array([[-1.0], [1.0]])                       # left, bottom
+    ua = np.where(low, 1.0, np.where(mid, np.sqrt(signs + 0j),
+                                     -1j * signs)) / np.where(mid, 1.0,
+                                                              np.sqrt(2))
+    ub = np.where(low, 1j, np.where(mid, 0.0, signs)) / np.sqrt(2)
+    plus = np.stack([ua, ub])
+    minus = np.array([[-1j], [1.0]]) * plus[::-1, :, ::-1]  # diag(-i, 1) J U_+
+    unitary = {1: plus.reshape(2, -1), -1: minus.reshape(2, -1)}
+    # u1 of the summed mode of parity q is kept beside the free mode of
+    # parity p when q p = -1; u2 enters the trace with conj(omega).  A
+    # T-fixed trace line is sqrt(s p) times a real one: the left edge sums
+    # the x1 modes k, whose coefficients carry i^[k odd], and the bottom
+    # edge has i^[k odd] = sqrt(p_k) on its free mode
+    same = np.array([[1.0], [-1.0]]) * parity
+    root = np.sqrt(signs * parity + 0j)                     # (edge, mode)
+    weight = np.stack([np.where(same == -1.0, 1.0, np.conj(OMEGA[edge]))
+                       for edge in (LEFT, BOTTOM)])
+    weight[0] *= np.array([[1.0], [1j]]) / root[0]
+    if np.any(weight.imag):
+        raise ConsistencyError("the trace weights are not real under T")
+    # U_+^H V^-T diag(sqrt(s p)) per edge, real up to V's rounding
+    vinv = vecs.T @ m_d
+    emap = vinv.T[None] * root[:, None, :]
+    emap = (ua.conj()[:, :, None] * emap
+            + (ub.conj()[:, :, None] * emap)[:, ::-1])
     return _TensorBasis(
-        n=n, vecs=vecs, lam=lam, vinv=vinv, ring=vecs[0],
+        n=n, vecs=vecs, lam=lam, parity=parity, ring=vecs[0],
         interior=interior, boundary=boundary, u1=np.outer(parity, parity) < 0,
         parts=np.stack([vecs[0] * (parity > 0), vecs[0] * (parity < 0)]),
-        weight=weight, edge_map=edge_map, unitary=unitary, lines=fm.lines,
+        weight=weight.real, edge_map=np.ascontiguousarray(emap.real),
+        unitary=unitary, lines=fm.lines,
     )
 
 
@@ -363,37 +367,38 @@ class _TensorInverse:
     interior.  The form commutes with the half turn, so it is block
     diagonal in the half-turn classes (``_TensorBasis``), and so is the
     boundary Schur complement ``S = Q_BB - C^T D^-1 C - Omega^H C^T D^-1 C
-    Omega``: one (2N)-square block ``S_beta`` per class, on the left and
-    bottom edges, each in the class's real edge coordinates and closed by a
-    real dense Cholesky factor (the capacitance matrix of Buzbee, Dorr,
-    George & Golub 1971, split by the classes of Bossavit 1986).  ``C`` is
-    separable edge by edge, and the right and top ring rows are the left
-    and bottom ones times the parity ``p``, so each class block is built
-    from edge-pair blocks, products of N-square matrices: the modal ring
-    coupling of each edge pair, taken to the edge coordinates by the
-    basis's edge maps.  The bottom-bottom block is the same in both
-    classes.  The
-    factors exist only when ``q`` is positive definite on both classes,
-    that is on the whole space, so building the inverse is also that check;
-    the class blocks of ``Q_BB`` describe it only when the block between
-    the classes vanishes, which the grid's reversal-symmetric 1D matrices
-    guarantee (``FormMatrices._symmetry_certificate``).  A shifted form
-    ``Q - sigma M`` is the form with weight ``w_M - sigma``.
+    Omega``: one (2N)-square block per class, on the left and bottom
+    edges, in the class's real edge coordinates (the capacitance matrix of
+    Buzbee, Dorr, George & Golub 1971, split by the classes of Bossavit
+    1986).  The two blocks are one matrix, as the class coordinates are
+    related by the charge conjugation, which commutes with the form; it is
+    built once and closed by one real dense Cholesky factor ``chol``.
+    ``C`` is separable edge by edge, and the right and top ring rows are
+    the left and bottom ones times the parity ``p``, so the block is built
+    from products of N-square matrices: the modal ring coupling of each
+    edge pair, taken to the edge coordinates by the basis's edge maps.  The
+    factor exists only when ``q`` is positive definite on both classes, of
+    which it factors the block, so on the whole space, and building the
+    inverse is also that check; the block of ``Q_BB`` describes the class
+    only when the block between the classes vanishes, which the grid's
+    reversal-symmetric 1D matrices guarantee
+    (``FormMatrices._symmetry_certificate``).  A shifted form ``Q - sigma
+    M`` is the form with weight ``w_M - sigma``.
 
     One implementation serves every use: ``class_solve`` is the inverse on
-    one class in its real coordinates (the Schur steps, O(N^2) per column,
-    and one half-size Cholesky solve).  The basis's forward and back
-    transforms take nodal vectors to class coordinates and back, two O(N^3)
-    products each.  ARPACK's class operator (``_ClassOperator``) iterates
-    on the class solves and the ring coupling alone; the solver's
+    either class in its real coordinates (the Schur steps, O(N^2) per
+    column, and one half-size Cholesky solve).  The basis's forward and
+    back transforms take nodal vectors to class coordinates and back, two
+    O(N^3) products each.  ARPACK's class operator (``_ClassOperator``)
+    iterates on the class solves and the ring coupling alone; the solver's
     inverse-iteration step uses ``plus_solve``, the class +1 solve between
-    a forward and a back transform, and its residual check ``norms``, both
-    class solves after one forward transform.
+    a forward and a back transform, and its residual check ``norms``, the
+    class solves of both class parts after one forward transform.
     """
 
     def __init__(self, basis: _TensorBasis, w, name: str = "Q"):
         w1, w2, w3 = (float(x) for x in w[:3])
-        lam, vinv = basis.lam, basis.vinv
+        lam = basis.lam
         self.basis = basis
         self.delta = w1 * lam[:, None] + w2 * lam[None, :] + w3
         if not self.delta.min() > 0.0:
@@ -404,45 +409,38 @@ class _TensorInverse:
         kc, mc = basis.lines[:2, 0, 1]    # 1D stiffness, mass ring-to-edge
         self.alpha = np.array([w1 * kc + w3 * mc + w2 * mc * lam,
                                w2 * kc + w3 * mc + w1 * mc * lam])
-        blocks = basis.blocks(w)
 
-        # 2 C^T D^-1 C in the real edge coordinates of each class: the
-        # modal ring coupling of an edge, 2 alpha^2 (ring^2 @ D^-1) on its
-        # own modes and the kernel between the left and bottom modes, taken
-        # to the coordinates by the edge maps; the bottom edge's are the
-        # same in both classes
+        # 2 C^T D^-1 C in the real edge coordinates: the modal ring coupling
+        # of an edge, 2 alpha^2 (ring^2 @ D^-1) on its own modes and the
+        # kernel between the left and bottom modes, taken to the coordinates
+        # by the edge maps
         inv_delta = 1.0 / self.delta
         ring, (al, ab) = basis.ring, self.alpha
-        own = 2.0 * al**2 * (ring**2 @ inv_delta)
-        gb = basis.edge_map[1][1]
+        (gl, gb), (wl, wb) = basis.edge_map, basis.weight
         bb = _gemm(gb * (2.0 * ab**2 * (inv_delta @ ring**2)), gb.T)
+        ll = _gemm(gl * (2.0 * al**2 * (ring**2 @ inv_delta)), gl.T)
         nn = basis.n - 1
         parity = np.arange(nn) % 2
         # left mode l meets bottom mode k through the interior mode (k, l)
         kernel = np.outer(2.0 * al * ring, ab * ring) * inv_delta.T
-        self.chol = {}
-        for beta in (1, -1):
-            gl, (wl, wb) = basis.edge_map[beta][0], basis.weight[beta]
-            ll = _gemm(gl * own, gl.T)
-            lb = _gemm(_gemm(gl, kernel * wl[parity].T * wb[parity]), gb.T)
-            schur = basis.real_block(beta, blocks[beta])
-            schur[:nn, :nn] -= ll
-            schur[nn:, nn:] -= bb
-            schur[:nn, nn:] -= lb
-            schur[nn:, :nn] -= lb.T
-            try:
-                self.chol[beta], _ = sla.cho_factor(schur, lower=True,
-                                                    overwrite_a=True,
-                                                    check_finite=False)
-            except sla.LinAlgError as exc:
-                raise ValueError(f"{name} is not positive definite") from exc
+        lb = _gemm(_gemm(gl, kernel * wl[parity].T * wb[parity]), gb.T)
+        schur = basis.real_block(w)
+        schur[:nn, :nn] -= ll
+        schur[nn:, nn:] -= bb
+        schur[:nn, nn:] -= lb
+        schur[nn:, :nn] -= lb.T
+        try:
+            self.chol, _ = sla.cho_factor(schur, lower=True, overwrite_a=True,
+                                          check_finite=False)
+        except sla.LinAlgError as exc:
+            raise ValueError(f"{name} is not positive definite") from exc
 
     def plus_solve(self, cols):
         """``P q^-1 cols`` for nodal columns ``cols`` (dim, k), ``P`` the
         projector onto class +1: the forward transform, the class +1 solve
         and the back transform."""
         parts = self.basis.forward(cols)
-        return self.basis.back({1: self.class_solve(1, *parts[1])})
+        return self.basis.back({1: self.class_solve(*parts[1])})
 
     def norms(self, cols):
         """The ``q^-1`` norm ``sqrt(cols^H q^-1 cols)`` of each nodal
@@ -457,23 +455,23 @@ class _TensorInverse:
         real coordinates, so the pair has no cross term.
         """
         total = 0.0
-        for beta, (g, f) in self.basis.forward(cols).items():
-            w, x = self.class_solve(beta, g, f)
+        for g, f in self.basis.forward(cols).values():
+            w, x = self.class_solve(g, f)
             total = total + (np.einsum("iaj,iaj->a", g, w)
                              + 2.0 * np.einsum("ij,ij->j", f, x))
         return np.sqrt(np.abs(total.reshape(-1, 2).sum(1)))
 
-    def class_solve(self, beta, g, fb):
-        """``q^-1`` on class ``beta`` in its real coordinates: the class
+    def class_solve(self, g, fb):
+        """``q^-1`` on either class in its real coordinates: the class
         vector of the solution from the right-hand side ``(g, fb)``.
 
         Every step costs O(N^2) per column, plus the Cholesky solve.
         """
         basis, delta = self.basis, self.delta[:, None, :]
-        # the edge equation S_beta x = fb - C^T D^-1 g1 - Omega^H C^T D^-1 g2
-        rhs = fb - basis.trace(self.alpha, beta, g / delta)
-        x, _ = sla.lapack.dpotrs(self.chol[beta], rhs, lower=1)
-        w = basis.lift(self.alpha, beta, x)
+        # the edge equation S x = fb - C^T D^-1 g1 - Omega^H C^T D^-1 g2
+        rhs = fb - basis.trace(self.alpha, g / delta)
+        x, _ = sla.lapack.dpotrs(self.chol, rhs, lower=1)
+        w = basis.lift(self.alpha, x)
         np.subtract(g, w, out=w)
         w /= delta
         return w, x
@@ -502,7 +500,7 @@ def mass_inverse(n: int) -> _TensorInverse:
     """Tensor-product inverse of the n-grid mass matrix, and the owner of
     the grid's basis (built once per n).
 
-    Its 1D eigenbasis and Schur factors are M's positive-definiteness
+    Its 1D eigenbasis and Schur factor are M's positive-definiteness
     check.  Built on the first grid solve of that n, never during assembly,
     and shared by every later solve on the grid; its ``basis`` is the one
     every shifted inverse of the grid reads.
@@ -537,18 +535,18 @@ class _ClassOperator:
         self.shift, self.mass = shift, mass
         self.nn = nn = shift.basis.n - 1
         self.dim = nn * nn + 2 * nn
-        self.factor = mass.chol[1]          # lower triangle: L_S / sqrt2
+        self.factor = mass.chol             # lower triangle: L_S / sqrt2
 
     def apply(self, z):
         """``L^T (Q - sigma M)^-1 L z`` for one real class +1 vector."""
         nn, mass = self.nn, self.mass
         w = z[:nn * nn].reshape(nn, 1, nn)
         # L z, its edge rows halved as class_solve reads them
-        x = (mass.basis.trace(mass.alpha, 1, w)[:, 0] + _SQRT_HALF
+        x = (mass.basis.trace(mass.alpha, w)[:, 0] + _SQRT_HALF
              * sla.blas.dtrmv(self.factor, z[nn * nn:], lower=1))
-        w, x = self.shift.class_solve(1, w, x[:, None])
+        w, x = self.shift.class_solve(w, x[:, None])
         x = x[:, 0]
-        w += mass.basis.lift(mass.alpha, 1, x[:, None])
+        w += mass.basis.lift(mass.alpha, x[:, None])
         return np.concatenate([w.ravel(), _SQRT_TWO * sla.blas.dtrmv(
             self.factor, x, lower=1, trans=1)])
 
@@ -559,5 +557,5 @@ class _ClassOperator:
         w = z[:nn * nn].reshape(nn, nn, -1).transpose(0, 2, 1)
         x, _ = sla.lapack.dtrtrs(self.factor, z[nn * nn:], lower=1, trans=1)
         x *= _SQRT_HALF
-        w = w - mass.basis.lift(mass.alpha, 1, x)
+        w = w - mass.basis.lift(mass.alpha, x)
         return self.shift.basis.back({1: (_split(w), _split(x))})

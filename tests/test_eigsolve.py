@@ -274,15 +274,17 @@ def _weight_shapes(a, b, m):
 
 
 def _nodal_solve(inv, cols):
-    """The inverse ``inv`` on nodal columns: the forward transform, both
-    class solves and the back transform."""
+    """The inverse ``inv`` on nodal columns: the forward transform, the
+    class solves of both class parts and the back transform."""
     basis = inv.basis
-    return basis.back({beta: inv.class_solve(beta, *rhs)
+    return basis.back({beta: inv.class_solve(*rhs)
                        for beta, rhs in basis.forward(cols).items()})
 
 
 @pytest.mark.parametrize("n", [4, 6, 12, 30])
 def test_tensor_inverse_is_exact(reference_forms, n):
+    # Both class solves run on the one factor of the class +1 block, so
+    # this is also the check that it solves class -1.
     fm = reference_forms(n)
     basis = tensor.mass_inverse(n).basis
     rng = np.random.default_rng(n)
@@ -437,18 +439,64 @@ def test_tensor_inverse_rejects_indefinite_forms():
             tensor._TensorInverse(basis, w)
 
 
+def _real_edge_block(unitary, block):
+    """``U^H block U`` of a dense class block on the nodal left and bottom
+    values, ``U`` the edge unitary ``(ua, ub)`` of the class: ``(U x)_t =
+    ua_t x_t + ub_t x_{N-1-t}`` on each edge."""
+    size = block.shape[0]
+    rev = np.arange(size).reshape(2, -1)[:, ::-1].ravel()
+    u = np.diag(unitary[0])
+    u[np.arange(size), rev] += unitary[1]
+    return u.conj().T @ block @ u
+
+
 @pytest.mark.parametrize("n", [4, 12, 30])
 def test_class_blocks_match_the_reference_assembly(reference_forms, n):
-    # The half-turn class blocks of Q_BB built from 1D entries, against the
-    # blocks sliced from the reference assembly's edge block, for weights
-    # that leave no form out.
+    # The charge conjugation carries the class +1 vector of real
+    # coordinates onto the class -1 vector of the same coordinates, so the
+    # half-turn class blocks of Q_BB sliced from the reference assembly's
+    # edge block, each taken to its class's real edge coordinates, are both
+    # the one block built from 1D entries.  The weights leave no form out,
+    # and one is a shifted pencil's.  A class -1 gauge whose left edge is
+    # not reversed gives another matrix.
     ref = reference_forms(n)
     basis = tensor.mass_inverse(n).basis
-    for w in ((0.3, 1.7, 0.5, 0.9, 1.1), (1.0, 1.0, -40.0, 2.0, 3.0)):
-        got, want = basis.blocks(w), ref.class_blocks(basis, w)
+    nn = n - 1
+    rng = np.random.default_rng(n)
+    coords = (tensor._split(rng.standard_normal((nn, 2, nn))),
+              tensor._split(rng.standard_normal((2 * nn, 2))))
+    plus, minus = (basis.back({beta: coords}) for beta in (1, -1))
+    assert np.abs(symmetry.rotation_map(n).conjugate(plus) - minus).max() <= (
+        1e-14 * np.abs(minus).max())
+    a, b, m = 1.4, 1.0 / 1.4, 0.7
+    shifted = (a**-2, b**-2, -bounds.sharp_lower(a, b, m), m / a, m / b)
+    for w in ((0.3, 1.7, 0.5, 0.9, 1.1), (1.0, 1.0, -40.0, 2.0, 3.0),
+              shifted):
+        got, want = basis.real_block(w), ref.class_blocks(basis, w)
         for beta in (1, -1):
-            assert np.abs(got[beta] - want[beta]).max() <= 1e-14 * np.abs(
-                want[beta]).max()
+            real = _real_edge_block(basis.unitary[beta], want[beta])
+            scale = np.abs(real).max()
+            assert np.abs(real.imag).max() <= 1e-14 * scale
+            assert np.abs(got - real.real).max() <= 1e-14 * scale
+        ua, ub = basis.unitary[-1].copy()
+        ua[:nn], ub[:nn] = ub[:nn], ua[:nn].copy()      # U_- unreversed
+        wrong = _real_edge_block((ua, ub), want[-1])
+        assert np.abs(got - wrong).max() > 1e-3 * np.abs(wrong).max()
+
+
+def test_tensor_inverse_factors_one_block(monkeypatch):
+    # class -1's Schur block is class +1's in the class coordinates, so a
+    # build factors one 2N-square block
+    basis = tensor.mass_inverse(12).basis
+    shapes, factor = [], tensor.sla.cho_factor
+
+    def counted(a, *args, **kwargs):
+        shapes.append(a.shape)
+        return factor(a, *args, **kwargs)
+
+    monkeypatch.setattr(tensor.sla, "cho_factor", counted)
+    tensor._TensorInverse(basis, (1.0, 1.0, 0.5, 0.3, 0.3))
+    assert shapes == [(22, 22)]
 
 
 def test_grid_solve_meets_contract_at_n256():

@@ -3,7 +3,8 @@
 Each module of ``src/diracbox`` imports what it needs at its top, and the
 top-level ``from .x import`` (or ``from . import x``) edges between the
 modules form no cycle, so no module has to import inside a function to get
-round one.
+round one.  No function assigns a local that it never reads (names
+starting with ``_`` excepted): such a local is dead code.
 """
 
 import ast
@@ -35,6 +36,37 @@ def _nested_imports(tree):
     return found
 
 
+def _unread_locals(tree):
+    """(function, line, name) of every local a function assigns and
+    nothing in the function reads, nested functions included; names
+    starting with ``_`` are exempt."""
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+    def own(fn):
+        """The nodes of ``fn``'s own scope, without nested scopes."""
+        stack = list(ast.iter_child_nodes(fn))
+        while stack:
+            node = stack.pop()
+            yield node
+            if not isinstance(node, functions + (ast.Lambda, ast.ClassDef)):
+                stack.extend(ast.iter_child_nodes(node))
+
+    found = []
+    for fn in ast.walk(tree):
+        if not isinstance(fn, functions):
+            continue
+        read = {node.id for node in ast.walk(fn) if isinstance(node, ast.Name)
+                and not isinstance(node.ctx, ast.Store)}
+        for node in own(fn):
+            if isinstance(node, (ast.Global, ast.Nonlocal)):
+                read.update(node.names)
+        found += [(fn.name, node.lineno, node.id) for node in own(fn)
+                  if isinstance(node, ast.Name)
+                  and isinstance(node.ctx, ast.Store)
+                  and not node.id.startswith("_") and node.id not in read]
+    return found
+
+
 def _edges(tree, names):
     """The package modules a module's top-level relative imports name."""
     out = set()
@@ -51,6 +83,12 @@ def test_no_import_inside_a_function_or_class():
     nested = {name: found for name, tree in _modules().items()
               if (found := _nested_imports(tree))}
     assert not nested, nested
+
+
+def test_no_local_is_assigned_and_never_read():
+    unread = {name: found for name, tree in _modules().items()
+              if (found := _unread_locals(tree))}
+    assert not unread, unread
 
 
 def test_module_graph_is_acyclic():

@@ -110,8 +110,9 @@ def test_sparse_path_matches_dense_full_pencil(reference_forms, n,
     for (mu, psi), (mu_ref, v) in zip(cluster, merged):
         assert mu == mu_ref and np.array_equal(psi.values, v)
 
-    # the shifted inverse's class factors certify Q - sigma M > 0: they
-    # exist just below the lowest eigenvalue and not just above it
+    # the shifted inverse's factor of the Schur block of both classes
+    # certifies Q - sigma M > 0: it exists just below the lowest eigenvalue
+    # and not just above it
     basis = tensor.mass_inverse(n).basis
 
     def shifted(s):
