@@ -40,6 +40,7 @@ from .eigsolve import ground_cluster, lambda1_2d, refine_study
 from .errors import ClusterResolutionError, ConsistencyError, SolverError
 from .formgrid import (
     FormMatrices,
+    _check_weights,
     assemble,
     build_grid,
     norm_parts,
@@ -118,7 +119,7 @@ def cache_root() -> str:
 # Part of every cache key, never of a record.  Change it whenever a solver
 # change alters any computed number, even in the last bits, so records
 # computed by older code miss instead of being served.
-SOLVER_VERSION = "15"
+SOLVER_VERSION = "16"
 
 
 def _cache_key(params: dict) -> str:
@@ -197,6 +198,9 @@ def _servable(hit, params: dict) -> bool:
 
 def solve_record(a: float, b: float, m: float, n: int, tol: float,
                  seed: int, use_cache: bool = True) -> dict:
+    # before the cache key, whose serialisation rejects a non-finite value
+    # with a message that names no argument
+    _check_weights(a, b, m)
     params = {"a": a, "b": b, "m": m, "n": n, "tol": tol, "seed": seed}
     if use_cache:
         hit = cache_get(params)

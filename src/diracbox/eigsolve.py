@@ -37,7 +37,10 @@ inverses of ``tensor``, and ARPACK iterates in their real class +1
 coordinates (``tensor._ClassOperator``): the x1-reflection ``T = K P``
 commutes with every real-weighted pencil, so the operator there is real
 symmetric, ``L^T (Q - sigma M)^-1 L`` with ``L L^T`` the Cholesky
-factorisation of ``M``, and ARPACK runs real symmetric Lanczos.  ARPACK's
+factorisation of ``M``, and ARPACK runs real symmetric Lanczos on it times
+the power of two nearest ``max(sigma, 1)``: ARPACK's stop is absolute below
+Ritz values of ``eps^(2/3)``, which the ``1/(mu - sigma)`` of a small
+rectangle are, and the exact scale keeps it relative.  ARPACK's
 vectors take ``L^-T`` and one back transform to nodal coordinates.  One
 inverse-iteration step in residual-correction form (Parlett 1998)
 subtracts the class +1 solve of their residual, then
@@ -66,6 +69,7 @@ clusters around ``m^2`` and shift-invert iteration stalls.
 from __future__ import annotations
 
 import contextlib
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -237,9 +241,13 @@ def _solve_pencil(fm, w, sigma: float, k: int, tol: float, maxit: int,
         raise ConsistencyError(
             f"shift sigma={sigma!r} is not below the lowest eigenvalue "
             f"({exc}); it must be a lower bound") from exc
-    op = _ClassOperator(shift, mass)
+    # ARPACK stops at tol * max(eps^(2/3), |ritz|), absolute for the tiny
+    # 1/(mu - sigma) of a small rectangle; a power of two near sigma keeps
+    # the stop relative and, being exact, leaves every other value as is
+    op = _ClassOperator(shift, mass, 2.0 ** round(math.log2(max(sigma, 1.0))))
     z, iterations = _krylov(op.apply, op.dim, k, maxit, seed, sigma=sigma,
-                            ncv=ncv, tol=ARPACK_TOL, dtype=float)
+                            scale=op.scale, ncv=ncv, tol=ARPACK_TOL,
+                            dtype=float)
 
     def pencil(v):
         return _products(fm, v, w, (0.0, 0.0, 1.0, 0.0, 0.0))
@@ -255,8 +263,9 @@ def _solve_pencil(fm, w, sigma: float, k: int, tol: float, maxit: int,
 
 
 def _krylov(apply_op, dim: int, k: int, maxit: int, seed: int, *,
-            sigma: float = 0.0, ncv=None, tol: float = 1e-14, dtype=complex):
-    """Vectors of the k largest eigenvalues ``1/(mu - sigma)`` of the
+            sigma: float = 0.0, scale: float = 1.0, ncv=None,
+            tol: float = 1e-14, dtype=complex):
+    """Vectors of the k largest eigenvalues ``scale/(mu - sigma)`` of the
     Hermitian operator ``apply_op`` on ``dim``-vectors of ``dtype``, and
     the count of its applications.  ARPACK runs from a seeded start vector
     to the relative tolerance ``tol`` (the class solve's is ``ARPACK_TOL``).
@@ -287,7 +296,7 @@ def _krylov(apply_op, dim: int, k: int, maxit: int, seed: int, *,
                 nus = np.real(spla.eigsh(op, k=k, which="LM", v0=v0,
                                          maxiter=maxit, tol=1e-8, ncv=ncv,
                                          return_eigenvectors=False))
-        best_mu = sigma + 1.0 / float(nus.max()) if len(nus) else None
+        best_mu = sigma + scale / float(nus.max()) if len(nus) else None
         raise SolverError(
             f"eigensolver did not converge within {maxit} restarts",
             best_mu=best_mu, iterations=iterations) from exc

@@ -80,6 +80,17 @@ def test_argument_error_exit_code():
     assert exc.value.code == 2
 
 
+def test_non_finite_weights_named_with_or_without_cache(capsys):
+    # With the cache on, the inputs are checked before the cache key is
+    # serialised, whose own error names no argument.
+    for flags, name in ((["--a", "nan"], "side lengths"),
+                        (["--b", "inf"], "side lengths"),
+                        (["--m", "inf"], "mass")):
+        for cache in ([], ["--no-cache"]):
+            assert run(["solve", "--n", "8", *flags, *cache]) == 2
+            assert name in capsys.readouterr().err
+
+
 def test_bad_tol_and_jobs_exit_code_before_any_solve(tmp_path, monkeypatch,
                                                     capsys):
     # A tol at or below zero fails every residual contract and a NaN tol

@@ -168,16 +168,18 @@ def test_nonconvergence_carries_best_iterate(reference_forms):
 
 
 def test_grid_nonconvergence_carries_shifted_best_iterate():
-    # ARPACK iterates the shifted operator, whose eigenvalues are
-    # 1/(mu - sigma): best_mu adds the shift back.
-    sigma = bounds.sharp_lower(1.0, 1.0, 0.0)
-    with pytest.raises(SolverError) as err:
-        lambda1_2d(1.0, 1.0, 0.0, 48, maxit=1)
-    assert err.value.iterations > 0
-    mu = lambda1_2d(1.0, 1.0, 0.0, 48).mu
-    assert err.value.best_mu is not None
-    assert err.value.best_mu >= sigma
-    assert err.value.best_mu == pytest.approx(mu, rel=1e-6)
+    # ARPACK iterates the shifted operator times a power of two near sigma,
+    # whose eigenvalues are scale/(mu - sigma): best_mu takes the scale
+    # out and adds the shift back, for a unit and a tiny square alike.
+    for a in (1.0, 1e-6):
+        sigma = bounds.sharp_lower(a, a, 0.0)
+        with pytest.raises(SolverError) as err:
+            lambda1_2d(a, a, 0.0, 48, maxit=1)
+        assert err.value.iterations > 0
+        mu = lambda1_2d(a, a, 0.0, 48).mu
+        assert err.value.best_mu is not None
+        assert err.value.best_mu >= sigma
+        assert err.value.best_mu == pytest.approx(mu, rel=1e-6)
 
 
 def test_residual_contract_enforced(reference_forms):
@@ -326,7 +328,7 @@ def test_class_operator_is_exact_in_modal_coordinates(reference_forms, n):
             sigma = bounds.sharp_lower(a, b, m)
             shift = tensor._TensorInverse(
                 basis, (w[0], w[1], -sigma, w[3], w[4]))
-            op = tensor._ClassOperator(shift, mass)
+            op = tensor._ClassOperator(shift, mass, 1.0)
             assert 2 * op.dim == fm.ndof
             z = rng.standard_normal(op.dim)
             x = op.to_nodal(z[:, None])
@@ -335,6 +337,9 @@ def test_class_operator_is_exact_in_modal_coordinates(reference_forms, n):
             y = _nodal_solve(shift, fm.M @ x)
             want = (y + half_turn(y)) / 2
             got = op.to_nodal(op.apply(z)[:, None])
+            # a power-of-two scale is exact, in the interior and on the edges
+            assert np.array_equal(tensor._ClassOperator(
+                shift, mass, 8.0).apply(z), 8.0 * op.apply(z))
             worst = max(worst, np.linalg.norm(got - want)
                         / np.linalg.norm(want))
             f = rng.standard_normal((fm.ndof, 2)) + 0j
@@ -412,7 +417,7 @@ def test_real_class_coordinates_under_x1_reflection(reference_forms, n):
             (nn, 2, nn))), tensor._split(rng.standard_normal((2 * nn, 2))))})
         assert np.abs(x1(v) - v).max() <= 1e-13 * np.abs(v).max()
 
-    op = tensor._ClassOperator(shift, mass)
+    op = tensor._ClassOperator(shift, mass, 1.0)
     real = np.stack([op.apply(e) for e in np.eye(op.dim)], axis=1)
     assert np.abs(real - real.T).max() <= 1e-12 * np.abs(real).max()
     want = np.sort(np.linalg.eigvals(dense).real)[-op.dim:]
@@ -521,6 +526,33 @@ def test_degenerate_point_reproducible_under_threaded_blas():
     assert len(mus) == 1, mus
 
 
+def _glibc() -> bool:
+    try:
+        return bool(os.confstr("CS_GNU_LIBC_VERSION"))
+    except (AttributeError, ValueError, OSError):
+        return False
+
+
+@pytest.mark.skipif(not _glibc(), reason="the malloc thresholds are glibc's")
+def test_warm_solves_take_no_page_faults():
+    # Importing diracbox fixes glibc's mmap and trim thresholds, so a warm
+    # solve reuses the heap memory of the one before: with glibc's dynamic
+    # thresholds each n = 128 solve faulted about 1,600 pages back in.
+    code = ("import resource; from diracbox import lambda1_2d\n"
+            "def solve(): lambda1_2d(1.3, 1 / 1.3, 1.0, 128)\n"
+            "solve(); solve()\n"
+            "f = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+            "solve(); solve(); solve()\n"
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - f)")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [os.path.join(os.path.dirname(__file__), "..", "src"),
+         os.environ.get("PYTHONPATH", "")]))
+    faults = int(subprocess.run([sys.executable, "-c", code], env=env,
+                                check=True, capture_output=True,
+                                text=True).stdout)
+    assert faults < 100, faults
+
+
 def test_sparse_path_repairs_inaccurate_arpack_vectors(reference_forms,
                                                        monkeypatch):
     # ARPACK can return the vectors of a degenerate pair far above its
@@ -560,6 +592,20 @@ def test_zero_mass_scaling(solve_memo):
     big = solve_memo(2.0, 2.0, 0.0, 16)
     unit = solve_memo(1.0, 1.0, 0.0, 16)
     assert big.mu == pytest.approx(unit.mu / 4.0, rel=1e-12)
+
+
+@pytest.mark.parametrize("m", [0.0, 1.0])
+def test_solve_is_scale_invariant(m):
+    # mu(t a, t b, m / t) = mu(a, b, m) / t^2.  ARPACK's stop is absolute
+    # below Ritz values of eps^(2/3), which 1/(mu - sigma) of a small
+    # rectangle is, unless the operator is scaled with the shift; then a
+    # tiny rectangle converges as far, in as many applications, as a unit one.
+    unit = lambda1_2d(1.0, 1.1, m, 32)
+    for t in (1e-9, 1e-6, 1e-3, 1e3, 1e6):
+        res = lambda1_2d(t, 1.1 * t, m / t, 32)
+        assert res.mu * t * t == pytest.approx(unit.mu, rel=1e-13)
+        assert res.iterations == unit.iterations
+        assert res.residual <= 1e-12 * res.mu
 
 
 def test_swap_symmetry(solve_memo):
