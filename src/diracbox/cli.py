@@ -4,14 +4,16 @@ Subcommands: ``solve``, ``sweep``, ``bounds``, ``symmetry``, ``jopt``,
 ``refine``.  One table, ``_OPTIONS``, declares every option's type and
 default; the parser's flags, the ``key=value`` config file and the defaults
 all read it, so a config value gets the same type and choice checks as its
-flag.  Precedence is command-line flags over the config file over the
-defaults.  Numbers are serialised with 17 significant digits so every
-emitted float round-trips; solve results are cached as JSON records keyed
-by a content hash of ``(a, b, m, n, tol, seed)`` and the solver version, in
-the directory named by the ``DIRACBOX_CACHE_DIR`` environment variable
-(default ``~/.cache/diracbox``), which makes repeated runs byte-identical
-including their wall-time fields: ``wall_time_ms`` is the time of the original
-compute, replayed on every cache hit.
+flag.  Each subcommand takes only the flags its handler reads
+(``_COMMANDS``), while a config key may name any option, since one file
+serves every subcommand.  Precedence is command-line flags over the config
+file over the defaults.  Numbers are serialised with 17 significant digits
+so every emitted float round-trips; solve results are cached as JSON records
+keyed by a content hash of ``(a, b, m, n, tol, seed)`` and the solver
+version, in the directory named by the ``DIRACBOX_CACHE_DIR`` environment
+variable (default ``~/.cache/diracbox``), which makes repeated runs
+byte-identical including their wall-time fields: ``wall_time_ms`` is the
+time of the original compute, replayed on every cache hit.
 
 Exit codes: 0 success, 2 argument error, 3 solver failure, 4 symmetry
 resolution failure, 5 internal consistency violation.
@@ -119,7 +121,7 @@ def cache_root() -> str:
 # Part of every cache key, never of a record.  Change it whenever a solver
 # change alters any computed number, even in the last bits, so records
 # computed by older code miss instead of being served.
-SOLVER_VERSION = "16"
+SOLVER_VERSION = "17"
 
 
 def _cache_key(params: dict) -> str:
@@ -244,9 +246,8 @@ def _csv(records) -> str:
 # ----------------------------------------------------------------------
 
 def cmd_solve(opts) -> int:
-    b = opts["b"] if opts["b"] is not None else opts["a"]
-    record = solve_record(opts["a"], b, opts["m"], opts["n"], opts["tol"],
-                          opts["seed"], use_cache=not opts["no_cache"])
+    record = solve_record(opts["a"], opts["b"], opts["m"], opts["n"],
+                          opts["tol"], opts["seed"], not opts["no_cache"])
     print(
         f"lambda1(a={format_number(record['a'])}, b={format_number(record['b'])}, "
         f"m={format_number(record['m'])}; n={record['n']}) = "
@@ -285,6 +286,8 @@ def cmd_sweep(opts) -> int:
     points = _sweep_grid(opts["constraint"], opts["a_min"], opts["a_max"],
                          opts["steps"])
     m, n, tol, seed = opts["m"], opts["n"], opts["tol"], opts["seed"]
+    for a, b in points:     # before any cache key, as in solve_record
+        _check_weights(a, b, m)
     use_cache = not opts["no_cache"]
     # each point is cached as soon as it is solved, so an interrupted sweep
     # resumes from the points it finished
@@ -317,16 +320,13 @@ def cmd_sweep(opts) -> int:
 
 
 def cmd_bounds(opts) -> int:
-    b = opts["b"] if opts["b"] is not None else opts["a"]
-    report = bounds_mod.bounds_report(opts["a"], b, opts["m"])
+    report = bounds_mod.bounds_report(opts["a"], opts["b"], opts["m"])
     emit(report.as_dict(), opts["out"])
     return 0
 
 
 def cmd_symmetry(opts) -> int:
-    a = opts["a"]
-    b = opts["b"] if opts["b"] is not None else a
-    m, n, k = opts["m"], opts["n"], opts["k"]
+    a, b, m, n, k = opts["a"], opts["b"], opts["m"], opts["n"], opts["k"]
     fm = _form_matrices(n)
     mus, cluster = ground_cluster(fm, a, b, m, k=k, tol=opts["tol"],
                                   seed=opts["seed"])
@@ -367,9 +367,8 @@ def cmd_jopt(opts) -> int:
 
 
 def cmd_refine(opts) -> int:
-    b = opts["b"] if opts["b"] is not None else opts["a"]
     n_list = [int(x) for x in str(opts["n_list"]).split(",") if x.strip()]
-    study = refine_study(opts["a"], b, opts["m"], n_list, opts["tol"],
+    study = refine_study(opts["a"], opts["b"], opts["m"], n_list, opts["tol"],
                          seed=opts["seed"])
     report = {
         "a": study.a, "b": study.b, "m": study.m,
@@ -400,20 +399,21 @@ _CHOICES = {"format": ("json", "csv"), "constraint": ("area", "perimeter")}
 _BOOLEANS = {"1": True, "true": True, "yes": True, "on": True,
              "0": False, "false": False, "no": False, "off": False}
 
-# the options every subcommand takes, besides --config
-_COMMON = ("a", "b", "m", "n", "tol", "seed", "jobs", "out", "format",
-           "no_cache")
-
-# subcommand -> (handler, help, options beyond the common ones)
+# subcommand -> (handler, help, the options its handler reads); each also
+# takes --config, whose keys may name any option
 _COMMANDS = {
-    "solve": (cmd_solve, "one rectangle eigenvalue with bracket", ()),
+    "solve": (cmd_solve, "one rectangle eigenvalue with bracket",
+              "a b m n tol seed out format no_cache"),
     "sweep": (cmd_sweep, "eigenvalue scan along a constraint family",
-              ("constraint", "a_min", "a_max", "steps")),
-    "bounds": (cmd_bounds, "closed-form bounds and region conditions", ()),
+              "m n tol seed jobs out no_cache constraint a_min a_max steps"),
+    "bounds": (cmd_bounds, "closed-form bounds and region conditions",
+               "a b m out"),
     "symmetry": (cmd_symmetry, "classify the lowest eigenvalue cluster",
-                 ("k",)),
-    "jopt": (cmd_jopt, "non-convex fixed-point experiment", ("restarts",)),
-    "refine": (cmd_refine, "nested-grid refinement study", ("n_list",)),
+                 "a b m n tol seed out k"),
+    "jopt": (cmd_jopt, "non-convex fixed-point experiment",
+             "m n tol seed out restarts"),
+    "refine": (cmd_refine, "nested-grid refinement study",
+               "a b m tol seed out n_list"),
 }
 
 
@@ -449,9 +449,10 @@ def build_parser() -> argparse.ArgumentParser:
         prog="diracbox",
         description="Dirac rectangle spectral laboratory")
     subs = parser.add_subparsers(dest="command", required=True)
-    for name, (_, help_text, extra) in _COMMANDS.items():
-        p = subs.add_parser(name, help=help_text)
-        for dest in _COMMON + extra:
+    for name, (_, help_text, flags) in _COMMANDS.items():
+        # no abbreviations: refine's --n-list must not take --n
+        p = subs.add_parser(name, help=help_text, allow_abbrev=False)
+        for dest in flags.split():
             typ, _ = _OPTIONS[dest]
             flag = "--" + dest.replace("_", "-")
             if typ is bool:
@@ -463,16 +464,40 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _merge_options(args: argparse.Namespace) -> dict:
+    """The options of ``args.command``, each from its flag, the config file
+    or its default; ``b`` defaults to ``a``, the square."""
     config = load_config(args.config) if args.config else {}
     opts = {}
-    for key, (_, default) in _OPTIONS.items():
-        cli_val = getattr(args, key, None)
+    for key in _COMMANDS[args.command][2].split():
+        # every command that reads "b" reads "a" first
+        default = opts["a"] if key == "b" else _OPTIONS[key][1]
+        cli_val = getattr(args, key)
         opts[key] = cli_val if cli_val is not None else config.get(key, default)
     return opts
 
 
+def _join_signed_values(argv):
+    """``argv`` with every value that starts with ``-`` and reads as a
+    number joined to the flag before it, ``--b -inf`` as ``--b=-inf``.
+    argparse takes such a value for an option unless it is a plain
+    negative number, so ``-inf`` and ``-nan`` would never reach the check
+    that names the bad input."""
+    out = []
+    for token in argv:
+        flag = out[-1] if out else ""
+        if (flag.startswith("--") and len(flag) > 2 and "=" not in flag
+                and token.startswith("-")):
+            with contextlib.suppress(ValueError):
+                float(token)
+                out[-1] = f"{flag}={token}"
+                continue
+        out.append(token)
+    return out
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser().parse_args(_join_signed_values(argv))
     try:
         opts = _merge_options(args)
         return _COMMANDS[args.command][0](opts)

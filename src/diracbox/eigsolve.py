@@ -8,8 +8,8 @@ and a Rayleigh-Ritz step on the unshifted pencil makes its vectors
 M-orthonormal.
 
 Every grid solve (``lambda1_2d``, ``ground_cluster`` and
-``jopt.euler_solve``) goes through ``_solve_pencil(fm, w, sigma, k,
-...)``, which returns the k lowest eigenpairs of class +1.  Every
+``jopt.euler_solve``) goes through ``_solve_pencil(fm, w, k, tol,
+seed)``, which returns the k lowest eigenpairs of class +1.  Every
 eigenvalue of a grid pencil is double, one of each pair in each class
 ``beta = +1, -1`` of the half turn ``R^2`` (``symmetry.rotation_map``),
 which commutes with every grid form.  The projector ``P = (I + R^2)/2``
@@ -27,10 +27,12 @@ every form of the grid is Hermitian and commutes with ``C`` and ``R^2`` is
 certified once per grid, on the 1D matrices every form is built from
 (``FormMatrices._symmetry_certificate``), so every pencil with real weights
 does too; a form without the symmetry raises ConsistencyError.
-The shift is the closed-form lower bound ``bounds.sharp_lower`` of the
-point, so it depends on nothing but the point.  The inverse of ``Q - sigma
-M`` exists only for a shift below the lowest eigenvalue, so a shift that
-contradicts its lower bound raises ConsistencyError, never a number.
+The shift is the separable lower bound ``bounds.separable_lower`` of the
+weights, so it depends on nothing but the pencil and no caller chooses it;
+at a rectangle's weights it is ``bounds.sharp_lower``.  The inverse of ``Q
+- sigma M`` exists only for a shift below the lowest eigenvalue, so a shift
+that contradicts its lower bound raises ConsistencyError, never a number.
+ARPACK restarts at most ``MAXIT`` times.
 
 The inverses of ``Q - sigma M`` and ``M`` are the exact tensor-product
 inverses of ``tensor``, and ARPACK iterates in their real class +1
@@ -77,10 +79,10 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .bounds import sharp_lower
+from .bounds import separable_lower
 from .errors import ConsistencyError, SolverError
 from .formgrid import (SpinorField, assemble, build_grid, _check_hermitian,
-                       _check_weights, _products)
+                       _check_weights, _products, _rectangle_weights)
 from .symmetry import rotation_map
 from .tensor import _ClassOperator, _TensorInverse, mass_inverse
 
@@ -194,15 +196,20 @@ NCV = 5
 # way, against the 1e-10 contract.
 ARPACK_TOL = 1e-12
 
+# ARPACK's restart limit in a grid solve; a run that reaches it raises
+# SolverError with its best iterate.
+MAXIT = 500
 
-def _solve_pencil(fm, w, sigma: float, k: int, tol: float, maxit: int,
-                  seed: int) -> _PencilSolution:
+
+def _solve_pencil(fm, w, k: int, tol: float, seed: int) -> _PencilSolution:
     """k lowest eigenpairs of half-turn class +1 of the grid pencil
     (``weighted(fm, w)``, ``fm.M``), in ascending order.
 
-    The one entry point of every grid solve.  The weights ``w`` are real
-    and ``sigma`` must lie below the lowest eigenvalue; the arguments are
-    checked before any work.  ARPACK iterates ``P (Q - sigma M)^-1 M`` with
+    The one entry point of every grid solve.  The weights ``w`` are real,
+    with positive gradient and non-negative trace weights; the arguments
+    are checked before any work.  The shift ``sigma`` is their separable
+    bound (``bounds.separable_lower``), which lies below the lowest
+    eigenvalue.  ARPACK iterates ``P (Q - sigma M)^-1 M`` with
     the projector ``P = (I + R^2)/2`` of the half turn, in the real modal
     coordinates of one tensor-product inverse of ``Q - sigma M`` restricted
     to class +1, where it is similar to a real symmetric operator
@@ -231,6 +238,7 @@ def _solve_pencil(fm, w, sigma: float, k: int, tol: float, maxit: int,
     if np.any(np.imag(w)):
         raise ValueError(f"the form weights must be real, got {w!r}")
     w = np.real(w)
+    sigma = separable_lower(w)
     fm._symmetry_certificate                # raises for a form without C
     rot = rotation_map(fm.n)                # self-tested once per n
     mass = mass_inverse(fm.n)               # M's check
@@ -245,7 +253,7 @@ def _solve_pencil(fm, w, sigma: float, k: int, tol: float, maxit: int,
     # 1/(mu - sigma) of a small rectangle; a power of two near sigma keeps
     # the stop relative and, being exact, leaves every other value as is
     op = _ClassOperator(shift, mass, 2.0 ** round(math.log2(max(sigma, 1.0))))
-    z, iterations = _krylov(op.apply, op.dim, k, maxit, seed, sigma=sigma,
+    z, iterations = _krylov(op.apply, op.dim, k, MAXIT, seed, sigma=sigma,
                             scale=op.scale, ncv=ncv, tol=ARPACK_TOL,
                             dtype=float)
 
@@ -353,7 +361,7 @@ def _ritz(pencil, v, m_inv_norms, tol: float, iterations: int):
 
 
 def smallest_eigenpair(Q, M, k: int = 1, tol: float = 1e-10,
-                       maxit: int = 500, seed: int = 0):
+                       maxit: int = MAXIT, seed: int = 0):
     """k smallest eigenpairs of the Hermitian pencil (Q, M), ascending.
 
     Eigenvectors are M-orthonormal; each pair satisfies the residual
@@ -393,20 +401,19 @@ def smallest_eigenpair(Q, M, k: int = 1, tol: float = 1e-10,
 
 
 def lambda1_2d(a: float, b: float, m: float, n: int, tol: float = 1e-10,
-               *, seed: int = 0, maxit: int = 500) -> EigenResult:
+               *, seed: int = 0) -> EigenResult:
     """Discrete lowest positive Dirac eigenvalue on the (a, b) rectangle.
 
     Conforming, so ``mu`` over-estimates the continuum lambda_1(a,b)^2.
     Every eigenvalue is double, one of each pair in each half-turn class:
     class +1 is solved for its ground value at the shift
-    ``sharp_lower(a, b, m)``, the closed-form lower bound, and class -1
-    holds its charge conjugate, with the same value, since the grid's forms
-    are certified to commute with the conjugation.
+    ``sharp_lower(a, b, m)``, the separable bound of its weights, and class
+    -1 holds its charge conjugate, with the same value, since the grid's
+    forms are certified to commute with the conjugation.
     """
     a, b, m = _check_weights(a, b, m)
     fm = assemble(build_grid(n))
-    sol = _solve_pencil(fm, (a**-2, b**-2, 0.0, m / a, m / b),
-                        sharp_lower(a, b, m), 1, tol, maxit, seed)
+    sol = _solve_pencil(fm, _rectangle_weights(a, b, m), 1, tol, seed)
     mu = float(sol.mus[0]) + m**2
     return EigenResult(
         mu=mu,
@@ -425,7 +432,7 @@ def ground_cluster(fm, a: float, b: float, m: float, k: int = 4,
     """The ``k`` lowest shifted eigenvalues and the ground cluster among them.
 
     Solves the (a, b, m) pencil without its ``m^2`` mass term for
-    ``ceil(k/2)`` class +1 eigenpairs at the shift ``sharp_lower(a, b, m)``,
+    ``ceil(k/2)`` class +1 eigenpairs (at the shift ``sharp_lower(a, b, m)``),
     appends their charge conjugates (``rotation_map(n).conjugate``) as the
     class -1 pairs, merges both in a stable ascending order, and returns
     ``(mus, cluster)``: the ``k`` lowest eigenvalues, ascending, and the
@@ -433,8 +440,7 @@ def ground_cluster(fm, a: float, b: float, m: float, k: int = 4,
     ready for ``symmetry.classify_symmetry``.
     """
     a, b, m = _check_weights(a, b, m)
-    sol = _solve_pencil(fm, (a**-2, b**-2, 0.0, m / a, m / b),
-                        sharp_lower(a, b, m), -(-k // 2), tol, 500, seed)
+    sol = _solve_pencil(fm, _rectangle_weights(a, b, m), -(-k // 2), tol, seed)
     mus = np.tile(sol.mus, 2)
     v = np.concatenate([sol.vectors, rotation_map(fm.n).conjugate(
         sol.vectors)], axis=1)

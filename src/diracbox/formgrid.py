@@ -361,6 +361,12 @@ def _check_weights(a: float, b: float, m: float):
     return a, b, m
 
 
+def _rectangle_weights(a: float, b: float, m: float):
+    """Form weights of the (a, b, m) rectangle without its exact ``m^2 M``
+    shift: ``(a^-2, b^-2, 0, m/a, m/b)``."""
+    return (a**-2, b**-2, 0.0, m / a, m / b)
+
+
 def weighted(fm: FormMatrices, w) -> spla.LinearOperator:
     """Weighted sum w_K1 K1 + w_K2 K2 + w_M M + w_Tpar Tpar + w_Teq Teq, as
     an operator on reduced vectors; ValueError unless the weights are five
@@ -506,12 +512,12 @@ def random_field(grid: Grid, seed: int = 0) -> SpinorField:
     return SpinorField(vals, grid.n)
 
 
-def reconstruct(psi: SpinorField, cmap: ConstraintMap | None = None):
+def reconstruct(psi: SpinorField):
     """Full nodal component arrays (U1, U2), each (n+1, n+1), gathered from
     the reduced vector by ``_nodal``: ``U1 = x[free1]`` and ``U2 = factor *
-    x[u2 dof]``, zero at the corners.  ValueError for a field of another
-    grid."""
-    cmap = cmap or constraint_map(psi.n)
+    x[u2 dof]``, zero at the corners.  ValueError for values that do not
+    fit the dofs of the field's grid."""
+    cmap = constraint_map(psi.n)
     if psi.values.shape != (cmap.ndof,):
         raise ValueError(f"field of shape {psi.values.shape} does not match "
                          f"the {cmap.ndof} dofs of the {cmap.n}-cell grid")

@@ -23,6 +23,19 @@ def test_sharp_lower_values():
     assert expected == pytest.approx(8.2317, abs=5e-5)
 
 
+def test_sharp_lower_is_the_separable_bound_of_the_rectangle_weights():
+    # The paper's closed form is the reference; sharp_lower evaluates the
+    # separable bound at the weights (a^-2, b^-2, 0, m/a, m/b), whose
+    # arguments nu_1 reads as (m/a)/a^-2 rather than m a.
+    for a in np.geomspace(1e-3, 1e3, 9):
+        for b in (0.05, 1.0, 7.0):
+            for m in (0.0, 1e-3, 0.7, 56.0, 1e4):
+                closed = ((dirac1d.nu1(m * a).nu / a) ** 2
+                          + (dirac1d.nu1(m * b).nu / b) ** 2)
+                assert bounds.sharp_lower(a, b, m) == pytest.approx(
+                    closed, rel=1e-15, abs=0.0)
+
+
 def test_sharp_dominates_crude_on_grid():
     for a in np.geomspace(0.2, 5.0, 10):
         for m in np.geomspace(1e-3, 1e3, 10):

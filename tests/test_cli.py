@@ -1,9 +1,11 @@
+import ast
 import dataclasses
 import functools
 import json
 import math
 import multiprocessing
 import os
+import pathlib
 import re
 from concurrent.futures import ProcessPoolExecutor
 
@@ -130,13 +132,14 @@ def test_consistency_violation_exit_code(monkeypatch):
 
 
 def test_shift_above_the_ground_eigenvalue_exit_code(monkeypatch, fm_cache):
-    # Grid solves shift by the closed-form lower bound.  A shift that the
-    # inverse rejects contradicts that bound: exit 5, not an argument error.
-    def too_high(a, b, m):
-        return 3.0 * bounds.sharp_lower(a, b, m)
+    # Grid solves shift by the separable lower bound of their weights.  A
+    # shift that the inverse rejects contradicts that bound: exit 5, not an
+    # argument error.  The one grid-solve entry point computes the shift of
+    # rectangle and fixed-point solves alike.
+    def too_high(w):
+        return 3.0 * bounds.separable_lower(w)
 
-    monkeypatch.setattr(eigsolve, "sharp_lower", too_high)
-    monkeypatch.setattr(jopt, "sharp_lower", too_high)
+    monkeypatch.setattr(eigsolve, "separable_lower", too_high)
     assert run(["solve", "--n", "16", "--no-cache"]) == 5
     with pytest.raises(ConsistencyError):
         jopt.euler_solve(fm_cache(16), 1.0, 1.0, 0.0)
@@ -420,24 +423,78 @@ def test_config_file_precedence(tmp_path, capsys):
         assert run(["solve", "--config", str(bad), "--n", "8"]) == 2, line
 
 
-COMMON_FLAGS = {"--a", "--b", "--m", "--n", "--tol", "--seed", "--jobs",
-                "--out", "--format", "--no-cache", "--config", "--help"}
+# Each subcommand takes the flags its handler reads, --config and --help:
+# --m and --out everywhere, the extra flags per command, 45 flags in all
+# besides --config and --help.
+COMMON_FLAGS = {"--m", "--out", "--config", "--help"}
+EXTRA_FLAGS = [
+    ("solve", {"--a", "--b", "--n", "--tol", "--seed", "--format",
+               "--no-cache"}),
+    ("sweep", {"--n", "--tol", "--seed", "--jobs", "--no-cache",
+               "--constraint", "--a-min", "--a-max", "--steps"}),
+    ("bounds", {"--a", "--b"}),
+    ("symmetry", {"--a", "--b", "--n", "--tol", "--seed", "--k"}),
+    ("jopt", {"--n", "--tol", "--seed", "--restarts"}),
+    ("refine", {"--a", "--b", "--tol", "--seed", "--n-list"}),
+]
 
 
-@pytest.mark.parametrize("command, extra", [
-    ("solve", set()),
-    ("sweep", {"--constraint", "--a-min", "--a-max", "--steps"}),
-    ("bounds", set()),
-    ("symmetry", {"--k"}),
-    ("jopt", {"--restarts"}),
-    ("refine", {"--n-list"}),
-])
+@pytest.mark.parametrize("command, extra", EXTRA_FLAGS)
 def test_subcommand_flag_sets(command, extra, capsys):
     with pytest.raises(SystemExit) as exc:
         run([command, "--help"])
     assert exc.value.code == 0
     flags = set(re.findall(r"--[a-z][a-z-]*", capsys.readouterr().out))
     assert flags == COMMON_FLAGS | extra
+    assert sum(len(extra) + 2 for _, extra in EXTRA_FLAGS) == 45
+
+
+def test_flag_a_command_does_not_read_is_an_argument_error(capsys):
+    # bounds takes no grid, and refine reads its grids from --n-list,
+    # which --n does not abbreviate.
+    for argv in (["bounds", "--n", "8"], ["refine", "--n", "64"],
+                 ["bounds", "--jobs", "3"], ["jopt", "--a", "2"]):
+        with pytest.raises(SystemExit) as exc:
+            run(argv)
+        assert exc.value.code == 2, argv
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def _opts_keys(tree, handler):
+    """The ``opts["..."]`` keys that the function ``handler`` reads."""
+    [fn] = [node for node in ast.walk(tree)
+            if isinstance(node, ast.FunctionDef) and node.name == handler]
+    keys = set()
+    for node in ast.walk(fn):
+        if (isinstance(node, ast.Subscript)
+                and isinstance(node.value, ast.Name)
+                and node.value.id == "opts"):
+            # a computed key would hide what the handler reads
+            assert isinstance(node.slice, ast.Constant), ast.dump(node)
+            keys.add(node.slice.value)
+    return keys
+
+
+def test_each_command_declares_the_options_its_handler_reads():
+    # A declared flag that no handler reads would be accepted and ignored;
+    # a read option that is not declared would only come from the config.
+    tree = ast.parse(pathlib.Path(cli.__file__).read_text(encoding="utf-8"))
+    for command, (handler, _, flags) in cli._COMMANDS.items():
+        assert _opts_keys(tree, handler.__name__) == set(flags.split()), \
+            command
+
+
+def test_signed_non_finite_values_reach_the_weight_check(capsys):
+    # argparse reads "-inf" as an option unless it is joined to its flag;
+    # the value must reach the check that names the bad input.
+    for argv, name in (
+            (["solve", "--n", "8", "--b", "-inf"], "side lengths"),
+            (["solve", "--n", "8", "--a", "-inf"], "side lengths"),
+            (["solve", "--n", "8", "--no-cache", "--m", "-nan"], "mass"),
+            (["bounds", "--a", "-inf"], "side lengths"),
+            (["refine", "--n-list", "8,16", "--m", "-inf"], "mass")):
+        assert run(argv) == 2, argv
+        assert name in capsys.readouterr().err, argv
 
 
 PARAMS = {"a": 1.0, "b": 1.0, "m": 0.0, "n": 12, "tol": 1e-10, "seed": 0}

@@ -81,7 +81,6 @@ def test_grid_solve_checks_arguments_before_any_work(fm_cache):
     # k and real weights are argument errors, raised before M's inverse or
     # the weighted form is built.
     fm = fm_cache(10)
-    sigma = bounds.sharp_lower(1.0, 1.0, 0.0)
     w = (1.0, 1.0, 0.0, 0.0, 0.0)
     tensor.mass_inverse.cache_clear()
     for weights, k, match in (
@@ -89,7 +88,7 @@ def test_grid_solve_checks_arguments_before_any_work(fm_cache):
             (w, fm.ndof, "too many"),
             ((1.0, 1.0, 0.0, 0.5j, 0.0), 1, "must be real")):
         with pytest.raises(ValueError, match=match):
-            eigsolve._solve_pencil(fm, weights, sigma, k, 1e-10, 500, 0)
+            eigsolve._solve_pencil(fm, weights, k, 1e-10, 0)
     assert tensor.mass_inverse.cache_info().misses == 0
 
 
@@ -167,14 +166,16 @@ def test_nonconvergence_carries_best_iterate(reference_forms):
     assert err.value.best_mu == pytest.approx(mu, rel=1e-6)
 
 
-def test_grid_nonconvergence_carries_shifted_best_iterate():
+def test_grid_nonconvergence_carries_shifted_best_iterate(monkeypatch):
     # ARPACK iterates the shifted operator times a power of two near sigma,
     # whose eigenvalues are scale/(mu - sigma): best_mu takes the scale
     # out and adds the shift back, for a unit and a tiny square alike.
     for a in (1.0, 1e-6):
         sigma = bounds.sharp_lower(a, a, 0.0)
-        with pytest.raises(SolverError) as err:
-            lambda1_2d(a, a, 0.0, 48, maxit=1)
+        with monkeypatch.context() as patch:
+            patch.setattr(eigsolve, "MAXIT", 1)
+            with pytest.raises(SolverError) as err:
+                lambda1_2d(a, a, 0.0, 48)
         assert err.value.iterations > 0
         mu = lambda1_2d(a, a, 0.0, 48).mu
         assert err.value.best_mu is not None

@@ -162,7 +162,7 @@ def test_constraint_reconstruction_exact(fm_cache):
     n = 8
     cmap = constraint_map(n)
     psi = random_field(build_grid(n), seed=3)
-    u1, u2 = reconstruct(psi, cmap)
+    u1, u2 = reconstruct(psi)
     for cls, omega in OMEGA.items():
         mask = cmap.node_class == cls
         assert np.array_equal(u2[mask], omega * u1[mask])
@@ -460,8 +460,6 @@ def test_reconstruct_matches_the_projection_bases_bit_for_bit(
 
 def test_reconstruct_rejects_a_field_of_another_grid():
     psi = random_field(build_grid(12), seed=0)
-    with pytest.raises(ValueError, match="does not match"):
-        reconstruct(psi, constraint_map(8))
     with pytest.raises(ValueError, match="does not match"):
         reconstruct(SpinorField(psi.values[:-1], 12))
 

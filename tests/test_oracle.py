@@ -2,7 +2,7 @@
 
 ``lambda1_2d``, ``jopt.euler_solve``, ``eigsolve.ground_cluster`` and the
 class +1 solve under them (shift-invert ARPACK inside half-turn class +1,
-on the tensor-product inverse of ``Q - sigma M`` at the closed-form shift,
+on the tensor-product inverse of ``Q - sigma M`` at the separable shift,
 with the memoised tensor-product inverse of M for the residual), whose
 charge conjugates ``ground_cluster`` takes as the class -1 pairs, run on
 grids small enough for dense ``scipy.linalg.eigh`` on the full weighted
@@ -81,10 +81,8 @@ def test_sparse_path_matches_dense_full_pencil(reference_forms, n,
 
     # two class +1 pairs at the closed-form shift, ascending: both columns
     # inside class +1, their conjugates inside class -1
-    sigma = bounds.sharp_lower(a, b, m)
-    assert sigma > 0.0
-    sol = eigsolve._solve_pencil(fm, (a**-2, b**-2, 0.0, m / a, m / b),
-                                 sigma, 2, TOL, 500, 0)
+    sol = eigsolve._solve_pencil(fm, (a**-2, b**-2, 0.0, m / a, m / b), 2,
+                                 TOL, 0)
     assert sol.mus[0] <= sol.mus[1]
     rot = symmetry.rotation_map(n)
     conj = rot.conjugate(sol.vectors)
@@ -121,3 +119,21 @@ def test_sparse_path_matches_dense_full_pencil(reference_forms, n,
     shifted(dense_pair[0] * (1 - 1e-9))
     with pytest.raises(ValueError, match="not positive definite"):
         shifted(dense_pair[0] * (1 + 1e-9))
+
+
+@pytest.mark.parametrize("n", [8, 16, 24])
+def test_separable_shift_below_the_dense_lowest_eigenvalue(reference_forms,
+                                                           n):
+    # Every grid solve shifts by the separable bound of its weights.  For
+    # the fixed-point weights, whose traces differ from a rectangle's, the
+    # dense pencil shifted by it is positive definite, so the shift lies
+    # below its lowest eigenvalue (0.99925 of it at worst, n = 24).
+    ref = reference_forms(n)
+    mass = ref.M.toarray()
+    for A in (0.5, 1.0, 1.7):
+        for B in (0.05, 0.6, 1.0, 3.0):
+            for m in (0.0, 0.3, 1.0, 5.0, 40.0):
+                w = jopt._euler_weights(A, B, m)
+                sigma = bounds.separable_lower(w)
+                assert sigma > 0.0
+                sla.cholesky(ref.weighted(w).toarray() - sigma * mass)

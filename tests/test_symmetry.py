@@ -57,7 +57,7 @@ def test_boundary_classes_cycle():
     vals = np.zeros(cmap.ndof, dtype=complex)
     left = cmap.node_class == LEFT
     vals[cmap.free1[left & (cmap.free1 >= 0)]] = 1.0
-    u1, _ = reconstruct(rotate(SpinorField(vals, n)), cmap)
+    u1, _ = reconstruct(rotate(SpinorField(vals, n)))
     support = np.abs(u1) > 0
     top = cmap.node_class == TOP
     assert support[top].any()
