@@ -264,6 +264,8 @@ def cmd_solve(opts) -> int:
 def _sweep_grid(constraint: str, a_min: float, a_max: float, steps: int):
     if steps < 2:
         raise ValueError(f"steps must be >= 2, got {steps}")
+    if not math.isfinite(a_max):
+        raise ValueError(f"a_max must be finite, got {a_max!r}")
     if not 0.0 < a_min < a_max:
         raise ValueError(f"need 0 < a_min < a_max, got {a_min!r}, {a_max!r}")
     if constraint == "area":

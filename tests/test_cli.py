@@ -7,6 +7,7 @@ import multiprocessing
 import os
 import pathlib
 import re
+import warnings
 from concurrent.futures import ProcessPoolExecutor
 
 import pytest
@@ -346,6 +347,17 @@ def test_sweep_validates_range(tmp_path):
                 "--out", str(tmp_path / "x.csv")]) == 2
     assert run(["sweep", "--constraint", "area", "--a-min", "0.5",
                 "--a-max", "2", "--steps", "3", "--n", "12"]) == 2   # no --out
+
+
+def test_sweep_names_a_non_finite_bound(tmp_path, capsys):
+    # The range is checked before any grid is spaced: an infinite bound
+    # would reach numpy's geomspace, which warns on it.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for bound in ("inf", "nan"):
+            assert run(["sweep", "--a-max", bound, "--steps", "3", "--n", "8",
+                        "--out", str(tmp_path / "x.csv")]) == 2
+            assert "a_max must be finite" in capsys.readouterr().err
 
 
 def test_bounds_cmd(tmp_path, capsys):

@@ -97,10 +97,35 @@ def test_fixed_point_descends_from_trial(fm_cache):
     assert state.mu <= TWO_PI_SQ * 1.01
 
 
-def test_fixed_point_history_invariants(fm_cache):
+def count_euler_solves(monkeypatch):
+    """A list that grows by one on each ``jopt.euler_solve`` call."""
+    calls = []
+    solve = jopt.euler_solve
+
+    def counting(*args, **kwargs):
+        calls.append(args[1:3])
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(jopt, "euler_solve", counting)
+    return calls
+
+
+# Seed 5 at m = 3 runs B towards 0 until a trace norm vanishes (a
+# DegenerateRatioError), so that mass starts from seed 3.
+@pytest.mark.parametrize("m, seed", [(0.0, 5), (1.2, 5), (3.0, 3)])
+def test_fixed_point_history_invariants(fm_cache, monkeypatch, m, seed):
     fm = fm_cache(16)
-    state = fixed_point_minimize(fm, 0.0,
-                                 init=random_field(build_grid(16), seed=5))
+    calls = count_euler_solves(monkeypatch)
+    maxit = 80
+    state = fixed_point_minimize(fm, m, maxit=maxit,
+                                 init=random_field(build_grid(16), seed=seed))
+    assert len(calls) == state.iteration <= maxit
+    if m == 0.0:
+        # extrapolated rounds included
+        assert all(h[2] == 1.0 for h in state.history) and state.B == 1.0
+    if m == 1.2:
+        # an extrapolated round was solved and rejected by the safeguard
+        assert state.iteration > len(state.history)
     mus = [h[0] for h in state.history]
     jvs = [h[3] for h in state.history]
     for prev, cur in zip(mus, mus[1:]):
@@ -117,30 +142,81 @@ def test_fixed_point_history_invariants(fm_cache):
 def test_fixed_point_history_matches_a_reference_loop(fm_cache, m, start):
     # Each round's norm parts serve the projected quotient, J and the next
     # ratios; the history is that of a loop that computes them afresh for
-    # each, bit for bit.
+    # each and extrapolates the log weights by the secant rule, bit for bit.
     fm = fm_cache(12)
     grid = build_grid(12)
     psi = {"trial": trial_dirichlet(grid),
            "random": random_field(grid, seed=2),
            "symmetrised": symmetrize(random_field(grid, seed=3))}[start]
-    state = fixed_point_minimize(fm, m, init=psi, maxit=5)
+    maxit = 5
+    state = fixed_point_minimize(fm, m, init=psi, maxit=maxit)
     assert state.symmetric_track == (start != "random")
 
     def ratios(field):
         g1, g2, _, t1, t2 = norm_parts(fm, field)
         return (g1 / g2) ** 0.25, 1.0 if m == 0.0 else math.sqrt(t1 / t2)
 
-    A, B = ratios(psi)
-    want = []
-    for _ in state.history:
-        mu, psi = euler_solve(fm, A, B, m)
+    def solve(w):
+        mu, field = euler_solve(fm, *w, m)
         if state.symmetric_track:
-            psi = jopt._project_dominant_symmetry(fm, psi)
-            mu = weighted_quotient(fm, jopt._euler_weights(A, B, m), psi)
-        want.append((mu, A, B, j_value(psi, fm, m)))
-        A, B = ratios(psi)
+            field = jopt._project_dominant_symmetry(fm, field)
+            mu = weighted_quotient(fm, jopt._euler_weights(*w, m), field)
+        return mu, field
+
+    plain, trial, prev = ratios(psi), None, None
+    want, solves, tried = [], 0, 0
+    while solves < maxit:
+        w = plain
+        if trial is not None:
+            solves, tried = solves + 1, tried + 1
+            mu, field = solve(trial)
+            j_prev = want[-1][3]
+            if mu <= j_prev + 1e-12 * max(1.0, abs(j_prev)):
+                w = trial
+            elif solves == maxit:
+                break
+        if w is plain:
+            solves += 1
+            mu, field = solve(plain)
+        want.append((mu, *w, j_value(field, fm, m)))
+        plain = ratios(field)
+        if abs(plain[0] - w[0]) + abs(plain[1] - w[1]) <= 1e-8:
+            break
+        g = [math.log(v) for v in plain]
+        f = [gi - math.log(wi) for gi, wi in zip(g, w)]
+        trial = None
+        if prev is None:
+            prev = g, f
+        elif math.hypot(*f) < math.hypot(*prev[1]):
+            df = [fi - fp for fi, fp in zip(f, prev[1])]
+            gamma = (f[0] * df[0] + f[1] * df[1]) / (df[0]**2 + df[1]**2)
+            step = [-gamma * (gi - gp) for gi, gp in zip(g, prev[0])]
+            if max(map(abs, step)) <= math.log(2.0):
+                trial = tuple(math.exp(gi + si) for gi, si in zip(g, step))
+            prev = g, f
+        else:
+            prev = None
     assert state.history == tuple(want)
-    assert (state.A, state.B) == (A, B)
+    assert (state.A, state.B) == plain
+    assert state.iteration == solves
+    # the random start runs into the extrapolation within maxit
+    assert (tried > 0) == (start == "random")
+
+
+def test_fixed_point_converges_at_the_square_for_unit_mass(fm_cache,
+                                                           monkeypatch):
+    # At m = 1 the plain alternation contracts by about 0.96 per round and
+    # stops unconverged at maxit = 80; the extrapolated rounds converge.
+    fm = fm_cache(16)
+    calls = count_euler_solves(monkeypatch)
+    for seed in (1, 2, 3):
+        calls.clear()
+        state = fixed_point_minimize(
+            fm, 1.0, init=random_field(build_grid(16), seed=seed))
+        assert state.converged
+        assert len(calls) == state.iteration <= 15
+        assert state.A == pytest.approx(1.0, abs=1e-7)
+        assert state.B == pytest.approx(1.0, abs=1e-7)
 
 
 def test_fixed_point_zero_mass_identification(fm_cache, solve_memo):
