@@ -48,24 +48,25 @@ def _equation(mu: float, nu: float) -> float:
 def nu1(mu: float) -> Root1D:
     """Unique root of ``mu*sin(nu) + nu*cos(nu) = 0`` in ``[pi/2, pi)``.
 
-    ``mu = 0`` is short-circuited to the exact value ``pi/2``.  For
-    ``mu > 0`` the root is bracketed in ``(pi/2, pi)`` and bisected to
-    rounding level, so the residual stays below ``1e-13 * (1 + mu)``.
-    The root is monotone non-decreasing in ``mu`` and tends to ``pi``
-    as ``mu -> infinity``.
+    The root is bracketed in ``(pi/2, pi)`` and bisected to rounding level,
+    so the residual stays below ``1e-13 * (1 + mu)``.  For ``mu`` below
+    about 2.5e-16 (``mu = 0`` included) or above about 5.5e15 the root lies
+    within rounding of a bracket end, and the value is the float at that end
+    below the root: ``pi/2``, or the float below ``pi``.  So the value never
+    exceeds the root; it is non-decreasing in ``mu`` and tends to ``pi`` as
+    ``mu -> infinity``.
     """
     mu = _check_mu(mu)
-    if mu == 0.0:
-        return Root1D(HALF_PI, abs(_equation(0.0, HALF_PI)))
-
-    # Nudge the bracket inward so both endpoint signs are well defined:
-    # the equation is +mu at pi/2 and -pi at pi.
+    # Nudge the bracket inward: the equation is +mu at pi/2 and -pi at pi.
+    # Where a nudged end's sign rounds away, the root lies within rounding
+    # of that end.
     lo = math.nextafter(HALF_PI, math.pi)
     hi = math.nextafter(math.pi, HALF_PI)
-    flo = _equation(mu, lo)
+    if _equation(mu, lo) <= 0.0:
+        return Root1D(HALF_PI, abs(_equation(mu, HALF_PI)))
     fhi = _equation(mu, hi)
-    if not (flo > 0.0 > fhi):
-        raise ValueError(f"root bracket lost its sign change for mu={mu!r}")
+    if fhi >= 0.0:
+        return Root1D(hi, abs(fhi))
 
     for _ in range(_MAX_BISECT):
         mid = 0.5 * (lo + hi)

@@ -358,6 +358,8 @@ def _check_weights(a: float, b: float, m: float):
         raise ValueError(f"side lengths must be finite and > 0, got {a!r}, {b!r}")
     if not np.isfinite(m) or m < 0.0:
         raise ValueError(f"mass must be finite and >= 0, got {m!r}")
+    if not np.isfinite(m * m):
+        raise ValueError(f"mass {m!r} is too large: its square overflows")
     return a, b, m
 
 

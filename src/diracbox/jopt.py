@@ -47,10 +47,8 @@ from .formgrid import (
     norm_parts,
     random_field,
     trial_dirichlet,
-    _weighted_parts_quotient,
 )
 from .symmetry import (
-    FOURTH_ROOTS,
     classify_symmetry,
     rotation_deviation,
     symmetrize,
@@ -68,7 +66,6 @@ __all__ = [
 ]
 
 DEGENERATE_FLOOR = 1e-12
-SYMMETRIC_INIT_TOL = 1e-8
 # An extrapolated round moves no weight by more than a factor of 2 from the
 # plain round's: the secant model is fitted on nearby rounds.
 MAX_LOG_STEP = math.log(2.0)
@@ -125,25 +122,11 @@ def _ratios(parts, m: float):
     return A, math.sqrt(t1 / t2)
 
 
-def _project_dominant_symmetry(fm: FormMatrices, psi: SpinorField) -> SpinorField:
-    """Projection onto the heaviest quarter-turn eigencomponent.
-
-    The four class projectors commute with any symmetric-weight form and
-    partition the field, so this is a stabilising no-op for simple
-    eigenvectors and picks a canonical member of a degenerate eigenspace.
-    """
-    best, best_norm = None, -1.0
-    for alpha in FOURTH_ROOTS:
-        cand = symmetrize(psi, alpha)
-        nrm = float(np.real(np.vdot(cand.values, fm.M @ cand.values)))
-        if nrm > best_norm:
-            best, best_norm = cand, nrm
-    return SpinorField(best.values / math.sqrt(best_norm), fm.n)
-
-
 @dataclass(frozen=True)
 class JMinimizerState:
-    """Outcome of one alternating-minimisation run."""
+    """Outcome of one alternating-minimisation run: ``psi`` is the last kept
+    round's grid eigenvector (half-turn class +1, M-normalised), and
+    ``(A, B)`` the ratios it gives."""
 
     psi: SpinorField
     A: float
@@ -152,7 +135,6 @@ class JMinimizerState:
     j_value: float
     iteration: int    # eigensolves, rejected extrapolations included
     converged: bool
-    symmetric_track: bool
     history: tuple    # ((mu, A, B, j_value), ...) per kept round
 
 
@@ -183,9 +165,12 @@ def fixed_point_minimize(fm: FormMatrices, m: float,
     The eigenvalue sequence is checked to be non-increasing and each
     iterate's J-quotient to lie below its eigenvalue; violations raise
     ConsistencyError since both are structural guarantees.  An initial
-    field that is quarter-turn symmetric stays so: each new eigenvector is
-    projected onto its dominant symmetry component, which commutes with the
-    (then symmetric) weighted form.
+    field that is quarter-turn symmetric has norm ratios 1 to rounding, so
+    its first round solves the square's weights ``A = B = 1``.  Every grid
+    solve returns the half-turn class +1 ground vector, where the ground
+    value is simple, and at the square's weights that vector is the
+    ``alpha = 1`` quarter-turn eigenvector; so the round returns a symmetric
+    field, with ratios 1 to rounding, and converges without a projection.
     """
     m = float(m)
     if maxit < 1:
@@ -195,17 +180,9 @@ def fixed_point_minimize(fm: FormMatrices, m: float,
     if init.n != fm.n:
         raise ValueError(f"init is on n={init.n}, matrices on n={fm.n}")
 
-    _, init_dev = rotation_deviation(fm, init)
-    symmetric_track = init_dev <= SYMMETRIC_INIT_TOL
-
     def solve(A, B):
         mu, psi = euler_solve(fm, A, B, m, solver_tol, seed=seed)
-        if symmetric_track:
-            psi = _project_dominant_symmetry(fm, psi)
-        parts = norm_parts(fm, psi)     # once per round
-        if symmetric_track:
-            mu = _weighted_parts_quotient(_euler_weights(A, B, m), parts)
-        return mu, psi, parts
+        return mu, psi, norm_parts(fm, psi)     # parts once per round
 
     A, B = _ratios(norm_parts(fm, init), m)
     trial = None        # extrapolated weights, tried before (A, B)
@@ -261,7 +238,6 @@ def fixed_point_minimize(fm: FormMatrices, m: float,
 
     return JMinimizerState(psi=psi, A=A, B=B, mu=mu_prev, j_value=jv,
                            iteration=solves, converged=converged,
-                           symmetric_track=symmetric_track,
                            history=tuple(history))
 
 
@@ -285,8 +261,7 @@ class ConjectureEvidence:
 
 
 def probe_conjecture_symmetry(fm: FormMatrices, m: float, restarts: int = 5,
-                              seed: int = 0, *, tol: float = 1e-8,
-                              maxit: int = 80,
+                              seed: int = 0, *,
                               solver_tol: float = 1e-10) -> ConjectureEvidence:
     """Run the fixed point from diverse starts and report what the best found.
 
@@ -309,9 +284,9 @@ def probe_conjecture_symmetry(fm: FormMatrices, m: float, restarts: int = 5,
     best = None
     for idx, (kind, init) in enumerate(inits):
         try:
-            state = fixed_point_minimize(
-                fm, m, init=init, tol=tol, maxit=maxit,
-                solver_tol=solver_tol, seed=seed + idx)
+            state = fixed_point_minimize(fm, m, init=init,
+                                         solver_tol=solver_tol,
+                                         seed=seed + idx)
         except DegenerateRatioError as exc:
             outcomes.append({"init": kind, "status": "degenerate",
                              "detail": str(exc)})

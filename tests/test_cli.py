@@ -83,6 +83,27 @@ def test_argument_error_exit_code():
     assert exc.value.code == 2
 
 
+def test_tiny_mass_solves_as_massless(tmp_path):
+    # nu1's bracket loses its sign change below mu of about 2.5e-16; the
+    # shift is then the massless one
+    recs = []
+    for m in ("0", "1e-17"):
+        out = tmp_path / f"m{m}.json"
+        assert run(["solve", "--a", "1", "--b", "1", "--m", m, "--n", "8",
+                    "--no-cache", "--out", str(out)]) == 0
+        recs.append(json.loads(out.read_text()))
+    assert recs[1]["mu"] == pytest.approx(recs[0]["mu"], rel=1e-12)
+    assert run(["bounds", "--a", "1", "--b", "1", "--m", "1e-17",
+                "--out", str(tmp_path / "b.json")]) == 0
+
+
+def test_mass_whose_square_overflows_is_an_argument_error(capsys):
+    assert run(["solve", "--a", "1", "--b", "1", "--m", "1e300",
+                "--n", "8", "--no-cache"]) == 2
+    err = capsys.readouterr().err
+    assert "1e+300" in err and "Traceback" not in err
+
+
 def test_non_finite_weights_named_with_or_without_cache(capsys):
     # With the cache on, the inputs are checked before the cache key is
     # serialised, whose own error names no argument.

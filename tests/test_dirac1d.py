@@ -62,6 +62,33 @@ def test_monotone_in_mass():
     assert all(b >= a for a, b in zip(values, values[1:]))
 
 
+def test_nu1_values_unchanged_inside_the_bisection_range():
+    # the values before the extreme-mass ends were handled, bit for bit
+    assert dirac1d.nu1(3e-16).nu == 1.570796326794897
+    assert dirac1d.nu1(1.0).nu == 2.028757838110434
+    assert dirac1d.nu1(5e15).nu == 3.1415926535897922
+
+
+@pytest.mark.parametrize("mu", [1e-300, 1e-17, 2e-16, 6e15, 3e16, 1e300])
+def test_nu1_at_extreme_masses_stays_below_the_root(mu):
+    # the root lies within rounding of a bracket end, whose sign rounds
+    # away; the value is that end's float below the root
+    root = dirac1d.nu1(mu)
+    end = math.pi / 2 if mu < 1.0 else math.nextafter(math.pi, 0.0)
+    assert root.nu == end
+    assert root.residual <= 1e-13 * (1.0 + mu)
+    # the equation is positive below the root
+    assert mu * math.sin(root.nu) + root.nu * math.cos(root.nu) >= 0.0
+
+
+def test_monotone_across_the_extreme_mass_ends():
+    grid = np.concatenate([[0.0], np.geomspace(1e-300, 1e300, 4001)])
+    values = [dirac1d.nu1(mu).nu for mu in grid]
+    assert all(b >= a for a, b in zip(values, values[1:]))
+    assert values[0] == math.pi / 2
+    assert values[-1] == math.nextafter(math.pi, 0.0)
+
+
 def test_single_sign_change_in_bracket():
     # uniqueness of the root is assumed; witness a single crossing at
     # sampling resolution for a spread of masses

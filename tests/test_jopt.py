@@ -19,7 +19,6 @@ from diracbox import (
     symmetrize,
     trial_dirichlet,
     verify_theorem_idea_chain,
-    weighted_quotient,
 )
 from diracbox.formgrid import norm_parts
 
@@ -92,7 +91,6 @@ def test_fixed_point_descends_from_trial(fm_cache):
     fm = fm_cache(16)
     state = fixed_point_minimize(fm, 0.0, init=trial_dirichlet(build_grid(16)))
     assert state.converged
-    assert state.symmetric_track
     assert state.mu <= j_value(trial_dirichlet(build_grid(16)), fm, 0.0)
     assert state.mu <= TWO_PI_SQ * 1.01
 
@@ -140,9 +138,9 @@ def test_fixed_point_history_invariants(fm_cache, monkeypatch, m, seed):
 @pytest.mark.parametrize("m, start", [(0.0, "trial"), (0.7, "random"),
                                       (0.7, "symmetrised")])
 def test_fixed_point_history_matches_a_reference_loop(fm_cache, m, start):
-    # Each round's norm parts serve the projected quotient, J and the next
-    # ratios; the history is that of a loop that computes them afresh for
-    # each and extrapolates the log weights by the secant rule, bit for bit.
+    # Each round's norm parts serve J and the next ratios; the history is
+    # that of a loop that computes them afresh for each and extrapolates the
+    # log weights by the secant rule, bit for bit.
     fm = fm_cache(12)
     grid = build_grid(12)
     psi = {"trial": trial_dirichlet(grid),
@@ -150,18 +148,10 @@ def test_fixed_point_history_matches_a_reference_loop(fm_cache, m, start):
            "symmetrised": symmetrize(random_field(grid, seed=3))}[start]
     maxit = 5
     state = fixed_point_minimize(fm, m, init=psi, maxit=maxit)
-    assert state.symmetric_track == (start != "random")
 
     def ratios(field):
         g1, g2, _, t1, t2 = norm_parts(fm, field)
         return (g1 / g2) ** 0.25, 1.0 if m == 0.0 else math.sqrt(t1 / t2)
-
-    def solve(w):
-        mu, field = euler_solve(fm, *w, m)
-        if state.symmetric_track:
-            field = jopt._project_dominant_symmetry(fm, field)
-            mu = weighted_quotient(fm, jopt._euler_weights(*w, m), field)
-        return mu, field
 
     plain, trial, prev = ratios(psi), None, None
     want, solves, tried = [], 0, 0
@@ -169,7 +159,7 @@ def test_fixed_point_history_matches_a_reference_loop(fm_cache, m, start):
         w = plain
         if trial is not None:
             solves, tried = solves + 1, tried + 1
-            mu, field = solve(trial)
+            mu, field = euler_solve(fm, *trial, m)
             j_prev = want[-1][3]
             if mu <= j_prev + 1e-12 * max(1.0, abs(j_prev)):
                 w = trial
@@ -177,7 +167,7 @@ def test_fixed_point_history_matches_a_reference_loop(fm_cache, m, start):
                 break
         if w is plain:
             solves += 1
-            mu, field = solve(plain)
+            mu, field = euler_solve(fm, *plain, m)
         want.append((mu, *w, j_value(field, fm, m)))
         plain = ratios(field)
         if abs(plain[0] - w[0]) + abs(plain[1] - w[1]) <= 1e-8:
@@ -234,11 +224,39 @@ def test_fixed_point_symmetric_init_stays_symmetric(fm_cache):
     fm = fm_cache(16)
     init = symmetrize(random_field(build_grid(16), seed=8))
     state = fixed_point_minimize(fm, 1.0, init=init)
-    assert state.symmetric_track
     _, dev = rotation_deviation(fm, state.psi)
     assert dev <= 1e-10
     assert state.A == pytest.approx(1.0, abs=1e-8)
     assert state.B == pytest.approx(1.0, abs=1e-8)
+
+
+@pytest.mark.parametrize("m, start", [(0.0, "symmetrised"),
+                                      (1.0, "symmetrised"),
+                                      (3.0, "symmetrised"), (0.0, "trial")])
+def test_symmetric_start_converges_in_one_unprojected_solve(
+        fm_cache, monkeypatch, m, start):
+    # A quarter-turn symmetric start has ratios 1 to rounding, and at the
+    # square's weights the class +1 ground vector of the grid solve is the
+    # alpha = 1 eigenvector: one plain round converges, symmetric, with no
+    # symmetrisation and no deviation check on the way.
+    fm = fm_cache(16)
+    grid = build_grid(16)
+    init = (trial_dirichlet(grid) if start == "trial"
+            else symmetrize(random_field(grid, seed=8)))
+    calls = []
+    for name in ("symmetrize", "rotation_deviation"):
+        def counting(*args, _name=name, _f=getattr(jopt, name), **kwargs):
+            calls.append(_name)
+            return _f(*args, **kwargs)
+        monkeypatch.setattr(jopt, name, counting)
+    state = fixed_point_minimize(fm, m, init=init, seed=4)
+    assert calls == []
+    assert state.iteration == 1 and state.converged
+    assert abs(state.A - 1.0) <= 1e-12 and abs(state.B - 1.0) <= 1e-12
+    _, dev = rotation_deviation(fm, state.psi)
+    assert dev <= 1e-12
+    (mu, A, B, _), = state.history
+    assert mu == state.mu == euler_solve(fm, A, B, m, seed=4)[0]
 
 
 def test_fixed_point_degenerate_trace_guard(fm_cache):
