@@ -39,7 +39,6 @@ from .eigsolve import (
     ground_cluster,
     lambda1_2d,
     refine_study,
-    smallest_eigenpair,
 )
 from .errors import (
     ClusterResolutionError,
@@ -50,11 +49,9 @@ from .errors import (
 from .formgrid import (
     ConstraintMap,
     FormMatrices,
-    FormMatrices1D,
     Grid,
     SpinorField,
     assemble,
-    assemble_1d,
     build_grid,
     constraint_map,
     quotient,
@@ -71,7 +68,6 @@ from .jopt import (
     fixed_point_minimize,
     j_value,
     probe_conjecture_symmetry,
-    verify_theorem_idea_chain,
 )
 from .symmetry import (
     RotationMap,

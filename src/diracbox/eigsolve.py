@@ -53,13 +53,6 @@ of the mass inverse, with no back transform.  ``tol`` must be a finite
 number above zero, and is checked before any work, as are ``k`` and the
 weights, which must be real.
 
-``smallest_eigenpair(Q, M)`` serves any other Hermitian pencil (1D pencils,
-tests) at shift zero with symmetric-mode SuperLU factors of both matrices:
-the minimum-degree ordering of ``A^T + A`` (``MMD_AT_PLUS_A``) and no row
-pivoting, so the factor of a Hermitian matrix is its LDL^H factorization,
-and the factor of ``M``, built on every call, is its positive-definiteness
-test.  LAPACK solves the pencils too small for ARPACK (``k >= dim - 1``).
-
 ``lambda1_2d`` evaluates the rectangle eigenvalue through the mass-shifted
 pencil: the ``m^2 M`` term of the squared form is an exact spectral shift of
 the same pencil, so it is dropped before the solve and ``m^2`` is added back
@@ -76,18 +69,17 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
-import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .bounds import separable_lower
 from .errors import ConsistencyError, SolverError
-from .formgrid import (SpinorField, assemble, build_grid, _check_hermitian,
-                       _check_weights, _products, _rectangle_weights)
+from .formgrid import (SpinorField, assemble, build_grid, _check_weights,
+                       _products, _rectangle_weights)
 from .symmetry import rotation_map
 from .tensor import _ClassOperator, _TensorInverse, mass_inverse
 
-__all__ = ["EigenResult", "RefineStudy", "smallest_eigenpair", "lambda1_2d",
-           "ground_cluster", "refine_study"]
+__all__ = ["EigenResult", "RefineStudy", "lambda1_2d", "ground_cluster",
+           "refine_study"]
 
 
 @dataclass(frozen=True)
@@ -139,39 +131,6 @@ def _check_tol(tol):
     would."""
     if not 0.0 < tol < np.inf:
         raise ValueError(f"tol must be a finite number > 0, got {tol!r}")
-
-
-def _factor(mat):
-    """Complex SuperLU factor in symmetric mode: minimum-degree ordered for
-    the symmetric pattern, diagonal pivots, so ``perm_r == perm_c`` unless a
-    zero pivot forced a row swap."""
-    return spla.splu(sp.csc_matrix(mat, dtype=complex),
-                     permc_spec="MMD_AT_PLUS_A",
-                     diag_pivot_thresh=0.0, options={"SymmetricMode": True})
-
-
-def _mass_lu(m):
-    """Factor of a Hermitian ``m`` that is also its positive-definiteness test.
-
-    With symmetric pivoting the factor is LDL^H, ``D`` the diagonal of U, so
-    ``m`` is positive definite exactly when every pivot is real and positive.
-    """
-    _check_hermitian("M", m)
-    try:
-        lu = _factor(m)
-    except RuntimeError as exc:         # SuperLU: exactly singular
-        raise ValueError("M is not positive definite") from exc
-    d = lu.U.diagonal()
-    # every pivot real to rounding and positive (fails for Re d <= 0)
-    if not (np.array_equal(lu.perm_r, lu.perm_c)
-            and np.all(np.abs(d.imag) < 1e-8 * d.real)):
-        raise ValueError("M is not positive definite")
-    # Reading U made scipy build csc copies of L and U, as large as the
-    # factor, and keep them on it for its life; solves need neither.
-    for csc in (lu.L, lu.U):
-        csc.data, csc.indices = csc.data[:0].copy(), csc.indices[:0].copy()
-        csc.indptr = np.zeros_like(csc.indptr)
-    return lu
 
 
 # ARPACK's Krylov dimension in a class solve.  The closed-form shift puts
@@ -253,9 +212,8 @@ def _solve_pencil(fm, w, k: int, tol: float, seed: int) -> _PencilSolution:
     # 1/(mu - sigma) of a small rectangle; a power of two near sigma keeps
     # the stop relative and, being exact, leaves every other value as is
     op = _ClassOperator(shift, mass, 2.0 ** round(math.log2(max(sigma, 1.0))))
-    z, iterations = _krylov(op.apply, op.dim, k, MAXIT, seed, sigma=sigma,
-                            scale=op.scale, ncv=ncv, tol=ARPACK_TOL,
-                            dtype=float)
+    z, iterations = _krylov(op.apply, op.dim, k, MAXIT, seed, sigma,
+                            op.scale, ncv)
 
     def pencil(v):
         return _products(fm, v, w, (0.0, 0.0, 1.0, 0.0, 0.0))
@@ -270,18 +228,14 @@ def _solve_pencil(fm, w, k: int, tol: float, seed: int) -> _PencilSolution:
                            residuals=residuals[order], iterations=iterations)
 
 
-def _krylov(apply_op, dim: int, k: int, maxit: int, seed: int, *,
-            sigma: float = 0.0, scale: float = 1.0, ncv=None,
-            tol: float = 1e-14, dtype=complex):
+def _krylov(apply_op, dim: int, k: int, maxit: int, seed: int,
+            sigma: float, scale: float, ncv: int):
     """Vectors of the k largest eigenvalues ``scale/(mu - sigma)`` of the
-    Hermitian operator ``apply_op`` on ``dim``-vectors of ``dtype``, and
-    the count of its applications.  ARPACK runs from a seeded start vector
-    to the relative tolerance ``tol`` (the class solve's is ``ARPACK_TOL``).
+    real symmetric operator ``apply_op`` on ``dim``-vectors, and the count
+    of its applications.  ARPACK runs with ``ncv`` Krylov vectors from a
+    seeded start vector to the relative tolerance ``ARPACK_TOL``.
     """
-    rng = np.random.default_rng(seed)
-    v0 = rng.standard_normal(dim)
-    if dtype is complex:
-        v0 = v0 + 1j * rng.standard_normal(dim)
+    v0 = np.random.default_rng(seed).standard_normal(dim)
     iterations = 0
 
     def counted(x):
@@ -289,21 +243,21 @@ def _krylov(apply_op, dim: int, k: int, maxit: int, seed: int, *,
         iterations += 1
         return apply_op(x)
 
-    op = spla.LinearOperator((dim, dim), matvec=counted, dtype=dtype)
+    op = spla.LinearOperator((dim, dim), matvec=counted, dtype=float)
     try:
         # the residual contract is enforced by the repair and Rayleigh-Ritz
         # steps, not by ARPACK's tolerance
         _, v = spla.eigsh(op, k=k, which="LM", v0=v0, maxiter=maxit,
-                          tol=tol, ncv=ncv)
+                          tol=ARPACK_TOL, ncv=ncv)
     except spla.ArpackNoConvergence as exc:
-        nus = np.real(exc.eigenvalues)
+        nus = exc.eigenvalues
         if not len(nus):
-            # ARPACK hands back its converged values only, so a k = 1 run
-            # has none; the same start at a loose tolerance gives the value
+            # ARPACK hands back its converged values only, and a run cut
+            # short can have none; the same start at a loose tolerance,
+            # for the largest value alone, gives the best one
             with contextlib.suppress(spla.ArpackNoConvergence):
-                nus = np.real(spla.eigsh(op, k=k, which="LM", v0=v0,
-                                         maxiter=maxit, tol=1e-8, ncv=ncv,
-                                         return_eigenvectors=False))
+                nus = spla.eigsh(op, k=1, which="LM", v0=v0, maxiter=maxit,
+                                 tol=1e-8, ncv=ncv, return_eigenvectors=False)
         best_mu = sigma + scale / float(nus.max()) if len(nus) else None
         raise SolverError(
             f"eigensolver did not converge within {maxit} restarts",
@@ -358,46 +312,6 @@ def _ritz(pencil, v, m_inv_norms, tol: float, iterations: int):
             best_mu=float(mus[0]), residual=float(residuals[i]),
             iterations=iterations)
     return mus, v, residuals
-
-
-def smallest_eigenpair(Q, M, k: int = 1, tol: float = 1e-10,
-                       maxit: int = MAXIT, seed: int = 0):
-    """k smallest eigenpairs of the Hermitian pencil (Q, M), ascending.
-
-    Eigenvectors are M-orthonormal; each pair satisfies the residual
-    contract ``|Q v - mu M v|_{M^-1} <= tol * mu``.  Deterministic for a
-    fixed seed.  The shapes, Q's Hermitian part and ``k`` are checked
-    first; then M is checked and factored by SuperLU on every call, and Q
-    is factored for ARPACK; LAPACK solves the pencils too small for ARPACK
-    (``k >= dim - 1``).  Grid solves go through ``_solve_pencil``, which
-    needs no sparse factor.
-    """
-    _check_tol(tol)
-    if Q.shape != M.shape or Q.shape[0] != Q.shape[1]:
-        raise ValueError("matrices must be square and of equal shape")
-    _check_hermitian("Q", Q)
-    dim = Q.shape[0]
-    if not 1 <= k <= dim:
-        raise ValueError(f"k={k} must lie in [1, {dim}]")
-    m_solve = _mass_lu(M).solve
-
-    def pencil(v):
-        return Q @ v, M @ v
-
-    if k >= dim - 1:
-        # too small for ARPACK, which needs k < dim - 1
-        qd = Q.toarray() if sp.issparse(Q) else np.asarray(Q, dtype=complex)
-        md = M.toarray() if sp.issparse(M) else np.asarray(M, dtype=complex)
-        _, v = sla.eigh(qd, md, subset_by_index=[0, k - 1])
-        iterations = 0
-    else:
-        a_solve = _factor(Q).solve
-        v, iterations = _krylov(lambda x: a_solve(M @ x), dim, k, maxit,
-                                seed)
-        v, iterations = _inverse_step(pencil, a_solve, v), iterations + k
-    mus, v, _ = _ritz(pencil, v, lambda r: np.sqrt(np.abs(np.real(
-        np.einsum("ij,ij->j", r.conj(), m_solve(r))))), tol, iterations)
-    return [(float(mus[i]), v[:, i]) for i in range(k)]
 
 
 def lambda1_2d(a: float, b: float, m: float, n: int, tol: float = 1e-10,

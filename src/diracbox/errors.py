@@ -1,5 +1,8 @@
 """Exception types shared across the package."""
 
+__all__ = ["SolverError", "DegenerateRatioError", "ClusterResolutionError",
+           "ConsistencyError"]
+
 
 class SolverError(RuntimeError):
     """Eigensolver failed to meet its residual contract.

@@ -18,10 +18,9 @@ reduced vector reconstructs to a field satisfying the boundary condition
 exactly, so the discrete space is a subspace of the true form domain and
 discrete minima over-estimate the continuum ones.
 
-The elimination is a pair of index gathers, in 2D and in the 1D problem of
-``assemble_1d`` alike: nodal values read the reduced dofs, u2 scaled by the
-node's constraint factor, and reduced matrices take each scalar entry to
-the same dofs (``_reduce``); no projection matrix is formed.
+The elimination is a pair of index gathers: nodal values read the reduced
+dofs, u2 scaled by the node's constraint factor, and the adjoint gather
+takes them back; no projection matrix is formed.
 
 The five forms realise the weighted squared-operator form
 
@@ -54,12 +53,10 @@ __all__ = [
     "Grid",
     "ConstraintMap",
     "FormMatrices",
-    "FormMatrices1D",
     "SpinorField",
     "build_grid",
     "constraint_map",
     "assemble",
-    "assemble_1d",
     "weighted",
     "quotient",
     "parts_quotient",
@@ -156,7 +153,9 @@ def constraint_map(n: int) -> ConstraintMap:
     # dofs (none at a corner, u1 on an edge, u1 and u2 inside) follow those
     # of the nodes before it.
     count = (cls != CORNER).astype(np.int8) + (cls == INTERIOR)
-    free1, free2 = _number(count)
+    free1 = np.cumsum(count).reshape(count.shape) - count
+    free2 = np.where(count == 2, free1 + 1, -1)
+    free1[count == 0] = -1
     ndof = int(count.sum())
     if ndof != 2 * (n - 1) ** 2 + 4 * (n - 1):
         raise ConsistencyError(f"the {n}-cell grid numbers {ndof} dofs")
@@ -164,16 +163,6 @@ def constraint_map(n: int) -> ConstraintMap:
                          factor=factor, ndof=ndof, slots=np.flatnonzero(
                              np.stack([count > 0, count > 1], axis=-1)),
                          edges=np.flatnonzero(count == 1))
-
-
-def _number(count: np.ndarray):
-    """Node-major dof numbers ``(free1, free2)`` of nodes that hold
-    ``count`` dofs each: u1 first, then u2 at a node with two, -1 where a
-    node holds no such dof."""
-    free1 = np.cumsum(count).reshape(count.shape) - count
-    free2 = np.where(count == 2, free1 + 1, -1)
-    free1[count == 0] = -1
-    return free1, free2
 
 
 @dataclass(frozen=True)
@@ -254,20 +243,6 @@ class FormMatrices:
         return True
 
 
-@dataclass(frozen=True)
-class FormMatrices1D:
-    """1D analogue: interval stiffness, mass and endpoint trace."""
-
-    n: int
-    K: sp.csr_matrix = field(repr=False)
-    M: sp.csr_matrix = field(repr=False)
-    T: sp.csr_matrix = field(repr=False)
-
-    @property
-    def ndof(self) -> int:
-        return self.M.shape[0]
-
-
 def _lines(n: int) -> np.ndarray:
     """Exact P1 stiffness, mass and endpoint-trace matrices on n unit-span
     cells, in the band form of ``FormMatrices.lines``.
@@ -286,42 +261,6 @@ def _lines(n: int) -> np.ndarray:
     return lines
 
 
-def _matrices_1d(n: int):
-    """The matrices of ``_lines`` as sparse (n+1)-square matrices."""
-    return tuple(sp.csr_matrix(sp.diags_array(
-        [bands[0, 1:], bands[1], bands[2, :-1]], offsets=[-1, 0, 1]))
-        for bands in _lines(n))
-
-
-def _reduce(full: sp.spmatrix, free1: np.ndarray, free2: np.ndarray,
-            factor: np.ndarray, ndof: int) -> sp.csr_matrix:
-    """Reduced spinor matrix of a per-component scalar matrix ``A``.
-
-    ``A[p, q]`` goes at ``(free1[p], free1[q])`` and ``conj(w[p]) w[q]
-    A[p, q]`` at ``(u2[p], u2[q])``, with ``u2`` the dof each node's u2 is
-    read from (``free2`` inside, ``free1`` on an edge) and ``w`` the
-    constraint factor, and the CSR conversion sums the two.  No entry
-    gets more than one term of each, so a symmetric real ``A`` gives a
-    Hermitian matrix bit for bit.
-    """
-    full = full.tocoo()
-    p, q = full.row, full.col
-    rows, cols, data = [], [], []
-    u2 = np.where(free2 >= 0, free2, free1)
-    for dof, w in ((free1, None), (u2, factor.ravel())):
-        dof = dof.ravel().astype(p.dtype)   # gathers at A's index width
-        keep = (dof[p] >= 0) & (dof[q] >= 0)
-        pk, qk, a = p[keep], q[keep], full.data[keep]
-        rows.append(dof[pk])
-        cols.append(dof[qk])
-        data.append(a if w is None else np.conj(w[pk]) * w[qk] * a)
-    out = sp.csr_matrix((np.concatenate(data),
-                         (np.concatenate(rows), np.concatenate(cols))),
-                        shape=(ndof, ndof))
-    out.data += 0.0         # the factor products leave signed zeros
-    return out
-
-
 @lru_cache(maxsize=None)
 def assemble(grid: Grid) -> FormMatrices:
     """The five reduced forms of one grid (cached per n): its 1D matrices.
@@ -331,25 +270,6 @@ def assemble(grid: Grid) -> FormMatrices:
     constrained axis with the 1D mass matrix along the edge.
     """
     return FormMatrices(n=grid.n, lines=_lines(grid.n))
-
-
-def assemble_1d(n: int) -> FormMatrices1D:
-    """1D spinor problem with endpoint constraints phi2 = omega phi1
-    eliminated, ``omega`` that of the left and right edges (-i and +i).
-
-    Reduced layout: one dof per endpoint, two per interior node, node-major,
-    numbered and reduced by the rule of the 2D grid.
-    """
-    build_grid(n)
-    k1d, m1d, t1d = _matrices_1d(n)
-    count = np.full(n + 1, 2, dtype=np.int8)
-    count[[0, -1]] = 1
-    free1, free2 = _number(count)
-    factor = np.ones(n + 1, dtype=complex)
-    factor[[0, -1]] = OMEGA[LEFT], OMEGA[RIGHT]
-    ndof = int(count.sum())
-    red = (_reduce(a, free1, free2, factor, ndof) for a in (k1d, m1d, t1d))
-    return FormMatrices1D(n, *red)
 
 
 def _check_weights(a: float, b: float, m: float):
@@ -526,15 +446,3 @@ def reconstruct(psi: SpinorField):
     u = _nodal(cmap, psi.values).view(complex)
     # +0.0 leaves no negative zero, from the factor products or the field
     return u[:, 0::2] + 0.0, u[:, 1::2] + 0.0
-
-
-def _check_hermitian(name, mat):
-    """ValueError unless ``max |mat - mat^H| <= 1e-12 max |mat|``."""
-    if sp.issparse(mat):
-        anti = abs(mat - mat.conj().T)
-        dev = anti.max() if anti.nnz else 0.0
-    else:
-        mat = np.asarray(mat)
-        dev = np.abs(mat - mat.conj().T).max()
-    if dev > 1e-12 * max(abs(mat).max(), 1e-300):
-        raise ValueError(f"{name} is not Hermitian (deviation {dev:.3e})")

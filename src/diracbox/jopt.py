@@ -37,19 +37,17 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import ConsistencyError, DegenerateRatioError
-from .eigsolve import _solve_pencil, ground_cluster, lambda1_2d
+from .eigsolve import _solve_pencil
 from .formgrid import (
     FormMatrices,
     SpinorField,
     _check_weights,
-    assemble,
     build_grid,
     norm_parts,
     random_field,
     trial_dirichlet,
 )
 from .symmetry import (
-    classify_symmetry,
     rotation_deviation,
     symmetrize,
     verify_norm_identities,
@@ -62,7 +60,6 @@ __all__ = [
     "euler_solve",
     "fixed_point_minimize",
     "probe_conjecture_symmetry",
-    "verify_theorem_idea_chain",
 ]
 
 DEGENERATE_FLOOR = 1e-12
@@ -315,74 +312,3 @@ def probe_conjecture_symmetry(fm: FormMatrices, m: float, restarts: int = 5,
         d1=float(d1), d2=float(d2), rotation_deviation=float(rdev),
         all_restarts_agree=agree, degenerate_restarts=n_degenerate,
         restarts=tuple(outcomes))
-
-
-def verify_theorem_idea_chain(m: float, a_grid, n: int, *,
-                              tol: float = 1e-10, seed: int = 0,
-                              restarts: int = 4) -> dict:
-    """Numerical witness of the square-minimality reduction chain.
-
-    Checks, at desk scale: (1) the fixed-point optimum lower-bounds the
-    fixed-area family; (2) the symmetric representative of the square's
-    ground cluster attains its eigenvalue in the product functional, and
-    symmetrised random fields never beat it; (3) the fixed-perimeter
-    rectangle dominates the fixed-area rectangle of the same first side.
-    Produces a report; nothing here asserts the open conjectures.
-    """
-    fm = assemble(build_grid(n))
-    evidence = probe_conjecture_symmetry(fm, m, restarts=max(3, restarts),
-                                         seed=seed, solver_tol=tol)
-
-    area = []
-    area_mu = []        # (a, mu), reused by the perimeter comparison
-    chain_ok = True
-    for a in a_grid:
-        res = lambda1_2d(a, 1.0 / a, m, n, tol, seed=seed)
-        area_mu.append((a, res.mu))
-        gap = res.mu - m**2 - evidence.best_mu
-        ok = gap >= -1e-8 * max(1.0, abs(res.mu))
-        chain_ok &= ok
-        area.append({"a": float(a), "mu_shifted": res.mu - m**2,
-                     "gap_vs_best": gap, "ok": ok})
-
-    mus, cluster = ground_cluster(fm, 1.0, 1.0, m, tol=tol, seed=seed)
-    classes = classify_symmetry(fm, cluster, square=True)
-    rep = classes[0].field
-    jq = j_value(rep, fm, m)
-    square_mu = mus[0]
-    rep_equal = abs(jq - square_mu) <= 1e-8 * max(1.0, square_mu)
-
-    rng_checks = []
-    grid = build_grid(fm.n)
-    for i in range(5):
-        sym = symmetrize(random_field(grid, seed=seed + 100 + i))
-        val = j_value(sym, fm, m)
-        rng_checks.append({"j_quotient": val,
-                           "ok": val >= square_mu * (1.0 - 1e-10)})
-    symmetric_min_ok = rep_equal and all(c["ok"] for c in rng_checks)
-
-    perimeter = []
-    for a, mu_a in area_mu:
-        if not 0.0 < a < 2.0:
-            continue
-        mu_p = lambda1_2d(a, 2.0 - a, m, n, tol, seed=seed).mu
-        ok = mu_p >= mu_a - 1e-9 * max(1.0, mu_a)
-        perimeter.append({"a": float(a), "mu_perimeter": mu_p,
-                          "mu_area": mu_a, "ok": ok})
-
-    return {
-        "m": float(m),
-        "n": int(n),
-        "best_mu": evidence.best_mu,
-        "fixed_area_dominates_best": chain_ok,
-        "area_family": area,
-        "square_mu_shifted": square_mu,
-        "representative_j_quotient": jq,
-        "representative_attains": rep_equal,
-        "symmetric_random_never_beats": all(c["ok"] for c in rng_checks),
-        "symmetric_subspace_min_matches_square": symmetric_min_ok,
-        "symmetric_random_checks": rng_checks,
-        "perimeter_dominates_area": all(p["ok"] for p in perimeter),
-        "perimeter_family": perimeter,
-        "conjecture_evidence": evidence.as_dict(),
-    }

@@ -86,6 +86,24 @@ class ProjectionBases:
             omega[cmap.node_class == node_class] = w
         return cls(cmap.free1, cmap.free2, omega)
 
+    @classmethod
+    def of_interval(cls, n):
+        """The bases of the 1D spinor problem on n cells, numbered by a
+        loop over the nodes: one dof at each end, where u2 = -i u1 (left)
+        and +i u1 (right), two at each interior node."""
+        free1 = np.full(n + 1, -1)
+        free2 = np.full(n + 1, -1)
+        k = 0
+        for p in range(n + 1):
+            free1[p] = k
+            k += 1
+            if 0 < p < n:
+                free2[p] = k
+                k += 1
+        omega = np.zeros(n + 1, dtype=complex)
+        omega[0], omega[n] = -1.0j, 1.0j
+        return cls(free1, free2, omega)
+
     def reduce(self, full):
         """Hermitian part of ``B1^H A B1 + B2^H A B2``, canonical CSR."""
         b1, b2 = self.basis1, self.basis2
@@ -106,21 +124,17 @@ class ReferenceForms:
     """Reference assembly of the five grid forms as sparse matrices,
     independent of the Kronecker operators that the solver applies.
 
-    Each reduced matrix is built entry by entry from the Kronecker product
-    of its 1D element matrices, by the index-gather reduction that
-    ``formgrid._reduce`` applies to the 1D problem, itself checked against
-    ``ProjectionBases``.
+    Each reduced matrix is the ``ProjectionBases`` reduction of the
+    Kronecker product of its sparse 1D matrices (``FormMatrices._matrices``).
     """
 
     def __init__(self, n):
-        from diracbox.formgrid import (FORMS, _PAIRS, _matrices_1d, _reduce,
-                                       constraint_map)
-        cmap = constraint_map(n)
-        lines = _matrices_1d(n)
-        self.n, self.ndof = n, cmap.ndof
+        from diracbox.formgrid import FORMS, _PAIRS
+        lines = assemble(build_grid(n))._matrices
+        bases = ProjectionBases.of_grid(n)
+        self.n, self.ndof = n, bases.basis1.shape[1]
         self.forms = {
-            name: _reduce(sp.kron(lines[a], lines[b], format="coo"),
-                          cmap.free1, cmap.free2, cmap.factor, cmap.ndof)
+            name: bases.reduce(sp.kron(lines[a], lines[b], format="csr"))
             for name, (a, b) in zip(FORMS, _PAIRS)}
         self.M = self.forms["M"]
 
@@ -146,6 +160,18 @@ class ReferenceForms:
                       np.where(image[own], -beta, 1.0) * coo.data[own])
             out[beta] = block
         return out
+
+
+@pytest.fixture(scope="session")
+def interval_forms():
+    """The reduced 1D stiffness, mass and trace matrices ``(K, M, T)`` of
+    the n-cell interval, by ``ProjectionBases.of_interval``."""
+    def get(n):
+        bases = ProjectionBases.of_interval(n)
+        return tuple(bases.reduce(mat)
+                     for mat in assemble(build_grid(n))._matrices)
+
+    return get
 
 
 @pytest.fixture(scope="session")

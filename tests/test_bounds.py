@@ -44,6 +44,21 @@ def test_sharp_dominates_crude_on_grid():
             assert sh >= lo * (1 - 1e-13)
 
 
+def test_sharp_meets_crude_to_rounding_at_extreme_masses():
+    # Strict dominance while the difference exceeds rounding; past that
+    # the two agree to within two ulps, the sharp bound 2 ulps below at
+    # the square from m about 1e16 on.
+    for a in np.geomspace(0.2, 5.0, 5):
+        for m in np.geomspace(1e-3, 1e5 / max(a, 1 / a), 40):
+            assert bounds.sharp_lower(a, 1 / a, m) >= bounds.thm_lower(
+                a, 1 / a, m)
+    assert bounds.sharp_lower(1, 1, 5e15) == bounds.thm_lower(1, 1, 5e15)
+    for m in (1e16, 3e16, 1e17):
+        sh, lo = bounds.sharp_lower(1, 1, m), bounds.thm_lower(1, 1, m)
+        assert (sh, lo) == (19.73920880217871, 19.739208802178716)
+        assert sh >= lo - 2 * math.ulp(lo)
+
+
 def test_thm_upper_values():
     assert bounds.thm_upper(1, 1) == pytest.approx(2 * PI_SQ, rel=1e-15)
     assert bounds.thm_upper(2, 0.5) == pytest.approx(17 * PI_SQ / 4, rel=1e-15)

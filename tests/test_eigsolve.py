@@ -3,63 +3,28 @@ import math
 import os
 import subprocess
 import sys
-import weakref
 
 import numpy as np
 import pytest
 import scipy.linalg as sla
-import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
-from diracbox import (
-    SolverError,
-    assemble_1d,
-    bounds,
-    lambda1_2d,
-    refine_study,
-    smallest_eigenpair,
-)
+from diracbox import SolverError, bounds, lambda1_2d, refine_study
 from diracbox import cli, eigsolve, formgrid, jopt, symmetry, tensor
 
 
-def test_dense_diagonal_case():
-    q = np.diag([1.0, 4.0]).astype(complex)
-    m = np.eye(2, dtype=complex)
-    [(mu, vec)] = smallest_eigenpair(q, m, k=1)
-    assert mu == pytest.approx(1.0, abs=1e-14)
-    assert abs(vec[0]) == pytest.approx(1.0, abs=1e-12)
-    assert abs(vec[1]) <= 1e-12
-
-
-def test_rejects_non_hermitian():
-    q = np.array([[1.0, 2.0], [0.0, 3.0]], dtype=complex)
-    with pytest.raises(ValueError):
-        smallest_eigenpair(q, np.eye(2, dtype=complex), k=1)
-
-
-def test_rejects_indefinite_mass():
-    q = np.eye(2, dtype=complex)
-    m = np.diag([1.0, -1.0]).astype(complex)
-    with pytest.raises(ValueError):
-        smallest_eigenpair(q, m, k=1)
-    # singular positive semidefinite: SuperLU finds an exactly zero pivot
-    with pytest.raises(ValueError, match="not positive definite"):
-        smallest_eigenpair(np.eye(3), np.diag([1.0, 1.0, 0.0]), k=1)
-
-
-def test_rejects_indefinite_mass_with_positive_diagonal(monkeypatch):
-    # Blocks [[1, 2], [2, 1]] have eigenvalues 3 and -1: the diagonal is
-    # positive, the matrix is not.  The factor of M must reject it before
-    # ARPACK runs.
-    block = np.array([[1.0, 2.0], [2.0, 1.0]])
-    m = sp.block_diag([block] * 1100, format="csr").astype(complex)
-    q = sp.identity(m.shape[0], dtype=complex, format="csr")
-
+def test_rejects_non_hermitian(fm_cache, monkeypatch):
+    # A grid whose 1D stiffness is not symmetric has forms that are not
+    # Hermitian: the solve's certificate rejects it before ARPACK runs.
     def eigsh(*args, **kwargs):
-        raise AssertionError("ARPACK ran on an indefinite M")
+        raise AssertionError("ARPACK ran on a non-Hermitian pencil")
 
     monkeypatch.setattr(eigsolve.spla, "eigsh", eigsh)
-    with pytest.raises(ValueError, match="not positive definite"):
-        smallest_eigenpair(q, m, k=2)
+    lines = fm_cache(12).lines.copy()
+    lines[0, 2, 3] *= 1 + 1e-9
+    with pytest.raises(ValueError, match="not Hermitian"):
+        eigsolve._solve_pencil(formgrid.FormMatrices(12, lines),
+                               (1.0, 1.0, 0.0, 0.0, 0.0), 1, 1e-10, 0)
 
 
 def test_rejects_bad_tol_before_any_solve(monkeypatch):
@@ -69,12 +34,9 @@ def test_rejects_bad_tol_before_any_solve(monkeypatch):
         raise AssertionError("ARPACK ran with a bad tol")
 
     monkeypatch.setattr(eigsolve.spla, "eigsh", eigsh)
-    q = sp.diags(np.arange(1.0, 7.0)).tocsr().astype(complex)
     for tol in (0.0, -1.0, float("nan"), float("inf")):
         with pytest.raises(ValueError, match="tol must be"):
             lambda1_2d(1, 1, 0, 12, tol=tol)
-        with pytest.raises(ValueError, match="tol must be"):
-            smallest_eigenpair(q, sp.identity(6, format="csr"), tol=tol)
 
 
 def test_grid_solve_checks_arguments_before_any_work(fm_cache):
@@ -92,78 +54,58 @@ def test_grid_solve_checks_arguments_before_any_work(fm_cache):
     assert tensor.mass_inverse.cache_info().misses == 0
 
 
-def test_checks_arguments_before_factoring_mass(monkeypatch):
-    # Mismatched shapes, a non-Hermitian Q and a bad k are argument errors,
-    # raised before M is checked and factored.
-    def splu(*args, **kwargs):
-        raise AssertionError("M was factored")
-
-    monkeypatch.setattr(eigsolve.spla, "splu", splu)
-    m = sp.identity(6, dtype=complex, format="csr")
-    q = sp.diags(np.arange(1.0, 7.0)).tocsr().astype(complex)
-    skew = q.tolil()
-    skew[0, 1] = 1.0
-    for args, match in (((q, sp.identity(5, format="csr")), "equal shape"),
-                        ((skew.tocsr(), m), "not Hermitian"),
-                        ((q, m, 0), "must lie in"),
-                        ((q, m, 7), "must lie in")):
-        with pytest.raises(ValueError, match=match):
-            smallest_eigenpair(*args)
+def test_rejects_bad_k(fm_cache):
+    fm = fm_cache(12)
+    for k in (0, fm.ndof):
+        with pytest.raises(ValueError):
+            eigsolve.ground_cluster(fm, 1.0, 1.0, 0.0, k=k)
 
 
-def test_rejects_bad_k():
-    q = np.eye(2, dtype=complex)
-    with pytest.raises(ValueError):
-        smallest_eigenpair(q, q, k=0)
-    with pytest.raises(ValueError):
-        smallest_eigenpair(q, q, k=3)
+def test_sparse_deterministic_bitwise(fm_cache):
+    fm = fm_cache(48)
+    first, second = (eigsolve._solve_pencil(fm, (1.0, 1.0, 0.0, 0.0, 0.0), 2,
+                                            1e-10, 42) for _ in range(2))
+    assert np.array_equal(first.mus, second.mus)
+    assert np.array_equal(first.vectors, second.vectors)
 
 
-def test_sparse_deterministic_bitwise(reference_forms):
-    fm = reference_forms(48)
-    q = fm.weighted((1.0, 1.0, 0.0, 0.0, 0.0))
-    first = smallest_eigenpair(q, fm.M, k=2, seed=42)
-    second = smallest_eigenpair(q, fm.M, k=2, seed=42)
-    for (mu1, v1), (mu2, v2) in zip(first, second):
-        assert mu1 == mu2
-        assert np.array_equal(v1, v2)
-
-
-def test_sparse_matches_dense(reference_forms):
-    fm = reference_forms(16)
-    q = fm.weighted((1.3**-2, 0.9**-2, 0.0, 0.5 / 1.3, 0.5 / 0.9))
-    dense = sla.eigh(q.toarray(), fm.M.toarray(), eigvals_only=True,
+def test_sparse_matches_dense(fm_cache, reference_forms):
+    # the class +1 values and their class -1 conjugates, merged
+    ref = reference_forms(16)
+    q = ref.weighted((1.3**-2, 0.9**-2, 0.0, 0.5 / 1.3, 0.5 / 0.9))
+    dense = sla.eigh(q.toarray(), ref.M.toarray(), eigvals_only=True,
                      subset_by_index=[0, 2])
-    sparse = smallest_eigenpair(q, fm.M, k=3)
-    for mu_d, (mu_s, _) in zip(dense, sparse):
-        assert mu_s == pytest.approx(mu_d, rel=1e-11)
+    mus, _ = eigsolve.ground_cluster(fm_cache(16), 1.3, 0.9, 0.5, k=3)
+    assert mus == pytest.approx(dense, rel=1e-11)
 
 
-def test_eigenvectors_mass_orthonormal(reference_forms):
-    fm = reference_forms(16)
-    pairs = smallest_eigenpair(fm.weighted((1, 1, 0, 0, 0)), fm.M, k=4)
-    v = np.column_stack([vec for _, vec in pairs])
-    gram = v.conj().T @ (fm.M @ v)
+def test_eigenvectors_mass_orthonormal(fm_cache, reference_forms):
+    # the class +1 vectors and their class -1 conjugates together
+    sol = eigsolve._solve_pencil(fm_cache(16), (1.0, 1.0, 0.0, 0.0, 0.0), 2,
+                                 1e-10, 0)
+    v = np.concatenate([sol.vectors, symmetry.rotation_map(16).conjugate(
+        sol.vectors)], axis=1)
+    gram = v.conj().T @ (reference_forms(16).M @ v)
     assert np.abs(gram - np.eye(4)).max() <= 1e-12
 
 
-def test_1d_pencil_against_root_equation():
-    fm1 = assemble_1d(512)
-    q = sp.csr_matrix(fm1.K)
-    [(mu, _)] = smallest_eigenpair(q, fm1.M, k=1, tol=1e-7)
+def test_1d_pencil_against_root_equation(interval_forms):
+    k, m, _ = interval_forms(512)
+    [mu] = spla.eigsh(k, k=1, M=m, sigma=0, return_eigenvectors=False)
     exact = (math.pi / 2) ** 2
     assert exact <= mu <= exact * (1 + 1e-4)
 
 
-def test_nonconvergence_carries_best_iterate(reference_forms):
-    fm = reference_forms(48)
-    q = fm.weighted((1.0, 1.0, 0.0, 0.0, 0.0))
-    with pytest.raises(SolverError) as err:
-        smallest_eigenpair(q, fm.M, k=4, maxit=1)
+def test_nonconvergence_carries_best_iterate(fm_cache, monkeypatch):
+    # a two-pair class solve cut after one restart
+    fm = fm_cache(48)
+    with monkeypatch.context() as patch:
+        patch.setattr(eigsolve, "MAXIT", 1)
+        with pytest.raises(SolverError) as err:
+            eigsolve.ground_cluster(fm, 1.0, 1.0, 0.0, k=4)
     assert err.value.iterations > 0
-    [(mu, _)] = smallest_eigenpair(q, fm.M, k=1)
-    # ARPACK returns 1/mu; best_mu is the eigenvalue of the pencil
-    assert err.value.best_mu == pytest.approx(mu, rel=1e-6)
+    mus, _ = eigsolve.ground_cluster(fm, 1.0, 1.0, 0.0, k=4)
+    assert err.value.best_mu == pytest.approx(mus[0], rel=1e-6)
 
 
 def test_grid_nonconvergence_carries_shifted_best_iterate(monkeypatch):
@@ -183,47 +125,9 @@ def test_grid_nonconvergence_carries_shifted_best_iterate(monkeypatch):
         assert err.value.best_mu == pytest.approx(mu, rel=1e-6)
 
 
-def test_residual_contract_enforced(reference_forms):
-    fm = reference_forms(16)
-    q = fm.weighted((1.0, 1.0, 0.0, 0.0, 0.0))
+def test_residual_contract_enforced():
     with pytest.raises(SolverError):
-        smallest_eigenpair(q, fm.M, k=1, tol=1e-30)
-
-
-def test_smallest_eigenpair_releases_its_factors(reference_forms,
-                                                 monkeypatch):
-    # The SuperLU factors of a matrix-pencil solve, M for its check and Q for
-    # ARPACK, must go when it returns, with GC paused: no reference cycle may
-    # hold them until the next full collection.
-    fm = reference_forms(48)
-    q = fm.weighted((1.0, 1.0, 0.0, 0.0, 0.0))
-    splu = eigsolve.spla.splu
-    factors = []
-
-    class Factor:                       # a SuperLU that takes a weakref
-        def __init__(self, lu):
-            self.lu = lu
-
-        def __getattr__(self, name):
-            return getattr(self.lu, name)
-
-        def solve(self, rhs):       # a bound method holds the wrapper
-            return self.lu.solve(rhs)
-
-    def tracked_splu(*args, **kwargs):
-        factor = Factor(splu(*args, **kwargs))
-        factors.append(weakref.ref(factor))
-        return factor
-
-    monkeypatch.setattr(eigsolve.spla, "splu", tracked_splu)
-    gc.collect()
-    gc.disable()
-    try:
-        smallest_eigenpair(q, fm.M, k=1)
-        assert len(factors) == 2          # M for its check, Q for ARPACK
-        assert all(ref() is None for ref in factors)
-    finally:
-        gc.enable()
+        lambda1_2d(1, 1, 0, 16, tol=1e-30)
 
 
 def test_grid_solves_leave_no_reference_cycles(fm_cache):
@@ -554,26 +458,22 @@ def test_warm_solves_take_no_page_faults():
     assert faults < 100, faults
 
 
-def test_sparse_path_repairs_inaccurate_arpack_vectors(reference_forms,
-                                                       monkeypatch):
+def test_sparse_path_repairs_inaccurate_arpack_vectors(fm_cache, monkeypatch):
     # ARPACK can return the vectors of a degenerate pair far above its
     # tolerance; the inverse-iteration and Rayleigh-Ritz steps repair them.
-    fm = reference_forms(48)
-    q = fm.weighted((1.0, 1.0, 0.0, 0.0, 0.0))
-    clean = smallest_eigenpair(q, fm.M, k=4)
+    fm = fm_cache(48)
+    clean, _ = eigsolve.ground_cluster(fm, 1.0, 1.0, 0.0, k=4)
     eigsh = eigsolve.spla.eigsh
 
     def noisy(*args, **kwargs):
         w, v = eigsh(*args, **kwargs)
-        rng = np.random.default_rng(1)
-        noise = rng.standard_normal(v.shape) + 1j * rng.standard_normal(v.shape)
+        noise = np.random.default_rng(1).standard_normal(v.shape)
         scale = 1e-11 * np.linalg.norm(v, axis=0) / np.sqrt(v.shape[0])
         return w, v + scale * noise
 
     monkeypatch.setattr(eigsolve.spla, "eigsh", noisy)
-    repaired = smallest_eigenpair(q, fm.M, k=4)
-    for (mu_c, _), (mu_r, _) in zip(clean, repaired):
-        assert mu_r == pytest.approx(mu_c, rel=1e-12)
+    repaired, _ = eigsolve.ground_cluster(fm, 1.0, 1.0, 0.0, k=4)
+    assert repaired == pytest.approx(clean, rel=1e-12)
 
 
 def test_lambda1_2d_bracket_and_gap(solve_memo, fm_cache):

@@ -7,20 +7,16 @@ import scipy.sparse as sp
 from diracbox import (
     SpinorField,
     assemble,
-    assemble_1d,
     build_grid,
     constraint_map,
-    dirac1d,
     quotient,
     random_field,
     reconstruct,
-    smallest_eigenpair,
     trial_dirichlet,
     weighted,
     weighted_quotient,
 )
-from diracbox.formgrid import (CORNER, INTERIOR, OMEGA, _matrices_1d,
-                               norm_parts)
+from diracbox.formgrid import CORNER, INTERIOR, OMEGA, norm_parts
 
 TWO_PI_SQ = 2 * math.pi**2
 
@@ -66,7 +62,7 @@ def test_reduced_dimension(n, expected):
 def test_hand_computed_1d_element_matrices():
     # four cells on (-1/2, 1/2): h = 1/4; assembled tridiagonal matrices
     h = 0.25
-    k, m, t = (mat.toarray() for mat in _matrices_1d(4))
+    k, m, t = (mat.toarray() for mat in assemble(build_grid(4))._matrices)
     m_ref = np.array([
         [h / 3, h / 6, 0, 0, 0],
         [h / 6, 2 * h / 3, h / 6, 0, 0],
@@ -90,7 +86,7 @@ def test_hand_computed_1d_element_matrices():
 def test_mass_partition_of_unity():
     # row sums of the full scalar mass matrix are the basis integrals
     n = 4
-    _, m1d, _ = _matrices_1d(n)
+    _, m1d, _ = assemble(build_grid(n))._matrices
     full = sp.kron(m1d, m1d).toarray()
     sums = full.sum(axis=1).reshape(n + 1, n + 1)
     h2 = (1.0 / n) ** 2
@@ -143,7 +139,7 @@ def test_interior_blocks_are_one_kronecker_sum(fm_cache, n):
     u2 = cmap.free2[inner, inner].ravel()
     edge = np.setdiff1d(np.arange(fm.ndof), np.concatenate([u1, u2]))
     assert edge.size == 4 * (n - 1)
-    k1d, m1d, _ = _matrices_1d(n)
+    k1d, m1d, _ = fm._matrices
     kd, md = k1d[inner, inner], m1d[inner, inner]
     kron = {"K1": sp.kron(kd, md), "K2": sp.kron(md, kd),
             "M": sp.kron(md, md)}
@@ -407,39 +403,27 @@ def _assert_same_bytes(got, want):
 @pytest.mark.parametrize("n", [4, 12, 30])
 def test_forms_match_the_projection_bases_bit_for_bit(reference_forms,
                                                       projection_bases, n):
-    # The reference assembly by index gathers equals the Hermitian part of
-    # B1^H A B1 + B2^H A B2, the bases built from the node classes and
-    # OMEGA, to the last bit and stored entry.
+    # The reference forms, built from the 1D matrices the solver reads,
+    # equal to the last bit and stored entry the projection-basis
+    # reduction of the 1D matrices written out from their closed forms.
+    h = 1.0 / n
+
+    def tridiagonal(inner, off, end):
+        diag = np.full(n + 1, inner)
+        diag[[0, -1]] = end
+        return sp.diags_array([np.full(n, off), diag, np.full(n, off)],
+                              offsets=[-1, 0, 1])
+
+    k = tridiagonal(2.0 / h, -1.0 / h, 1.0 / h)
+    m = tridiagonal(2.0 * h / 3.0, h / 6.0, h / 3.0)
+    t = tridiagonal(0.0, 0.0, 1.0)
     ref = projection_bases.of_grid(n)
-    k, m, t = _matrices_1d(n)
     forms = reference_forms(n).forms
     pairs = {"K1": (k, m), "K2": (m, k), "M": (m, m), "Tpar": (t, m),
              "Teq": (m, t)}
     for name, (a, b) in pairs.items():
         _assert_same_bytes(forms[name],
                            ref.reduce(sp.kron(a, b, format="csr")))
-
-
-@pytest.mark.parametrize("n", [4, 64])
-def test_assemble_1d_matches_the_projection_bases_bit_for_bit(
-        projection_bases, n):
-    # Numbered by a loop over the nodes: one dof at each end, where
-    # u2 = -i u1 (left) and +i u1 (right), two at each interior node.
-    free1 = np.full(n + 1, -1)
-    free2 = np.full(n + 1, -1)
-    k = 0
-    for p in range(n + 1):
-        free1[p] = k
-        k += 1
-        if 0 < p < n:
-            free2[p] = k
-            k += 1
-    omega = np.zeros(n + 1, dtype=complex)
-    omega[0], omega[n] = -1.0j, 1.0j
-    ref = projection_bases(free1, free2, omega)
-    fm1 = assemble_1d(n)
-    for got, full in zip((fm1.K, fm1.M, fm1.T), _matrices_1d(n)):
-        _assert_same_bytes(got, ref.reduce(full))
 
 
 @pytest.mark.parametrize("n", [4, 12])
@@ -479,24 +463,3 @@ def test_nested_refinement_preserves_quotient(fm_cache):
     q_coarse = quotient(fm_cache(8), 1.2, 0.9, 1.5, psi)
     q_fine = quotient(fm_cache(16), 1.2, 0.9, 1.5, fine)
     assert q_fine == pytest.approx(q_coarse, rel=1e-12)
-
-
-def test_assemble_1d_dimensions_and_poincare():
-    n = 64
-    fm1 = assemble_1d(n)
-    assert fm1.ndof == 2 * (n - 1) + 2
-    for a, m in ((1.0, 0.0), (0.5, 3.0), (2.0, 1.0)):
-        q = sp.csr_matrix(fm1.K / a**2 + (m / a) * fm1.T)
-        pairs = smallest_eigenpair(q, fm1.M, k=1, tol=1e-8)
-        bound = (dirac1d.nu1(m * a).nu / a) ** 2
-        assert pairs[0][0] >= bound * (1 - 1e-12)
-
-
-def test_assemble_1d_matches_closed_form():
-    n = 256
-    fm1 = assemble_1d(n)
-    a, m = 1.0, 0.0
-    pairs = smallest_eigenpair(sp.csr_matrix(fm1.K), fm1.M, k=1, tol=1e-8)
-    exact = (math.pi / 2) ** 2
-    assert pairs[0][0] >= exact
-    assert pairs[0][0] == pytest.approx(exact, rel=1e-4)

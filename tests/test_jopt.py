@@ -7,8 +7,10 @@ from diracbox import (
     DegenerateRatioError,
     SpinorField,
     build_grid,
+    classify_symmetry,
     euler_solve,
     fixed_point_minimize,
+    ground_cluster,
     j_value,
     jopt,
     lambda1_2d,
@@ -18,7 +20,6 @@ from diracbox import (
     rotation_deviation,
     symmetrize,
     trial_dirichlet,
-    verify_theorem_idea_chain,
 )
 from diracbox.formgrid import norm_parts
 
@@ -286,34 +287,17 @@ def test_probe_collects_evidence(fm_cache):
             "all_restarts_agree"} <= set(d)
 
 
-def test_theorem_idea_chain_report():
-    report = verify_theorem_idea_chain(0.0, [0.5, 1.0, 1.5], 16, restarts=3)
-    assert report["fixed_area_dominates_best"]
-    assert report["representative_attains"]
-    assert report["symmetric_random_never_beats"]
-    assert report["symmetric_subspace_min_matches_square"]
-    assert report["perimeter_dominates_area"]
-    assert len(report["perimeter_family"]) == 3
-    a_half = report["perimeter_family"][0]
-    assert a_half["mu_perimeter"] >= a_half["mu_area"] - 1e-9
-
-
-def test_theorem_idea_chain_solves_each_rectangle_once(monkeypatch):
-    # the perimeter comparison reuses the area family's eigenvalues
-    calls = []
-    solve = jopt.lambda1_2d
-
-    def counting(a, b, *args, **kwargs):
-        calls.append((a, b))
-        return solve(a, b, *args, **kwargs)
-
-    monkeypatch.setattr(jopt, "lambda1_2d", counting)
-    a_grid = [0.5, 1.5, 2.5]
-    report = verify_theorem_idea_chain(0.5, a_grid, 8, restarts=3)
-    # 3 area points and the 2 perimeter points with 0 < a < 2
-    assert len(calls) == len(set(calls)) == 5
-    assert [p["a"] for p in report["perimeter_family"]] == [0.5, 1.5]
-    for p in report["perimeter_family"]:
-        a = p["a"]
-        assert p["mu_area"] == lambda1_2d(a, 1.0 / a, 0.5, 8).mu
-        assert p["mu_perimeter"] == lambda1_2d(a, 2.0 - a, 0.5, 8).mu
+def test_square_minimality_chain_at_n16(fm_cache):
+    # The square's symmetric representative attains its eigenvalue in J,
+    # no symmetrised random field beats it, and the fixed-perimeter
+    # rectangle dominates the fixed-area one of the same first side.
+    fm, m = fm_cache(16), 0.0
+    mus, cluster = ground_cluster(fm, 1.0, 1.0, m)
+    rep = classify_symmetry(fm, cluster, square=True)[0].field
+    assert j_value(rep, fm, m) == pytest.approx(mus[0], rel=1e-8)
+    for seed in range(100, 105):
+        sym = symmetrize(random_field(build_grid(16), seed=seed))
+        assert j_value(sym, fm, m) >= mus[0] * (1 - 1e-10)
+    for a in (0.5, 1.5):
+        area = lambda1_2d(a, 1 / a, m, 16).mu
+        assert lambda1_2d(a, 2 - a, m, 16).mu >= area - 1e-9 * max(1.0, area)

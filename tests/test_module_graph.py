@@ -4,7 +4,10 @@ Each module of ``src/diracbox`` imports what it needs at its top, and the
 top-level ``from .x import`` (or ``from . import x``) edges between the
 modules form no cycle, so no module has to import inside a function to get
 round one.  No function assigns a local that it never reads (names
-starting with ``_`` excepted): such a local is dead code.
+starting with ``_`` excepted): such a local is dead code.  Every
+``__all__`` entry names something its module defines, and every name the
+package's ``__init__`` imports is in its module's ``__all__``, so a
+deletion leaves no stale export behind.
 """
 
 import ast
@@ -77,6 +80,50 @@ def _edges(tree, names):
             else:
                 out.update(alias.name for alias in node.names)
     return out & names
+
+
+def _exports(tree):
+    """The entries of a module's ``__all__``, or None without one."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__"
+                for t in node.targets):
+            return [elt.value for elt in node.value.elts]
+    return None
+
+
+def _top_level_names(tree):
+    """The names a module binds at its top level."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = (node.targets if isinstance(node, ast.Assign)
+                       else [node.target])
+            names.update(name.id for target in targets
+                         for name in ast.walk(target)
+                         if isinstance(name, ast.Name))
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update((alias.asname or alias.name).split(".")[0]
+                         for alias in node.names)
+    return names
+
+
+def test_every_export_is_defined_and_listed():
+    modules = _modules()
+    undefined = {name: sorted(set(exports) - _top_level_names(tree))
+                 for name, tree in modules.items()
+                 if (exports := _exports(tree)) is not None
+                 and set(exports) - _top_level_names(tree)}
+    assert not undefined, undefined
+    unlisted = [(node.module, alias.name)
+                for node in modules["__init__"].body
+                if isinstance(node, ast.ImportFrom) and node.level == 1
+                for alias in node.names
+                if alias.name not in (_exports(modules[node.module]) or ())]
+    assert not unlisted, unlisted
 
 
 def test_no_import_inside_a_function_or_class():

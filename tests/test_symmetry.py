@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg as sla
 import scipy.sparse as sp
 
 from diracbox import (
@@ -17,7 +18,6 @@ from diracbox import (
     rotation_deviation,
     rotation_map,
     separability_residual,
-    smallest_eigenpair,
     symmetrize,
     trial_dirichlet,
     verify_norm_identities,
@@ -201,11 +201,19 @@ def test_classify_single_member_cluster(fm_cache):
     assert classes[0].alpha == pytest.approx(-1j, abs=1e-10)
 
 
+def _dense_pairs(ref, k):
+    """The k lowest (mu, vector) pairs of the massless square's pencil,
+    by dense LAPACK on the reference forms."""
+    w, v = sla.eigh(ref.weighted((1, 1, 0, 0, 0)).toarray(),
+                    ref.M.toarray(), subset_by_index=[0, k - 1])
+    return [(float(w[i]), v[:, i]) for i in range(k)]
+
+
 def test_classify_accepts_raw_vector_pairs(fm_cache, reference_forms):
-    # the (mu, vector) pairs of smallest_eigenpair classify exactly like the
-    # same pairs wrapped as SpinorFields
+    # raw (mu, vector) eigenpairs classify exactly like the same pairs
+    # wrapped as SpinorFields
     fm, ref = fm_cache(12), reference_forms(12)
-    pairs = smallest_eigenpair(ref.weighted((1, 1, 0, 0, 0)), ref.M, k=2)
+    pairs = _dense_pairs(ref, 2)
     raw = classify_symmetry(fm, pairs, square=True)
     wrapped = classify_symmetry(
         fm, [(mu, SpinorField(v, 12)) for mu, v in pairs], square=True)
@@ -247,7 +255,7 @@ def test_classify_rejects_non_invariant_span(fm_cache):
 
 def test_classify_rejects_spread_cluster(fm_cache, reference_forms):
     fm, ref = fm_cache(16), reference_forms(16)
-    pairs = smallest_eigenpair(ref.weighted((1, 1, 0, 0, 0)), ref.M, k=4)
+    pairs = _dense_pairs(ref, 4)
     fake = [(mu, SpinorField(v, 16)) for mu, v in pairs]  # two clusters mixed
     with pytest.raises(ClusterResolutionError):
         classify_symmetry(fm, fake, square=True)
