@@ -45,6 +45,10 @@ ECC_AREA_THRESHOLD = math.sqrt(15.0)
 ECC_PERIMETER_THRESHOLD = (9.0 - math.sqrt(33.0)) / 8.0
 MASS_THRESHOLD = 56.0
 INITIAL_THRESHOLD = 2.0
+# Below this shorter side the cubes of the initial-value conditions leave
+# the float range; there their quotient ``gap / (a^-3 + b^-3)`` is the
+# shorter side, up to a relative 2 side^2, far below rounding.
+_CUBE_FLOOR = 2.0**-340
 
 
 def thm_lower(a: float, b: float, m: float) -> float:
@@ -106,7 +110,9 @@ def corollary_conditions(a: float, m: float, constraint: str):
         ecc = abs(a * a - 4.0) - ECC_AREA_THRESHOLD
         gap = 1.0 / a**2 + a**2 - 2.0
         heavy = m * gap - MASS_THRESHOLD
-        sharp = m * gap / (1.0 / a**3 + a**3) - INITIAL_THRESHOLD
+        short = min(a, 1.0 / a)
+        sharp = (m * short if short < _CUBE_FLOOR
+                 else m * gap / (1.0 / a**3 + a**3)) - INITIAL_THRESHOLD
         return {
             "cond_a": Condition(ecc > 0.0, ecc),
             "cond_b": Condition(heavy >= 0.0, heavy),
@@ -119,7 +125,9 @@ def corollary_conditions(a: float, m: float, constraint: str):
         ecc = (a - 1.0) ** 2 - ECC_PERIMETER_THRESHOLD
         gap = 1.0 / a**2 + 1.0 / (2.0 - a) ** 2 - 2.0
         heavy = m * gap - MASS_THRESHOLD
-        sharp = m * gap / (1.0 / a**3 + 1.0 / (2.0 - a) ** 3) - INITIAL_THRESHOLD
+        sharp = (m * a if a < _CUBE_FLOOR
+                 else m * gap / (1.0 / a**3 + 1.0 / (2.0 - a) ** 3)
+                 ) - INITIAL_THRESHOLD
         return {
             "cond_a_prime": Condition(ecc > 0.0, ecc),
             "cond_b_prime": Condition(heavy >= 0.0, heavy),

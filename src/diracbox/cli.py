@@ -15,8 +15,9 @@ variable (default ``~/.cache/diracbox``), which makes repeated runs
 byte-identical including their wall-time fields: ``wall_time_ms`` is the
 time of the original compute, replayed on every cache hit.
 
-Exit codes: 0 success, 2 argument error, 3 solver failure, 4 symmetry
-resolution failure, 5 internal consistency violation.
+Exit codes: 0 success, 2 argument error, 3 solver failure (a jopt run
+whose every restart degenerates included), 4 symmetry resolution failure,
+5 internal consistency violation.
 """
 
 from __future__ import annotations
@@ -39,7 +40,8 @@ from . import bounds as bounds_mod
 from . import jopt as jopt_mod
 from . import symmetry as symmetry_mod
 from .eigsolve import ground_cluster, lambda1_2d, refine_study
-from .errors import ClusterResolutionError, ConsistencyError, SolverError
+from .errors import (ClusterResolutionError, ConsistencyError,
+                     DegenerateRatioError, SolverError)
 from .formgrid import (
     FormMatrices,
     _check_weights,
@@ -49,7 +51,6 @@ from .formgrid import (
     parts_quotient,
     trial_dirichlet,
 )
-from .tensor import mass_inverse
 
 __all__ = ["main"]
 
@@ -121,7 +122,7 @@ def cache_root() -> str:
 # Part of every cache key, never of a record.  Change it whenever a solver
 # change alters any computed number, even in the last bits, so records
 # computed by older code miss instead of being served.
-SOLVER_VERSION = "17"
+SOLVER_VERSION = "18"
 
 
 def _cache_key(params: dict) -> str:
@@ -178,7 +179,7 @@ def _trial_parts(n: int):
 def _sandwich_check(record: dict) -> None:
     """Abort if the guaranteed bound relations fail for a record."""
     shifted = record["mu"] - record["m"] ** 2
-    tiny = 1e-9 * max(1.0, abs(record["mu"]))
+    tiny = 1e-9 * abs(record["mu"])
     ok = (record["thm_lower"] <= record["sharp_lower"] + tiny
           and record["sharp_lower"] <= shifted + tiny
           and record["mu"] <= record["trial_quotient"] + tiny
@@ -294,18 +295,14 @@ def cmd_sweep(opts) -> int:
     # each point is cached as soon as it is solved, so an interrupted sweep
     # resumes from the points it finished
     tasks = [(a, b, m, n, tol, seed, use_cache) for a, b in points]
-    # a pool and its warm-up only when some point still needs solving
-    if opts["jobs"] > 1 and (not use_cache or any(
-            cache_get({"a": a, "b": b, "m": m, "n": n, "tol": tol,
-                       "seed": seed}) is None for a, b in points)):
-        # the forms' symmetry certificate (on their 1D matrices), M's
-        # inverse (with the grid's tensor basis and rotation map) and the
-        # trial field's norm parts built before fork, so workers inherit
-        # them
-        _form_matrices(n)._symmetry_certificate
-        mass_inverse(n)
-        _trial_parts(n)
-        with ProcessPoolExecutor(max_workers=opts["jobs"]) as pool:
+    # a pool only for the points still to solve, those solve_record serves
+    # from no cache entry, and no larger than the host
+    params = [{"a": a, "b": b, "m": m, "n": n, "tol": tol, "seed": seed}
+              for a, b in points]
+    todo = sum(not (use_cache and _servable(cache_get(p), p)) for p in params)
+    workers = min(opts["jobs"], todo, os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             records = list(pool.map(solve_record, *zip(*tasks)))
     else:
         records = [solve_record(*task) for task in tasks]
@@ -506,7 +503,7 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except SolverError as exc:
+    except (SolverError, DegenerateRatioError) as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return 3
     except ClusterResolutionError as exc:

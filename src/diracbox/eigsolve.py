@@ -27,6 +27,11 @@ every form of the grid is Hermitian and commutes with ``C`` and ``R^2`` is
 certified once per grid, on the 1D matrices every form is built from
 (``FormMatrices._symmetry_certificate``), so every pencil with real weights
 does too; a form without the symmetry raises ConsistencyError.
+Every pencil is solved at unit scale: its weights are divided by the power
+of four nearest its larger gradient weight, which is exact at every step and
+divides every eigenvalue by that power, and the values and residuals are
+multiplied back, so the whole solve sees values of order one whatever the
+size of the rectangle.
 The shift is the separable lower bound ``bounds.separable_lower`` of the
 weights, so it depends on nothing but the pencil and no caller chooses it;
 at a rectangle's weights it is ``bounds.sharp_lower``.  The inverse of ``Q
@@ -39,19 +44,17 @@ inverses of ``tensor``, and ARPACK iterates in their real class +1
 coordinates (``tensor._ClassOperator``): the x1-reflection ``T = K P``
 commutes with every real-weighted pencil, so the operator there is real
 symmetric, ``L^T (Q - sigma M)^-1 L`` with ``L L^T`` the Cholesky
-factorisation of ``M``, and ARPACK runs real symmetric Lanczos on it times
-the power of two nearest ``max(sigma, 1)``: ARPACK's stop is absolute below
-Ritz values of ``eps^(2/3)``, which the ``1/(mu - sigma)`` of a small
-rectangle are, and the exact scale keeps it relative.  ARPACK's
-vectors take ``L^-T`` and one back transform to nodal coordinates.  One
-inverse-iteration step in residual-correction form (Parlett 1998)
-subtracts the class +1 solve of their residual, then
+factorisation of ``M``, and ARPACK runs real symmetric Lanczos on it.
+ARPACK's vectors take ``L^-T`` and one back transform to nodal
+coordinates.  One inverse-iteration step in residual-correction form
+(Parlett 1998) subtracts the class +1 solve of their residual, then
 Rayleigh-Ritz runs on the pencil, both through the Kronecker operators of
 the forms (``formgrid``), one gather giving ``Q v`` and ``M v``, and the
 residual contract reads each residual's M^-1 norm in the class coordinates
 of the mass inverse, with no back transform.  ``tol`` must be a finite
 number above zero, and is checked before any work, as are ``k`` and the
-weights, which must be real.
+weights, which must be real and, at unit scale, finite, with normal
+gradient weights.
 
 ``lambda1_2d`` evaluates the rectangle eigenvalue through the mass-shifted
 pencil: the ``m^2 M`` term of the squared form is an exact spectral shift of
@@ -166,27 +169,19 @@ def _solve_pencil(fm, w, k: int, tol: float, seed: int) -> _PencilSolution:
 
     The one entry point of every grid solve.  The weights ``w`` are real,
     with positive gradient and non-negative trace weights; the arguments
-    are checked before any work.  The shift ``sigma`` is their separable
-    bound (``bounds.separable_lower``), which lies below the lowest
-    eigenvalue.  ARPACK iterates ``P (Q - sigma M)^-1 M`` with
-    the projector ``P = (I + R^2)/2`` of the half turn, in the real modal
-    coordinates of one tensor-product inverse of ``Q - sigma M`` restricted
-    to class +1, where it is similar to a real symmetric operator
-    (``_ClassOperator``), for the largest ``1/(mu - sigma)`` of class +1.
-    Its vectors go back to nodal coordinates once; one
-    inverse-iteration step in residual-correction form, through the class
-    +1 solve, Rayleigh-Ritz and the residual contract run on the pencil's
-    Kronecker operators, one gather giving both ``Q v`` and ``M v``, the
-    residual's M^-1 norm taken in the mass inverse's class coordinates.
-    Before M's inverse, the grid's 1D matrices are certified
-    (``FormMatrices._symmetry_certificate``) and its ``rotation_map`` is
-    read, which self-tests once per n: every real-weighted pencil then
-    commutes with ``R^2`` and with the charge conjugation ``C``, which maps
-    each class +1 eigenpair onto a class -1 eigenpair with the same value
-    and residual (``ground_cluster``).  A form without the symmetry raises
-    ConsistencyError.  A shift the inverse rejects lies above the lowest
-    eigenvalue, which contradicts the lower bound it came from, and raises
-    ConsistencyError too.
+    are checked before any work.  The pencil is solved at unit scale: its
+    weights divided by ``unit``, the power of four nearest ``max(w_K1,
+    w_K2)``, whose eigenvalues are those of the pencil divided by ``unit``
+    (``_solve_unit``); the values and residuals, those of a SolverError
+    too, are multiplied back.  A power of four is exact at every step, the
+    Cholesky factors of a form divided by ``4^j`` being the old ones
+    divided by ``2^j``, so a rectangle and its ``t`` times larger copy
+    with mass ``m / t``, ``t`` a power of two, solve the same pencil bit
+    for bit, and the shift, ARPACK's relative stop and the residual
+    contract see values of order one whatever the size of the rectangle.
+    ValueError unless every weight at unit scale is finite and both
+    gradient weights are normal floats there; a trace weight below the
+    normal range moves no eigenvalue by as much as rounding, and is kept.
     """
     _check_tol(tol)
     if k < 1:
@@ -197,6 +192,52 @@ def _solve_pencil(fm, w, k: int, tol: float, seed: int) -> _PencilSolution:
     if np.any(np.imag(w)):
         raise ValueError(f"the form weights must be real, got {w!r}")
     w = np.real(w)
+    # max(w_K1, w_K2) / unit in [1/2, 2), read off the exponent alone:
+    # exact, and moved by exactly 4^j when the weights are
+    unit = math.ldexp(1.0, 2 * (math.frexp(max(w[0], w[1]))[1] // 2))
+    scaled = w / unit
+    if not (np.all(np.isfinite(scaled))
+            and min(scaled[0], scaled[1]) >= np.finfo(float).tiny):
+        raise ValueError(f"the form weights must be finite, with gradient "
+                         f"weights that are positive normal floats at unit "
+                         f"scale, got {w.tolist()}")
+    try:
+        sol = _solve_unit(fm, scaled, k, ncv, tol, seed)
+    except SolverError as exc:
+        exc.best_mu, exc.residual = (None if x is None else x * unit
+                                     for x in (exc.best_mu, exc.residual))
+        raise
+    return _PencilSolution(mus=sol.mus * unit, vectors=sol.vectors,
+                           residuals=sol.residuals * unit,
+                           iterations=sol.iterations)
+
+
+def _solve_unit(fm, w, k: int, ncv: int, tol: float,
+                seed: int) -> _PencilSolution:
+    """``_solve_pencil`` of the unit-scale weights ``w``, checked, with
+    ARPACK's Krylov dimension ``ncv``.
+
+    The shift ``sigma`` is their separable bound
+    (``bounds.separable_lower``), which lies below the lowest eigenvalue.
+    ARPACK iterates ``P (Q - sigma M)^-1 M`` with the projector ``P = (I +
+    R^2)/2`` of the half turn, in the real modal coordinates of one
+    tensor-product inverse of ``Q - sigma M`` restricted to class +1, where
+    it is similar to a real symmetric operator (``_ClassOperator``), for
+    the largest ``1/(mu - sigma)`` of class +1.  Its vectors go back to
+    nodal coordinates once; one inverse-iteration step in
+    residual-correction form, through the class +1 solve, Rayleigh-Ritz and
+    the residual contract run on the pencil's Kronecker operators, one
+    gather giving both ``Q v`` and ``M v``, the residual's M^-1 norm taken
+    in the mass inverse's class coordinates.  Before M's inverse, the
+    grid's 1D matrices are certified (``FormMatrices._symmetry_certificate``)
+    and its ``rotation_map`` is read, which self-tests once per n: every
+    real-weighted pencil then commutes with ``R^2`` and with the charge
+    conjugation ``C``, which maps each class +1 eigenpair onto a class -1
+    eigenpair with the same value and residual (``ground_cluster``).  A
+    form without the symmetry raises ConsistencyError.  A shift the inverse
+    rejects lies above the lowest eigenvalue, which contradicts the lower
+    bound it came from, and raises ConsistencyError too.
+    """
     sigma = separable_lower(w)
     fm._symmetry_certificate                # raises for a form without C
     rot = rotation_map(fm.n)                # self-tested once per n
@@ -206,14 +247,10 @@ def _solve_pencil(fm, w, k: int, tol: float, seed: int) -> _PencilSolution:
                                             w[4]), "Q - sigma M")
     except ValueError as exc:
         raise ConsistencyError(
-            f"shift sigma={sigma!r} is not below the lowest eigenvalue "
-            f"({exc}); it must be a lower bound") from exc
-    # ARPACK stops at tol * max(eps^(2/3), |ritz|), absolute for the tiny
-    # 1/(mu - sigma) of a small rectangle; a power of two near sigma keeps
-    # the stop relative and, being exact, leaves every other value as is
-    op = _ClassOperator(shift, mass, 2.0 ** round(math.log2(max(sigma, 1.0))))
-    z, iterations = _krylov(op.apply, op.dim, k, MAXIT, seed, sigma,
-                            op.scale, ncv)
+            f"unit-scale shift sigma={sigma!r} is not below the lowest "
+            f"eigenvalue ({exc}); it must be a lower bound") from exc
+    op = _ClassOperator(shift, mass)
+    z, iterations = _krylov(op.apply, op.dim, k, MAXIT, seed, sigma, ncv)
 
     def pencil(v):
         return _products(fm, v, w, (0.0, 0.0, 1.0, 0.0, 0.0))
@@ -229,8 +266,8 @@ def _solve_pencil(fm, w, k: int, tol: float, seed: int) -> _PencilSolution:
 
 
 def _krylov(apply_op, dim: int, k: int, maxit: int, seed: int,
-            sigma: float, scale: float, ncv: int):
-    """Vectors of the k largest eigenvalues ``scale/(mu - sigma)`` of the
+            sigma: float, ncv: int):
+    """Vectors of the k largest eigenvalues ``1/(mu - sigma)`` of the
     real symmetric operator ``apply_op`` on ``dim``-vectors, and the count
     of its applications.  ARPACK runs with ``ncv`` Krylov vectors from a
     seeded start vector to the relative tolerance ``ARPACK_TOL``.
@@ -258,7 +295,7 @@ def _krylov(apply_op, dim: int, k: int, maxit: int, seed: int,
             with contextlib.suppress(spla.ArpackNoConvergence):
                 nus = spla.eigsh(op, k=1, which="LM", v0=v0, maxiter=maxit,
                                  tol=1e-8, ncv=ncv, return_eigenvectors=False)
-        best_mu = sigma + scale / float(nus.max()) if len(nus) else None
+        best_mu = sigma + 1.0 / float(nus.max()) if len(nus) else None
         raise SolverError(
             f"eigensolver did not converge within {maxit} restarts",
             best_mu=best_mu, iterations=iterations) from exc
@@ -307,8 +344,8 @@ def _ritz(pencil, v, m_inv_norms, tol: float, iterations: int):
     if np.any(bad):
         i = int(np.argmax(residuals / np.maximum(np.abs(mus), 1e-300)))
         raise SolverError(
-            f"residual contract violated: pair {i} has residual "
-            f"{residuals[i]:.3e} > tol*mu = {tol * abs(mus[i]):.3e}",
+            f"residual contract violated: pair {i} has residual/mu "
+            f"{residuals[i] / abs(mus[i]):.3e} > tol = {tol:.3e}",
             best_mu=float(mus[0]), residual=float(residuals[i]),
             iterations=iterations)
     return mus, v, residuals
@@ -386,7 +423,7 @@ def refine_study(a: float, b: float, m: float, n_list, tol: float = 1e-10,
     for n in n_list:
         entries.append((n, lambda1_2d(a, b, m, n, tol, seed=seed).mu))
     for (_, prev), (ncur, cur) in zip(entries, entries[1:]):
-        if cur > prev + 1e-12 * max(1.0, abs(prev)):
+        if cur > prev + 1e-12 * abs(prev):
             raise ConsistencyError(
                 f"refinement increased the eigenvalue at n={ncur}: "
                 f"{prev!r} -> {cur!r}")

@@ -272,10 +272,20 @@ def assemble(grid: Grid) -> FormMatrices:
     return FormMatrices(n=grid.n, lines=_lines(grid.n))
 
 
+# The range of the sides and of their ratio: inside it the eigenvalue, its
+# residual and the closed-form bounds stay normal floats, where at sides of
+# 2^500 a record's residual is already subnormal.
+SIDE_RANGE = (2.0**-480, 2.0**480)
+
+
 def _check_weights(a: float, b: float, m: float):
     a, b, m = float(a), float(b), float(m)
     if not (np.isfinite(a) and a > 0.0) or not (np.isfinite(b) and b > 0.0):
         raise ValueError(f"side lengths must be finite and > 0, got {a!r}, {b!r}")
+    lo, hi = SIDE_RANGE
+    if not (lo <= a <= hi and lo <= b <= hi and lo <= a / b <= hi):
+        raise ValueError(f"side lengths {a!r}, {b!r} and their ratio must "
+                         "lie in [2**-480, 2**480]")
     if not np.isfinite(m) or m < 0.0:
         raise ValueError(f"mass must be finite and >= 0, got {m!r}")
     if not np.isfinite(m * m):

@@ -528,21 +528,17 @@ class _ClassOperator:
     products and one half-size Cholesky solve.  The operator is similar to
     ``(Q - sigma M)^-1 M`` on class +1, so it has the same eigenvalues
     ``1/(mu - sigma)``; only ARPACK's vectors pay ``L^-T`` and the back
-    transform to nodal coordinates (``to_nodal``).  ``apply`` multiplies by
-    the power of two ``scale``, which is exact, so the eigenvalues ARPACK
-    sees are ``scale/(mu - sigma)`` and its vectors are unchanged.
+    transform to nodal coordinates (``to_nodal``).
     """
 
-    def __init__(self, shift: _TensorInverse, mass: _TensorInverse,
-                 scale: float):
-        self.shift, self.mass, self.scale = shift, mass, scale
+    def __init__(self, shift: _TensorInverse, mass: _TensorInverse):
+        self.shift, self.mass = shift, mass
         self.nn = nn = shift.basis.n - 1
         self.dim = nn * nn + 2 * nn
         self.factor = mass.chol             # lower triangle: L_S / sqrt2
 
     def apply(self, z):
-        """``scale L^T (Q - sigma M)^-1 L z`` for one real class +1
-        vector."""
+        """``L^T (Q - sigma M)^-1 L z`` for one real class +1 vector."""
         nn, mass = self.nn, self.mass
         w = z[:nn * nn].reshape(nn, 1, nn)
         # L z, its edge rows halved as class_solve reads them
@@ -551,10 +547,8 @@ class _ClassOperator:
         w, x = self.shift.class_solve(w, x[:, None])
         x = x[:, 0]
         w += mass.basis.lift(mass.alpha, x[:, None])
-        w *= self.scale
-        return np.concatenate([w.ravel(), self.scale * _SQRT_TWO
-                               * sla.blas.dtrmv(self.factor, x, lower=1,
-                                                trans=1)])
+        return np.concatenate([w.ravel(), _SQRT_TWO * sla.blas.dtrmv(
+            self.factor, x, lower=1, trans=1)])
 
     def to_nodal(self, z):
         """Complex nodal vectors of the real columns ``z`` (dim, k): the

@@ -140,6 +140,51 @@ def test_solver_failure_exit_code():
     assert run(["solve", "--n", "12", "--tol", "1e-30", "--no-cache"]) == 3
 
 
+def test_jopt_whose_every_restart_degenerates_exit_code(capsys):
+    # At a heavy mass each start's trace ratio collapses: a degenerate
+    # ratio is a documented solver failure, not a traceback.
+    assert run(["jopt", "--m", "1e20", "--n", "8", "--restarts", "3"]) == 3
+    assert "every restart degenerated" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("a, b, beyond", [
+    (2.0**480, 2.0**480, math.inf), (2.0**-480, 2.0**-480, 0.0),  # sides
+    (2.0**240, 2.0**-240, 0.0), (2.0**-240, 2.0**240, math.inf),  # a/b
+])
+def test_side_range_edges(a, b, beyond, capsys):
+    # Sides and their ratio a/b in [2^-480, 2^480] solve; one float beyond
+    # either edge of either bound is an argument error naming the sides.
+    for cmd in (["solve", "--n", "8", "--no-cache"], ["bounds"]):
+        assert run([*cmd, "--a", repr(a), "--b", repr(b)]) == 0
+        capsys.readouterr()
+    b = math.nextafter(b, beyond)
+    a = b if a == b else a
+    for cmd in ("solve", "bounds", "symmetry", "refine"):
+        assert run([cmd, "--a", repr(a), "--b", repr(b)]) == 2
+        err = capsys.readouterr().err
+        assert f"side lengths {a!r}, {b!r}" in err
+        assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "--a", "1e-160", "--n", "8"],
+    ["bounds", "--a", "1e-300"],
+    ["sweep", "--a-min", "1e-200", "--a-max", "1", "--steps", "3",
+     "--n", "8", "--out", "OUT"],
+    ["solve", "--a", "1e200", "--b", "1"],
+    ["bounds", "--a", "1e200", "--b", "1"],
+    ["symmetry", "--a", "1e200", "--b", "1"],
+    ["refine", "--a", "1e200", "--b", "1"],
+    ["solve", "--a", "1e-100", "--b", "1e100", "--n", "8"],
+])
+def test_scales_beyond_the_float_range_are_argument_errors(argv, tmp_path,
+                                                           capsys):
+    argv = [str(tmp_path / "sweep.csv") if x == "OUT" else x for x in argv]
+    assert run(argv) == 2
+    assert "side lengths" in capsys.readouterr().err
+    assert not (tmp_path / "sweep.csv").exists()
+
+
 def test_symmetry_failure_exit_code(monkeypatch):
     def boom(*args, **kwargs):
         raise ClusterResolutionError("forced")
@@ -354,12 +399,67 @@ def test_cached_parallel_sweep_starts_no_pool(tmp_path, monkeypatch):
     def fails(*args, **kwargs):
         raise AssertionError("every point is cached")
 
-    monkeypatch.setattr(cli, "mass_inverse", fails)
     for module in (eigsolve, tensor):
         monkeypatch.setattr(module, "rotation_map", fails)
     monkeypatch.setattr(cli, "ProcessPoolExecutor", fails)
     monkeypatch.setattr(cli, "lambda1_2d", fails)
     assert run(argv) == 0
+
+
+class _RecordingPool:
+    """A stand-in for ProcessPoolExecutor that records its arguments and
+    maps serially, so no worker process starts."""
+
+    def __init__(self, calls, **kwargs):
+        calls.append(kwargs)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, *iterables):
+        return map(fn, *iterables)
+
+
+def test_sweep_pool_is_bounded_by_points_and_cores(tmp_path, monkeypatch):
+    # Under fork every worker starts on the first submit, so the pool asks
+    # for no more workers than points to solve and cores to run them.
+    calls = []
+    monkeypatch.setattr(cli, "ProcessPoolExecutor",
+                        functools.partial(_RecordingPool, calls))
+    argv = ["sweep", "--m", "0", "--a-min", "0.5", "--a-max", "2",
+            "--steps", "3", "--n", "8", "--jobs", "5000", "--no-cache",
+            "--out", str(tmp_path / "sweep.csv")]
+    for cores, workers in ((64, 3), (2, 2)):
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: cores)
+        assert run(argv) == 0
+        assert calls.pop() == {"max_workers": workers}
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 1)
+    assert run(argv) == 0
+    assert not calls
+
+
+def test_sweep_pool_counts_unservable_entries_as_unsolved(tmp_path,
+                                                         monkeypatch):
+    # The pre-scan serves by solve_record's rule: an entry that parses but
+    # is no record, here "{}", is a point still to solve.
+    calls = []
+    monkeypatch.setattr(cli, "ProcessPoolExecutor",
+                        functools.partial(_RecordingPool, calls))
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    points = cli._sweep_grid("area", 0.5, 2.0, 4)
+    for a, b in points:
+        cli.cache_put({"a": a, "b": b, "m": 0.0, "n": 8, "tol": 1e-10,
+                       "seed": 0}, {})
+    argv = ["sweep", "--m", "0", "--a-min", "0.5", "--a-max", "2",
+            "--steps", "4", "--n", "8", "--jobs", "2",
+            "--out", str(tmp_path / "sweep.csv")]
+    assert run(argv) == 0
+    assert calls == [{"max_workers": 2}]
+    assert run(argv) == 0                   # now every entry is servable
+    assert calls == [{"max_workers": 2}]
 
 
 def test_sweep_validates_range(tmp_path):
@@ -567,6 +667,15 @@ def test_corrupt_cache_entry_is_recomputed(tmp_path):
     rec1.pop("wall_time_ms"), rec2.pop("wall_time_ms")
     assert rec1 == rec2
     assert cli.cache_get(PARAMS)["mu"] == rec2["mu"]     # overwritten
+
+
+def test_sandwich_check_slack_is_relative():
+    # A record whose sharp_lower is twice its mu breaks the sandwich at any
+    # size: an absolute slack let it through below mu = 1 (here 7e-10).
+    for a in (1.0, 1e5):
+        record = cli.solve_record(a, a, 0.0, 8, 1e-10, 0, use_cache=False)
+        with pytest.raises(ConsistencyError, match="sandwich"):
+            cli._sandwich_check({**record, "sharp_lower": 2 * record["mu"]})
 
 
 def test_invalid_cache_records_are_recomputed(tmp_path):

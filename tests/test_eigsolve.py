@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import types
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ import scipy.sparse.linalg as spla
 
 from diracbox import SolverError, bounds, lambda1_2d, refine_study
 from diracbox import cli, eigsolve, formgrid, jopt, symmetry, tensor
+from diracbox.errors import ConsistencyError
 
 
 def test_rejects_non_hermitian(fm_cache, monkeypatch):
@@ -109,9 +111,10 @@ def test_nonconvergence_carries_best_iterate(fm_cache, monkeypatch):
 
 
 def test_grid_nonconvergence_carries_shifted_best_iterate(monkeypatch):
-    # ARPACK iterates the shifted operator times a power of two near sigma,
-    # whose eigenvalues are scale/(mu - sigma): best_mu takes the scale
-    # out and adds the shift back, for a unit and a tiny square alike.
+    # ARPACK iterates the shifted operator of the unit-scale pencil, whose
+    # eigenvalues are 1/(mu - sigma) at unit scale: best_mu adds the shift
+    # back and is reported in the caller's units, for a unit and a tiny
+    # square alike.
     for a in (1.0, 1e-6):
         sigma = bounds.sharp_lower(a, a, 0.0)
         with monkeypatch.context() as patch:
@@ -128,6 +131,48 @@ def test_grid_nonconvergence_carries_shifted_best_iterate(monkeypatch):
 def test_residual_contract_enforced():
     with pytest.raises(SolverError):
         lambda1_2d(1, 1, 0, 16, tol=1e-30)
+
+
+def test_contract_failure_reports_the_callers_units():
+    # The tolerance enters only the contract, so a violated one carries the
+    # value and residual that a passing solve returns, scaled back from
+    # the unit-scale pencil.
+    for a in (1.0, 1e-6, 2.0**300):
+        res = lambda1_2d(a, a, 0.0, 16)
+        with pytest.raises(SolverError) as err:
+            lambda1_2d(a, a, 0.0, 16, tol=1e-30)
+        assert err.value.best_mu == res.mu
+        assert err.value.residual == res.residual
+
+
+@pytest.mark.parametrize("m", [0.0, 1.0])
+def test_unit_scale_is_exact_beyond_the_old_range(m):
+    # mu(2^k a, 2^k b, 2^-k m) = 4^-k mu(a, b, m) bit for bit: every pencil
+    # is divided by the power of four nearest its larger gradient weight,
+    # so these all solve the unit square's pencil, far past the sides where
+    # an unscaled solve failed or read 30 % high with a residual of 0.
+    for a, b, ks in ((1.0, 1.0, (-480, -260, 260, 480)),
+                     (2**-0.5, 1.1 * 2**-0.5, (-479, -259, 259, 479))):
+        unit = lambda1_2d(a, b, m, 8)
+        for k in ks:
+            res = lambda1_2d(a * 2.0**k, b * 2.0**k, m * 2.0**-k, 8)
+            assert res.mu * 4.0**k == unit.mu
+            assert res.residual * 4.0**k == unit.residual
+            assert res.iterations == unit.iterations
+
+
+def test_weights_beyond_the_float_range_at_unit_scale(fm_cache):
+    # Euler weights (A^-2, A^2, ...) differ by A^4: past A of about 2^256
+    # the smaller gradient weight is no normal float at unit scale.
+    fm = fm_cache(8)
+    jopt.euler_solve(fm, 2.0**250, 1.0, 0.0)
+    for A in (2.0**260, 2.0**-260):
+        with pytest.raises(ValueError, match="at unit scale"):
+            jopt.euler_solve(fm, A, 1.0, 0.0)
+    for w in ((0.0, 0.0, 0.0, 0.0, 0.0), (math.inf, 1.0, 0.0, 0.0, 0.0),
+              (1.0, -1.0, 0.0, 0.0, 0.0), (1.0, 1.0, math.nan, 0.0, 0.0)):
+        with pytest.raises(ValueError, match="at unit scale"):
+            eigsolve._solve_pencil(fm, w, 1, 1e-10, 0)
 
 
 def test_grid_solves_leave_no_reference_cycles(fm_cache):
@@ -233,7 +278,7 @@ def test_class_operator_is_exact_in_modal_coordinates(reference_forms, n):
             sigma = bounds.sharp_lower(a, b, m)
             shift = tensor._TensorInverse(
                 basis, (w[0], w[1], -sigma, w[3], w[4]))
-            op = tensor._ClassOperator(shift, mass, 1.0)
+            op = tensor._ClassOperator(shift, mass)
             assert 2 * op.dim == fm.ndof
             z = rng.standard_normal(op.dim)
             x = op.to_nodal(z[:, None])
@@ -242,9 +287,6 @@ def test_class_operator_is_exact_in_modal_coordinates(reference_forms, n):
             y = _nodal_solve(shift, fm.M @ x)
             want = (y + half_turn(y)) / 2
             got = op.to_nodal(op.apply(z)[:, None])
-            # a power-of-two scale is exact, in the interior and on the edges
-            assert np.array_equal(tensor._ClassOperator(
-                shift, mass, 8.0).apply(z), 8.0 * op.apply(z))
             worst = max(worst, np.linalg.norm(got - want)
                         / np.linalg.norm(want))
             f = rng.standard_normal((fm.ndof, 2)) + 0j
@@ -322,7 +364,7 @@ def test_real_class_coordinates_under_x1_reflection(reference_forms, n):
             (nn, 2, nn))), tensor._split(rng.standard_normal((2 * nn, 2))))})
         assert np.abs(x1(v) - v).max() <= 1e-13 * np.abs(v).max()
 
-    op = tensor._ClassOperator(shift, mass, 1.0)
+    op = tensor._ClassOperator(shift, mass)
     real = np.stack([op.apply(e) for e in np.eye(op.dim)], axis=1)
     assert np.abs(real - real.T).max() <= 1e-12 * np.abs(real).max()
     want = np.sort(np.linalg.eigvals(dense).real)[-op.dim:]
@@ -497,10 +539,11 @@ def test_zero_mass_scaling(solve_memo):
 
 @pytest.mark.parametrize("m", [0.0, 1.0])
 def test_solve_is_scale_invariant(m):
-    # mu(t a, t b, m / t) = mu(a, b, m) / t^2.  ARPACK's stop is absolute
-    # below Ritz values of eps^(2/3), which 1/(mu - sigma) of a small
-    # rectangle is, unless the operator is scaled with the shift; then a
-    # tiny rectangle converges as far, in as many applications, as a unit one.
+    # mu(t a, t b, m / t) = mu(a, b, m) / t^2.  Every pencil is solved at
+    # unit scale, divided by the power of four nearest its larger gradient
+    # weight, so a tiny or a huge rectangle converges as far, in as many
+    # applications, as a unit one; t is no power of two, so its pencils
+    # differ from the unit one's in their last bits.
     unit = lambda1_2d(1.0, 1.1, m, 32)
     for t in (1e-9, 1e-6, 1e-3, 1e3, 1e6):
         res = lambda1_2d(t, 1.1 * t, m / t, 32)
@@ -536,6 +579,17 @@ def test_lambda1_2d_validates_inputs():
         lambda1_2d(1.0, 1.0, -0.5, 16)
     with pytest.raises(ValueError):
         lambda1_2d(1.0, 1.0, 0.0, 7)
+
+
+def test_refine_study_slack_is_relative(monkeypatch):
+    # A ladder that increases by 1e-6 relative is caught whatever the size
+    # of its values: an absolute slack let it through below mu = 1.
+    for scale in (1.0, 1e-20):
+        ladder = iter([scale, scale * (1 + 1e-6)])
+        monkeypatch.setattr(eigsolve, "lambda1_2d", lambda *args, **kwargs:
+                            types.SimpleNamespace(mu=next(ladder)))
+        with pytest.raises(ConsistencyError, match="increased"):
+            refine_study(1.0, 1.0, 0.0, [8, 16])
 
 
 def test_refine_study_monotone_and_bracketed():
